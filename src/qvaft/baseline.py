@@ -15,6 +15,14 @@ Three families are supported:
   distribution exactly, and any simplex weight vector yields a valid
   (decreasing) survivor because each beta CDF is increasing on [0, 1].
 
+Every formula lives in one evaluator per family, reached through
+`log_terms`: it returns log S0(u) or log f0(u) and, on request, the
+partials in u, mu, log sigma and the weights. `log_survivor`,
+`log_density`, `survivor` and `density` and the likelihood all call it.
+The tbp survivor on the probability scale (`survivor`, and the bisection
+of `inverse_survivor`) goes through scipy's `betainc` instead, which also
+serves the tests as an independent check on the log-space binomial sums.
+
 All operations are pure functions of immutable value objects and accept a
 scalar or ndarray time argument.
 """
@@ -139,61 +147,58 @@ def _scalar_like(t, value: np.ndarray):
     return value
 
 
-# -- parametric centering forms ------------------------------------------
+# -- the evaluator: log S0 or log f0 with parameter partials ------------------
 
-def _weibull_log_sf(mu: float, sigma: float, t: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = (t * np.exp(-mu)) ** sigma
-    return -z
+class BaselineTerms:
+    """log S0(u) or log f0(u) (`val`) and, when asked for, its partials with
+    respect to u, mu, log sigma and (tbp only) the weights w."""
 
+    __slots__ = ("val", "d_du", "d_dmu", "d_dls", "d_dw")
 
-def _weibull_log_pdf(mu: float, sigma: float, t: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", over="ignore"):
-        logt = np.log(t)
-        z = (t * np.exp(-mu)) ** sigma
-    return np.log(sigma) - mu + (sigma - 1.0) * (logt - mu) - z
+    def __init__(self, val, d_du=None, d_dmu=None, d_dls=None, d_dw=None):
+        self.val, self.d_du, self.d_dmu = val, d_du, d_dmu
+        self.d_dls, self.d_dw = d_dls, d_dw
 
 
-def _weibull_inv_sf(mu: float, sigma: float, p) -> np.ndarray:
-    return np.exp(mu) * (-np.log(p)) ** (1.0 / sigma)
+def _weibull_terms(mu, sigma, u, pdf, grad):
+    z = (u * np.exp(-mu)) ** sigma
+    if not (pdf or grad):
+        return BaselineTerms(-z)
+    r = np.log(u) - mu
+    if pdf:
+        val = np.log(sigma) - mu + (sigma - 1.0) * r - z
+    else:
+        val = -z
+    if not grad:
+        return BaselineTerms(val)
+    if pdf:
+        return BaselineTerms(val, ((sigma - 1.0) - sigma * z) / u,
+                             sigma * (z - 1.0), 1.0 + sigma * r * (1.0 - z))
+    return BaselineTerms(val, -sigma * z / u, sigma * z, -sigma * r * z)
 
 
-def _lognormal_log_sf(mu: float, sigma: float, t: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        s = (np.log(t) - mu) / sigma
-    return special.log_ndtr(-s)
+def _normal_hazard(s):
+    # phi(s) / (1 - Phi(s)), stable for large |s|
+    return np.sqrt(2.0 / np.pi) / special.erfcx(s / np.sqrt(2.0))
 
 
-def _lognormal_log_pdf(mu: float, sigma: float, t: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        logt = np.log(t)
-        s = (logt - mu) / sigma
-    return -0.5 * s * s - 0.5 * np.log(2.0 * np.pi) - np.log(sigma) - logt
+def _lognormal_terms(mu, sigma, u, pdf, grad):
+    logu = np.log(u)
+    s = (logu - mu) / sigma
+    if pdf:
+        val = -0.5 * s * s - 0.5 * np.log(2.0 * np.pi) - np.log(sigma) - logu
+        if not grad:
+            return BaselineTerms(val)
+        return BaselineTerms(val, -(s / sigma + 1.0) / u, s / sigma, s * s - 1.0)
+    val = special.log_ndtr(-s)
+    if not grad:
+        return BaselineTerms(val)
+    lam = _normal_hazard(s)
+    return BaselineTerms(val, -lam / (sigma * u), lam / sigma, lam * s)
 
 
-def _lognormal_inv_sf(mu: float, sigma: float, p) -> np.ndarray:
-    return np.exp(mu + sigma * special.ndtri(1.0 - np.asarray(p, dtype=float)))
+_PARAMETRIC = {"weibull": _weibull_terms, "lognormal": _lognormal_terms}
 
-
-def _centering_log_sf(spec: BaselineSpec, params: BaselineParams, t):
-    if spec.centering == "weibull":
-        return _weibull_log_sf(params.mu, params.sigma, t)
-    return _lognormal_log_sf(params.mu, params.sigma, t)
-
-
-def _centering_log_pdf(spec: BaselineSpec, params: BaselineParams, t):
-    if spec.centering == "weibull":
-        return _weibull_log_pdf(params.mu, params.sigma, t)
-    return _lognormal_log_pdf(params.mu, params.sigma, t)
-
-
-def _centering_inv_sf(spec: BaselineSpec, params: BaselineParams, p):
-    if spec.centering == "weibull":
-        return _weibull_inv_sf(params.mu, params.sigma, p)
-    return _lognormal_inv_sf(params.mu, params.sigma, p)
-
-
-# -- Bernstein transform pieces ------------------------------------------
 
 def tbp_shape_pairs(K: int) -> tuple[np.ndarray, np.ndarray]:
     """Beta shape pairs (a_k, b_k) = (K - k + 1, k) for k = 1..K."""
@@ -223,38 +228,81 @@ def _log_betainc_integer(a: np.ndarray, b: np.ndarray, logp: np.ndarray,
 
 def _zero_safe_mul(c, logv):
     """c * logv with the convention 0 * (-inf) = 0."""
-    with np.errstate(invalid="ignore"):
-        return np.where(np.asarray(c) == 0, 0.0, c * logv)
+    return np.where(np.asarray(c) == 0, 0.0, c * logv)
 
 
-def _tbp_log_sf(spec, params, w: TBPWeights, t: np.ndarray) -> np.ndarray:
-    logsc = _centering_log_sf(spec, params, t)
-    log1msc = _log1mexp(logsc)
+def _tbp_terms(spec, mu, sigma, w, u, pdf, grad):
+    """Bernstein-transformed baseline on top of the centering evaluator:
+    log S0 = log sum_k w_k I_k(p) and log f0 = log fc + log sum_k w_k g_k(p),
+    with p = S0c(u) and g_k the Beta(a_k, b_k) density."""
+    centering = _PARAMETRIC[spec.centering]
+    sc = centering(mu, sigma, u, False, grad)
+    logp = sc.val
+    log1mp = _log1mexp(np.minimum(logp, -1e-300))
     a, b = tbp_shape_pairs(spec.K)
-    logI = _log_betainc_integer(a, b, logsc, log1msc)  # (..., K)
-    with np.errstate(divide="ignore"):
-        logw = np.log(w.as_array())
-    return special.logsumexp(logw + logI, axis=-1)
+    logw = np.log(w)
+    if pdf or grad:
+        logg = (-special.betaln(a, b) + _zero_safe_mul(a - 1.0, logp[..., None])
+                + _zero_safe_mul(b - 1.0, log1mp[..., None]))  # (..., K)
+        logG = special.logsumexp(logw + logg, axis=-1)
+    if pdf:
+        fc = centering(mu, sigma, u, True, grad)
+        val = fc.val + logG
+        if not grad:
+            return BaselineTerms(val)
+        rho = np.exp(logw + logg - logG[..., None])  # weights summing to 1
+        p_c = np.clip(np.exp(logp), 1e-300, 1.0 - 1e-16)[..., None]
+        c = (a - 1.0) / p_c - (b - 1.0) / (1.0 - p_c)
+        chain = (rho * c).sum(axis=-1) * np.exp(logp)  # (Gmix'/Gmix) dp/dlogp
+        return BaselineTerms(val, fc.d_du + chain * sc.d_du,
+                             fc.d_dmu + chain * sc.d_dmu,
+                             fc.d_dls + chain * sc.d_dls,
+                             np.exp(logg - logG[..., None]))
+    logI = _log_betainc_integer(a, b, logp, log1mp)  # (..., K)
+    logS = special.logsumexp(logw + logI, axis=-1)
+    if not grad:
+        return BaselineTerms(logS)
+    chain = np.exp(logG - logS + logp)  # (Gmix / Smix) dp/dlogp
+    return BaselineTerms(logS, chain * sc.d_du, chain * sc.d_dmu,
+                         chain * sc.d_dls, np.exp(logI - logS[..., None]))
+
+
+def log_terms(spec: BaselineSpec, mu: float, sigma: float, w, u,
+              pdf: bool = False, grad: bool = False) -> BaselineTerms:
+    """The one evaluator of every baseline formula: log S0(u), or log f0(u)
+    with `pdf`, for the family in `spec`; `w` is the tbp weight array (None
+    otherwise). With `grad` the partials d/du, d/dmu, d/dlog sigma and
+    (tbp) d/dw are filled in. No input checks: callers validate."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if spec.is_tbp:
+            return _tbp_terms(spec, mu, sigma, w, u, pdf, grad)
+        return _PARAMETRIC[spec.family](mu, sigma, u, pdf, grad)
+
+
+def _weibull_inv_sf(mu: float, sigma: float, p) -> np.ndarray:
+    return np.exp(mu) * (-np.log(p)) ** (1.0 / sigma)
+
+
+def _lognormal_inv_sf(mu: float, sigma: float, p) -> np.ndarray:
+    return np.exp(mu + sigma * special.ndtri(1.0 - np.asarray(p, dtype=float)))
+
+
+def _centering_inv_sf(spec: BaselineSpec, params: BaselineParams, p):
+    if spec.centering == "weibull":
+        return _weibull_inv_sf(params.mu, params.sigma, p)
+    return _lognormal_inv_sf(params.mu, params.sigma, p)
 
 
 def _tbp_sf(spec, params, w: TBPWeights, t: np.ndarray) -> np.ndarray:
-    sc = np.exp(_centering_log_sf(spec, params, t))
+    """S0 on the probability scale through scipy's betainc: the value path
+    of `survivor` and the TBP inverse, and an independent check on the
+    log-space binomial sums of `log_terms`."""
+    with np.errstate(divide="ignore", over="ignore"):
+        logsc = _PARAMETRIC[spec.centering](params.mu, params.sigma, t,
+                                            False, False).val
     a, b = tbp_shape_pairs(spec.K)
-    vals = special.betainc(a, b, sc[..., None])
+    vals = special.betainc(a, b, np.exp(logsc)[..., None])
     return vals @ w.as_array()
-
-
-def _tbp_log_pdf(spec, params, w: TBPWeights, t: np.ndarray) -> np.ndarray:
-    logsc = _centering_log_sf(spec, params, t)
-    log1msc = _log1mexp(logsc)
-    logfc = _centering_log_pdf(spec, params, t)
-    a, b = tbp_shape_pairs(spec.K)
-    logbeta = (-special.betaln(a, b)
-               + _zero_safe_mul(a - 1.0, logsc[..., None])
-               + _zero_safe_mul(b - 1.0, log1msc[..., None]))
-    with np.errstate(divide="ignore"):
-        logw = np.log(w.as_array())
-    return logfc + special.logsumexp(logw + logbeta, axis=-1)
 
 
 def _log1mexp(logx: np.ndarray) -> np.ndarray:
@@ -270,52 +318,40 @@ def _log1mexp(logx: np.ndarray) -> np.ndarray:
 
 # -- public operations ----------------------------------------------------
 
+def _public_terms(spec, params, w, t, pdf: bool):
+    _check_weights(spec, w)
+    arr = _as_time_array(t, allow_zero=not pdf)
+    return log_terms(spec, params.mu, params.sigma,
+                     None if w is None else w.as_array(), arr, pdf).val
+
+
 def log_survivor(spec: BaselineSpec, params: BaselineParams,
                  w: TBPWeights | None, t):
     """log S0(t). Stable deep in the tail (no exp/log round trip)."""
-    _check_weights(spec, w)
-    arr = _as_time_array(t, allow_zero=True)
-    if spec.family == "weibull":
-        out = _weibull_log_sf(params.mu, params.sigma, arr)
-    elif spec.family == "lognormal":
-        out = _lognormal_log_sf(params.mu, params.sigma, arr)
-    else:
-        out = _tbp_log_sf(spec, params, w, arr)
-    return _scalar_like(t, out)
+    return _scalar_like(t, _public_terms(spec, params, w, t, pdf=False))
 
 
 def survivor(spec: BaselineSpec, params: BaselineParams,
              w: TBPWeights | None, t):
     """Baseline survivor S0(t) in [0, 1]."""
-    _check_weights(spec, w)
-    arr = _as_time_array(t, allow_zero=True)
-    if spec.family == "weibull":
-        out = np.exp(_weibull_log_sf(params.mu, params.sigma, arr))
-    elif spec.family == "lognormal":
-        out = np.exp(_lognormal_log_sf(params.mu, params.sigma, arr))
+    if spec.is_tbp:
+        _check_weights(spec, w)
+        out = _tbp_sf(spec, params, w, _as_time_array(t, allow_zero=True))
     else:
-        out = _tbp_sf(spec, params, w, arr)
+        out = np.exp(_public_terms(spec, params, w, t, pdf=False))
     return _scalar_like(t, out)
 
 
 def log_density(spec: BaselineSpec, params: BaselineParams,
                 w: TBPWeights | None, t):
     """log f0(t) where f0 = -dS0/dt; requires t > 0."""
-    _check_weights(spec, w)
-    arr = _as_time_array(t, allow_zero=False)
-    if spec.family == "weibull":
-        out = _weibull_log_pdf(params.mu, params.sigma, arr)
-    elif spec.family == "lognormal":
-        out = _lognormal_log_pdf(params.mu, params.sigma, arr)
-    else:
-        out = _tbp_log_pdf(spec, params, w, arr)
-    return _scalar_like(t, out)
+    return _scalar_like(t, _public_terms(spec, params, w, t, pdf=True))
 
 
 def density(spec: BaselineSpec, params: BaselineParams,
             w: TBPWeights | None, t):
     """Baseline density f0(t) >= 0; requires t > 0."""
-    return _scalar_like(t, np.exp(log_density(spec, params, w, np.asarray(t, dtype=float))))
+    return _scalar_like(t, np.exp(_public_terms(spec, params, w, t, pdf=True)))
 
 
 def inverse_survivor(spec: BaselineSpec, params: BaselineParams,

@@ -32,12 +32,21 @@ basis at log(s)). The covariate has not yet switched at t == t_x.
 
 Derivatives at piecewise breakpoints use the right-hand limit so the
 likelihood is deterministic for observations landing exactly on a knot.
-All functions are pure and accept scalar or ndarray time arguments.
+
+V and log v have one implementation, `transform`. It reads a `TimeBasis`,
+the part of V that depends only on the times (and switch times), which
+the likelihood builds once per dataset, and returns V, log v and their
+partials in alpha and the switch coefficient. `v_value`, `v_deriv`,
+`tv_v_value`, the likelihood and the g-formula time profile are thin
+callers of it. The inverses stay separate: closed form where one exists,
+bisection otherwise. All functions are pure and accept scalar or ndarray
+time arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -218,7 +227,165 @@ def tv_basis_sderiv(effect: EffectSpec, s):
     return spline_basis_deriv(effect.knot_array(), np.log(s))
 
 
+# -- the evaluator: V and log v with parameter partials ----------------------
+
+def _lead(a, k):
+    """The first k rows of a per-row array; scalars and k = None pass through."""
+    return a if k is None or np.ndim(a) == 0 else a[:k]
+
+
+class TimeBasis:
+    """Everything in V(t) that depends on the times t (and, for a binary
+    time-varying covariate, its switch times `onset`) but not on the
+    parameters, so it is computed once and reused by `transform`.
+
+    The slope parts that only log v needs (`seg`, `Bp`, `sBp`) cover the
+    leading `n_slope` rows of t (None: all rows) and are built on first use.
+    """
+
+    def __init__(self, effect: EffectSpec | None, t, onset=None,
+                 n_slope: int | None = None):
+        t = np.asarray(t, dtype=float)
+        self.effect = effect
+        self.kind = "constant" if effect is None else effect.kind
+        self.t = t
+        self.tv = onset is not None
+        self.n_slope = n_slope
+        if self.tv:
+            self.post = t > onset
+            self.min_t = np.minimum(t, onset)
+            self.s = np.where(self.post, t - onset, 1.0)
+            if self.kind != "constant":  # the basis only acts after a switch
+                self.B = (tv_basis(effect, self.s) if self.post.any()
+                          else np.zeros(t.shape + (effect.J,)))
+        elif self.kind == "piecewise":
+            self.lead, self.terms = piecewise_terms(effect.knot_array(), t)
+        elif self.kind == "spline":
+            with np.errstate(divide="ignore"):
+                self.B = spline_basis(effect.knot_array(), np.log(t))
+
+    @cached_property
+    def seg(self):
+        return piecewise_segment(self.effect.knot_array(),
+                                 _lead(self.t, self.n_slope))
+
+    @cached_property
+    def Bp(self):
+        return spline_basis_deriv(self.effect.knot_array(),
+                                  np.log(_lead(self.t, self.n_slope)))
+
+    @cached_property
+    def sBp(self):
+        return tv_basis_sderiv(self.effect, _lead(self.s, self.n_slope))
+
+
+class TransformTerms:
+    """u = V(t) and, when asked for, log v(t) on the slope rows, with their
+    partials in the switch coefficient b1 and in alpha. Partials in the
+    linear predictor eta = x'beta are not stored: du/deta = -u and
+    dlog v/deta = -1 for every kind. `ok` is False when V is not
+    increasing at some slope row; log v is -inf there (v clamped at 0)."""
+
+    __slots__ = ("u", "du_db1", "du_dalpha", "logv", "dlv_db1", "dlv_dalpha",
+                 "ok")
+
+    def __init__(self):
+        self.du_db1 = self.du_dalpha = self.logv = None
+        self.dlv_db1 = self.dlv_dalpha = None
+        self.ok = True
+
+
+def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, x1=0.0, b1=0.0,
+              logv: bool = False, grad: bool = False) -> TransformTerms:
+    """The one evaluator of V(t|x) (and log v) for every effect kind.
+
+    `eta` is x'beta (time-invariant covariates only for time-varying
+    models), `x1` the exposure value that multiplies alpha (ordinary
+    flexible kinds), `b1` the switch coefficient (time-varying models);
+    each is a scalar or one value per row of the basis. Extreme parameter
+    values may overflow; the likelihood, which meets them, suppresses the
+    floating-point warnings around its call.
+    """
+    out = TransformTerms()
+    k, kind, J = basis.n_slope, basis.kind, alpha.size
+    scale = np.exp(-eta)
+    if basis.tv:
+        a = 0.0 if kind == "constant" else basis.B @ alpha
+        bump = np.where(basis.post, basis.s * np.exp(-b1 - a), 0.0)
+        out.u = scale * (basis.min_t + bump)
+        if grad:
+            out.du_db1 = -scale * bump
+            out.du_dalpha = (out.du_db1[..., None] * basis.B if J
+                             else np.zeros(out.u.shape + (0,)))
+        if logv:
+            post = _lead(basis.post, k)
+            one_minus = 1.0
+            if kind != "constant":
+                one_minus = np.where(post, 1.0 - basis.sBp @ alpha, 1.0)
+                out.ok = bool(np.all(one_minus > 0.0))
+            out.logv = -_lead(eta, k) + np.where(
+                post, -b1 - _lead(a, k) + np.log(np.maximum(one_minus, 0.0)),
+                0.0)
+            if grad:
+                out.dlv_db1 = -post.astype(float)
+                out.dlv_dalpha = (
+                    np.where(post[..., None], -_lead(basis.B, k)
+                             - basis.sBp / one_minus[..., None], 0.0) if J
+                    else np.zeros(post.shape + (0,)))
+        return out
+
+    if kind == "constant":
+        out.u = basis.t * scale
+        if grad:
+            out.du_dalpha = np.zeros(out.u.shape + (0,))
+        if logv:
+            out.logv = np.zeros(_lead(basis.t, k).shape) - _lead(eta, k)
+            if grad:
+                out.dlv_dalpha = np.zeros(out.logv.shape + (0,))
+        return out
+
+    x1 = np.asarray(x1, dtype=float)
+    x1s = _lead(x1, k)
+    if kind == "piecewise":
+        E = np.exp(-x1[..., None] * alpha)  # segment slope factors
+        if E.ndim == 1:                      # one exposure value for all rows
+            out.u = scale * (basis.lead + basis.terms @ E)
+        else:
+            out.u = scale * (basis.lead + (E * basis.terms) @ np.ones(J))
+        if grad:
+            out.du_dalpha = -(scale * x1)[..., None] * E * basis.terms
+        if logv:
+            alpha_seg = np.concatenate([[0.0], alpha])[basis.seg]
+            out.logv = -_lead(eta, k) - x1s * alpha_seg
+            if grad:
+                out.dlv_dalpha = -x1s[..., None] * (
+                    basis.seg[..., None] == np.arange(1, J + 1))
+        return out
+
+    # spline; at t = 0 the log-time basis is -inf and V is 0 by definition
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = basis.B @ alpha
+        out.u = np.where(basis.t > 0, basis.t * np.exp(-eta - x1 * g), 0.0)
+        if grad:
+            out.du_dalpha = -(x1 * out.u)[..., None] * basis.B
+        if logv:
+            one_minus = 1.0 - x1s * (basis.Bp @ alpha)
+            out.ok = bool(np.all(one_minus > 0.0))
+            out.logv = (-_lead(eta, k) - x1s * _lead(g, k)
+                        + np.log(np.maximum(one_minus, 0.0)))
+            if grad:
+                out.dlv_dalpha = (-x1s[..., None] * _lead(basis.B, k)
+                                  - (x1s / one_minus)[..., None] * basis.Bp)
+    return out
+
+
 # -- V, v, V^{-1} ----------------------------------------------------------
+
+def _x1(spec: EffectSpec, x, x1_index: int) -> float:
+    if spec.kind == "constant":
+        return 0.0
+    return float(np.asarray(x, dtype=float)[x1_index])
+
 
 def v_value(spec: EffectSpec, beta, alpha, x, t, x1_index: int = 0):
     """V(t|x); t >= 0 with V(0) = 0."""
@@ -226,43 +393,21 @@ def v_value(spec: EffectSpec, beta, alpha, x, t, x1_index: int = 0):
     t_arr = np.asarray(t, dtype=float)
     if np.any(np.isnan(t_arr)) or np.any(t_arr < 0):
         raise DomainError("time must be >= 0")
-    eta = _linpred(beta, x)
-    x1 = float(np.asarray(x, dtype=float)[x1_index]) if spec.kind != "constant" else 0.0
-
-    if spec.kind == "constant":
-        out = t_arr * np.exp(-eta)
-    elif spec.kind == "piecewise":
-        knots = spec.knot_array()
-        lead, terms = piecewise_terms(knots, t_arr)
-        out = np.exp(-eta) * (lead + terms @ np.exp(-x1 * alpha))
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = spline_basis(spec.knot_array(), np.log(t_arr)) @ alpha
-            out = np.where(t_arr > 0, t_arr * np.exp(-eta - x1 * g), 0.0)
-    return _scalar_like(t, out)
+    tt = transform(TimeBasis(spec, t_arr), alpha, _linpred(beta, x),
+                   _x1(spec, x, x1_index))
+    return _scalar_like(t, tt.u)
 
 
 def v_deriv(spec: EffectSpec, beta, alpha, x, t, x1_index: int = 0):
-    """v(t|x) = dV/dt for t > 0; right-hand value at piecewise breakpoints."""
+    """v(t|x) = dV/dt for t > 0; right-hand value at piecewise breakpoints.
+    Clamped at 0 where a spline transform is not increasing."""
     alpha = _check_alpha(spec, alpha)
     t_arr = np.asarray(t, dtype=float)
     if np.any(np.isnan(t_arr)) or np.any(t_arr <= 0):
         raise DomainError("time must be > 0")
-    eta = _linpred(beta, x)
-    x1 = float(np.asarray(x, dtype=float)[x1_index]) if spec.kind != "constant" else 0.0
-
-    if spec.kind == "constant":
-        out = np.full_like(t_arr, np.exp(-eta))
-    elif spec.kind == "piecewise":
-        seg = piecewise_segment(spec.knot_array(), t_arr)
-        alpha_seg = np.concatenate([[0.0], alpha])[seg]
-        out = np.exp(-eta - x1 * alpha_seg)
-    else:
-        u = np.log(t_arr)
-        g = spline_basis(spec.knot_array(), u) @ alpha
-        gp = spline_basis_deriv(spec.knot_array(), u) @ alpha
-        out = np.exp(-eta - x1 * g) * (1.0 - x1 * gp)
-    return _scalar_like(t, out)
+    tt = transform(TimeBasis(spec, t_arr), alpha, _linpred(beta, x),
+                   _x1(spec, x, x1_index), logv=True)
+    return _scalar_like(t, np.exp(tt.logv))
 
 
 def v_inverse(spec: EffectSpec, beta, alpha, x, s, x1_index: int = 0):
@@ -277,7 +422,7 @@ def v_inverse(spec: EffectSpec, beta, alpha, x, s, x1_index: int = 0):
     if np.any(np.isnan(s_arr)) or np.any(s_arr < 0):
         raise DomainError("target value must be >= 0")
     eta = _linpred(beta, x)
-    x1 = float(np.asarray(x, dtype=float)[x1_index]) if spec.kind != "constant" else 0.0
+    x1 = _x1(spec, x, x1_index)
 
     if spec.kind == "constant":
         out = s_arr * np.exp(eta)
@@ -344,26 +489,11 @@ def tv_v_value(beta1: float, beta2_term: float, alpha, tv: TimeVaryingCovariate,
     t_arr = np.asarray(t, dtype=float)
     if np.any(np.isnan(t_arr)) or np.any(t_arr < 0):
         raise DomainError("time must be >= 0")
-    out = np.exp(-beta2_term) * _tv_core(beta1, alpha, tv.change_time, effect, t_arr)
+    flexible = effect is not None and effect.kind != "constant"
+    alpha = _check_alpha(effect, alpha) if flexible else np.zeros(0)
+    basis = TimeBasis(effect, t_arr, onset=tv.change_time)
+    out = transform(basis, alpha, beta2_term, b1=beta1).u
     return _scalar_like(t, out)
-
-
-def _tv_core(beta1, alpha, t_x, effect, t):
-    s = t - t_x
-    post = s > 0
-    if not np.any(post):
-        return np.minimum(t, t_x) + 0.0
-    s_safe = np.where(post, s, 1.0)
-    a = _tv_exponent(alpha, effect, s_safe)
-    bump = np.where(post, s_safe * np.exp(-beta1 - a), 0.0)
-    return np.minimum(t, t_x) + bump
-
-
-def _tv_exponent(alpha, effect, s):
-    if effect is None or effect.kind == "constant":
-        return np.zeros_like(s)
-    alpha = _check_alpha(effect, alpha)
-    return tv_basis(effect, s) @ alpha
 
 
 def tv_v_inverse(beta1: float, beta2_term: float, alpha,

@@ -33,12 +33,13 @@ import numpy as np
 
 from . import baseline as bl
 from .covproc import (
+    TimeBasis,
     TimeVaryingCovariate,
-    piecewise_terms,
-    spline_basis,
-    tv_basis,
+    transform,
     tv_v_inverse,
+    tv_v_value,
     v_inverse,
+    v_value,
 )
 from .data import Dataset, as_dataset, atomic_write_text, max_followup
 from .errors import DomainError, NumericalError
@@ -225,7 +226,6 @@ def survivor_conditional(model: ModelSpec, psi: ParameterVector, x, t,
                          onset: float = math.inf):
     """S(t | x) = S0(V(t | x))."""
     check_psi(model, psi)
-    from .covproc import tv_v_value, v_value
     if model.time_varying:
         x = np.asarray(x, dtype=float)
         b2 = float(x @ psi.beta[1:]) if x.size else 0.0
@@ -243,30 +243,12 @@ def survivor_conditional(model: ModelSpec, psi: ParameterVector, x, t,
 def _time_profile(model: ModelSpec, psi: ParameterVector, level: float,
                   t: np.ndarray) -> np.ndarray:
     """The level-dependent, subject-independent factor h(t) with
-    V(t | level, z_i) = exp(-eta_i) * h(t)."""
-    kind = model.effect.kind
+    V(t | level, z_i) = exp(-eta_i) * h(t): the transform at eta = 0 with
+    the exposure at `level` (or, time-varying, the switch at `level`)."""
     if model.time_varying:
-        g = level  # switch time
-        s = t - g
-        post = s > 0
-        if not np.any(post):
-            return np.minimum(t, g)
-        s_safe = np.where(post, s, 1.0)
-        if kind == "constant":
-            a = 0.0
-        else:
-            a = tv_basis(model.effect, s_safe) @ psi.alpha
-        bump = np.where(post, s_safe * np.exp(-psi.beta[0] - a), 0.0)
-        return np.minimum(t, g) + bump
-    if kind == "constant":
-        return t.copy()
-    if kind == "piecewise":
-        lead, terms = piecewise_terms(model.effect.knot_array(), t)
-        return lead + terms @ np.exp(-level * psi.alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logt = np.log(t)
-        g = spline_basis(model.effect.knot_array(), logt) @ psi.alpha
-        return np.where(t > 0, t * np.exp(-level * g), 0.0)
+        basis = TimeBasis(model.effect, t, onset=level)
+        return transform(basis, psi.alpha, b1=psi.beta[0]).u
+    return transform(TimeBasis(model.effect, t), psi.alpha, x1=level).u
 
 
 def _eta_for_level(model: ModelSpec, psi: ParameterVector, data: Dataset,

@@ -8,7 +8,12 @@ indicator delta, and left-truncation time l is
         / S0(V(l)),
 
 with S0(inf) = 0, so right censoring and the classic censored-data
-likelihood fall out as special cases. Priors are flat on beta, alpha and
+likelihood fall out as special cases. All time points (exact,
+interval-lower, right, interval-upper, truncation) are stacked into one
+vector, put once through `covproc.transform` and once through
+`baseline.log_terms` (density on the exact rows, survivor on the rest);
+the gradient is (c * d/du) @ du/dtheta with one coefficient per row.
+This module holds no copy of either formula. Priors are flat on beta, alpha and
 mu, Gamma(a_sigma, b_sigma) on sigma, and for Bernstein-transformed
 baselines symmetric Dirichlet(theta) on the weights with a
 Gamma(a_theta, b_theta) hyperprior on theta.
@@ -26,7 +31,8 @@ component is pinned against central finite differences in the test suite.
 Per-subject log-likelihood contributions are computed in log space
 throughout; a contribution that falls below -745 (where a double
 underflows) is declared -inf, which the sampler treats as a rejection.
-Non-monotone flexible transforms are likewise rejected by returning -inf.
+Non-monotone flexible transforms, and proposals whose constrained values
+overflow or underflow, are likewise rejected by returning -inf.
 """
 
 from __future__ import annotations
@@ -38,14 +44,7 @@ import numpy as np
 from scipy import special
 
 from . import baseline as bl
-from .covproc import (
-    piecewise_segment,
-    piecewise_terms,
-    spline_basis,
-    spline_basis_deriv,
-    tv_basis,
-    tv_basis_sderiv,
-)
+from .covproc import TimeBasis, spline_basis_deriv, transform, tv_basis_sderiv
 from .data import Dataset, as_dataset, max_followup
 from .errors import DomainError, NumericalError
 from .model import ModelSpec
@@ -137,18 +136,17 @@ def check_psi(model: ModelSpec, psi: ParameterVector) -> None:
 
 def _stick_forward(y: np.ndarray):
     """Stick-breaking y in R^(K-1) -> simplex w in R^K, plus the logistic
-    values z_k and the log-Jacobian of the transform."""
-    Km1 = y.size
-    offsets = np.log(np.arange(Km1, 0, -1, dtype=float))  # log(K - k)
-    z = special.expit(y - offsets)
-    w = np.empty(Km1 + 1)
-    stick = 1.0
-    logjac = 0.0
-    for k in range(Km1):
-        w[k] = z[k] * stick
-        logjac += math.log(z[k]) + math.log1p(-z[k]) + math.log(stick)
-        stick *= 1.0 - z[k]
-    w[Km1] = stick
+    values z_k and the log-Jacobian of the transform. The log-Jacobian is
+    summed in log space, so it is finite for every finite y; weights of a
+    saturated stick underflow to 0 instead of raising."""
+    x = y - np.log(np.arange(y.size, 0, -1, dtype=float))  # offset log(K - k)
+    z = special.expit(x)
+    stick = np.concatenate([[1.0], np.cumprod(1.0 - z)])
+    w = np.append(z * stick[:-1], stick[-1])
+    log_z = -np.logaddexp(0.0, -x)
+    log_1mz = -np.logaddexp(0.0, x)
+    log_stick = np.cumsum(log_1mz) - log_1mz  # log of the stick before k
+    logjac = float(np.sum(log_z + log_1mz + log_stick))
     return w, z, logjac
 
 
@@ -229,40 +227,17 @@ def psi_from_constrained(model: ModelSpec, arr) -> ParameterVector:
 
 # -- prepared data -----------------------------------------------------------
 
-class _TimeGroup:
-    """Per-(subject-subset, time-point) precomputation: everything about the
-    time transform that does not depend on the parameters."""
-
-    def __init__(self, model: ModelSpec, data: Dataset, idx: np.ndarray,
-                 t: np.ndarray):
-        self.idx = idx
-        self.t = t
-        self.m = len(idx)
-        self.X = data.x[idx]
-        kind = model.effect.kind
-        if model.time_varying:
-            onset = data.onset[idx]
-            self.post = t > onset
-            self.min_t_onset = np.minimum(t, onset)
-            s = np.where(self.post, t - onset, 1.0)
-            self.s = s
-            if kind != "constant":
-                self.B = tv_basis(model.effect, s)
-                self.sBp = tv_basis_sderiv(model.effect, s)
-        elif kind == "piecewise":
-            knots = model.effect.knot_array()
-            self.lead, self.terms = piecewise_terms(knots, t)
-            self.seg = piecewise_segment(knots, t)
-            self.x1 = data.x[idx, model.exposure_index]
-        elif kind == "spline":
-            logt = np.log(t)
-            self.B = spline_basis(model.effect.knot_array(), logt)
-            self.Bp = spline_basis_deriv(model.effect.knot_array(), logt)
-            self.x1 = data.x[idx, model.exposure_index]
-
-
 class Prepared:
-    """Dataset digested for repeated likelihood/gradient evaluation."""
+    """Dataset digested for repeated likelihood/gradient evaluation.
+
+    Every time point the likelihood needs is stacked into one vector of
+    row blocks
+
+        exact | interval-lower | right | interval-upper | truncation,
+
+    so the first n rows hold one row per subject (`main`), and a single
+    transform basis covers them all, with slope parts on the exact rows.
+    """
 
     def __init__(self, model: ModelSpec, data: Dataset):
         if len(data.covariate_names) != len(model.covariates):
@@ -274,21 +249,22 @@ class Prepared:
         self.n = data.n
         ev = data.event
         fin_u = np.isfinite(data.y_upper)
-        self.idx_exact = np.where(ev)[0]
-        self.idx_interval = np.where(~ev & fin_u)[0]
-        self.idx_right = np.where(~ev & ~fin_u)[0]
+        exact = np.where(ev)[0]
+        interval = np.where(~ev & fin_u)[0]
+        right = np.where(~ev & ~fin_u)[0]
         self.idx_trunc = np.where(data.trunc > 0)[0]
-
-        self.g_exact = _TimeGroup(model, data, self.idx_exact,
-                                  data.y_lower[self.idx_exact])
-        self.g_int_lo = _TimeGroup(model, data, self.idx_interval,
-                                   data.y_lower[self.idx_interval])
-        self.g_int_hi = _TimeGroup(model, data, self.idx_interval,
-                                   data.y_upper[self.idx_interval])
-        self.g_right = _TimeGroup(model, data, self.idx_right,
-                                  data.y_lower[self.idx_right])
-        self.g_trunc = _TimeGroup(model, data, self.idx_trunc,
-                                  data.trunc[self.idx_trunc])
+        self.main = np.concatenate([exact, interval, right])
+        rows = np.concatenate([self.main, interval, self.idx_trunc])
+        t = np.concatenate([data.y_lower[self.main], data.y_upper[interval],
+                            data.trunc[self.idx_trunc]])
+        self.n_exact = ne = exact.size
+        self.lo = slice(ne, ne + interval.size)           # interval-lower rows
+        self.hi = slice(self.n, self.n + interval.size)   # interval-upper rows
+        self.tr = slice(self.n + interval.size, None)     # truncation rows
+        self.X = data.x[rows]
+        self.x1 = _exposure_values(model, self.X)
+        onset = data.onset[rows] if model.time_varying else None
+        self.basis = TimeBasis(model.effect, t, onset, n_slope=ne)
 
         # Monotonicity-rejection grid for flexible transforms.
         tmax = max(max_followup(data), 1e-8)
@@ -308,6 +284,20 @@ def prepare(model: ModelSpec, data) -> Prepared:
     return Prepared(model, as_dataset(data, tuple(model.covariates)))
 
 
+def _exposure_values(model: ModelSpec, X: np.ndarray):
+    """Per-row value of the covariate that multiplies alpha (0 if none)."""
+    if model.time_varying or model.effect.kind == "constant":
+        return 0.0
+    return X[:, model.exposure_index]
+
+
+def _predictor(model: ModelSpec, beta: np.ndarray, X: np.ndarray):
+    """(eta, b1): x'beta over the data columns and the switch coefficient."""
+    if model.time_varying:
+        return X @ beta[1:], beta[0]
+    return X @ beta, 0.0
+
+
 def _monotone_ok(prep: Prepared, alpha: np.ndarray) -> bool:
     model = prep.model
     kind = model.effect.kind
@@ -323,346 +313,65 @@ def _monotone_ok(prep: Prepared, alpha: np.ndarray) -> bool:
     return True  # piecewise: positive slopes for any finite alpha
 
 
-# -- time-transform evaluation with parameter partials -----------------------
-
-class _TransformEval:
-    __slots__ = ("u", "du_dbeta", "du_dalpha", "logv", "dlv_dbeta",
-                 "dlv_dalpha", "ok")
-
-
-def _eval_group(model: ModelSpec, beta: np.ndarray, alpha: np.ndarray,
-                grp: _TimeGroup, need_logv: bool) -> _TransformEval:
-    out = _TransformEval()
-    out.ok = True
-    kind = model.effect.kind
-    m, J = grp.m, model.J
-    if m == 0:
-        out.u = np.zeros(0)
-        out.du_dbeta = np.zeros((0, model.n_beta))
-        out.du_dalpha = np.zeros((0, J))
-        if need_logv:
-            out.logv = np.zeros(0)
-            out.dlv_dbeta = np.zeros((0, model.n_beta))
-            out.dlv_dalpha = np.zeros((0, J))
-        return out
-
-    if model.time_varying:
-        b1, bcov = beta[0], beta[1:]
-        eta = grp.X @ bcov if bcov.size else np.zeros(m)
-        scale = np.exp(-eta)
-        if kind == "constant":
-            a = np.zeros(m)
-        else:
-            a = grp.B @ alpha
-        E = np.where(grp.post, np.exp(-b1 - a), 0.0)
-        bump = grp.s * E
-        core = grp.min_t_onset + np.where(grp.post, bump, 0.0)
-        u = scale * core
-        du_db1 = -scale * np.where(grp.post, bump, 0.0)
-        du_dbeta = np.empty((m, model.n_beta))
-        du_dbeta[:, 0] = du_db1
-        du_dbeta[:, 1:] = -grp.X * u[:, None]
-        if J:
-            du_dalpha = np.where(grp.post[:, None], -(scale * bump)[:, None] * grp.B, 0.0)
-        else:
-            du_dalpha = np.zeros((m, 0))
-        out.u, out.du_dbeta, out.du_dalpha = u, du_dbeta, du_dalpha
-        if need_logv:
-            if kind == "constant":
-                one_minus = np.ones(m)
-            else:
-                sap = grp.sBp @ alpha
-                one_minus = np.where(grp.post, 1.0 - sap, 1.0)
-            if np.any(one_minus <= 0.0):
-                out.ok = False
-                one_minus = np.maximum(one_minus, 1e-300)
-            logv = -eta + np.where(grp.post, -b1 - a + np.log(one_minus), 0.0)
-            dlv_dbeta = np.empty((m, model.n_beta))
-            dlv_dbeta[:, 0] = np.where(grp.post, -1.0, 0.0)
-            dlv_dbeta[:, 1:] = -grp.X
-            if J:
-                dlv_dalpha = np.where(
-                    grp.post[:, None],
-                    -grp.B - grp.sBp / one_minus[:, None], 0.0)
-            else:
-                dlv_dalpha = np.zeros((m, 0))
-            out.logv, out.dlv_dbeta, out.dlv_dalpha = logv, dlv_dbeta, dlv_dalpha
-        return out
-
-    eta = grp.X @ beta if beta.size else np.zeros(m)
-    if kind == "constant":
-        u = grp.t * np.exp(-eta)
-        out.u = u
-        out.du_dbeta = -grp.X * u[:, None]
-        out.du_dalpha = np.zeros((m, 0))
-        if need_logv:
-            out.logv = -eta
-            out.dlv_dbeta = -grp.X
-            out.dlv_dalpha = np.zeros((m, 0))
-        return out
-
-    if kind == "piecewise":
-        Ej = np.exp(-np.outer(grp.x1, alpha))          # (m, J)
-        weighted = Ej * grp.terms
-        core = grp.lead + weighted.sum(axis=1)
-        scale = np.exp(-eta)
-        u = scale * core
-        out.u = u
-        out.du_dbeta = -grp.X * u[:, None]
-        out.du_dalpha = -(scale * grp.x1)[:, None] * weighted
-        if need_logv:
-            alpha_seg = np.concatenate([[0.0], alpha])[grp.seg]
-            out.logv = -eta - grp.x1 * alpha_seg
-            out.dlv_dbeta = -grp.X
-            active = grp.seg[:, None] == np.arange(1, J + 1)
-            out.dlv_dalpha = -grp.x1[:, None] * active
-        return out
-
-    # spline
-    g = grp.B @ alpha
-    u = grp.t * np.exp(-eta - grp.x1 * g)
-    out.u = u
-    out.du_dbeta = -grp.X * u[:, None]
-    out.du_dalpha = -(grp.x1 * u)[:, None] * grp.B
-    if need_logv:
-        gp = grp.Bp @ alpha
-        one_minus = 1.0 - grp.x1 * gp
-        if np.any(one_minus <= 0.0):
-            out.ok = False
-            one_minus = np.maximum(one_minus, 1e-300)
-        out.logv = -eta - grp.x1 * g + np.log(one_minus)
-        out.dlv_dbeta = -grp.X
-        out.dlv_dalpha = (-grp.x1[:, None] * grp.B
-                          - (grp.x1 / one_minus)[:, None] * grp.Bp)
-    return out
-
-
-# -- baseline terms with parameter partials ----------------------------------
-
-class _BaselineTerms:
-    __slots__ = ("val", "d_du", "d_dmu", "d_dls", "d_dw")
-
-
-def _weibull_sf_terms(mu, sigma, u):
-    t = _BaselineTerms()
-    logu = np.log(u)
-    z = np.exp(sigma * (logu - mu))
-    t.val = -z
-    t.d_du = -sigma * z / u
-    t.d_dmu = sigma * z
-    t.d_dls = -sigma * (logu - mu) * z
-    t.d_dw = None
-    return t
-
-
-def _weibull_pdf_terms(mu, sigma, u):
-    t = _BaselineTerms()
-    logu = np.log(u)
-    z = np.exp(sigma * (logu - mu))
-    t.val = np.log(sigma) - mu + (sigma - 1.0) * (logu - mu) - z
-    t.d_du = ((sigma - 1.0) - sigma * z) / u
-    t.d_dmu = sigma * (z - 1.0)
-    t.d_dls = 1.0 + sigma * (logu - mu) * (1.0 - z)
-    t.d_dw = None
-    return t
-
-
-def _normal_hazard(s):
-    # phi(s) / (1 - Phi(s)), stable for large |s|
-    return np.sqrt(2.0 / np.pi) / special.erfcx(s / np.sqrt(2.0))
-
-
-def _lognormal_sf_terms(mu, sigma, u):
-    t = _BaselineTerms()
-    s = (np.log(u) - mu) / sigma
-    lam = _normal_hazard(s)
-    t.val = special.log_ndtr(-s)
-    t.d_du = -lam / (sigma * u)
-    t.d_dmu = lam / sigma
-    t.d_dls = lam * s
-    t.d_dw = None
-    return t
-
-
-def _lognormal_pdf_terms(mu, sigma, u):
-    t = _BaselineTerms()
-    logu = np.log(u)
-    s = (logu - mu) / sigma
-    t.val = -0.5 * s * s - 0.5 * np.log(2.0 * np.pi) - np.log(sigma) - logu
-    t.d_du = -(s / sigma + 1.0) / u
-    t.d_dmu = s / sigma
-    t.d_dls = s * s - 1.0
-    t.d_dw = None
-    return t
-
-
-def _centering_terms(model, mu, sigma, u, pdf: bool):
-    fam = model.baseline.centering
-    if fam == "weibull":
-        return (_weibull_pdf_terms if pdf else _weibull_sf_terms)(mu, sigma, u)
-    return (_lognormal_pdf_terms if pdf else _lognormal_sf_terms)(mu, sigma, u)
-
-
-def _tbp_common(model, psi, u):
-    K = model.K
-    sc = _centering_terms(model, psi.mu, psi.sigma, u, pdf=False)
-    logp = sc.val                                   # log centering survivor
-    log1mp = bl._log1mexp(np.minimum(logp, -1e-300))
-    a, b = bl.tbp_shape_pairs(K)
-    p = np.exp(logp)
-    with np.errstate(divide="ignore"):
-        logw = np.log(np.maximum(psi.w, 1e-300))
-    logI = bl._log_betainc_integer(a, b, logp, log1mp)       # (m, K)
-    logg = (-special.betaln(a, b)
-            + bl._zero_safe_mul(a - 1.0, logp[..., None])
-            + bl._zero_safe_mul(b - 1.0, log1mp[..., None]))  # (m, K)
-    logS = special.logsumexp(logw + logI, axis=-1)
-    logG = special.logsumexp(logw + logg, axis=-1)
-    return sc, p, logI, logg, logS, logG, a, b
-
-
-def _tbp_sf_terms(model, psi, u):
-    t = _BaselineTerms()
-    sc, p, logI, logg, logS, logG, a, b = _tbp_common(model, psi, u)
-    t.val = logS
-    ratio = np.exp(logG - logS)          # Gmix / Smix
-    t.d_du = ratio * p * sc.d_du         # dp/du = p * dlogSc/du
-    t.d_dmu = ratio * p * sc.d_dmu
-    t.d_dls = ratio * p * sc.d_dls
-    t.d_dw = np.exp(logI - logS[..., None])
-    return t
-
-
-def _tbp_pdf_terms(model, psi, u):
-    t = _BaselineTerms()
-    fc = _centering_terms(model, psi.mu, psi.sigma, u, pdf=True)
-    sc, p, logI, logg, logS, logG, a, b = _tbp_common(model, psi, u)
-    with np.errstate(divide="ignore"):
-        logw = np.log(np.maximum(psi.w, 1e-300))
-    rho = np.exp(logw + logg - logG[..., None])      # weights summing to 1
-    p_c = np.clip(p, 1e-300, 1.0 - 1e-16)[..., None]
-    c = (a - 1.0) / p_c - (b - 1.0) / (1.0 - p_c)
-    gratio = (rho * c).sum(axis=-1)                  # Gmix' / Gmix
-    t.val = fc.val + logG
-    t.d_du = fc.d_du + gratio * p * sc.d_du
-    t.d_dmu = fc.d_dmu + gratio * p * sc.d_dmu
-    t.d_dls = fc.d_dls + gratio * p * sc.d_dls
-    t.d_dw = np.exp(logg - logG[..., None])
-    return t
-
-
-def _log_sf_terms(model, psi, u):
-    fam = model.baseline.family
-    if fam == "weibull":
-        return _weibull_sf_terms(psi.mu, psi.sigma, u)
-    if fam == "lognormal":
-        return _lognormal_sf_terms(psi.mu, psi.sigma, u)
-    return _tbp_sf_terms(model, psi, u)
-
-
-def _log_pdf_terms(model, psi, u):
-    fam = model.baseline.family
-    if fam == "weibull":
-        return _weibull_pdf_terms(psi.mu, psi.sigma, u)
-    if fam == "lognormal":
-        return _lognormal_pdf_terms(psi.mu, psi.sigma, u)
-    return _tbp_pdf_terms(model, psi, u)
-
-
 # -- likelihood ---------------------------------------------------------------
 
-class _Grad:
-    """Accumulator for the gradient in constrained-block coordinates
-    (beta, alpha, mu, log sigma, w)."""
-
-    def __init__(self, model: ModelSpec):
-        self.beta = np.zeros(model.n_beta)
-        self.alpha = np.zeros(model.J)
-        self.mu = 0.0
-        self.logsigma = 0.0
-        self.w = np.zeros(model.K) if model.baseline.is_tbp else None
-
-    def add(self, sign, coeff, terms: _BaselineTerms, ev: _TransformEval):
-        """Accumulate sign * coeff_m * d/dtheta of a baseline log-term
-        evaluated at u = V(t_m)."""
-        c = sign * coeff
-        cu = c * terms.d_du
-        self.beta += cu @ ev.du_dbeta
-        if self.alpha.size:
-            self.alpha += cu @ ev.du_dalpha
-        self.mu += float(np.sum(c * terms.d_dmu))
-        self.logsigma += float(np.sum(c * terms.d_dls))
-        if self.w is not None:
-            self.w += (np.asarray(c)[:, None] * terms.d_dw).sum(axis=0)
-
-    def add_logv(self, ev: _TransformEval):
-        self.beta += ev.dlv_dbeta.sum(axis=0)
-        if self.alpha.size:
-            self.alpha += ev.dlv_dalpha.sum(axis=0)
-
-
 def _pointwise(model: ModelSpec, psi: ParameterVector, prep: Prepared,
-               grad: _Grad | None):
-    """Per-subject log-likelihood vector; also accumulates the gradient of
-    the total into `grad` when given. Returns (ll_vector, ok_flag).
+               want_grad: bool):
+    """Per-subject log-likelihood vector in one pass over the stacked rows.
+    Returns (ll_vector, ok_flag, grad), grad being the gradient of the total
+    in the blocks (beta, alpha, mu, log sigma, w) when asked for.
 
     Extreme parameter proposals can overflow intermediates; the resulting
     non-finite contributions are caught by the callers (rejection), so the
     arithmetic warnings are suppressed here."""
     with np.errstate(all="ignore"):
-        return _pointwise_impl(model, psi, prep, grad)
+        return _pointwise_impl(model, psi, prep, want_grad)
 
 
-def _pointwise_impl(model, psi, prep, grad):
-    beta, alpha = psi.beta, psi.alpha
-    need_grad = grad is not None
-    ll = np.zeros(prep.n)
-    ok = True
+def _pointwise_impl(model, psi, prep, want_grad):
+    n, ne = prep.n, prep.n_exact
+    eta, b1 = _predictor(model, psi.beta, prep.X)
+    tt = transform(prep.basis, psi.alpha, eta, prep.x1, b1, logv=True,
+                   grad=want_grad)
+    u = tt.u
+    pdf = bl.log_terms(model.baseline, psi.mu, psi.sigma, psi.w, u[:ne],
+                       pdf=True, grad=want_grad)
+    sf = bl.log_terms(model.baseline, psi.mu, psi.sigma, psi.w, u[ne:],
+                      grad=want_grad)
+    val = np.concatenate([pdf.val + tt.logv, sf.val])
 
-    ev_e = _eval_group(model, beta, alpha, prep.g_exact, need_logv=True)
-    ev_l = _eval_group(model, beta, alpha, prep.g_int_lo, need_logv=False)
-    ev_h = _eval_group(model, beta, alpha, prep.g_int_hi, need_logv=False)
-    ev_r = _eval_group(model, beta, alpha, prep.g_right, need_logv=False)
-    ev_t = _eval_group(model, beta, alpha, prep.g_trunc, need_logv=False)
-    ok &= ev_e.ok
+    # interval rows: log[S(y_l) - S(y_u)] = log S(y_l) + log(1 - S(y_u)/S(y_l))
+    lower = val[prep.lo]
+    delta = val[prep.hi] - lower
+    bad = delta >= 0
+    delta = np.where(bad, -1e-300, delta)
+    main = val[:n].copy()
+    main[prep.lo] = np.where(bad, -np.inf, lower + bl._log1mexp(delta))
+    ll = np.empty(n)
+    ll[prep.main] = main
+    ll[prep.idx_trunc] -= val[prep.tr]
+    if not want_grad:
+        return ll, tt.ok, None
 
-    if prep.idx_exact.size:
-        tf = _log_pdf_terms(model, psi, ev_e.u)
-        ll[prep.idx_exact] = tf.val + ev_e.logv
-        if need_grad:
-            grad.add(1.0, np.ones(len(ev_e.u)), tf, ev_e)
-            grad.add_logv(ev_e)
-
-    if prep.idx_right.size:
-        ts = _log_sf_terms(model, psi, ev_r.u)
-        ll[prep.idx_right] = ts.val
-        if need_grad:
-            grad.add(1.0, np.ones(len(ev_r.u)), ts, ev_r)
-
-    if prep.idx_interval.size:
-        ts1 = _log_sf_terms(model, psi, ev_l.u)
-        ts2 = _log_sf_terms(model, psi, ev_h.u)
-        delta = ts2.val - ts1.val
-        with np.errstate(invalid="ignore"):
-            bad = delta >= 0
-        delta = np.where(bad, -1e-300, delta)
-        ll[prep.idx_interval] = ts1.val + bl._log1mexp(delta)
-        if np.any(bad):
-            ll[prep.idx_interval[bad]] = -np.inf
-        if need_grad:
-            with np.errstate(over="ignore"):
-                q1 = 1.0 / (-np.expm1(delta))
-                q2 = np.exp(delta) * q1
-            grad.add(1.0, q1, ts1, ev_l)
-            grad.add(-1.0, q2, ts2, ev_h)
-
-    if prep.idx_trunc.size:
-        ts = _log_sf_terms(model, psi, ev_t.u)
-        ll[prep.idx_trunc] -= ts.val
-        if need_grad:
-            grad.add(-1.0, np.ones(len(ev_t.u)), ts, ev_t)
-
-    return ll, ok
+    # d ll_total / d(row term) for each row
+    q1 = 1.0 / (-np.expm1(delta))
+    c = np.ones(len(u))
+    c[prep.lo] = q1
+    c[prep.hi] = -np.exp(delta) * q1
+    c[prep.tr] = -1.0
+    cu = c * np.concatenate([pdf.d_du, sf.d_du])
+    g_eta = -cu * u                     # du/deta = -u
+    g_eta[:ne] -= 1.0                   # dlog v/deta = -1 on exact rows
+    g_beta = g_eta @ prep.X
+    if model.time_varying:
+        g_beta = np.concatenate([[cu @ tt.du_db1 + tt.dlv_db1.sum()], g_beta])
+    g_alpha = cu @ tt.du_dalpha + tt.dlv_dalpha.sum(axis=0)
+    g_mu = c @ np.concatenate([pdf.d_dmu, sf.d_dmu])
+    g_ls = c @ np.concatenate([pdf.d_dls, sf.d_dls])
+    g_w = None
+    if model.baseline.is_tbp:
+        g_w = c @ np.concatenate([pdf.d_dw, sf.d_dw])
+    return ll, tt.ok, (g_beta, g_alpha, g_mu, g_ls, g_w)
 
 
 def pointwise_loglik_vector(model: ModelSpec, psi: ParameterVector,
@@ -671,7 +380,7 @@ def pointwise_loglik_vector(model: ModelSpec, psi: ParameterVector,
     subjects; NaN raises a numerical error naming the subject."""
     check_psi(model, psi)
     prep = data if isinstance(data, Prepared) else prepare(model, data)
-    ll, _ = _pointwise(model, psi, prep, None)
+    ll, _, _ = _pointwise(model, psi, prep, want_grad=False)
     ll = np.where(ll < LOG_FLOOR, -np.inf, ll)
     if np.any(np.isnan(ll)):
         bad = int(np.where(np.isnan(ll))[0][0])
@@ -695,9 +404,12 @@ def loglik_subject(model: ModelSpec, psi: ParameterVector, rec) -> float:
 
 
 def _conditional_logsf(model, psi, ds, t):
-    grp = _TimeGroup(model, ds, np.array([0]), np.array([float(t)]))
-    ev = _eval_group(model, psi.beta, psi.alpha, grp, need_logv=False)
-    return float(_log_sf_terms(model, psi, ev.u).val[0])
+    """log S(t | x) of the single record in `ds`."""
+    onset = ds.onset if model.time_varying else None
+    basis = TimeBasis(model.effect, np.array([float(t)]), onset)
+    eta, b1 = _predictor(model, psi.beta, ds.x)
+    u = transform(basis, psi.alpha, eta, _exposure_values(model, ds.x), b1).u
+    return float(bl.log_terms(model.baseline, psi.mu, psi.sigma, psi.w, u).val[0])
 
 
 def loglik_total(model: ModelSpec, psi: ParameterVector, data) -> float:
@@ -712,29 +424,39 @@ def _gamma_logpdf(x, a, b):
     return a * math.log(b) - math.lgamma(a) + (a - 1.0) * math.log(x) - b * x
 
 
+def _log_prior(model: ModelSpec, sigma: float, w, theta, priors: PriorSpec):
+    out = _gamma_logpdf(sigma, priors.a_sigma, priors.b_sigma)
+    if model.baseline.is_tbp:
+        # gammaln, unlike math.lgamma, gives inf instead of raising for a
+        # huge theta; the caller rejects the non-finite result
+        K = model.K
+        out += float(special.gammaln(K * theta) - K * special.gammaln(theta)
+                     + (theta - 1.0) * np.sum(np.log(w)))
+        out += _gamma_logpdf(theta, priors.a_theta, priors.b_theta)
+    return out
+
+
 def log_prior(model: ModelSpec, psi: ParameterVector,
               priors: PriorSpec) -> float:
     """Log prior density on the constrained scale (no transform Jacobian)."""
     check_psi(model, psi)
-    out = _gamma_logpdf(psi.sigma, priors.a_sigma, priors.b_sigma)
-    if model.baseline.is_tbp:
-        K, th = model.K, psi.theta
-        if np.any(psi.w <= 0):
-            return -math.inf
-        out += (math.lgamma(K * th) - K * math.lgamma(th)
-                + (th - 1.0) * float(np.sum(np.log(psi.w))))
-        out += _gamma_logpdf(th, priors.a_theta, priors.b_theta)
-    return out
+    if model.baseline.is_tbp and np.any(psi.w <= 0):
+        return -math.inf
+    return _log_prior(model, psi.sigma, psi.w, psi.theta, priors)
 
 
 # -- posterior ---------------------------------------------------------------
 
 def _posterior_impl(model, z, prep, priors, want_grad: bool):
+    """(log posterior, gradient) at z; (-inf, None) rejects a proposal that
+    has no finite posterior or cannot be represented (an overflowing scale,
+    an underflowing weight), and (value, None) flags a non-finite gradient."""
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         return -math.inf, None
     beta, alpha, mu, logsigma, rest = _split(model, z)
-    sigma = math.exp(logsigma)
+    with np.errstate(over="ignore"):
+        sigma = float(np.exp(logsigma))
     if sigma == 0.0 or math.isinf(sigma):
         return -math.inf, None
     w = theta = None
@@ -743,7 +465,8 @@ def _posterior_impl(model, z, prep, priors, want_grad: bool):
     if model.baseline.is_tbp:
         w, zk, lj = _stick_forward(rest[:model.K - 1])
         logtheta = rest[model.K - 1]
-        theta = math.exp(logtheta)
+        with np.errstate(over="ignore"):
+            theta = float(np.exp(logtheta))
         if np.any(w < 1e-300) or theta == 0.0 or math.isinf(theta):
             return -math.inf, None
         logjac += lj + logtheta
@@ -752,36 +475,29 @@ def _posterior_impl(model, z, prep, priors, want_grad: bool):
     if not _monotone_ok(prep, psi.alpha):
         return -math.inf, None
 
-    grad = _Grad(model) if want_grad else None
-    ll, ok = _pointwise(model, psi, prep, grad)
+    ll, ok, grad = _pointwise(model, psi, prep, want_grad)
     ll = np.where(ll < LOG_FLOOR, -np.inf, ll)
     if not ok or not np.all(np.isfinite(ll)):
         return -math.inf, None
 
-    total = float(ll.sum())
-    total += _gamma_logpdf(sigma, priors.a_sigma, priors.b_sigma)
-    if model.baseline.is_tbp:
-        K = model.K
-        total += (math.lgamma(K * theta) - K * math.lgamma(theta)
-                  + (theta - 1.0) * float(np.sum(np.log(w))))
-        total += _gamma_logpdf(theta, priors.a_theta, priors.b_theta)
-    total += logjac
-
+    total = float(ll.sum()) + _log_prior(model, sigma, w, theta, priors) + logjac
+    if not math.isfinite(total):
+        return -math.inf, None
     if not want_grad:
         return total, None
 
+    g_beta, g_alpha, g_mu, g_ls, g_w = grad
     gz = np.zeros_like(z)
     nb, J = model.n_beta, model.J
-    gz[:nb] = grad.beta
-    gz[nb:nb + J] = grad.alpha
-    gz[nb + J] = grad.mu
+    gz[:nb] = g_beta
+    gz[nb:nb + J] = g_alpha
+    gz[nb + J] = g_mu
     # d/dlog sigma: chain through likelihood, Gamma prior, and Jacobian
-    gz[nb + J + 1] = (grad.logsigma
-                      + (priors.a_sigma - 1.0) - priors.b_sigma * sigma
+    gz[nb + J + 1] = (g_ls + (priors.a_sigma - 1.0) - priors.b_sigma * sigma
                       + 1.0)
     if model.baseline.is_tbp:
         K = model.K
-        g_w = grad.w + (theta - 1.0) / w
+        g_w = g_w + (theta - 1.0) / w
         # map d/dw onto the stick-breaking coordinates:
         #   dL/dy_k = g_w[k] w_k (1 - z_k) - z_k * sum_{j>k} g_w[j] w_j
         c = g_w * w
@@ -822,16 +538,24 @@ def grad_log_posterior(model: ModelSpec, z, data, priors: PriorSpec) -> np.ndarr
     return g
 
 
+class _LogPosterior:
+    """f(z) -> (logp, grad) over prepared data; grad is zeros when
+    logp = -inf. An object rather than a closure, so that it pickles and a
+    sampler target holding it can be sent to worker processes."""
+
+    def __init__(self, model: ModelSpec, prep: Prepared, priors: PriorSpec):
+        self.model, self.prep, self.priors = model, prep, priors
+
+    def __call__(self, z):
+        val, g = _posterior_impl(self.model, z, self.prep, self.priors,
+                                 want_grad=True)
+        if g is None:
+            return -math.inf, np.zeros(self.model.n_unconstrained)
+        return val, g
+
+
 def make_posterior(model: ModelSpec, data, priors: PriorSpec):
     """Bind (model, data, priors) into a fast logp-and-gradient callable for
     the sampler: f(z) -> (logp, grad); grad is zeros when logp = -inf."""
     prep = prepare(model, data)
-    dim = model.n_unconstrained
-
-    def logp_and_grad(z):
-        val, g = _posterior_impl(model, z, prep, priors, want_grad=True)
-        if g is None:
-            return -math.inf, np.zeros(dim)
-        return val, g
-
-    return logp_and_grad, prep
+    return _LogPosterior(model, prep, priors), prep

@@ -24,10 +24,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .data import as_dataset, atomic_write_text
+from .data import atomic_write_text
 from .errors import DiagnosticsError, DomainError, NumericalError
 from .likelihood import PriorSpec, constrain, constrained_array, make_posterior
 from .model import ModelSpec
@@ -60,7 +61,6 @@ class SamplerConfig:
     max_tree_depth: int = 10
     thin: int = 1
     threads: int = 1
-    init_overrides: tuple = ()  # ((param name, unconstrained value), ...)
 
     def __post_init__(self):
         if self.chains < 1 or self.warmup_iters < 0 or self.sampling_iters < 1:
@@ -73,8 +73,6 @@ class SamplerConfig:
             raise DomainError("thin must divide sampling_iters")
         if self.seed < 0:
             raise DomainError("seed must be a non-negative integer")
-        object.__setattr__(self, "init_overrides",
-                           tuple((str(k), float(v)) for k, v in self.init_overrides))
 
 
 @dataclass
@@ -428,9 +426,15 @@ def _run_chain(target: GradientTarget, cfg: SamplerConfig, chain: int):
 
 def sample(target: GradientTarget, cfg: SamplerConfig) -> PosteriorDraws:
     """Run `cfg.chains` independent chains on an arbitrary gradient target,
-    sequentially (parallel chains are handled by `run_chains`, whose inputs
-    survive a trip to a worker process)."""
-    results = [_run_chain(target, cfg, c) for c in range(cfg.chains)]
+    in `cfg.threads` worker processes when that is above 1 (the target must
+    then pickle), and merge them in chain order. Each chain draws only from
+    its own seeded streams, so the draws do not depend on `cfg.threads`."""
+    if cfg.threads > 1:
+        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+            results = list(pool.map(_run_chain, [target] * cfg.chains,
+                                    [cfg] * cfg.chains, range(cfg.chains)))
+    else:
+        results = [_run_chain(target, cfg, c) for c in range(cfg.chains)]
 
     zs = np.concatenate([r[0] for r in results])
     divs = np.concatenate([r[1] for r in results])
@@ -450,87 +454,36 @@ def sample(target: GradientTarget, cfg: SamplerConfig) -> PosteriorDraws:
                           energies, step, cfg.chains)
 
 
+def _model_initial_point(dim: int, n_free: int, rng) -> np.ndarray:
+    """Uniform(-2, 2) for beta, alpha and mu; 0 for log sigma, the stick
+    coordinates and log theta."""
+    z = rng.uniform(-2.0, 2.0, size=dim)
+    z[n_free:] = 0.0
+    return z
+
+
+def _model_constrained(model: ModelSpec, z) -> np.ndarray:
+    return constrained_array(model, constrain(model, z))
+
+
 def make_model_target(model: ModelSpec, data, priors: PriorSpec) -> GradientTarget:
+    """The survival model's posterior as a sampler target; every part of it
+    pickles, so its chains can run in worker processes."""
     logp_and_grad, _ = make_posterior(model, data, priors)
     dim = model.n_unconstrained
-    nb, J = model.n_beta, model.J
-
-    fixed = np.full(dim, np.nan)
-    fixed[nb + J + 1:] = 0.0  # log sigma, stick coords, log theta start at 0
-    name_to_idx = {}
-    for i, nm in enumerate(model.beta_names):
-        name_to_idx["beta_" + nm] = i
-    for j in range(J):
-        name_to_idx[f"alpha_{j + 1}"] = nb + j
-    name_to_idx["mu"] = nb + J
-    name_to_idx["log_sigma"] = nb + J + 1
-    if model.baseline.is_tbp:
-        name_to_idx["log_theta"] = dim - 1
-
-    overrides = dict()
-
-    def initial_point(rng):
-        z = rng.uniform(-2.0, 2.0, size=dim)
-        known = np.isfinite(fixed)
-        z[known] = fixed[known]
-        for key, val in overrides.items():
-            z[name_to_idx[key]] = val
-        return z
-
-    target = GradientTarget(dim, logp_and_grad, initial_point,
-                            model.param_names,
-                            lambda z: constrained_array(model, constrain(model, z)))
-    target._name_to_idx = name_to_idx
-    target._fixed = fixed
-    target._overrides = overrides
-    return target
+    n_free = model.n_beta + model.J + 1
+    return GradientTarget(dim, logp_and_grad,
+                          partial(_model_initial_point, dim, n_free),
+                          model.param_names, partial(_model_constrained, model))
 
 
 def run_chains(model: ModelSpec, data, priors: PriorSpec,
                cfg: SamplerConfig) -> PosteriorDraws:
     """Fit the survival model: sample the unconstrained posterior and return
     draws with the constrained (reported) parameter view attached."""
-    data = as_dataset(data)
-    target = make_model_target(model, data, priors)
-    for key, val in cfg.init_overrides:
-        if key not in target._name_to_idx:
-            raise DomainError(f"unknown init override {key!r}")
-        target._overrides[key] = val
-    if cfg.threads > 1:
-        # worker processes rebuild the closure from picklable pieces
-        results = _run_parallel_model(model, data, priors, cfg)
-        draws = _merge_results(results, cfg, target)
-    else:
-        draws = sample(target, cfg)
+    draws = sample(make_model_target(model, data, priors), cfg)
     draws.model = model
     return draws
-
-
-def _model_chain_worker(args):
-    model, data, priors, cfg, chain = args
-    target = make_model_target(model, data, priors)
-    for key, val in cfg.init_overrides:
-        target._overrides[key] = val
-    return _run_chain(target, cfg, chain)
-
-
-def _run_parallel_model(model, data, priors, cfg):
-    jobs = [(model, data, priors, cfg, c) for c in range(cfg.chains)]
-    with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(_model_chain_worker, jobs))
-
-
-def _merge_results(results, cfg, target: GradientTarget) -> PosteriorDraws:
-    zs = np.concatenate([r[0] for r in results])
-    divs = np.concatenate([r[1] for r in results])
-    energies = np.concatenate([r[2] for r in results])
-    iters = np.concatenate([r[3] for r in results])
-    per = cfg.sampling_iters // cfg.thin
-    chain_id = np.repeat(np.arange(cfg.chains), per)
-    step = np.repeat([r[4] for r in results], per)
-    constrained = np.array([target.constrain_fn(z) for z in zs])
-    return PosteriorDraws(zs, constrained, tuple(target.param_names), chain_id,
-                          iters, divs, energies, step, cfg.chains)
 
 
 # -- diagnostics --------------------------------------------------------------

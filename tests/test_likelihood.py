@@ -16,11 +16,14 @@ from qvaft.likelihood import (
     PriorSpec,
     constrain,
     constrained_array,
+    grad_log_posterior,
     log_jacobian,
     log_posterior_unconstrained,
     log_prior,
     loglik_subject,
     loglik_total,
+    make_posterior,
+    pointwise_loglik_vector,
     psi_from_constrained,
     unconstrain,
 )
@@ -254,3 +257,89 @@ class TestValidation:
         with pytest.raises(DomainError):
             log_prior(model, ParameterVector(np.zeros(2), np.array([]), 0, 1),
                       PRIORS)
+
+
+class TestWrittenOutOracle:
+    """Weibull baseline with a piecewise effect, with S0 and V written out
+    here from their definitions rather than through the package's shared
+    evaluators."""
+
+    KNOTS = (0.0, 1.0, 2.5)
+    BETA = (0.5, -0.2)
+    ALPHA = (0.4, -0.3)
+    MU, SIGMA = 0.3, 1.3
+
+    def slopes(self, x):
+        # slope of V on [0, tau_1), [tau_1, tau_2), [tau_2, inf)
+        eta = self.BETA[0] * x[0] + self.BETA[1] * x[1]
+        return [math.exp(-eta)] + [math.exp(-eta - x[0] * a) for a in self.ALPHA]
+
+    def V(self, t, x):
+        edges = list(self.KNOTS) + [math.inf]
+        return sum(r * max(0.0, min(t, hi) - lo)
+                   for r, lo, hi in zip(self.slopes(x), edges[:-1], edges[1:]))
+
+    def v(self, t, x):
+        seg = sum(t >= k for k in self.KNOTS[1:])
+        return self.slopes(x)[seg]
+
+    def S0(self, u):
+        return math.exp(-(u / math.exp(self.MU)) ** self.SIGMA)
+
+    def f0(self, u):
+        z = u / math.exp(self.MU)
+        return self.SIGMA / math.exp(self.MU) * z ** (self.SIGMA - 1.0) * self.S0(u)
+
+    def oracle(self, rec):
+        x = rec.x
+        if rec.event:
+            num = self.f0(self.V(rec.y_lower, x)) * self.v(rec.y_lower, x)
+        elif math.isinf(rec.y_upper):
+            num = self.S0(self.V(rec.y_lower, x))
+        else:
+            num = (self.S0(self.V(rec.y_lower, x))
+                   - self.S0(self.V(rec.y_upper, x)))
+        return math.log(num) - math.log(self.S0(self.V(rec.trunc, x)))
+
+    def test_every_record_kind(self, rng):
+        model = make_model(effect_kind="piecewise", knots=self.KNOTS)
+        psi = ParameterVector(np.array(self.BETA), np.array(self.ALPHA),
+                              self.MU, self.SIGMA)
+        recs = []
+        for _ in range(40):
+            x = (float(rng.integers(0, 2)), float(rng.normal()))
+            t = float(rng.uniform(0.05, 4.5))
+            trunc = float(rng.uniform(0.0, t)) if rng.random() < 0.5 else 0.0
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                recs.append(SubjectRecord(t, t, 1, trunc, x))
+            elif kind == 1:
+                recs.append(SubjectRecord(t, math.inf, 0, trunc, x))
+            else:
+                recs.append(SubjectRecord(t, t + float(rng.uniform(0.05, 2.0)),
+                                          0, trunc, x))
+        got = pointwise_loglik_vector(model, psi, recs)
+        want = np.array([self.oracle(r) for r in recs])
+        assert np.abs(got - want).max() < 1e-10
+
+
+class TestUnrepresentableProposals:
+    """Proposals whose constrained values overflow or underflow (a saturated
+    stick, a huge scale or concentration) are rejected, never raised."""
+
+    @pytest.mark.parametrize("coord,value", [
+        ("stick", 800.0), ("stick", -800.0),
+        ("log_sigma", 800.0), ("log_theta", 800.0)])
+    def test_rejected_not_raised(self, coord, value, rng):
+        model = make_model(family="tbp", K=5)
+        data = random_dataset(rng, 20, 2)
+        nb, J = model.n_beta, model.J
+        z = np.zeros(model.n_unconstrained)
+        z[{"stick": nb + J + 2, "log_sigma": nb + J + 1,
+           "log_theta": model.n_unconstrained - 1}[coord]] = value
+        assert log_posterior_unconstrained(model, z, data, PRIORS) == -math.inf
+        with pytest.raises(NumericalError):
+            grad_log_posterior(model, z, data, PRIORS)
+        logp, grad = make_posterior(model, data, PRIORS)[0](z)
+        assert logp == -math.inf
+        assert np.array_equal(grad, np.zeros(model.n_unconstrained))

@@ -119,8 +119,7 @@ class TestRejectionAndDivergence:
             return -0.5 * float(z @ z), -z
 
         cfg = SamplerConfig(chains=2, warmup_iters=300, sampling_iters=1000,
-                            seed=5,
-                            init_overrides=())
+                            seed=5)
         d = sample(GradientTarget(1, lambda z: lg(z),
                                   initial_point=lambda r: np.abs(r.normal(size=1))),
                    cfg)
