@@ -19,9 +19,10 @@ Every formula lives in one evaluator per family, reached through
 `log_terms`: it returns log S0(u) or log f0(u) and, on request, the
 partials in u, mu, log sigma and the weights. `log_survivor`,
 `log_density`, `survivor` and `density` and the likelihood all call it.
-The tbp survivor on the probability scale (`survivor`, and the bisection
-of `inverse_survivor`) goes through scipy's `betainc` instead, which also
-serves the tests as an independent check on the log-space binomial sums.
+The tbp survivor on the probability scale (`survivor`, and the root search
+of `inverse_survivor` through `roots.increasing_root`) goes through
+scipy's `betainc` instead, which also serves the tests as an independent
+check on the log-space binomial sums.
 
 All operations are pure functions of immutable value objects and accept a
 scalar or ndarray time argument.
@@ -34,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
+from .roots import increasing_root
 
 __all__ = [
     "BaselineParams",
@@ -358,9 +360,9 @@ def inverse_survivor(spec: BaselineSpec, params: BaselineParams,
                      w: TBPWeights | None, p):
     """The time t solving S0(t) = p, for p in (0, 1).
 
-    Closed form for the parametric families; bracketed bisection for the
-    Bernstein-transformed family, with the bracket seeded from centering
-    quantiles at p/10 and 1 - (1-p)/10 and widened geometrically if needed.
+    Closed form for the parametric families. For the Bernstein-transformed
+    family, `roots.increasing_root` solves -S0(t) = -p to a relative 1e-10,
+    starting from the centering quantile at p/10.
     """
     _check_weights(spec, w)
     parr = np.asarray(p, dtype=float)
@@ -371,39 +373,7 @@ def inverse_survivor(spec: BaselineSpec, params: BaselineParams,
     elif spec.family == "lognormal":
         out = _lognormal_inv_sf(params.mu, params.sigma, parr)
     else:
-        out = _tbp_inv_sf(spec, params, w, np.atleast_1d(parr))
-        out = out.reshape(parr.shape)
+        out = increasing_root(lambda t: -_tbp_sf(spec, params, w, t), -parr,
+                              _centering_inv_sf(spec, params, parr / 10.0),
+                              1e-10, "tbp inverse")
     return _scalar_like(p, out)
-
-
-def _tbp_inv_sf(spec, params, w, p: np.ndarray) -> np.ndarray:
-    lo = _centering_inv_sf(spec, params, 1.0 - (1.0 - p) / 10.0)
-    hi = _centering_inv_sf(spec, params, p / 10.0)
-
-    def sf(t):
-        return _tbp_sf(spec, params, w, t)
-
-    for _ in range(200):
-        bad = sf(lo) < p
-        if not np.any(bad):
-            break
-        lo = np.where(bad, lo / 4.0, lo)
-    else:
-        raise NumericalError("tbp inverse: lower bracket failed",
-                             p=p.tolist(), lo=lo.tolist())
-    for _ in range(200):
-        bad = sf(hi) > p
-        if not np.any(bad):
-            break
-        hi = np.where(bad, hi * 4.0, hi)
-    else:
-        raise NumericalError("tbp inverse: upper bracket failed",
-                             p=p.tolist(), hi=hi.tolist())
-
-    while True:
-        mid = 0.5 * (lo + hi)
-        high_side = sf(mid) >= p  # survivor decreasing: root is to the right
-        lo = np.where(high_side, mid, lo)
-        hi = np.where(high_side, hi, mid)
-        if np.all(hi - lo <= 1e-10 * np.maximum(1.0, lo)):
-            return 0.5 * (lo + hi)

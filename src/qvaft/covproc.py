@@ -19,7 +19,7 @@ transform t * exp(-x'beta) when the flexible coefficients alpha are zero:
 * spline:     V(t|x) = t * exp(-x'beta - x1 * sum_j alpha_j B_j(log t))
   with a natural cubic spline basis B on the log-time axis (linear term
   plus one restricted cubic per internal knot; linear beyond the boundary
-  knots). The inverse is found by bisection on the log-time axis.
+  knots). Its inverse solves log V(t) = log s by a root search.
 
 A binary time-varying covariate switching 0 -> 1 at time t_x induces
 
@@ -38,9 +38,10 @@ the part of V that depends only on the times (and switch times), which
 the likelihood builds once per dataset, and returns V, log v and their
 partials in alpha and the switch coefficient. `v_value`, `v_deriv`,
 `tv_v_value`, the likelihood and the g-formula time profile are thin
-callers of it. The inverses stay separate: closed form where one exists,
-bisection otherwise. All functions are pure and accept scalar or ndarray
-time arguments.
+callers of it. The inverses are closed forms where one exists (constant,
+piecewise, constant switch effect); the spline and flexible switch
+inverses call the shared root-finder `roots.increasing_root`. All
+functions are pure and accept scalar or ndarray time arguments.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
+from .roots import increasing_root
 
 __all__ = [
     "EffectSpec",
@@ -413,7 +415,7 @@ def v_deriv(spec: EffectSpec, beta, alpha, x, t, x1_index: int = 0):
 def v_inverse(spec: EffectSpec, beta, alpha, x, s, x1_index: int = 0):
     """The time t with V(t|x) = s, for s >= 0.
 
-    Closed form for constant and piecewise kinds; bisection on the
+    Closed form for constant and piecewise kinds; a root search on the
     log-time axis for the spline kind (V must be increasing, which is the
     caller's responsibility to ensure via `monotonicity_check`).
     """
@@ -429,8 +431,7 @@ def v_inverse(spec: EffectSpec, beta, alpha, x, s, x1_index: int = 0):
     elif spec.kind == "piecewise":
         out = _piecewise_inverse(spec.knot_array(), eta, x1, alpha, s_arr)
     else:
-        out = _spline_inverse(spec.knot_array(), eta, x1, alpha, np.atleast_1d(s_arr))
-        out = out.reshape(s_arr.shape)
+        out = _spline_inverse(spec.knot_array(), eta, x1, alpha, s_arr)
     return _scalar_like(s, out)
 
 
@@ -444,38 +445,17 @@ def _piecewise_inverse(knots, eta, x1, alpha, s):
 def _spline_inverse(knots, eta, x1, alpha, s):
     # Solve r - x1*g(r) = log(s) + eta for r = log(t); s = 0 maps to t = 0
     # directly and is excluded from the root search.
-    with np.errstate(divide="ignore"):
-        target = np.where(s > 0, np.log(np.where(s > 0, s, 1.0)), 0.0) + eta
+    pos = s > 0
+    target = np.log(s[pos]) + eta
 
-    def phi(r):
+    def phi(t):
+        r = np.log(t)
         return r - x1 * (spline_basis(knots, r) @ alpha)
 
-    lo = target - 1.0
-    hi = target + 1.0
-    for _ in range(200):
-        bad = phi(lo) > target
-        if not np.any(bad):
-            break
-        lo = np.where(bad, lo - 2.0 * (hi - lo), lo)
-    else:
-        raise NumericalError("spline inverse: lower bracket failed")
-    for _ in range(200):
-        bad = phi(hi) < target
-        if not np.any(bad):
-            break
-        hi = np.where(bad, hi + 2.0 * (hi - lo), hi)
-    else:
-        raise NumericalError("spline inverse: upper bracket failed")
-
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        left = phi(mid) < target
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-        if np.all(hi - lo <= 1e-12):
-            break
-    out = np.exp(0.5 * (lo + hi))
-    return np.where(s > 0, out, 0.0)
+    out = np.zeros_like(s)
+    out[pos] = increasing_root(phi, target, np.exp(target + 1.0), 1e-12,
+                               "spline inverse")
+    return out
 
 
 def tv_v_value(beta1: float, beta2_term: float, alpha, tv: TimeVaryingCovariate,
@@ -499,49 +479,24 @@ def tv_v_value(beta1: float, beta2_term: float, alpha, tv: TimeVaryingCovariate,
 def tv_v_inverse(beta1: float, beta2_term: float, alpha,
                  tv: TimeVaryingCovariate, effect: EffectSpec | None, s):
     """Inverse of `tv_v_value`: closed form for a constant switch effect,
-    bisection on the time-since-switch axis for a flexible one."""
+    root search on the time-since-switch axis for a flexible one."""
     s_arr = np.asarray(s, dtype=float)
     if np.any(np.isnan(s_arr)) or np.any(s_arr < 0):
         raise DomainError("target value must be >= 0")
     t_x = tv.change_time
     scale = np.exp(beta2_term)
-    v_at_switch = t_x * np.exp(-beta2_term)  # V value where the switch bites
-    pre = s_arr <= v_at_switch
-
-    if effect is None or effect.kind == "constant":
-        with np.errstate(invalid="ignore"):
-            post_t = t_x + (s_arr * scale - t_x) * np.exp(beta1)
-        out = np.where(pre, s_arr * scale, post_t)
-        return _scalar_like(s, out)
-
-    target = s_arr * scale - t_x  # solve u * exp(-beta1 - a(u)) = target, u > 0
-    u = _tv_flexible_inverse(beta1, _check_alpha(effect, alpha), effect,
-                             np.atleast_1d(np.where(pre, 1.0, target)))
-    out = np.where(pre, s_arr * scale, t_x + u.reshape(s_arr.shape))
-    return _scalar_like(s, out)
-
-
-def _tv_flexible_inverse(beta1, alpha, effect, target):
-    def h(u):
-        return u * np.exp(-beta1 - tv_basis(effect, u) @ alpha)
-
-    lo = np.full_like(target, 1e-300)
-    hi = np.maximum(target * np.exp(beta1), 1e-6)
-    for _ in range(400):
-        bad = h(hi) < target
-        if not np.any(bad):
-            break
-        hi = np.where(bad, hi * 2.0, hi)
-    else:
-        raise NumericalError("time-varying inverse: upper bracket failed")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        left = h(mid) < target
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-        if np.all(hi - lo <= 1e-13 * np.maximum(1.0, hi)):
-            break
-    return 0.5 * (lo + hi)
+    with np.errstate(invalid="ignore"):
+        target = s_arr * scale - t_x  # > 0 iff the root lies past the switch
+        pre = ~(target > 0)  # s <= V(t_x); NaN (inf - inf) counts as before
+        post_t = t_x + target * np.exp(beta1)
+    if effect is not None and effect.kind != "constant":
+        alpha = _check_alpha(effect, alpha)
+        # solve u * exp(-beta1 - a(u)) = target for u = t - t_x > 0
+        target = np.where(pre, 1.0, target)
+        post_t = t_x + increasing_root(
+            lambda u: u * np.exp(-beta1 - tv_basis(effect, u) @ alpha),
+            target, target * np.exp(beta1), 1e-13, "time-varying inverse")
+    return _scalar_like(s, np.where(pre, s_arr * scale, post_t))
 
 
 # -- monotonicity ----------------------------------------------------------

@@ -15,13 +15,13 @@ numeric inverse.
 Marginal (standardized) quantities average the covariate-conditional
 survivor over the empirical distribution of the other covariates of all n
 subjects: S_std(t | level) = n^{-1} sum_i S(t | level, z_i). Standardized
-quantile times are found by monotone bisection (converged to ~1e-13
-relative, well inside the documented 1e-9 requirement, so degenerate cases
-reduce exactly to their conditional counterparts), and posterior summaries
-are the mean, median, and equal-tailed 95% interval across draws. A
-quantile is flagged as extrapolated when it lies below the smallest
-standardized survivor value reached by the largest observed follow-up time
-in both contrast groups.
+quantile times are found by the shared root-finder `roots.increasing_root`
+(converged to ~1e-13 relative, well inside the documented 1e-9
+requirement, so degenerate cases reduce exactly to their conditional
+counterparts), and posterior summaries are the mean, median, and
+equal-tailed 95% interval across draws. A quantile is flagged as
+extrapolated when it lies below the smallest standardized survivor value
+reached by the largest observed follow-up time in both contrast groups.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .data import Dataset, as_dataset, atomic_write_text, max_followup
 from .errors import DomainError, NumericalError
 from .likelihood import ParameterVector, check_psi, psi_from_constrained
 from .model import ModelSpec
+from .roots import increasing_root
 from .sampler import PosteriorDraws
 
 __all__ = [
@@ -271,38 +272,28 @@ def standardized_survivor(model: ModelSpec, psi: ParameterVector, data,
     if data.n == 0:
         raise DomainError("standardization needs a nonempty dataset")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = _standardized_sf(model, psi, data, level, t_arr)
+    out = _standardized_sf(model, psi, data, level)(t_arr)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _standardized_sf(model, psi, data, level, t: np.ndarray) -> np.ndarray:
-    h = _time_profile(model, psi, level, t)          # (nt,)
-    eta = _eta_for_level(model, psi, data, level)    # (n,)
-    u = np.outer(h, np.exp(-eta))                    # (nt, n)
-    s = bl.survivor(model.baseline, psi.baseline_params(), psi.tbp_weights(), u)
-    return s.mean(axis=1)
+def _standardized_sf(model, psi, data, level):
+    """t -> S_std(t | level) for a 1-D array t, with exp(-eta_i) and the
+    baseline parameters built once for the draw and level."""
+    scale = np.exp(-_eta_for_level(model, psi, data, level))   # (n,)
+    params, w = psi.baseline_params(), psi.tbp_weights()
+
+    def sf(t: np.ndarray) -> np.ndarray:
+        u = np.outer(_time_profile(model, psi, level, t), scale)  # (nt, n)
+        return bl.survivor(model.baseline, params, w, u).mean(axis=1)
+    return sf
 
 
 def _invert_standardized(model, psi, data, level, p: np.ndarray) -> np.ndarray:
-    """Monotone bisection solving S_std(t | level) = p elementwise."""
-    lo = np.zeros_like(p)
-    hi = np.full_like(p, max(max_followup(data), 1.0))
-    for _ in range(200):
-        bad = _standardized_sf(model, psi, data, level, hi) > p
-        if not np.any(bad):
-            break
-        hi = np.where(bad, hi * 4.0, hi)
-    else:
-        raise NumericalError("standardized inverse: upper bracket failed",
-                             level=level)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        high_side = _standardized_sf(model, psi, data, level, mid) >= p
-        lo = np.where(high_side, mid, lo)
-        hi = np.where(high_side, hi, mid)
-        if np.all(hi - lo <= BISECT_RTOL * np.maximum(hi, 1e-280)):
-            break
-    return 0.5 * (lo + hi)
+    """Solve S_std(t | level) = p elementwise, to a relative BISECT_RTOL."""
+    sf = _standardized_sf(model, psi, data, level)
+    return increasing_root(lambda t: -sf(t), -p, max(max_followup(data), 1.0),
+                           BISECT_RTOL,
+                           f"standardized inverse at level {level:g}")
 
 
 def _draw_parameters(model: ModelSpec, draws: PosteriorDraws):
@@ -312,7 +303,8 @@ def _draw_parameters(model: ModelSpec, draws: PosteriorDraws):
 
 def _summaries(samples: np.ndarray):
     """(M, k) samples -> mean, median, equal-tailed 95% bounds per column."""
-    mean = samples.mean(axis=0)
+    # shifted so that identical rows give their common value exactly
+    mean = samples[0] + (samples - samples[0]).mean(axis=0)
     median = np.percentile(samples, 50.0, axis=0)
     lo = np.percentile(samples, 2.5, axis=0)
     hi = np.percentile(samples, 97.5, axis=0)
@@ -326,7 +318,7 @@ def _extrapolation_threshold(model, draws, data, levels) -> float:
     vals = []
     for level in levels:
         per_draw = [
-            _standardized_sf(model, psi, data, level, tmax)[0]
+            _standardized_sf(model, psi, data, level)(tmax)[0]
             for psi in _draw_parameters(model, draws)
         ]
         vals.append(float(np.mean(per_draw)))
@@ -383,7 +375,7 @@ def standardized_survivor_curves(model: ModelSpec, draws: PosteriorDraws,
     for label, level in (("exposed", contrast.exposed),
                          ("unexposed", contrast.reference)):
         vals = np.array([
-            _standardized_sf(model, psi, data, level, t_grid)
+            _standardized_sf(model, psi, data, level)(t_grid)
             for psi in _draw_parameters(model, draws)
         ])
         mean, median, lo, hi = _summaries(vals)

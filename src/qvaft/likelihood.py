@@ -182,15 +182,23 @@ def _split(model: ModelSpec, z: np.ndarray):
     return beta, alpha, mu, logsigma, rest
 
 
+def _exp_coordinate(name: str, value: float) -> float:
+    try:
+        return math.exp(value)
+    except OverflowError:
+        raise DomainError(f"{name} = {value:g} overflows on the constrained "
+                          "scale") from None
+
+
 def constrain(model: ModelSpec, z: np.ndarray) -> ParameterVector:
     z = np.asarray(z, dtype=float)
     beta, alpha, mu, logsigma, rest = _split(model, z)
     w = theta = None
     if model.baseline.is_tbp:
         w, _, _ = _stick_forward(rest[:model.K - 1])
-        theta = math.exp(rest[model.K - 1])
+        theta = _exp_coordinate("log theta", rest[model.K - 1])
     return ParameterVector(beta.copy(), alpha.copy(), float(mu),
-                           math.exp(logsigma), w, theta)
+                           _exp_coordinate("log sigma", logsigma), w, theta)
 
 
 def log_jacobian(model: ModelSpec, z: np.ndarray) -> float:

@@ -90,10 +90,3 @@ class ModelSpec:
         if self.baseline.is_tbp:
             base += (self.K - 1) + 1
         return base
-
-    @property
-    def n_constrained(self) -> int:
-        base = self.n_beta + self.J + 2
-        if self.baseline.is_tbp:
-            base += self.K + 1
-        return base

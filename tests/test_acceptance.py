@@ -285,6 +285,7 @@ def c7_fits():
     return fits
 
 
+@pytest.mark.slow
 def test_criterion_6_sampler(c7_fits):
     cfg = SamplerConfig(chains=4, warmup_iters=500, sampling_iters=1000,
                         seed=7)
@@ -318,6 +319,7 @@ def test_criterion_6_sampler(c7_fits):
               gauss_ok and max(rhats) < 1.01)
 
 
+@pytest.mark.slow
 def test_criterion_7_parameter_recovery(c7_fits):
     successes = 0
     for model, draws in c7_fits:
@@ -332,6 +334,7 @@ def test_criterion_7_parameter_recovery(c7_fits):
 
 # -- criterion 8: PSIS-LOO validity -------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_8_psis_loo():
     # (a) small-n agreement with the exact refit oracle
     model = make_model(covariates=("x1",), exposure="x1")

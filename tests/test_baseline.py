@@ -158,6 +158,25 @@ class TestInvariants:
             assert survivor(spec, pars, w, t) == pytest.approx(p, rel=1e-8)
 
 
+class TestTBPInverseTails:
+    """The TBP inverse stops on a bracket width relative to the root, so it
+    stays accurate deep in both tails."""
+
+    @pytest.mark.parametrize("K", [3, 5])
+    def test_equal_weights_match_centering_closed_form(self, K):
+        p = np.array([1e-12, 0.3, 1 - 1e-6, 1 - 1e-9])
+        pars = BaselineParams(0.3, 1.2)
+        got = inverse_survivor(BaselineSpec("tbp", "weibull", K), pars,
+                               TBPWeights((1.0 / K,) * K), p)
+        want = inverse_survivor(WEIBULL, pars, None, p)
+        np.testing.assert_allclose(got, want, rtol=1e-6)
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-6, 1 - 1e-6, 1 - 1e-9])
+    def test_round_trip_in_both_tails(self, p):
+        s = survivor(TBP5, STD, SKEW_W, inverse_survivor(TBP5, STD, SKEW_W, p))
+        assert min(s, 1 - s) == pytest.approx(min(p, 1 - p), rel=1e-5)
+
+
 class TestValidation:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):

@@ -221,6 +221,28 @@ class TestTimeVarying:
                               rel=1e-14)
 
 
+class TestRootSearchExtremes:
+    """V(V^{-1}(s)) = s at extreme s where the inverse is a root search; the
+    switch at 1e-12 puts every s > 0 past it."""
+
+    @pytest.mark.parametrize("s", [0.0, 1e-9, 1e6])
+    def test_spline(self, s):
+        spec, alpha = TestSpline.SPEC, np.array([0.2, 0.1, -0.15])
+        t = v_inverse(spec, [-0.3], alpha, [1.0], s)
+        assert v_value(spec, [-0.3], alpha, [1.0], t) == pytest.approx(
+            s, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("kind,knots", [("piecewise", (0.0, 1.0, 3.0)),
+                                            ("spline", (-1.5, 0.0, 1.0))])
+    @pytest.mark.parametrize("s", [0.0, 1e-9, 1e6])
+    def test_time_varying(self, kind, knots, s):
+        eff, alpha = EffectSpec(kind, knots), np.array([0.2, -0.1])
+        tv = TimeVaryingCovariate(1e-12)
+        t = tv_v_inverse(0.4, 0.2, alpha, tv, eff, s)
+        assert tv_v_value(0.4, 0.2, alpha, tv, eff, t) == pytest.approx(
+            s, rel=1e-9, abs=0.0)
+
+
 class TestValidation:
     def test_negative_time(self):
         with pytest.raises(DomainError):

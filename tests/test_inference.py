@@ -22,6 +22,7 @@ from qvaft.inference import (
     survivor_conditional,
     tv_acceleration_factor,
 )
+from qvaft.inference import _invert_standardized, _summaries
 from qvaft.likelihood import ParameterVector, constrained_array
 from qvaft.sampler import PosteriorDraws
 
@@ -234,6 +235,23 @@ class TestStandardization:
         table = standardized_af(model, draws, data, np.array([0.3, 0.7]))
         assert np.all(table.hi95 - table.lo95 == 0.0)
         assert np.all(table.mean == table.median)
+
+    @pytest.mark.parametrize("M", [2, 3, 5, 7, 8, 11, 100])
+    def test_summaries_of_identical_rows_are_exact(self, M):
+        values = np.random.default_rng(M).uniform(0.05, 20.0, 200)
+        for stat in _summaries(np.tile(values, (M, 1))):
+            np.testing.assert_array_equal(stat, values)
+
+    def test_inverse_round_trip_in_both_tails(self):
+        model = make_model(exposure="x1", effect_kind="spline",
+                           knots=(-1.0, 0.5))
+        psi = ParameterVector(np.array([0.4, -0.2]), np.array([0.2]), 0.4, 1.2)
+        data = self.z_data()
+        p = np.array([1e-9, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-9])
+        t = _invert_standardized(model, psi, data, 1.0, p)
+        s = standardized_survivor(model, psi, data, 1.0, t)
+        np.testing.assert_allclose(np.minimum(s, 1 - s),
+                                   np.minimum(p, 1 - p), rtol=1e-6)
 
     def test_survivor_curves_table(self):
         model = make_model(exposure="x1")

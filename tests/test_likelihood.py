@@ -343,3 +343,15 @@ class TestUnrepresentableProposals:
         logp, grad = make_posterior(model, data, PRIORS)[0](z)
         assert logp == -math.inf
         assert np.array_equal(grad, np.zeros(model.n_unconstrained))
+
+
+@pytest.mark.parametrize("coord", ["log sigma", "log theta"])
+def test_constrain_overflow_names_coordinate(coord):
+    """Outside the sampler an unrepresentable scale is an input error that
+    names its coordinate."""
+    model = make_model(family="tbp", K=3)
+    z = np.zeros(model.n_unconstrained)
+    index = {"log sigma": model.n_beta + model.J + 1, "log theta": -1}[coord]
+    z[index] = 800.0
+    with pytest.raises(DomainError, match=f"{coord} = 800"):
+        constrain(model, z)

@@ -1,0 +1,61 @@
+"""The shared root-finder: per-element convergence, flat stretches and
+knots, and the failure it raises for a target f never reaches."""
+
+import numpy as np
+import pytest
+
+from qvaft.errors import NumericalError
+from qvaft.roots import increasing_root
+
+
+def kinked(t):
+    """Increasing, with a kink at t = 1 and a flat stretch on [2, 3]."""
+    t = np.asarray(t, dtype=float)
+    return (np.minimum(t, 1.0) + 0.5 * np.clip(t - 1.0, 0.0, 1.0)
+            + 2.0 * np.maximum(t - 3.0, 0.0))
+
+
+def test_elements_converge_independently():
+    y = np.array([1e-12, 0.3, 5.0, 200.0])
+    batch = increasing_root(np.log1p, y, 1.0, 1e-13, "log1p")
+    alone = [increasing_root(np.log1p, yi, 1.0, 1e-13, "log1p") for yi in y]
+    np.testing.assert_array_equal(batch, alone)
+    np.testing.assert_allclose(batch, np.expm1(y), rtol=1e-12)
+
+
+def test_keeps_the_shape_of_the_targets():
+    y = np.array([[0.5, 2.0], [3.0, 7.0]])
+    t = increasing_root(lambda t: t * t, y, np.full(y.shape, 0.1), 1e-12, "sq")
+    assert t.shape == y.shape
+    np.testing.assert_allclose(t * t, y, rtol=1e-11)
+    assert increasing_root(lambda t: t * t, np.float64(4.0), 1.0, 1e-12,
+                           "sq").shape == ()
+
+
+@pytest.mark.parametrize("y", [1.0, 1.5, 1.25, 3.0])
+def test_flat_stretch_and_knot_targets_are_bracketed(y):
+    # 1.0 sits on the kink at t = 1 and 1.5 on the whole flat stretch
+    # [2, 3]; 1.25 and 3.0 have single roots inside a segment
+    rtol = 1e-12
+    t = float(increasing_root(kinked, np.array([y]), 0.25, rtol, "kinked")[0])
+    lo, hi = t * (1 - rtol), t * (1 + rtol)
+    assert kinked(lo) <= y <= kinked(hi)
+    if y == 1.5:
+        assert 2.0 - 1e-9 <= t <= 3.0 + 1e-9
+    else:
+        assert kinked(t) == pytest.approx(y, rel=1e-11)
+
+
+def test_unreachable_target_names_the_inverse_and_targets():
+    f = lambda t: -np.exp(-t)  # noqa: E731  (tends to 0 from below)
+    with pytest.raises(NumericalError, match="demo inverse") as info:
+        increasing_root(f, np.array([-0.5, 0.25, -1e-3]), 1.0, 1e-10,
+                        "demo inverse")
+    assert info.value.context["targets"] == [0.25]
+
+
+def test_nan_counts_as_not_reached():
+    f = lambda t: np.where(t > 10.0, np.nan, t)  # noqa: E731
+    with pytest.raises(NumericalError) as info:
+        increasing_root(f, np.array([2.0, 50.0]), 1.0, 1e-10, "nan inverse")
+    assert info.value.context["targets"] == [50.0]
