@@ -4,25 +4,23 @@ Three families are supported:
 
 * Weibull:     S0(t) = exp(-[t * exp(-mu)]^sigma)
 * log-normal:  S0(t) = 1 - Phi((log t - mu) / sigma)
-* Bernstein-transformed ("tbp"): a simplex-weighted mixture of regularized
-  incomplete-beta CDFs applied to a Weibull or log-normal centering
-  survivor,
+* Bernstein-transformed ("tbp"): a degree-K Bernstein polynomial in the
+  centering (Weibull or log-normal) survivor p = S0c(t),
 
-      S0(t) = sum_{k=1..K} w_k * I(S0c(t); K - k + 1, k),
+      S0(t) = sum_{j=0..K} W_j C(K, j) p^j (1 - p)^(K - j),
+      W_j = sum_{k > K - j} w_k,
 
-  where I(x; a, b) is the regularized incomplete beta function and S0c is
-  the centering survivor. Equal weights w_k = 1/K reproduce the centering
-  distribution exactly, and any simplex weight vector yields a valid
-  (decreasing) survivor because each beta CDF is increasing on [0, 1].
+  i.e. the mixture sum_k w_k I(p; K - k + 1, k) of regularized
+  incomplete-beta CDFs. Any simplex weights give a valid survivor; equal
+  weights give W_j = j/K and reproduce the centering distribution exactly.
 
-Every formula lives in one evaluator per family, reached through
-`log_terms`: it returns log S0(u) or log f0(u) and, on request, the
-partials in u, mu, log sigma and the weights. `log_survivor`,
-`log_density`, `survivor` and `density` and the likelihood all call it.
-The tbp survivor on the probability scale (`survivor`, and the root search
-of `inverse_survivor` through `roots.increasing_root`) goes through
-scipy's `betainc` instead, which also serves the tests as an independent
-check on the log-space binomial sums.
+Every formula lives in one evaluator per family, `log_terms`: log S0(u) or
+log f0(u) and, on request, the partials in u, mu, log sigma and the
+weights. The public functions (`survivor` is exp log S0) and the
+likelihood call it. For tbp all of these come from the log Bernstein basis
+at p. `inverse_survivor` solves log F0 - log S0 of the same basis for the
+centering cumulative hazard -log S0c (F0 from the prefix sums of w), then
+applies the closed-form centering inverse, as the parametric families do.
 
 All operations are pure functions of immutable value objects and accept a
 scalar or ndarray time argument.
@@ -30,6 +28,7 @@ scalar or ndarray time argument.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +47,6 @@ __all__ = [
     "log_density",
     "inverse_survivor",
 ]
-
-# log of the smallest positive normal double; below this a log-probability
-# is treated as -inf rather than fed to downstream exp/expm1 calls.
-LOG_FLOOR = -745.0
-
 
 @dataclass(frozen=True)
 class BaselineParams:
@@ -202,71 +196,75 @@ def _lognormal_terms(mu, sigma, u, pdf, grad):
 _PARAMETRIC = {"weibull": _weibull_terms, "lognormal": _lognormal_terms}
 
 
-def tbp_shape_pairs(K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Beta shape pairs (a_k, b_k) = (K - k + 1, k) for k = 1..K."""
-    k = np.arange(1, K + 1)
-    return (K - k + 1).astype(float), k.astype(float)
+@functools.lru_cache(maxsize=None)
+def _binomial(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log C(n, j), j and n - j, for j = 0..n (read-only, shared)."""
+    j = np.arange(n + 1.0)
+    out = (special.gammaln(n + 1.0) - special.gammaln(j + 1.0)
+           - special.gammaln(n - j + 1.0), j, n - j)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def _log_betainc_integer(a: np.ndarray, b: np.ndarray, logp: np.ndarray,
-                         log1mp: np.ndarray) -> np.ndarray:
-    """log I(p; a, b) for positive integer shapes via the binomial tail sum
+def _log_bernstein(n: int, logp) -> np.ndarray:
+    """The degree-n Bernstein basis in log space on a new last axis,
 
-        I(p; a, b) = sum_{j=a}^{n} C(n, j) p^j (1-p)^(n-j),  n = a + b - 1,
+        log b_j(p) = log C(n, j) + j log p + (n - j) log(1 - p),  j = 0..n.
 
-    evaluated with log-sum-exp so it stays finite for p near 0 or 1.
-    Shapes: a, b are (K,), logp/log1mp are (...,); result is (..., K).
-    """
-    n = int(round(float(a[0] + b[0]) - 1.0))
-    j = np.arange(1, n + 1, dtype=float)  # smallest a is 1
-    logcomb = (special.gammaln(n + 1.0) - special.gammaln(j + 1.0)
-               - special.gammaln(n - j + 1.0))
-    terms = (logcomb + j * logp[..., None, None]
-             + _zero_safe_mul(n - j, log1mp[..., None, None]))  # (..., 1, n)
-    mask = j[None, :] >= a[:, None]  # (K, n): include j >= a_k only
-    terms = np.where(mask, terms, -np.inf)
-    return special.logsumexp(terms, axis=-1)
+    log(1 - p) is taken at p <= 1 - 1e-300, so at p = 1 the last column is
+    exactly 0 and the others are finite; the first column is written apart
+    so that p = 0 gives 0 there, not NaN from 0 * -inf."""
+    logc, j, nj = _binomial(n)
+    log1mp = np.log(-np.expm1(np.minimum(logp, -1e-300)))
+    lb = logc + np.multiply.outer(logp, j) + np.multiply.outer(log1mp, nj)
+    lb[..., 0] = n * log1mp
+    return lb
 
 
-def _zero_safe_mul(c, logv):
-    """c * logv with the convention 0 * (-inf) = 0."""
-    return np.where(np.asarray(c) == 0, 0.0, c * logv)
+def _log_bsum(lb: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """log sum_j coef_j b_j over the last axis of lb = log b, for coef >= 0,
+    shifted by the largest term so that it stays finite far in the tails."""
+    a = lb + np.log(coef)
+    m = a.max(axis=-1, keepdims=True)
+    m = np.where(m > -np.inf, m, 0.0)  # no finite term: the sum is -inf
+    return (m + np.log(np.exp(a - m).sum(axis=-1, keepdims=True)))[..., 0]
 
 
 def _tbp_terms(spec, mu, sigma, w, u, pdf, grad):
-    """Bernstein-transformed baseline on top of the centering evaluator:
-    log S0 = log sum_k w_k I_k(p) and log f0 = log fc + log sum_k w_k g_k(p),
-    with p = S0c(u) and g_k the Beta(a_k, b_k) density."""
+    """Bernstein-transformed baseline on top of the centering evaluator, at
+    p = S0c(u), from one Bernstein basis:
+
+        S0 = sum_{j=1..K} W_j b_{K,j}(p),   W_j = sum_{k > K-j} w_k,
+        f0 = fc * K * sum_{j=0..K-1} w_{K-j} b_{K-1,j}(p).
+
+    The partials come from the normalised basis r_j = b_j / sum: d log S0/dw_k
+    = sum_{j > K-k} r_j, d log f0/dw_k = r_{K-k}, and p d/dp of the log sum
+    is sum_j j w_{K+1-j} r_j for S0 and sum_j j (w_{K-j} - w_{K+1-j}) r_j for
+    f0."""
+    K = spec.K
     centering = _PARAMETRIC[spec.centering]
     sc = centering(mu, sigma, u, False, grad)
-    logp = sc.val
-    log1mp = _log1mexp(np.minimum(logp, -1e-300))
-    a, b = tbp_shape_pairs(spec.K)
-    logw = np.log(w)
-    if pdf or grad:
-        logg = (-special.betaln(a, b) + _zero_safe_mul(a - 1.0, logp[..., None])
-                + _zero_safe_mul(b - 1.0, log1mp[..., None]))  # (..., K)
-        logG = special.logsumexp(logw + logg, axis=-1)
+    wr = w[::-1]
     if pdf:
         fc = centering(mu, sigma, u, True, grad)
-        val = fc.val + logG
-        if not grad:
-            return BaselineTerms(val)
-        rho = np.exp(logw + logg - logG[..., None])  # weights summing to 1
-        p_c = np.clip(np.exp(logp), 1e-300, 1.0 - 1e-16)[..., None]
-        c = (a - 1.0) / p_c - (b - 1.0) / (1.0 - p_c)
-        chain = (rho * c).sum(axis=-1) * np.exp(logp)  # (Gmix'/Gmix) dp/dlogp
+        lb = _log_bernstein(K - 1, sc.val)
+        logsum = _log_bsum(lb, wr)
+        val = fc.val + np.log(K) + logsum
+    else:
+        lb = _log_bernstein(K, sc.val)[..., 1:]  # W_0 = 0
+        val = logsum = _log_bsum(lb, np.cumsum(wr))
+    if not grad:
+        return BaselineTerms(val)
+    r = np.exp(lb - logsum[..., None])
+    if pdf:
+        chain = r @ (np.arange(K) * np.diff(wr, prepend=0.0))
         return BaselineTerms(val, fc.d_du + chain * sc.d_du,
                              fc.d_dmu + chain * sc.d_dmu,
-                             fc.d_dls + chain * sc.d_dls,
-                             np.exp(logg - logG[..., None]))
-    logI = _log_betainc_integer(a, b, logp, log1mp)  # (..., K)
-    logS = special.logsumexp(logw + logI, axis=-1)
-    if not grad:
-        return BaselineTerms(logS)
-    chain = np.exp(logG - logS + logp)  # (Gmix / Smix) dp/dlogp
-    return BaselineTerms(logS, chain * sc.d_du, chain * sc.d_dmu,
-                         chain * sc.d_dls, np.exp(logI - logS[..., None]))
+                             fc.d_dls + chain * sc.d_dls, r[..., ::-1])
+    chain = r @ (np.arange(1, K + 1) * wr)
+    return BaselineTerms(val, chain * sc.d_du, chain * sc.d_dmu,
+                         chain * sc.d_dls, np.cumsum(r[..., ::-1], axis=-1))
 
 
 def log_terms(spec: BaselineSpec, mu: float, sigma: float, w, u,
@@ -281,41 +279,29 @@ def log_terms(spec: BaselineSpec, mu: float, sigma: float, w, u,
         return _PARAMETRIC[spec.family](mu, sigma, u, pdf, grad)
 
 
-def _weibull_inv_sf(mu: float, sigma: float, p) -> np.ndarray:
-    return np.exp(mu) * (-np.log(p)) ** (1.0 / sigma)
+def _centering_quantile(family: str, mu: float, sigma: float, q):
+    """The time at which the Weibull or log-normal survivor is exp(-q), for a
+    cumulative hazard q > 0; closed form."""
+    if family == "weibull":
+        return np.exp(mu) * q ** (1.0 / sigma)
+    return np.exp(mu - sigma * special.ndtri_exp(-q))
 
 
-def _lognormal_inv_sf(mu: float, sigma: float, p) -> np.ndarray:
-    return np.exp(mu + sigma * special.ndtri(1.0 - np.asarray(p, dtype=float)))
+def _tbp_hazard(K: int, w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The centering cumulative hazard q = -log S0c at which the tbp survivor
+    is p. `roots.increasing_root` solves log F0 - log S0 = log((1 - p) / p),
+    with F0 and S0 from one degree-K basis and the prefix and suffix sums of
+    w, so neither tail is a difference of nearly equal numbers. The basis
+    sums to 1, so its largest term never underflows and needs no shift."""
+    coef = np.stack([np.append(np.cumsum(w)[::-1], 0.0),    # F0: sum_{k<=K-j}
+                     np.append(0.0, np.cumsum(w[::-1]))], 1)  # S0: sum_{k>K-j}
 
-
-def _centering_inv_sf(spec: BaselineSpec, params: BaselineParams, p):
-    if spec.centering == "weibull":
-        return _weibull_inv_sf(params.mu, params.sigma, p)
-    return _lognormal_inv_sf(params.mu, params.sigma, p)
-
-
-def _tbp_sf(spec, params, w: TBPWeights, t: np.ndarray) -> np.ndarray:
-    """S0 on the probability scale through scipy's betainc: the value path
-    of `survivor` and the TBP inverse, and an independent check on the
-    log-space binomial sums of `log_terms`."""
+    def log_odds(q):
+        fs = np.exp(_log_bernstein(K, -q)) @ coef
+        return np.log(fs[:, 0] / fs[:, 1])
     with np.errstate(divide="ignore", over="ignore"):
-        logsc = _PARAMETRIC[spec.centering](params.mu, params.sigma, t,
-                                            False, False).val
-    a, b = tbp_shape_pairs(spec.K)
-    vals = special.betainc(a, b, np.exp(logsc)[..., None])
-    return vals @ w.as_array()
-
-
-def _log1mexp(logx: np.ndarray) -> np.ndarray:
-    """log(1 - exp(logx)) for logx <= 0, stable near both ends."""
-    logx = np.asarray(logx, dtype=float)
-    out = np.empty_like(logx)
-    small = logx < np.log(0.5)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[small] = np.log1p(-np.exp(logx[small]))
-        out[~small] = np.log(-np.expm1(logx[~small]))
-    return out
+        return increasing_root(log_odds, np.log1p(-p) - np.log(p),
+                               -2.0 * np.log(p), 1e-10, "tbp inverse")
 
 
 # -- public operations ----------------------------------------------------
@@ -336,12 +322,7 @@ def log_survivor(spec: BaselineSpec, params: BaselineParams,
 def survivor(spec: BaselineSpec, params: BaselineParams,
              w: TBPWeights | None, t):
     """Baseline survivor S0(t) in [0, 1]."""
-    if spec.is_tbp:
-        _check_weights(spec, w)
-        out = _tbp_sf(spec, params, w, _as_time_array(t, allow_zero=True))
-    else:
-        out = np.exp(_public_terms(spec, params, w, t, pdf=False))
-    return _scalar_like(t, out)
+    return _scalar_like(t, np.exp(_public_terms(spec, params, w, t, pdf=False)))
 
 
 def log_density(spec: BaselineSpec, params: BaselineParams,
@@ -360,20 +341,20 @@ def inverse_survivor(spec: BaselineSpec, params: BaselineParams,
                      w: TBPWeights | None, p):
     """The time t solving S0(t) = p, for p in (0, 1).
 
-    Closed form for the parametric families. For the Bernstein-transformed
-    family, `roots.increasing_root` solves -S0(t) = -p to a relative 1e-10,
-    starting from the centering quantile at p/10.
+    The centering's cumulative hazard q = -log S0c(t) is -log p for the
+    parametric families; for the Bernstein-transformed family it is found by
+    `roots.increasing_root` to a relative 1e-10 (see `_tbp_hazard`). The
+    closed-form centering inverse then gives t.
     """
     _check_weights(spec, w)
     parr = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(parr)) or np.any(parr <= 0) or np.any(parr >= 1):
         raise DomainError("quantile level p must lie in (0, 1)")
-    if spec.family == "weibull":
-        out = _weibull_inv_sf(params.mu, params.sigma, parr)
-    elif spec.family == "lognormal":
-        out = _lognormal_inv_sf(params.mu, params.sigma, parr)
+    if spec.is_tbp:
+        q = _tbp_hazard(spec.K, w.as_array(), parr)
+        family = spec.centering
     else:
-        out = increasing_root(lambda t: -_tbp_sf(spec, params, w, t), -parr,
-                              _centering_inv_sf(spec, params, parr / 10.0),
-                              1e-10, "tbp inverse")
-    return _scalar_like(p, out)
+        q = -np.log(parr)
+        family = spec.family
+    return _scalar_like(p, _centering_quantile(family, params.mu, params.sigma,
+                                               q))

@@ -207,7 +207,12 @@ def resolve_model(raw: dict, data: Dataset | None) -> ModelSpec:
     kind = _str(esec, "model.effect", "kind", default="constant",
                 choices=("constant", "piecewise", "spline"))
     exposure = _str(esec, "model.effect", "flexible_covariate")
-    time_varying = bool(esec.get("time_varying", False))
+    time_varying = esec.get("time_varying")
+    if time_varying is None:
+        time_varying = False
+    elif not isinstance(time_varying, bool):
+        raise ConfigError("model.effect.time_varying: expected true or false, "
+                          f"got {time_varying!r}")
 
     covs = msec.get("covariates")
     if covs is None:
@@ -317,9 +322,7 @@ def resolve_truth(raw: dict, model: ModelSpec) -> ParameterVector:
         raise ConfigError("truth.beta: must map coefficient names to values")
     beta = []
     for name in model.beta_names:
-        if name not in bmap:
-            raise ConfigError(f"truth.beta.{name}: required value missing")
-        beta.append(float(bmap[name]))
+        beta.append(_num(bmap, "truth.beta", name, required=True))
     extra = set(bmap) - set(model.beta_names)
     if extra:
         raise ConfigError(f"truth.beta.{sorted(extra)[0]}: not a model "

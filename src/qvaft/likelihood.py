@@ -323,6 +323,17 @@ def _monotone_ok(prep: Prepared, alpha: np.ndarray) -> bool:
 
 # -- likelihood ---------------------------------------------------------------
 
+def _log1mexp(logx: np.ndarray) -> np.ndarray:
+    """log(1 - exp(logx)) for logx <= 0, stable near both ends."""
+    logx = np.asarray(logx, dtype=float)
+    out = np.empty_like(logx)
+    small = logx < np.log(0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[small] = np.log1p(-np.exp(logx[small]))
+        out[~small] = np.log(-np.expm1(logx[~small]))
+    return out
+
+
 def _pointwise(model: ModelSpec, psi: ParameterVector, prep: Prepared,
                want_grad: bool):
     """Per-subject log-likelihood vector in one pass over the stacked rows.
@@ -354,7 +365,7 @@ def _pointwise_impl(model, psi, prep, want_grad):
     bad = delta >= 0
     delta = np.where(bad, -1e-300, delta)
     main = val[:n].copy()
-    main[prep.lo] = np.where(bad, -np.inf, lower + bl._log1mexp(delta))
+    main[prep.lo] = np.where(bad, -np.inf, lower + _log1mexp(delta))
     ll = np.empty(n)
     ll[prep.main] = main
     ll[prep.idx_trunc] -= val[prep.tr]

@@ -57,6 +57,12 @@ class TestClosedForms:
         assert inverse_survivor(WEIBULL, STD, None, np.exp(-1.0)) == \
             pytest.approx(1.0, rel=1e-14)
 
+    def test_lognormal_quantile_in_both_tails(self):
+        for p in (1e-20, 1 - 1e-12):
+            t = inverse_survivor(LOGNORMAL, STD, None, p)
+            assert log_survivor(LOGNORMAL, STD, None, t) == pytest.approx(
+                np.log(p), rel=1e-9)
+
     def test_exponential_rate_03_median(self):
         # S0(t) = exp(-0.3 t) is Weibull with mu = log(1/0.3), sigma = 1
         pars = BaselineParams(np.log(1.0 / 0.3), 1.0)
@@ -79,9 +85,12 @@ class TestBernsteinTransform:
 
     def test_skewed_weights_against_beta_cdf_sum(self):
         t = np.linspace(0.01, 8.0, 200)
-        got = survivor(TBP5, STD, SKEW_W, t)
-        assert np.all(np.diff(got) < 0)
-        assert np.abs(got - tbp_oracle(SKEW_W.as_array(), t)).max() < 1e-13
+        for K, w in ((5, SKEW_W), (1, TBPWeights((1.0,))),
+                     (20, TBPWeights(np.arange(1.0, 21.0) ** 2 / 2870.0))):
+            got = survivor(BaselineSpec("tbp", "weibull", K), STD, w, t)
+            want = tbp_oracle(w.as_array(), t, K=K)
+            assert np.all(np.diff(got) < 0), K
+            assert np.abs(got - want).max() < 1e-13, K
 
     def test_lognormal_centering(self):
         spec = BaselineSpec("tbp", "lognormal", 4)
@@ -164,7 +173,7 @@ class TestTBPInverseTails:
 
     @pytest.mark.parametrize("K", [3, 5])
     def test_equal_weights_match_centering_closed_form(self, K):
-        p = np.array([1e-12, 0.3, 1 - 1e-6, 1 - 1e-9])
+        p = np.array([1e-12, 0.3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
         pars = BaselineParams(0.3, 1.2)
         got = inverse_survivor(BaselineSpec("tbp", "weibull", K), pars,
                                TBPWeights((1.0 / K,) * K), p)

@@ -87,6 +87,16 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("truth.beta.x1", "abc"),
+        ("model.effect.time_varying", "no"),
+    ])
+    def test_bad_value_named_in_error(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {key: value})
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_unknown_key_named_in_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"simulate.nn": 10})
         assert main(["simulate", "--config", cfg,

@@ -52,7 +52,8 @@ def assert_grad_matches(model, data, rng, tries=6):
 
 
 FAMILIES = [("weibull", "weibull", 0), ("lognormal", "weibull", 0),
-            ("tbp", "weibull", 4), ("tbp", "lognormal", 4)]
+            ("tbp", "weibull", 4), ("tbp", "lognormal", 4),
+            ("tbp", "weibull", 1), ("tbp", "lognormal", 20)]
 EFFECTS = [("constant", ()), ("piecewise", (0.0, 1.0, 2.5)),
            ("spline", (-1.5, 0.0, 1.2))]
 
