@@ -48,6 +48,7 @@ from .modelcheck import (
     write_loo_report,
 )
 from .sampler import (
+    DRAWS_FORMAT_VERSION,
     PosteriorDraws,
     SamplerConfig,
     draws_from_csv,
@@ -169,11 +170,15 @@ def _load_fit(fit_dir: str):
         raise DataError(f"{fit_dir}: missing fit artifacts: {missing}")
     with open(meta_path) as fh:
         meta = json.load(fh)
+    _check_version(meta_path, meta.get("format_version"), FIT_FORMAT_VERSION)
     model = cfgmod.model_from_jsonable(meta["model"])
     data = read_csv(os.path.join(fit_dir, "data.csv"))
     npz_path = os.path.join(fit_dir, "draws.npz")
     if os.path.exists(npz_path):
         raw = np.load(npz_path, allow_pickle=False)
+        _check_version(npz_path, raw["format_version"].item()
+                       if "format_version" in raw else None,
+                       DRAWS_FORMAT_VERSION)
         draws = PosteriorDraws(
             raw["z"], raw["constrained"],
             tuple(str(s) for s in raw["param_names"]),
@@ -182,6 +187,12 @@ def _load_fit(fit_dir: str):
     else:
         draws = draws_from_csv(os.path.join(fit_dir, "draws.csv"), model)
     return meta, model, data, draws
+
+
+def _check_version(path: str, found, known: int) -> None:
+    if found != known:
+        raise DataError(f"{path}: format_version {found!r} is not one this "
+                        f"qvaft reads (it reads {known})")
 
 
 # -- simulate ---------------------------------------------------------------------

@@ -91,7 +91,7 @@ def _int(section: dict, path: str, key: str, default=None, required=False):
     val = _num(section, path, key, default, required)
     if val is None:
         return None
-    if float(val) != int(val):
+    if not math.isfinite(val) or val != int(val):
         raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
     return int(val)
 
@@ -111,10 +111,10 @@ def _str(section: dict, path: str, key: str, default=None, required=False,
     return val
 
 
-def _unknown_keys(section: dict, path: str, known) -> None:
+def _unknown_keys(section: dict, path: str, known, why="unknown key") -> None:
     extra = set(section) - set(known)
     if extra:
-        raise ConfigError(f"{path}.{sorted(extra)[0]}: unknown key")
+        raise ConfigError(f"{path}.{sorted(extra)[0]}: {why}")
 
 
 # -- knot placement ------------------------------------------------------------
@@ -345,12 +345,26 @@ def resolve_truth(raw: dict, model: ModelSpec) -> ParameterVector:
         raise ConfigError(f"truth: {err}") from None
 
 
-_COV_PARAM_KEYS = {
+_DIST_PARAM_KEYS = {
     "bernoulli": ("p",),
     "normal": ("mean", "sd"),
     "uniform": ("lo", "hi"),
     "constant": ("value",),
+    "fixed": ("time",),
+    "exponential": ("rate",),
+    "none": (),
 }
+
+
+def _dist(sec: dict, path: str, choices: tuple, default=None, extra=()):
+    """(dist, parameters) of a distribution block; a key its `dist` does
+    not take is an error naming the key."""
+    dist = _str(sec, path, "dist", default=default, required=default is None,
+                choices=choices)
+    keys = _DIST_PARAM_KEYS[dist]
+    _unknown_keys(sec, path, ("dist",) + keys + extra,
+                  f"not a parameter of dist {dist!r}")
+    return dist, tuple(_num(sec, path, k, required=True) for k in keys)
 
 
 def resolve_sim(raw: dict, model: ModelSpec, psi: ParameterVector,
@@ -368,13 +382,8 @@ def resolve_sim(raw: dict, model: ModelSpec, psi: ParameterVector,
             raise ConfigError(f"simulate.covariates.{name}: required")
         if not isinstance(spec, dict):
             raise ConfigError(f"simulate.covariates.{name}: must be a mapping")
-        dist = _str(spec, f"simulate.covariates.{name}", "dist", required=True,
-                    choices=tuple(_COV_PARAM_KEYS))
-        keys = _COV_PARAM_KEYS[dist]
-        _unknown_keys(spec, f"simulate.covariates.{name}", ("dist",) + keys)
-        params = tuple(
-            _num(spec, f"simulate.covariates.{name}", k, required=True)
-            for k in keys)
+        dist, params = _dist(spec, f"simulate.covariates.{name}",
+                             ("bernoulli", "normal", "uniform", "constant"))
         try:
             gens.append(CovariateSpec(dist, params))
         except Exception as err:
@@ -389,39 +398,16 @@ def resolve_sim(raw: dict, model: ModelSpec, psi: ParameterVector,
         visit_gap=_num(xsec, "simulate.censoring", "visit_gap"),
     )
 
-    tsec = _section(sec, "truncation")
-    _unknown_keys(tsec, "simulate.truncation", ("dist", "lo", "hi", "time",
-                                                "rate"))
-    tdist = _str(tsec, "simulate.truncation", "dist", default="none",
-                 choices=("none", "fixed", "uniform", "exponential"))
-    if tdist == "none":
-        truncation = TruncationSpec()
-    elif tdist == "fixed":
-        truncation = TruncationSpec("fixed", (_num(tsec, "simulate.truncation",
-                                                   "time", required=True),))
-    elif tdist == "uniform":
-        truncation = TruncationSpec("uniform", (
-            _num(tsec, "simulate.truncation", "lo", required=True),
-            _num(tsec, "simulate.truncation", "hi", required=True)))
-    else:
-        truncation = TruncationSpec("exponential", (
-            _num(tsec, "simulate.truncation", "rate", required=True),))
+    truncation = TruncationSpec(*_dist(
+        _section(sec, "truncation"), "simulate.truncation",
+        ("none", "fixed", "uniform", "exponential"), default="none"))
 
     onset = None
     if model.time_varying:
         osec = _section(sec, "onset", required=True)
-        _unknown_keys(osec, "simulate.onset", ("dist", "lo", "hi", "time",
-                                               "rate", "never_prob"))
-        odist = _str(osec, "simulate.onset", "dist", required=True,
-                     choices=("fixed", "uniform", "exponential"))
-        if odist == "fixed":
-            params = (_num(osec, "simulate.onset", "time", required=True),)
-        elif odist == "uniform":
-            params = (_num(osec, "simulate.onset", "lo", required=True),
-                      _num(osec, "simulate.onset", "hi", required=True))
-        else:
-            params = (_num(osec, "simulate.onset", "rate", required=True),)
-        onset = OnsetSpec(odist, params,
+        onset = OnsetSpec(*_dist(osec, "simulate.onset",
+                                 ("fixed", "uniform", "exponential"),
+                                 extra=("never_prob",)),
                           _num(osec, "simulate.onset", "never_prob",
                                default=0.0))
 

@@ -33,15 +33,18 @@ basis at log(s)). The covariate has not yet switched at t == t_x.
 Derivatives at piecewise breakpoints use the right-hand limit so the
 likelihood is deterministic for observations landing exactly on a knot.
 
-V and log v have one implementation, `transform`. It reads a `TimeBasis`,
-the part of V that depends only on the times (and switch times), which
-the likelihood builds once per dataset, and returns V, log v and their
-partials in alpha and the switch coefficient. `v_value`, `v_deriv`,
-`tv_v_value`, the likelihood and the g-formula time profile are thin
-callers of it. The inverses are closed forms where one exists (constant,
-piecewise, constant switch effect); the spline and flexible switch
-inverses call the shared root-finder `roots.increasing_root`. All
-functions are pure and accept scalar or ndarray time arguments.
+Each rule has one implementation, and the public functions are thin
+callers of it. V and log v: `transform`, which reads a `TimeBasis` (the
+part of V that depends only on the times and switch times, built once per
+dataset by the likelihood) and returns V, log v and their partials in
+alpha and the switch coefficient. V^{-1}: `transform_inverse`, with the
+same (eta, x1, b1, onset) arguments; closed forms where one exists
+(constant, piecewise, constant switch effect), the shared root-finder
+`roots.increasing_root` for the spline and flexible switch effects.
+Monotonicity: `is_monotone`, the condition 1 - x1 * g'(log t) > 0 (or
+1 - s a'(s) > 0 after a switch) on a slope basis from `slope_basis`.
+`ModelSpec.predictor` turns a model's beta and covariates into those
+arguments. All functions are pure and accept scalar or ndarray times.
 """
 
 from __future__ import annotations
@@ -62,6 +65,11 @@ __all__ = [
     "v_inverse",
     "tv_v_value",
     "tv_v_inverse",
+    "transform",
+    "transform_value",
+    "transform_inverse",
+    "slope_basis",
+    "is_monotone",
     "monotonicity_check",
     "tv_monotonicity_check",
     "spline_basis",
@@ -124,21 +132,23 @@ class TimeVaryingCovariate:
                 f"change time must be > 0 (or +inf), got {self.change_time}")
 
 
-def _check_alpha(spec: EffectSpec, alpha) -> np.ndarray:
+def _check_alpha(spec: EffectSpec | None, alpha) -> np.ndarray:
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if spec.kind == "constant" and alpha.size == 0:
-        return alpha
-    if alpha.size != spec.J:
-        raise DomainError(f"alpha has length {alpha.size}, expected {spec.J}")
+    J = 0 if spec is None else spec.J
+    if alpha.size != J:
+        raise DomainError(f"alpha has length {alpha.size}, expected {J}")
     return alpha
 
 
-def _linpred(beta, x) -> float:
+def _pattern(spec: EffectSpec, beta, x, x1_index: int):
+    """(eta, x1) of one covariate pattern x, for the functions below that
+    take beta and x rather than a model."""
     beta = np.asarray(beta, dtype=float)
     x = np.asarray(x, dtype=float)
     if beta.shape != x.shape:
         raise DomainError(f"beta shape {beta.shape} != x shape {x.shape}")
-    return float(x @ beta) if beta.size else 0.0
+    eta = float(x @ beta) if beta.size else 0.0
+    return eta, (0.0 if spec.kind == "constant" else float(x[x1_index]))
 
 
 # -- natural cubic spline basis -------------------------------------------
@@ -205,7 +215,7 @@ def piecewise_segment(knots: np.ndarray, t):
     return np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 1)
 
 
-# -- time-varying basis on the time-since-switch axis ----------------------
+# -- switch basis on the time-since-switch axis; monotonicity slopes -------
 
 def tv_basis(effect: EffectSpec, s):
     """Flexible-effect basis at time-since-switch s > 0, shape s.shape + (J,)."""
@@ -218,15 +228,21 @@ def tv_basis(effect: EffectSpec, s):
     return spline_basis(effect.knot_array(), np.log(s))
 
 
-def tv_basis_sderiv(effect: EffectSpec, s):
-    """s * d/ds of `tv_basis`, shape s.shape + (J,)."""
-    s = np.asarray(s, dtype=float)
-    if effect.kind == "piecewise":
-        knots = effect.knot_array()
-        seg = piecewise_segment(knots, s)
-        active = seg[..., None] == np.arange(1, len(knots))
-        return active.astype(float) - tv_basis(effect, s)
-    return spline_basis_deriv(effect.knot_array(), np.log(s))
+def slope_basis(effect: EffectSpec | None, grid, time_varying: bool = False):
+    """The basis D of the monotonicity rule (see `is_monotone`) on a grid
+    of times, or of times since the switch for a switch effect: g'(log t)
+    per alpha for a spline effect, s a'(s) for a switch effect, shape
+    grid.shape + (J,). None for the kinds that are increasing for every
+    finite alpha (constant; piecewise without a switch)."""
+    grid = np.asarray(grid, dtype=float)
+    kind = "constant" if effect is None else effect.kind
+    if kind == "constant" or (kind == "piecewise" and not time_varying):
+        return None
+    knots = effect.knot_array()
+    if kind == "spline":  # d/dlog t of B(log t), with or without a switch
+        return spline_basis_deriv(knots, np.log(grid))
+    active = piecewise_segment(knots, grid)[..., None] == np.arange(1, len(knots))
+    return active.astype(float) - tv_basis(effect, grid)
 
 
 # -- the evaluator: V and log v with parameter partials ----------------------
@@ -241,7 +257,7 @@ class TimeBasis:
     time-varying covariate, its switch times `onset`) but not on the
     parameters, so it is computed once and reused by `transform`.
 
-    The slope parts that only log v needs (`seg`, `Bp`, `sBp`) cover the
+    The slope parts that only log v needs (`seg`, `slopes`) cover the
     leading `n_slope` rows of t (None: all rows) and are built on first use.
     """
 
@@ -272,13 +288,9 @@ class TimeBasis:
                                  _lead(self.t, self.n_slope))
 
     @cached_property
-    def Bp(self):
-        return spline_basis_deriv(self.effect.knot_array(),
-                                  np.log(_lead(self.t, self.n_slope)))
-
-    @cached_property
-    def sBp(self):
-        return tv_basis_sderiv(self.effect, _lead(self.s, self.n_slope))
+    def slopes(self):
+        return slope_basis(self.effect, _lead(self.s if self.tv else self.t,
+                                              self.n_slope), self.tv)
 
 
 class TransformTerms:
@@ -323,7 +335,7 @@ def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, x1=0.0, b1=0.0,
             post = _lead(basis.post, k)
             one_minus = 1.0
             if kind != "constant":
-                one_minus = np.where(post, 1.0 - basis.sBp @ alpha, 1.0)
+                one_minus = np.where(post, 1.0 - basis.slopes @ alpha, 1.0)
                 out.ok = bool(np.all(one_minus > 0.0))
             out.logv = -_lead(eta, k) + np.where(
                 post, -b1 - _lead(a, k) + np.log(np.maximum(one_minus, 0.0)),
@@ -332,7 +344,7 @@ def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, x1=0.0, b1=0.0,
                 out.dlv_db1 = -post.astype(float)
                 out.dlv_dalpha = (
                     np.where(post[..., None], -_lead(basis.B, k)
-                             - basis.sBp / one_minus[..., None], 0.0) if J
+                             - basis.slopes / one_minus[..., None], 0.0) if J
                     else np.zeros(post.shape + (0,)))
         return out
 
@@ -371,67 +383,54 @@ def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, x1=0.0, b1=0.0,
         if grad:
             out.du_dalpha = -(x1 * out.u)[..., None] * basis.B
         if logv:
-            one_minus = 1.0 - x1s * (basis.Bp @ alpha)
+            one_minus = 1.0 - x1s * (basis.slopes @ alpha)
             out.ok = bool(np.all(one_minus > 0.0))
             out.logv = (-_lead(eta, k) - x1s * _lead(g, k)
                         + np.log(np.maximum(one_minus, 0.0)))
             if grad:
                 out.dlv_dalpha = (-x1s[..., None] * _lead(basis.B, k)
-                                  - (x1s / one_minus)[..., None] * basis.Bp)
+                                  - (x1s / one_minus)[..., None] * basis.slopes)
     return out
 
 
 # -- V, v, V^{-1} ----------------------------------------------------------
 
-def _x1(spec: EffectSpec, x, x1_index: int) -> float:
-    if spec.kind == "constant":
-        return 0.0
-    return float(np.asarray(x, dtype=float)[x1_index])
+def _nonnegative(a, what: str) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if np.any(np.isnan(a)) or np.any(a < 0):
+        raise DomainError(f"{what} must be >= 0")
+    return a
 
 
-def v_value(spec: EffectSpec, beta, alpha, x, t, x1_index: int = 0):
-    """V(t|x); t >= 0 with V(0) = 0."""
-    alpha = _check_alpha(spec, alpha)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(np.isnan(t_arr)) or np.any(t_arr < 0):
-        raise DomainError("time must be >= 0")
-    tt = transform(TimeBasis(spec, t_arr), alpha, _linpred(beta, x),
-                   _x1(spec, x, x1_index))
-    return _scalar_like(t, tt.u)
+def transform_value(effect: EffectSpec | None, alpha: np.ndarray, t, eta=0.0,
+                    x1=0.0, b1=0.0, onset=None):
+    """V(t) for t >= 0 (V(0) = 0) with the arguments of `transform`;
+    `onset` is the switch time of a binary time-varying covariate (None:
+    no switch)."""
+    basis = TimeBasis(effect, _nonnegative(t, "time"), onset)
+    return _scalar_like(t, transform(basis, alpha, eta, x1, b1).u)
 
 
-def v_deriv(spec: EffectSpec, beta, alpha, x, t, x1_index: int = 0):
-    """v(t|x) = dV/dt for t > 0; right-hand value at piecewise breakpoints.
-    Clamped at 0 where a spline transform is not increasing."""
-    alpha = _check_alpha(spec, alpha)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(np.isnan(t_arr)) or np.any(t_arr <= 0):
-        raise DomainError("time must be > 0")
-    tt = transform(TimeBasis(spec, t_arr), alpha, _linpred(beta, x),
-                   _x1(spec, x, x1_index), logv=True)
-    return _scalar_like(t, np.exp(tt.logv))
+def transform_inverse(effect: EffectSpec | None, alpha: np.ndarray, s,
+                      eta=0.0, x1=0.0, b1=0.0, onset=None):
+    """The one V^{-1}: the time t with V(t) = s, for s >= 0, where V is the
+    transform `transform_value` evaluates with the same arguments.
 
-
-def v_inverse(spec: EffectSpec, beta, alpha, x, s, x1_index: int = 0):
-    """The time t with V(t|x) = s, for s >= 0.
-
-    Closed form for constant and piecewise kinds; a root search on the
-    log-time axis for the spline kind (V must be increasing, which is the
-    caller's responsibility to ensure via `monotonicity_check`).
+    Closed form for constant and piecewise kinds and for a constant switch
+    effect; a root search for the spline kind (on the log-time axis) and
+    for a flexible switch effect (on the time-since-switch axis). V must be
+    increasing, which is the caller's to ensure via `is_monotone`.
     """
-    alpha = _check_alpha(spec, alpha)
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(np.isnan(s_arr)) or np.any(s_arr < 0):
-        raise DomainError("target value must be >= 0")
-    eta = _linpred(beta, x)
-    x1 = _x1(spec, x, x1_index)
-
-    if spec.kind == "constant":
+    s_arr = _nonnegative(s, "target value")
+    kind = "constant" if effect is None else effect.kind
+    if onset is not None:
+        out = _switch_inverse(effect, kind, alpha, s_arr, eta, b1, onset)
+    elif kind == "constant":
         out = s_arr * np.exp(eta)
-    elif spec.kind == "piecewise":
-        out = _piecewise_inverse(spec.knot_array(), eta, x1, alpha, s_arr)
+    elif kind == "piecewise":
+        out = _piecewise_inverse(effect.knot_array(), eta, x1, alpha, s_arr)
     else:
-        out = _spline_inverse(spec.knot_array(), eta, x1, alpha, s_arr)
+        out = _spline_inverse(effect.knot_array(), eta, x1, alpha, s_arr)
     return _scalar_like(s, out)
 
 
@@ -458,6 +457,45 @@ def _spline_inverse(knots, eta, x1, alpha, s):
     return out
 
 
+def _switch_inverse(effect, kind, alpha, s, eta, b1, t_x):
+    scale = np.exp(eta)
+    with np.errstate(invalid="ignore"):
+        target = s * scale - t_x  # > 0 iff the root lies past the switch
+        pre = ~(target > 0)  # s <= V(t_x); NaN (inf - inf) counts as before
+        post_t = t_x + target * np.exp(b1)
+    if kind != "constant":
+        # solve u * exp(-b1 - a(u)) = target for u = t - t_x > 0
+        target = np.where(pre, 1.0, target)
+        post_t = t_x + increasing_root(
+            lambda u: u * np.exp(-b1 - tv_basis(effect, u) @ alpha),
+            target, target * np.exp(b1), 1e-13, "time-varying inverse")
+    return np.where(pre, s * scale, post_t)
+
+
+def v_value(spec: EffectSpec, beta, alpha, x, t, x1_index: int = 0):
+    """V(t|x); t >= 0 with V(0) = 0."""
+    return transform_value(spec, _check_alpha(spec, alpha), t,
+                           *_pattern(spec, beta, x, x1_index))
+
+
+def v_deriv(spec: EffectSpec, beta, alpha, x, t, x1_index: int = 0):
+    """v(t|x) = dV/dt for t > 0; right-hand value at piecewise breakpoints.
+    Clamped at 0 where a spline transform is not increasing."""
+    alpha = _check_alpha(spec, alpha)
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(np.isnan(t_arr)) or np.any(t_arr <= 0):
+        raise DomainError("time must be > 0")
+    tt = transform(TimeBasis(spec, t_arr), alpha,
+                   *_pattern(spec, beta, x, x1_index), logv=True)
+    return _scalar_like(t, np.exp(tt.logv))
+
+
+def v_inverse(spec: EffectSpec, beta, alpha, x, s, x1_index: int = 0):
+    """The time t with V(t|x) = s, for s >= 0 (see `transform_inverse`)."""
+    return transform_inverse(spec, _check_alpha(spec, alpha), s,
+                             *_pattern(spec, beta, x, x1_index))
+
+
 def tv_v_value(beta1: float, beta2_term: float, alpha, tv: TimeVaryingCovariate,
                effect: EffectSpec | None, t):
     """V(t) under a binary covariate switching at tv.change_time.
@@ -466,56 +504,39 @@ def tv_v_value(beta1: float, beta2_term: float, alpha, tv: TimeVaryingCovariate,
     covariates; `effect` carries the flexible basis for the switch effect
     (None or constant kind for a pure constant effect).
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(np.isnan(t_arr)) or np.any(t_arr < 0):
-        raise DomainError("time must be >= 0")
-    flexible = effect is not None and effect.kind != "constant"
-    alpha = _check_alpha(effect, alpha) if flexible else np.zeros(0)
-    basis = TimeBasis(effect, t_arr, onset=tv.change_time)
-    out = transform(basis, alpha, beta2_term, b1=beta1).u
-    return _scalar_like(t, out)
+    return transform_value(effect, _check_alpha(effect, alpha), t, beta2_term,
+                           b1=beta1, onset=tv.change_time)
 
 
 def tv_v_inverse(beta1: float, beta2_term: float, alpha,
                  tv: TimeVaryingCovariate, effect: EffectSpec | None, s):
-    """Inverse of `tv_v_value`: closed form for a constant switch effect,
-    root search on the time-since-switch axis for a flexible one."""
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(np.isnan(s_arr)) or np.any(s_arr < 0):
-        raise DomainError("target value must be >= 0")
-    t_x = tv.change_time
-    scale = np.exp(beta2_term)
-    with np.errstate(invalid="ignore"):
-        target = s_arr * scale - t_x  # > 0 iff the root lies past the switch
-        pre = ~(target > 0)  # s <= V(t_x); NaN (inf - inf) counts as before
-        post_t = t_x + target * np.exp(beta1)
-    if effect is not None and effect.kind != "constant":
-        alpha = _check_alpha(effect, alpha)
-        # solve u * exp(-beta1 - a(u)) = target for u = t - t_x > 0
-        target = np.where(pre, 1.0, target)
-        post_t = t_x + increasing_root(
-            lambda u: u * np.exp(-beta1 - tv_basis(effect, u) @ alpha),
-            target, target * np.exp(beta1), 1e-13, "time-varying inverse")
-    return _scalar_like(s, np.where(pre, s_arr * scale, post_t))
+    """Inverse of `tv_v_value` (see `transform_inverse`)."""
+    return transform_inverse(effect, _check_alpha(effect, alpha), s,
+                             beta2_term, b1=beta1, onset=tv.change_time)
 
 
 # -- monotonicity ----------------------------------------------------------
 
+def is_monotone(slopes, alpha: np.ndarray, x1=1.0) -> bool:
+    """The one monotonicity rule: V is increasing on the grid of `slopes`
+    (from `slope_basis`) iff alpha is finite and 1 - x1 * (slopes @ alpha)
+    > 0 at every grid point for each exposure value in x1 (a switch acts
+    as x1 = 1)."""
+    if not np.all(np.isfinite(alpha)):
+        return False
+    if slopes is None:
+        return True
+    return bool(np.all(1.0 - np.multiply.outer(x1, slopes @ alpha) > 0.0))
+
+
 def monotonicity_check(spec: EffectSpec, beta, alpha, x, grid,
                        x1_index: int = 0) -> bool:
-    """True iff v(t|x) > 0 at every grid point, for every row of x.
-
-    Constant and piecewise transforms are increasing by construction; the
-    spline transform is increasing iff x1 * g'(log t) < 1 everywhere.
-    """
+    """True iff v(t|x) > 0 at every grid point, for every row of x."""
     alpha = _check_alpha(spec, alpha)
-    if spec.kind in ("constant", "piecewise"):
-        return bool(np.all(np.isfinite(alpha)))
-    grid = np.asarray(grid, dtype=float)
-    patterns = np.atleast_2d(np.asarray(x, dtype=float))
-    x1 = patterns[:, x1_index]
-    gp = spline_basis_deriv(spec.knot_array(), np.log(grid)) @ alpha
-    return bool(np.all(1.0 - np.outer(x1, gp) > 0.0))
+    slopes = slope_basis(spec, grid)
+    x1 = (1.0 if slopes is None
+          else np.atleast_2d(np.asarray(x, dtype=float))[:, x1_index])
+    return is_monotone(slopes, alpha, x1)
 
 
 def tv_monotonicity_check(beta1: float, alpha, effect: EffectSpec | None,
@@ -524,10 +545,8 @@ def tv_monotonicity_check(beta1: float, alpha, effect: EffectSpec | None,
     at every point of the time-since-switch grid."""
     if effect is None or effect.kind == "constant":
         return np.isfinite(beta1)
-    alpha = _check_alpha(effect, alpha)
-    s_grid = np.asarray(s_grid, dtype=float)
-    sap = tv_basis_sderiv(effect, s_grid) @ alpha
-    return bool(np.all(1.0 - sap > 0.0))
+    return is_monotone(slope_basis(effect, s_grid, True),
+                       _check_alpha(effect, alpha))
 
 
 def _scalar_like(t, value):

@@ -10,11 +10,16 @@ against never switching has the closed form
 
 when the comparison quantile time exceeds t_x, and 1 before it; the general
 two-subject ratio is also available and any flexible case falls back to the
-numeric inverse.
+numeric inverse. Every quantity here reads its linear predictor from
+`ModelSpec.predictor` and evaluates V and V^{-1} through
+`covproc.transform`, `covproc.transform_value` and
+`covproc.transform_inverse`; nothing indexes beta itself.
 
 Marginal (standardized) quantities average the covariate-conditional
 survivor over the empirical distribution of the other covariates of all n
-subjects: S_std(t | level) = n^{-1} sum_i S(t | level, z_i). Standardized
+subjects: S_std(t | level) = n^{-1} sum_i S(t | level, z_i), where
+V(t | level, z_i) = exp(-eta_i) h(t) splits into a per-subject factor and
+a per-level time profile h. Standardized
 quantile times are found by the shared root-finder `roots.increasing_root`
 (converged to ~1e-13 relative, well inside the documented 1e-9
 requirement, so degenerate cases reduce exactly to their conditional
@@ -36,12 +41,10 @@ from .covproc import (
     TimeBasis,
     TimeVaryingCovariate,
     transform,
-    tv_v_inverse,
-    tv_v_value,
-    v_inverse,
-    v_value,
+    transform_inverse,
+    transform_value,
 )
-from .data import Dataset, as_dataset, atomic_write_text, max_followup
+from .data import as_dataset, atomic_write_text, max_followup
 from .errors import DomainError, NumericalError
 from .likelihood import ParameterVector, check_psi, psi_from_constrained
 from .model import ModelSpec
@@ -166,6 +169,11 @@ def _check_p(p):
 
 # -- conditional quantities ---------------------------------------------------
 
+def _switch(model: ModelSpec, onset: float):
+    """The checked switch time of a time-varying model; None otherwise."""
+    return TimeVaryingCovariate(onset).change_time if model.time_varying else None
+
+
 def quantile_time(model: ModelSpec, psi: ParameterVector, x, p,
                   onset: float = math.inf):
     """p-th quantile survival time under covariate pattern x (and, for
@@ -174,13 +182,9 @@ def quantile_time(model: ModelSpec, psi: ParameterVector, x, p,
     _check_p(p)
     q = bl.inverse_survivor(model.baseline, psi.baseline_params(),
                             psi.tbp_weights(), p)
-    if model.time_varying:
-        x = np.asarray(x, dtype=float)
-        b2 = float(x @ psi.beta[1:]) if x.size else 0.0
-        return tv_v_inverse(psi.beta[0], b2, psi.alpha,
-                            TimeVaryingCovariate(onset), model.effect, q)
-    return v_inverse(model.effect, psi.beta, psi.alpha, x, q,
-                     x1_index=model.exposure_index or 0)
+    return transform_inverse(model.effect, psi.alpha, q,
+                             *model.predictor(psi.beta, x),
+                             onset=_switch(model, onset))
 
 
 def acceleration_factor(model: ModelSpec, psi: ParameterVector, p, x, x_prime,
@@ -207,13 +211,9 @@ def tv_acceleration_factor(model: ModelSpec, psi: ParameterVector, p, t_x,
     parr = _check_p(p)
     q = bl.inverse_survivor(model.baseline, psi.baseline_params(),
                             psi.tbp_weights(), parr)
-    x2 = np.asarray(x2, dtype=float)
-    if x2_prime is None:
-        x2_prime = x2
-    x2_prime = np.asarray(x2_prime, dtype=float)
-    b2 = float(x2 @ psi.beta[1:]) if x2.size else 0.0
-    b2p = float(x2_prime @ psi.beta[1:]) if x2_prime.size else 0.0
-    eb1 = math.exp(psi.beta[0])
+    b2, _, b1 = model.predictor(psi.beta, x2)
+    b2p = b2 if x2_prime is None else model.predictor(psi.beta, x2_prime)[0]
+    eb1 = math.exp(b1)
 
     def branch(qv, tx, lin):
         thr = tx * math.exp(-lin) if math.isfinite(tx) else math.inf
@@ -227,40 +227,14 @@ def survivor_conditional(model: ModelSpec, psi: ParameterVector, x, t,
                          onset: float = math.inf):
     """S(t | x) = S0(V(t | x))."""
     check_psi(model, psi)
-    if model.time_varying:
-        x = np.asarray(x, dtype=float)
-        b2 = float(x @ psi.beta[1:]) if x.size else 0.0
-        u = tv_v_value(psi.beta[0], b2, psi.alpha,
-                       TimeVaryingCovariate(onset), model.effect, t)
-    else:
-        u = v_value(model.effect, psi.beta, psi.alpha, x, t,
-                    x1_index=model.exposure_index or 0)
+    u = transform_value(model.effect, psi.alpha, t,
+                        *model.predictor(psi.beta, x),
+                        onset=_switch(model, onset))
     return bl.survivor(model.baseline, psi.baseline_params(),
                        psi.tbp_weights(), u)
 
 
 # -- standardization ----------------------------------------------------------
-
-def _time_profile(model: ModelSpec, psi: ParameterVector, level: float,
-                  t: np.ndarray) -> np.ndarray:
-    """The level-dependent, subject-independent factor h(t) with
-    V(t | level, z_i) = exp(-eta_i) * h(t): the transform at eta = 0 with
-    the exposure at `level` (or, time-varying, the switch at `level`)."""
-    if model.time_varying:
-        basis = TimeBasis(model.effect, t, onset=level)
-        return transform(basis, psi.alpha, b1=psi.beta[0]).u
-    return transform(TimeBasis(model.effect, t), psi.alpha, x1=level).u
-
-
-def _eta_for_level(model: ModelSpec, psi: ParameterVector, data: Dataset,
-                   level: float) -> np.ndarray:
-    if model.time_varying:
-        return data.x @ psi.beta[1:] if data.x.shape[1] else np.zeros(data.n)
-    x = data.x.copy()
-    if model.exposure_index is not None:
-        x[:, model.exposure_index] = level
-    return x @ psi.beta
-
 
 def standardized_survivor(model: ModelSpec, psi: ParameterVector, data,
                           level: float, t):
@@ -278,12 +252,18 @@ def standardized_survivor(model: ModelSpec, psi: ParameterVector, data,
 
 def _standardized_sf(model, psi, data, level):
     """t -> S_std(t | level) for a 1-D array t, with exp(-eta_i) and the
-    baseline parameters built once for the draw and level."""
-    scale = np.exp(-_eta_for_level(model, psi, data, level))   # (n,)
+    baseline parameters built once for the draw and level; the profile
+    h(t) is the transform at eta = 0 with the exposure (or, time-varying,
+    the switch time) at `level`."""
+    eta, x1, b1 = model.predictor(psi.beta, data.x, level)
+    scale = np.exp(-eta)                                       # (n,)
+    onset = level if model.time_varying else None
     params, w = psi.baseline_params(), psi.tbp_weights()
 
     def sf(t: np.ndarray) -> np.ndarray:
-        u = np.outer(_time_profile(model, psi, level, t), scale)  # (nt, n)
+        h = transform(TimeBasis(model.effect, t, onset), psi.alpha, x1=x1,
+                      b1=b1).u
+        u = np.outer(h, scale)                                 # (nt, n)
         return bl.survivor(model.baseline, params, w, u).mean(axis=1)
     return sf
 

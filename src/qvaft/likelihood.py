@@ -12,11 +12,12 @@ likelihood fall out as special cases. All time points (exact,
 interval-lower, right, interval-upper, truncation) are stacked into one
 vector, put once through `covproc.transform` and once through
 `baseline.log_terms` (density on the exact rows, survivor on the rest);
-the gradient is (c * d/du) @ du/dtheta with one coefficient per row.
-This module holds no copy of either formula. Priors are flat on beta, alpha and
-mu, Gamma(a_sigma, b_sigma) on sigma, and for Bernstein-transformed
-baselines symmetric Dirichlet(theta) on the weights with a
-Gamma(a_theta, b_theta) hyperprior on theta.
+the gradient is (c * d/du) @ du/dtheta with one coefficient per row. The
+transform's arguments come from `ModelSpec.predictor`, so this module
+holds no copy of V, the baseline or the linear predictor. Priors are flat
+on beta, alpha and mu, Gamma(a_sigma, b_sigma) on sigma, and for
+Bernstein-transformed baselines symmetric Dirichlet(theta) on the weights
+with a Gamma(a_theta, b_theta) hyperprior on theta.
 
 The sampler works on an unconstrained vector z laid out as
 
@@ -24,15 +25,20 @@ The sampler works on an unconstrained vector z laid out as
 
 with the standard logistic stick-breaking transform (offset log(K - k) at
 stick k so the origin maps to uniform weights) and its log-Jacobian added
-to the posterior. Gradients are assembled analytically by the chain rule
-through the time transform, the baseline, and the transforms; every
-component is pinned against central finite differences in the test suite.
+to the posterior. One pass, `_constrain_pass`, maps z to the constrained
+parameters, the log-Jacobian and the stick values; `constrain`,
+`log_jacobian` and the posterior all call it. Gradients are assembled
+analytically by the chain rule through the time transform, the baseline,
+and the transforms; every component is pinned against central finite
+differences in the test suite.
 
 Per-subject log-likelihood contributions are computed in log space
 throughout; a contribution that falls below -745 (where a double
 underflows) is declared -inf, which the sampler treats as a rejection.
-Non-monotone flexible transforms, and proposals whose constrained values
-overflow or underflow, are likewise rejected by returning -inf.
+Flexible transforms that `covproc.is_monotone` finds non-increasing on a
+grid spanning the follow-up, and proposals whose constrained values
+overflow or underflow (where `constrain` raises a DomainError naming the
+coordinate), are likewise rejected by returning -inf.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 from scipy import special
 
 from . import baseline as bl
-from .covproc import TimeBasis, spline_basis_deriv, transform, tv_basis_sderiv
+from .covproc import TimeBasis, is_monotone, slope_basis, transform
 from .data import Dataset, as_dataset, max_followup
 from .errors import DomainError, NumericalError
 from .model import ModelSpec
@@ -182,34 +188,43 @@ def _split(model: ModelSpec, z: np.ndarray):
     return beta, alpha, mu, logsigma, rest
 
 
-def _exp_coordinate(name: str, value: float) -> float:
-    try:
-        return math.exp(value)
-    except OverflowError:
-        raise DomainError(f"{name} = {value:g} overflows on the constrained "
-                          "scale") from None
+def _constrain_pass(model: ModelSpec, z: np.ndarray):
+    """The constraining transform in one pass: (psi, log-Jacobian, stick
+    values z_k). A constrained value that cannot be represented (sigma or
+    theta overflowing or underflowing, a weight below 1e-300) raises a
+    DomainError naming its coordinate."""
+    beta, alpha, mu, logsigma, rest = _split(model, z)
+    logs = {"log sigma": logsigma}
+    logjac = float(logsigma)
+    w = zk = None
+    if model.baseline.is_tbp:
+        w, zk, lj = _stick_forward(rest[:model.K - 1])
+        if np.any(w < 1e-300):
+            raise DomainError(f"stick coordinates {rest[:model.K - 1]} put "
+                              f"weight w_{int(np.argmax(w < 1e-300)) + 1} "
+                              "below 1e-300")
+        logs["log theta"] = rest[model.K - 1]
+        logjac += lj + float(rest[model.K - 1])
+    scales = {}
+    for name, v in logs.items():
+        with np.errstate(over="ignore"):
+            scales[name] = e = float(np.exp(v))
+        if e == 0.0 or math.isinf(e):
+            raise DomainError(f"{name} = {v:g} "
+                              f"{'overflows' if e else 'underflows'} on the "
+                              "constrained scale")
+    psi = ParameterVector(beta.copy(), alpha.copy(), float(mu),
+                          scales["log sigma"], w, scales.get("log theta"))
+    return psi, logjac, zk
 
 
 def constrain(model: ModelSpec, z: np.ndarray) -> ParameterVector:
-    z = np.asarray(z, dtype=float)
-    beta, alpha, mu, logsigma, rest = _split(model, z)
-    w = theta = None
-    if model.baseline.is_tbp:
-        w, _, _ = _stick_forward(rest[:model.K - 1])
-        theta = _exp_coordinate("log theta", rest[model.K - 1])
-    return ParameterVector(beta.copy(), alpha.copy(), float(mu),
-                           _exp_coordinate("log sigma", logsigma), w, theta)
+    return _constrain_pass(model, np.asarray(z, dtype=float))[0]
 
 
 def log_jacobian(model: ModelSpec, z: np.ndarray) -> float:
     """log |d constrained / d z| of the constraining transform."""
-    z = np.asarray(z, dtype=float)
-    _, _, _, logsigma, rest = _split(model, z)
-    out = float(logsigma)
-    if model.baseline.is_tbp:
-        _, _, lj = _stick_forward(rest[:model.K - 1])
-        out += lj + float(rest[model.K - 1])
-    return out
+    return _constrain_pass(model, np.asarray(z, dtype=float))[1]
 
 
 def constrained_array(model: ModelSpec, psi: ParameterVector) -> np.ndarray:
@@ -270,55 +285,22 @@ class Prepared:
         self.hi = slice(self.n, self.n + interval.size)   # interval-upper rows
         self.tr = slice(self.n + interval.size, None)     # truncation rows
         self.X = data.x[rows]
-        self.x1 = _exposure_values(model, self.X)
         onset = data.onset[rows] if model.time_varying else None
         self.basis = TimeBasis(model.effect, t, onset, n_slope=ne)
 
-        # Monotonicity-rejection grid for flexible transforms.
+        # Monotonicity-rejection grid: its slope basis and the extreme
+        # exposure values (the rule is linear in x1; a switch acts as 1).
         tmax = max(max_followup(data), 1e-8)
         grid = np.geomspace(tmax * 1.5e-6, 1.5 * tmax, 200)
-        self.mono_grid = grid
-        kind = model.effect.kind
-        if model.time_varying and kind != "constant":
-            self.mono_sBp = tv_basis_sderiv(model.effect, grid)
-        elif kind == "spline":
-            self.mono_Bp = spline_basis_deriv(model.effect.knot_array(),
-                                              np.log(grid))
-            x1 = data.x[:, model.exposure_index]
-            self.mono_x1 = np.array([x1.min(initial=0.0), x1.max(initial=0.0)])
+        self.slopes = slope_basis(model.effect, grid, model.time_varying)
+        _, x1, _ = model.predictor(np.zeros(model.n_beta), data.x)
+        self.x1_range = (1.0 if model.time_varying else
+                         np.array([np.min(x1, initial=0.0),
+                                   np.max(x1, initial=0.0)]))
 
 
 def prepare(model: ModelSpec, data) -> Prepared:
     return Prepared(model, as_dataset(data, tuple(model.covariates)))
-
-
-def _exposure_values(model: ModelSpec, X: np.ndarray):
-    """Per-row value of the covariate that multiplies alpha (0 if none)."""
-    if model.time_varying or model.effect.kind == "constant":
-        return 0.0
-    return X[:, model.exposure_index]
-
-
-def _predictor(model: ModelSpec, beta: np.ndarray, X: np.ndarray):
-    """(eta, b1): x'beta over the data columns and the switch coefficient."""
-    if model.time_varying:
-        return X @ beta[1:], beta[0]
-    return X @ beta, 0.0
-
-
-def _monotone_ok(prep: Prepared, alpha: np.ndarray) -> bool:
-    model = prep.model
-    kind = model.effect.kind
-    if not np.all(np.isfinite(alpha)):
-        return False
-    if kind == "constant":
-        return True
-    if model.time_varying:
-        return bool(np.all(1.0 - prep.mono_sBp @ alpha > 0.0))
-    if kind == "spline":
-        gp = prep.mono_Bp @ alpha
-        return bool(np.all(1.0 - np.outer(prep.mono_x1, gp) > 0.0))
-    return True  # piecewise: positive slopes for any finite alpha
 
 
 # -- likelihood ---------------------------------------------------------------
@@ -349,8 +331,8 @@ def _pointwise(model: ModelSpec, psi: ParameterVector, prep: Prepared,
 
 def _pointwise_impl(model, psi, prep, want_grad):
     n, ne = prep.n, prep.n_exact
-    eta, b1 = _predictor(model, psi.beta, prep.X)
-    tt = transform(prep.basis, psi.alpha, eta, prep.x1, b1, logv=True,
+    eta, x1, b1 = model.predictor(psi.beta, prep.X)
+    tt = transform(prep.basis, psi.alpha, eta, x1, b1, logv=True,
                    grad=want_grad)
     u = tt.u
     pdf = bl.log_terms(model.baseline, psi.mu, psi.sigma, psi.w, u[:ne],
@@ -426,8 +408,7 @@ def _conditional_logsf(model, psi, ds, t):
     """log S(t | x) of the single record in `ds`."""
     onset = ds.onset if model.time_varying else None
     basis = TimeBasis(model.effect, np.array([float(t)]), onset)
-    eta, b1 = _predictor(model, psi.beta, ds.x)
-    u = transform(basis, psi.alpha, eta, _exposure_values(model, ds.x), b1).u
+    u = transform(basis, psi.alpha, *model.predictor(psi.beta, ds.x)).u
     return float(bl.log_terms(model.baseline, psi.mu, psi.sigma, psi.w, u).val[0])
 
 
@@ -473,26 +454,13 @@ def _posterior_impl(model, z, prep, priors, want_grad: bool):
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         return -math.inf, None
-    beta, alpha, mu, logsigma, rest = _split(model, z)
-    with np.errstate(over="ignore"):
-        sigma = float(np.exp(logsigma))
-    if sigma == 0.0 or math.isinf(sigma):
+    try:
+        psi, logjac, zk = _constrain_pass(model, z)
+    except DomainError:
         return -math.inf, None
-    w = theta = None
-    zk = None
-    logjac = logsigma
-    if model.baseline.is_tbp:
-        w, zk, lj = _stick_forward(rest[:model.K - 1])
-        logtheta = rest[model.K - 1]
-        with np.errstate(over="ignore"):
-            theta = float(np.exp(logtheta))
-        if np.any(w < 1e-300) or theta == 0.0 or math.isinf(theta):
-            return -math.inf, None
-        logjac += lj + logtheta
-    psi = ParameterVector(beta.copy(), alpha.copy(), float(mu), sigma, w, theta)
-
-    if not _monotone_ok(prep, psi.alpha):
+    if not is_monotone(prep.slopes, psi.alpha, prep.x1_range):
         return -math.inf, None
+    sigma, w, theta = psi.sigma, psi.w, psi.theta
 
     ll, ok, grad = _pointwise(model, psi, prep, want_grad)
     ll = np.where(ll < LOG_FLOOR, -np.inf, ll)

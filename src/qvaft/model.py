@@ -1,5 +1,5 @@
 """Model specification: baseline family + time-transform shape + covariate
-naming, and the induced parameter-vector layout.
+naming, the induced parameter-vector layout, and the linear predictor.
 
 The parameter block order, on both the constrained and unconstrained
 scales, is: regression coefficients beta, flexible coefficients alpha,
@@ -9,11 +9,18 @@ simplex weights w and the Dirichlet concentration theta.
 For time-varying models the binary switch covariate is not a data column;
 its coefficient is the first entry of beta under the name "onset" and each
 record carries its own switch time.
+
+`ModelSpec.predictor` is the one place that reads this layout off beta: it
+splits a covariate pattern into the (eta, x1, b1) arguments that
+`covproc.transform` and `covproc.transform_inverse` take. The likelihood,
+the conditional quantities and the g-formula all call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .baseline import BaselineSpec
 from .covproc import EffectSpec
@@ -90,3 +97,26 @@ class ModelSpec:
         if self.baseline.is_tbp:
             base += (self.K - 1) + 1
         return base
+
+    # -- linear predictor ---------------------------------------------------
+
+    def predictor(self, beta, X, level=None):
+        """(eta, x1, b1) for covariate rows X, shape (d,) or (n, d): eta is
+        x'beta over the data columns, x1 the exposure value that scales
+        alpha (0 for a constant effect and for time-varying models) and b1
+        the switch coefficient beta[0] of a time-varying model (else 0).
+        A contrast `level` replaces the exposure column, in eta and as x1."""
+        beta = np.asarray(beta, dtype=float)
+        X = np.asarray(X, dtype=float)
+        coef, b1 = (beta[1:], beta[0]) if self.time_varying else (beta, 0.0)
+        if X.shape[-1:] != coef.shape:
+            raise DomainError(f"covariate rows of shape {X.shape}, expected "
+                              f"{coef.size} columns")
+        j = self.exposure_index
+        if level is not None and j is not None:
+            X = X.copy()
+            X[..., j] = level
+        eta = X @ coef
+        if self.time_varying or self.effect.kind == "constant":
+            return eta, 0.0, b1
+        return eta, (X[..., j] if level is None else level), b1

@@ -90,6 +90,8 @@ class TestSimulate:
     @pytest.mark.parametrize("key,value", [
         ("truth.beta.x1", "abc"),
         ("model.effect.time_varying", "no"),
+        ("simulate.n", math.inf),
+        ("simulate.n", math.nan),
     ])
     def test_bad_value_named_in_error(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, {key: value})
@@ -102,6 +104,30 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "simulate.nn" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block,key", [
+        ({"lo": 0.0, "hi": 2.0}, "hi"),       # no dist: no truncation
+        ({"dist": "fixed", "time": 1.0, "rate": 2.0}, "rate"),
+    ])
+    def test_truncation_key_outside_its_dist(self, tmp_path, capsys, block,
+                                             key):
+        cfg = write_config(tmp_path, {"simulate.truncation": block})
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"simulate.truncation.{key}" in capsys.readouterr().err
+
+    def test_onset_key_outside_its_dist(self, tmp_path, capsys):
+        switch = {"model.effect": {"kind": "constant", "time_varying": True},
+                  "truth.beta": {"onset": -0.5, "x1": 0.5, "x2": -0.3}}
+        onset = {"dist": "fixed", "time": 1.0, "never_prob": 0.2}
+        ok = write_config(tmp_path, {**switch, "simulate.onset": onset})
+        assert main(["simulate", "--config", ok,
+                     "--out", str(tmp_path / "ok.csv")]) == 0
+        bad = write_config(tmp_path, {**switch, "simulate.onset":
+                                      {**onset, "lo": 0.5}}, name="bad.yaml")
+        assert main(["simulate", "--config", bad,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "simulate.onset.lo" in capsys.readouterr().err
 
     def test_unknown_sampler_key_fails_fit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"sampler.warmupp": 10})
@@ -189,6 +215,27 @@ class TestPostProcessing:
     def test_missing_fit_artifacts_exit_2(self, tmp_path):
         assert main(["af", "--fit", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("artifact", ["fit.json", "draws.npz"])
+    def test_unknown_format_version_exit_2(self, fitted, tmp_path, capsys,
+                                           artifact):
+        import shutil
+
+        clone = tmp_path / "fit_v99"
+        shutil.copytree(fitted["fit"], clone)
+        path = clone / artifact
+        if artifact == "fit.json":
+            meta = json.loads(path.read_text())
+            meta["format_version"] = 99
+            path.write_text(json.dumps(meta))
+        else:
+            with np.load(path) as raw:
+                arrays = dict(raw)
+            np.savez_compressed(path, **{**arrays, "format_version": 99})
+        assert main(["af", "--fit", str(clone),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "format_version 99" in err
 
     def test_csv_draws_fallback_matches_npz(self, fitted, tmp_path):
         import shutil

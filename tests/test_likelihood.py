@@ -9,7 +9,8 @@ import pytest
 from scipy import integrate
 
 from conftest import make_model, random_dataset
-from qvaft.data import Dataset, SubjectRecord
+from qvaft.covproc import monotonicity_check, tv_monotonicity_check
+from qvaft.data import Dataset, SubjectRecord, max_followup
 from qvaft.errors import DomainError, NumericalError
 from qvaft.likelihood import (
     ParameterVector,
@@ -355,3 +356,62 @@ def test_constrain_overflow_names_coordinate(coord):
     z[index] = 800.0
     with pytest.raises(DomainError, match=f"{coord} = 800"):
         constrain(model, z)
+
+
+@pytest.mark.parametrize("coord,value", [
+    ("stick", 800.0), ("stick", -800.0), ("log_sigma", 800.0),
+    ("log_theta", 800.0), ("log_sigma", -800.0), ("log_theta", -800.0),
+    ("stick", 5.0), ("log_sigma", 1.0), ("log_theta", -3.0)])
+def test_constrain_raises_where_posterior_rejects(coord, value, rng):
+    """constrain and the posterior share one constraining pass: constrain
+    raises a DomainError naming the coordinate exactly where the posterior
+    returns -inf for an unrepresentable proposal."""
+    model = make_model(family="tbp", K=5)
+    data = random_dataset(rng, 20, 2)
+    nb, J = model.n_beta, model.J
+    z = np.zeros(model.n_unconstrained)
+    z[{"stick": nb + J + 2, "log_sigma": nb + J + 1,
+       "log_theta": model.n_unconstrained - 1}[coord]] = value
+    rejected = log_posterior_unconstrained(model, z, data, PRIORS) == -math.inf
+    assert rejected == (abs(value) == 800.0)
+    if rejected:
+        with pytest.raises(DomainError, match=coord.replace("_", " ")):
+            constrain(model, z)
+    else:
+        constrain(model, z)
+
+
+class TestGridRejectionMatchesChecks:
+    """The likelihood rejects alpha on its monotonicity grid exactly where
+    `monotonicity_check` / `tv_monotonicity_check` fail on that grid. All
+    records are right-censored, so no exact-event slope rejects on its own,
+    and mu and sigma are large enough that no contribution underflows."""
+
+    @pytest.mark.parametrize("kind,knots,tv", [
+        ("spline", (-1.5, 0.0, 1.0), False),
+        ("spline", (-1.5, 0.0, 1.0), True),
+        ("piecewise", (0.0, 1.0, 2.0), True)])
+    def test_random_alphas(self, kind, knots, tv, rng):
+        model = make_model(effect_kind=kind, knots=knots, time_varying=tv)
+        recs = [SubjectRecord(float(t), math.inf, 0, 0.0,
+                              (float(rng.integers(0, 2)), float(rng.normal())),
+                              float(rng.uniform(0.2, 3.0)) if tv else math.inf)
+                for t in rng.uniform(0.5, 3.0, size=30)]
+        data = Dataset.from_records(recs, ("x1", "x2"))
+        tmax = max_followup(data)
+        grid = np.geomspace(tmax * 1.5e-6, 1.5 * tmax, 200)  # as in Prepared
+        nb, J = model.n_beta, model.J
+        seen = set()
+        for _ in range(60):
+            z = np.zeros(model.n_unconstrained)
+            z[nb:nb + J] = alpha = rng.normal(scale=0.8, size=J)
+            z[nb + J:] = 3.0, -1.0  # mu, log sigma
+            if tv:
+                ok = tv_monotonicity_check(0.0, alpha, model.effect, grid)
+            else:
+                ok = monotonicity_check(model.effect, z[:nb], alpha, data.x,
+                                        grid)
+            logp = log_posterior_unconstrained(model, z, data, PRIORS)
+            assert (logp == -math.inf) == (not ok), alpha
+            seen.add(ok)
+        assert seen == {True, False}
