@@ -9,6 +9,7 @@ data.csv snapshot) that the post-processing commands consume. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -35,6 +36,7 @@ from .inference import (
     acceleration_factor,
     af_surface,
     default_quantile_grid,
+    quantile_time,
     standardized_af,
     standardized_survivor_curves,
     surface_quantile_grid,
@@ -236,10 +238,9 @@ def _contrast(args, model: ModelSpec) -> ContrastSpec:
 
 
 def _with_exposure(model: ModelSpec, args) -> ModelSpec:
-    """Resolve which covariate the contrast flips; constant-effect fits
-    carry no flexible covariate, so it may arrive via --covariate."""
-    import dataclasses
-
+    """Resolve which covariate the contrast flips; constant-effect models
+    carry no flexible covariate, so it may arrive via --covariate. A
+    flexible model's contrast flips its flexible covariate."""
     name = getattr(args, "covariate", None)
     if model.time_varying:
         if name:
@@ -249,9 +250,12 @@ def _with_exposure(model: ModelSpec, args) -> ModelSpec:
     if name:
         if name not in model.covariates:
             raise ConfigError(f"--covariate: {name!r} not a model covariate")
+        if model.effect.kind != "constant" and name != model.exposure:
+            raise ConfigError(f"--covariate: the flexible effect acts on "
+                              f"{model.exposure!r}; the contrast flips it")
         return dataclasses.replace(model, exposure=name)
     if model.exposure is None:
-        raise ConfigError("the fitted model names no exposure covariate; "
+        raise ConfigError("the model names no exposure covariate; "
                           "pass --covariate")
     return model
 
@@ -285,22 +289,15 @@ def _analytic_af(args) -> CurveTable:
                                 onset=con.exposed, onset_prime=con.reference)
             for pv in p])
     else:
-        name = args.covariate or model.exposure
-        if name is None:
-            if d != 1:
-                raise ConfigError("--covariate: required when the model has "
-                                  "several covariates and no flexible one")
-            name = model.covariates[0]
-        if name not in model.covariates:
-            raise ConfigError(f"--covariate: {name!r} not a model covariate")
-        j = model.covariates.index(name)
+        if not args.covariate and model.exposure is None and d == 1:
+            model = dataclasses.replace(model, exposure=model.covariates[0])
+        model = _with_exposure(model, args)
         con = _contrast(args, model)
-        x1 = np.zeros(d)
-        x0 = np.zeros(d)
-        x1[j] = con.exposed
-        x0[j] = con.reference
-        vals = np.array([acceleration_factor(model, psi, pv, x1, x0)
-                         for pv in p])
+        x = np.zeros(d)
+        vals = np.array([
+            quantile_time(model, psi, x, pv, level=con.exposed)
+            / quantile_time(model, psi, x, pv, level=con.reference)
+            for pv in p])
     zeros = np.zeros(len(p), dtype=bool)
     return CurveTable(p, np.full(len(p), "af", dtype=object), vals,
                       vals.copy(), vals.copy(), vals.copy(), zeros)

@@ -356,15 +356,32 @@ _DIST_PARAM_KEYS = {
 }
 
 
+# the values each distribution parameter may take; NaN fails every test
+_DIST_PARAM_RANGES = {
+    "p": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "sd": (lambda v: v >= 0.0, "must be >= 0"),
+    "rate": (lambda v: v > 0.0, "must be > 0"),
+    "time": (lambda v: v >= 0.0, "must be >= 0"),
+}
+
+
 def _dist(sec: dict, path: str, choices: tuple, default=None, extra=()):
     """(dist, parameters) of a distribution block; a key its `dist` does
-    not take is an error naming the key."""
+    not take, or a value outside its range, is an error naming the key."""
     dist = _str(sec, path, "dist", default=default, required=default is None,
                 choices=choices)
     keys = _DIST_PARAM_KEYS[dist]
     _unknown_keys(sec, path, ("dist",) + keys + extra,
                   f"not a parameter of dist {dist!r}")
-    return dist, tuple(_num(sec, path, k, required=True) for k in keys)
+    params = tuple(_num(sec, path, k, required=True) for k in keys)
+    for key, val in zip(keys, params):
+        if key in _DIST_PARAM_RANGES and not _DIST_PARAM_RANGES[key][0](val):
+            raise ConfigError(f"{path}.{key}: {_DIST_PARAM_RANGES[key][1]}, "
+                              f"got {val!r}")
+    if dist == "uniform" and not params[0] <= params[1]:
+        raise ConfigError(f"{path}.hi: must be >= lo, got {params[1]!r} < "
+                          f"{params[0]!r}")
+    return dist, params
 
 
 def resolve_sim(raw: dict, model: ModelSpec, psi: ParameterVector,

@@ -522,11 +522,13 @@ def is_monotone(slopes, alpha: np.ndarray, x1=1.0) -> bool:
     (from `slope_basis`) iff alpha is finite and 1 - x1 * (slopes @ alpha)
     > 0 at every grid point for each exposure value in x1 (a switch acts
     as x1 = 1)."""
-    if not np.all(np.isfinite(alpha)):
+    if not np.isfinite(alpha).all():
         return False
     if slopes is None:
         return True
-    return bool(np.all(1.0 - np.multiply.outer(x1, slopes @ alpha) > 0.0))
+    g = slopes @ alpha
+    g = np.multiply.outer(x1, g) if isinstance(x1, np.ndarray) else x1 * g
+    return bool((1.0 - g > 0.0).all())
 
 
 def monotonicity_check(spec: EffectSpec, beta, alpha, x, grid,

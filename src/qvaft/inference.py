@@ -19,14 +19,18 @@ Marginal (standardized) quantities average the covariate-conditional
 survivor over the empirical distribution of the other covariates of all n
 subjects: S_std(t | level) = n^{-1} sum_i S(t | level, z_i), where
 V(t | level, z_i) = exp(-eta_i) h(t) splits into a per-subject factor and
-a per-level time profile h. Standardized
-quantile times are found by the shared root-finder `roots.increasing_root`
-(converged to ~1e-13 relative, well inside the documented 1e-9
-requirement, so degenerate cases reduce exactly to their conditional
-counterparts), and posterior summaries are the mean, median, and
-equal-tailed 95% interval across draws. A quantile is flagged as
-extrapolated when it lies below the smallest standardized survivor value
-reached by the largest observed follow-up time in both contrast groups.
+a per-level time profile h. Standardized quantile times come from the
+shared root-finder `roots.increasing_root`, converged to ~1e-13 relative
+(well inside the documented 1e-9 requirement, so degenerate cases reduce
+exactly to their conditional counterparts). Per draw and level, S_std is
+evaluated once on a fixed geometric time grid, every p is bracketed
+between two grid times, and the root-finder polishes each bracket by
+safeguarded Newton with the slope dS_std/dt = -mean_i f0(u_i) exp(-eta_i)
+h'(t), which the same transform and baseline calls give with the value.
+Posterior summaries are the mean, median, and equal-tailed 95% interval
+across draws. A quantile is flagged as extrapolated when it lies below the
+smallest standardized survivor value reached by the largest observed
+follow-up time in both contrast groups.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .data import as_dataset, atomic_write_text, max_followup
 from .errors import DomainError, NumericalError
 from .likelihood import ParameterVector, check_psi, psi_from_constrained
 from .model import ModelSpec
-from .roots import increasing_root
+from .roots import MAX_WIDEN, increasing_root
 from .sampler import PosteriorDraws
 
 __all__ = [
@@ -66,6 +70,9 @@ __all__ = [
 ]
 
 BISECT_RTOL = 1e-13
+# the standardized inverse brackets every p on this many grid times, spaced
+# geometrically from 2^-20 to 4 times the largest follow-up
+AF_GRID = 64
 
 
 def default_quantile_grid() -> np.ndarray:
@@ -175,15 +182,16 @@ def _switch(model: ModelSpec, onset: float):
 
 
 def quantile_time(model: ModelSpec, psi: ParameterVector, x, p,
-                  onset: float = math.inf):
+                  onset: float = math.inf, level: float | None = None):
     """p-th quantile survival time under covariate pattern x (and, for
-    time-varying models, a switch at `onset`)."""
+    time-varying models, a switch at `onset`); a contrast `level`, if
+    given, replaces x's exposure value (see `ModelSpec.predictor`)."""
     check_psi(model, psi)
     _check_p(p)
     q = bl.inverse_survivor(model.baseline, psi.baseline_params(),
                             psi.tbp_weights(), p)
     return transform_inverse(model.effect, psi.alpha, q,
-                             *model.predictor(psi.beta, x),
+                             *model.predictor(psi.beta, x, level),
                              onset=_switch(model, onset))
 
 
@@ -250,11 +258,14 @@ def standardized_survivor(model: ModelSpec, psi: ParameterVector, data,
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _standardized_sf(model, psi, data, level):
+def _standardized_sf(model, psi, data, level, slope: bool = False):
     """t -> S_std(t | level) for a 1-D array t, with exp(-eta_i) and the
     baseline parameters built once for the draw and level; the profile
     h(t) is the transform at eta = 0 with the exposure (or, time-varying,
-    the switch time) at `level`."""
+    the switch time) at `level`. With `slope`, t -> (-S_std, -dS_std/dt)
+    instead, the increasing function and slope that the inverse solves;
+    dS_std/dt = -mean_i f0(u_i) exp(-eta_i) h'(t), with f0 = S0 times the
+    baseline's -dlog S0/du."""
     eta, x1, b1 = model.predictor(psi.beta, data.x, level)
     scale = np.exp(-eta)                                       # (n,)
     onset = level if model.time_varying else None
@@ -265,15 +276,57 @@ def _standardized_sf(model, psi, data, level):
                       b1=b1).u
         u = np.outer(h, scale)                                 # (nt, n)
         return bl.survivor(model.baseline, params, w, u).mean(axis=1)
-    return sf
+
+    def neg_sf_slope(t: np.ndarray):
+        h = transform(TimeBasis(model.effect, t, onset), psi.alpha, x1=x1,
+                      b1=b1, logv=True)
+        u = np.outer(h.u, scale)                               # (nt, n)
+        st = bl.log_terms(model.baseline, params.mu, params.sigma, psi.w, u,
+                          grad=True)
+        s = np.exp(st.val)
+        dens = (s * -st.d_du * scale).mean(axis=1)             # mean f0 e^-eta
+        return -s.mean(axis=1), dens * np.exp(h.logv)
+    return neg_sf_slope if slope else sf
 
 
 def _invert_standardized(model, psi, data, level, p: np.ndarray) -> np.ndarray:
-    """Solve S_std(t | level) = p elementwise, to a relative BISECT_RTOL."""
+    """Solve S_std(t | level) = p elementwise, to a relative BISECT_RTOL.
+
+    S_std is evaluated once on a geometric grid of AF_GRID times around the
+    largest follow-up, extended x4 at a time past its top only while some
+    target lies beyond it; each p is bracketed between neighbouring grid
+    times (or 0 and the first) and polished by the root-finder's
+    safeguarded Newton."""
+    what = f"standardized inverse at level {level:g}"
     sf = _standardized_sf(model, psi, data, level)
-    return increasing_root(lambda t: -sf(t), -p, max(max_followup(data), 1.0),
-                           BISECT_RTOL,
-                           f"standardized inverse at level {level:g}")
+    grid = max(max_followup(data), 1.0) * np.geomspace(2.0 ** -20, 4.0,
+                                                        AF_GRID)
+    y = -p
+    g = -sf(grid)
+    for _ in range(MAX_WIDEN):
+        if g[-1] >= y.max():  # NaN counts as not reached
+            break
+        grid = np.append(grid, 4.0 * grid[-1])
+        g = np.append(g, -sf(grid[-1:]))
+    if not g[-1] >= y.max():
+        short = y[~(y <= g[-1])]
+        raise NumericalError(f"{what}: target not reached after {MAX_WIDEN} "
+                             f"widenings", targets=short.tolist(),
+                             hi=[float(grid[-1])] * short.size)
+    k = np.searchsorted(g, y)  # first grid time with -S_std >= -p
+    lo, hi = np.where(k > 0, grid[k - 1], 0.0), grid[k]
+    # Newton starts where log(-log S_std) is linear in log t between the
+    # bracket ends (exact for one subject, a constant effect and a Weibull
+    # baseline)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.log(-np.log(-g))
+        c_y = np.log(-np.log(p))
+        km = np.maximum(k - 1, 0)
+        w = (c_y - c[km]) / (c[k] - c[km])
+        start = lo * (hi / lo) ** w
+    return increasing_root(_standardized_sf(model, psi, data, level, True), y,
+                           hi, BISECT_RTOL, what, lo=lo, slope=True,
+                           start=start)
 
 
 def _draw_parameters(model: ModelSpec, draws: PosteriorDraws):

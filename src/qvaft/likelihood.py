@@ -13,8 +13,10 @@ interval-lower, right, interval-upper, truncation) are stacked into one
 vector, put once through `covproc.transform` and once through
 `baseline.log_terms` (density on the exact rows, survivor on the rest);
 the gradient is (c * d/du) @ du/dtheta with one coefficient per row. The
-transform's arguments come from `ModelSpec.predictor`, so this module
-holds no copy of V, the baseline or the linear predictor. Priors are flat
+transform's arguments come from the model: each row's exposure value from
+`ModelSpec.predictor`, once per dataset, and eta = X @ coef from
+`ModelSpec.split_beta` on every call, so this module holds no copy of V,
+the baseline or the linear predictor. Priors are flat
 on beta, alpha and mu, Gamma(a_sigma, b_sigma) on sigma, and for
 Bernstein-transformed baselines symmetric Dirichlet(theta) on the weights
 with a Gamma(a_theta, b_theta) hyperprior on theta.
@@ -285,6 +287,8 @@ class Prepared:
         self.hi = slice(self.n, self.n + interval.size)   # interval-upper rows
         self.tr = slice(self.n + interval.size, None)     # truncation rows
         self.X = data.x[rows]
+        # the exposure value that scales alpha on each row (0.0 where none)
+        _, self.x1, _ = model.predictor(np.zeros(model.n_beta), self.X)
         onset = data.onset[rows] if model.time_varying else None
         self.basis = TimeBasis(model.effect, t, onset, n_slope=ne)
 
@@ -293,10 +297,9 @@ class Prepared:
         tmax = max(max_followup(data), 1e-8)
         grid = np.geomspace(tmax * 1.5e-6, 1.5 * tmax, 200)
         self.slopes = slope_basis(model.effect, grid, model.time_varying)
-        _, x1, _ = model.predictor(np.zeros(model.n_beta), data.x)
         self.x1_range = (1.0 if model.time_varying else
-                         np.array([np.min(x1, initial=0.0),
-                                   np.max(x1, initial=0.0)]))
+                         np.array([np.min(self.x1, initial=0.0),
+                                   np.max(self.x1, initial=0.0)]))
 
 
 def prepare(model: ModelSpec, data) -> Prepared:
@@ -331,9 +334,9 @@ def _pointwise(model: ModelSpec, psi: ParameterVector, prep: Prepared,
 
 def _pointwise_impl(model, psi, prep, want_grad):
     n, ne = prep.n, prep.n_exact
-    eta, x1, b1 = model.predictor(psi.beta, prep.X)
-    tt = transform(prep.basis, psi.alpha, eta, x1, b1, logv=True,
-                   grad=want_grad)
+    coef, b1 = model.split_beta(psi.beta)
+    tt = transform(prep.basis, psi.alpha, prep.X @ coef, prep.x1, b1,
+                   logv=True, grad=want_grad)
     u = tt.u
     pdf = bl.log_terms(model.baseline, psi.mu, psi.sigma, psi.w, u[:ne],
                        pdf=True, grad=want_grad)

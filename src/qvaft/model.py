@@ -12,8 +12,10 @@ record carries its own switch time.
 
 `ModelSpec.predictor` is the one place that reads this layout off beta: it
 splits a covariate pattern into the (eta, x1, b1) arguments that
-`covproc.transform` and `covproc.transform_inverse` take. The likelihood,
-the conditional quantities and the g-formula all call it.
+`covproc.transform` and `covproc.transform_inverse` take. The conditional
+quantities and the g-formula call it for each evaluation; the likelihood,
+whose rows never change, calls it once for their exposure values and then
+forms eta = X @ coef from `ModelSpec.split_beta` on every call.
 """
 
 from __future__ import annotations
@@ -100,15 +102,19 @@ class ModelSpec:
 
     # -- linear predictor ---------------------------------------------------
 
+    def split_beta(self, beta: np.ndarray):
+        """(coef, b1): the coefficients of the data columns and the switch
+        coefficient beta[0] of a time-varying model (0 otherwise)."""
+        return (beta[1:], beta[0]) if self.time_varying else (beta, 0.0)
+
     def predictor(self, beta, X, level=None):
         """(eta, x1, b1) for covariate rows X, shape (d,) or (n, d): eta is
         x'beta over the data columns, x1 the exposure value that scales
         alpha (0 for a constant effect and for time-varying models) and b1
         the switch coefficient beta[0] of a time-varying model (else 0).
         A contrast `level` replaces the exposure column, in eta and as x1."""
-        beta = np.asarray(beta, dtype=float)
         X = np.asarray(X, dtype=float)
-        coef, b1 = (beta[1:], beta[0]) if self.time_varying else (beta, 0.0)
+        coef, b1 = self.split_beta(np.asarray(beta, dtype=float))
         if X.shape[-1:] != coef.shape:
             raise DomainError(f"covariate rows of shape {X.shape}, expected "
                               f"{coef.size} columns")

@@ -5,6 +5,13 @@ targets, with f increasing in t and f(0+) <= y: the TBP quantile
 (f = -S0, y = -p), the spline V^{-1} (f = log V plus a constant), the
 time-varying V^{-1} (f = the part of V after the switch) and the
 standardized quantile (f = -S_std, y = -p).
+
+Each target gets a bracket [lo, hi]: from lo = 0 by widening hi, or from
+the caller. Without a slope the bracket is bisected. With a slope (f then
+returns f(t) and f'(t) from one call), each target is polished by
+safeguarded Newton inside its bracket, with a bisection step wherever
+Newton leaves the bracket, has no finite positive slope or stops halving
+its step. Only the standardized quantile passes a slope.
 """
 
 from __future__ import annotations
@@ -20,34 +27,40 @@ MAX_WIDEN = 200
 MAX_BISECT = 2200
 
 
-def increasing_root(f, y, hi, rtol: float, what: str) -> np.ndarray:
+def increasing_root(f, y, hi, rtol: float, what: str, lo=None,
+                    slope: bool = False, start=None) -> np.ndarray:
     """The t > 0 with f(t) = y, elementwise; shaped like `y`.
 
     `f` maps a 1-D array of times to values elementwise and is increasing,
-    with f(0+) <= y, so every bracket starts at lo = 0. `hi` (a scalar or
-    one value per target, > 0) is multiplied by 4 until f(hi) >= y, with lo
-    moved up to the old hi each time. Each element is then bisected until
-    hi - lo <= rtol * hi and left alone from then on, so its root does not
-    depend on the other targets. Returns the midpoints of the final
-    brackets. Raises `NumericalError` naming `what`, with the targets that
-    could not be bracketed or resolved in its context.
+    with f(0+) <= y. Without `lo` every bracket starts at lo = 0 and `hi`
+    (a scalar or one value per target, > 0) is multiplied by 4 until
+    f(hi) >= y, with lo moved up to the old hi each time. A given `lo` (a
+    scalar or one value per target) must already bracket each target with
+    `hi`, f(lo) <= y <= f(hi), and nothing is widened.
+
+    Without `slope`, each element is then bisected until hi - lo <= rtol *
+    hi, and the midpoint of its final bracket is returned. With `slope`,
+    f returns the pair (f(t), f'(t)) and each element is polished by
+    safeguarded Newton from `start` (one value per target; from the
+    bracket's midpoint where it is not given or not inside the bracket).
+    A step that leaves the bracket, comes from a slope that is not finite
+    and positive, or is longer than half the step before becomes a
+    bisection step; the iterate is returned once its step is at most
+    rtol * t or its bracket is narrower than rtol * hi. Either way an
+    element is left alone once it has converged, so its root does not
+    depend on the other targets. Raises `NumericalError` naming `what`,
+    with the targets that could not be bracketed or resolved in its
+    context.
     """
     y = np.asarray(y, dtype=float)
     yf = y.ravel()
     hi = np.array(np.broadcast_to(hi, y.shape), dtype=float).ravel()
-    lo = np.zeros_like(hi)
-
-    short = np.flatnonzero(~(f(hi) >= yf))  # NaN counts as not reached
-    for _ in range(MAX_WIDEN):
-        if short.size == 0:
-            break
-        lo[short] = hi[short]
-        hi[short] *= 4.0
-        short = short[~(f(hi[short]) >= yf[short])]
-    if short.size:
-        raise NumericalError(f"{what}: target not reached after {MAX_WIDEN} "
-                             f"widenings", targets=yf[short].tolist(),
-                             hi=hi[short].tolist())
+    if lo is None:
+        lo = _widen((lambda t: f(t)[0]) if slope else f, yf, hi, what)
+    else:
+        lo = np.array(np.broadcast_to(lo, y.shape), dtype=float).ravel()
+    if slope:
+        return _newton(f, yf, lo, hi, rtol, what, start).reshape(y.shape)
 
     # the unconverged elements are bisected as compact arrays; each is
     # written back once, when its bracket is narrow enough
@@ -70,3 +83,66 @@ def increasing_root(f, y, hi, rtol: float, what: str) -> np.ndarray:
                              targets=a_y.tolist(), lo=a_lo.tolist(),
                              hi=a_hi.tolist())
     return (0.5 * (lo + hi)).reshape(y.shape)
+
+
+def _widen(f, yf, hi, what):
+    """Widen `hi` in place until f(hi) >= yf; returns the matching lo."""
+    lo = np.zeros_like(hi)
+    short = np.flatnonzero(~(f(hi) >= yf))  # NaN counts as not reached
+    for _ in range(MAX_WIDEN):
+        if short.size == 0:
+            break
+        lo[short] = hi[short]
+        hi[short] *= 4.0
+        short = short[~(f(hi[short]) >= yf[short])]
+    if short.size:
+        raise NumericalError(f"{what}: target not reached after {MAX_WIDEN} "
+                             f"widenings", targets=yf[short].tolist(),
+                             hi=hi[short].tolist())
+    return lo
+
+
+def _newton(f, yf, lo, hi, rtol, what, start):
+    """Safeguarded Newton inside each bracket [lo, hi] (see
+    `increasing_root`), on compact arrays of the unconverged elements."""
+    out = 0.5 * (lo + hi)
+    if start is not None:
+        start = np.ravel(start)
+        inside = (start > lo) & (start < hi)
+        out[inside] = start[inside]
+    idx = np.flatnonzero(hi - lo > rtol * hi)
+    a_lo, a_hi, a_y, t = lo[idx], hi[idx], yf[idx], out[idx]
+    last = a_hi - a_lo  # length of the step before
+    for _ in range(MAX_BISECT):
+        if idx.size == 0:
+            break
+        val, d = f(t)
+        r = val - a_y
+        below = r < 0  # NaN counts as not reached, as in bisection
+        a_lo = np.where(below, t, a_lo)
+        a_hi = np.where(below, a_hi, t)
+        usable = (d > 0) & (d < np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = r / d
+            # a step this short, also for a residual of one unit in the
+            # last place of y, ends the search; where f is flat to
+            # rounding over a longer stretch, its lower end is bisected for
+            short = usable & (np.maximum(np.abs(r), np.spacing(np.abs(a_y)))
+                              <= rtol * t * d)
+        nt = t - step
+        newton = (usable & (nt > a_lo) & (nt < a_hi)
+                  & (np.abs(step) <= 0.5 * last))
+        nt = np.where(newton | short, nt, 0.5 * (a_lo + a_hi))
+        last = np.abs(nt - t)
+        t = nt
+        done = short | (last <= rtol * t) | (a_hi - a_lo <= rtol * a_hi)
+        if done.any():
+            out[idx[done]] = t[done]
+            keep = ~done
+            idx, a_lo, a_hi, a_y = idx[keep], a_lo[keep], a_hi[keep], a_y[keep]
+            t, last = t[keep], last[keep]
+    if idx.size:
+        raise NumericalError(f"{what}: Newton did not converge",
+                             targets=a_y.tolist(), lo=a_lo.tolist(),
+                             hi=a_hi.tolist())
+    return out

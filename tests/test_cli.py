@@ -129,6 +129,39 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "simulate.onset.lo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,block", [
+        ("simulate.covariates.x2.sd",
+         {"dist": "normal", "mean": 0.0, "sd": -1.0}),
+        ("simulate.covariates.x1.p", {"dist": "bernoulli", "p": 1.5}),
+        ("simulate.covariates.x1.p", {"dist": "bernoulli", "p": -0.1}),
+        ("simulate.covariates.x2.hi", {"dist": "uniform", "lo": 2.0,
+                                       "hi": 1.0}),
+        ("simulate.truncation.hi", {"dist": "uniform", "lo": 2.0, "hi": 1.0}),
+        ("simulate.truncation.rate", {"dist": "exponential", "rate": 0.0}),
+        ("simulate.truncation.rate", {"dist": "exponential", "rate": -2.0}),
+        ("simulate.truncation.time", {"dist": "fixed", "time": -1.0}),
+    ])
+    def test_parameter_out_of_range_named_in_error(self, tmp_path, capsys,
+                                                   key, block):
+        cfg = write_config(tmp_path, {key.rsplit(".", 1)[0]: block})
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,block", [
+        ("simulate.onset.rate", {"dist": "exponential", "rate": 0.0}),
+        ("simulate.onset.time", {"dist": "fixed", "time": -1.0}),
+    ])
+    def test_onset_parameter_out_of_range_named_in_error(self, tmp_path,
+                                                         capsys, key, block):
+        cfg = write_config(tmp_path, {
+            "model.effect": {"kind": "constant", "time_varying": True},
+            "truth.beta": {"onset": -0.5, "x1": 0.5, "x2": -0.3},
+            "simulate.onset": block})
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_unknown_sampler_key_fails_fit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"sampler.warmupp": 10})
         data = str(tmp_path / "d.csv")
@@ -211,6 +244,48 @@ class TestPostProcessing:
         assert len(table.abscissa) == 99
         np.testing.assert_allclose(table.mean, math.exp(0.5), atol=1e-9)
         assert np.all(table.hi95 == table.lo95)
+
+    @pytest.mark.parametrize("effect,args", [
+        ({"kind": "constant"},
+         ["--covariate", "x2", "--exposed", "1.5", "--reference", "-0.5"]),
+        ({"kind": "piecewise", "knots": [0.0, 1.0, 2.5],
+          "flexible_covariate": "x1"},
+         ["--exposed", "1.5", "--reference", "-0.5"]),
+    ])
+    def test_af_analytic_equals_pattern_ratio(self, tmp_path, effect, args):
+        """The emitted curve is, bit for bit, the ratio of quantile times of
+        two covariate patterns that differ only in the contrast column."""
+        from qvaft import config as cfgmod
+        from qvaft.inference import acceleration_factor
+
+        cfg = write_config(tmp_path, {"model.effect": effect,
+                                      "truth.alpha": ([0.3, -0.2] if
+                                                      "knots" in effect
+                                                      else None)})
+        out = str(tmp_path / "af.csv")
+        assert main(["af", "--analytic", "--config", cfg, "--out", out]
+                    + args) == 0
+        raw = cfgmod.load_config(cfg)
+        model = cfgmod.resolve_model(raw, None)
+        psi = cfgmod.resolve_truth(raw, model)
+        j = model.covariates.index(args[args.index("--covariate") + 1]
+                                   if "--covariate" in args else "x1")
+        x1, x0 = np.zeros(2), np.zeros(2)
+        x1[j], x0[j] = 1.5, -0.5
+        table = CurveTable.from_csv(out)
+        want = [acceleration_factor(model, psi, p, x1, x0)
+                for p in table.abscissa]
+        np.testing.assert_array_equal(table.mean, want)
+
+    def test_af_analytic_flexible_contrast_on_other_covariate_exit_2(
+            self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "model.effect": {"kind": "piecewise", "knots": [0.0, 1.0],
+                             "flexible_covariate": "x1"},
+            "truth.alpha": [0.3]})
+        assert main(["af", "--analytic", "--config", cfg, "--covariate", "x2",
+                     "--out", str(tmp_path / "af.csv")]) == 2
+        assert "flexible effect acts on 'x1'" in capsys.readouterr().err
 
     def test_missing_fit_artifacts_exit_2(self, tmp_path):
         assert main(["af", "--fit", str(tmp_path / "nope"),

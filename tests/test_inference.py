@@ -281,6 +281,60 @@ class TestStandardization:
         np.testing.assert_array_equal(table.extrapolated, p < thr)
 
 
+class TestStandardizedInverse:
+    """The grid-bracketed Newton inverse against plain bisection of the same
+    S_std (the slope-free root-finder from lo = 0)."""
+
+    P = np.array([1e-9, 0.01, 0.5, 0.99, 1 - 1e-9])
+    CASES = {
+        "tbp_spline": (
+            make_model("tbp", "spline", (-1.0, 0.3, 1.5), K=5),
+            ParameterVector(np.array([0.4, -0.3]), np.array([0.2, 0.05]), 0.5,
+                            1.3, np.array([0.1, 0.15, 0.3, 0.25, 0.2]), 1.0),
+            (1.0, 0.0)),
+        "weibull_piecewise": (
+            make_model("weibull", "piecewise", (0.0, 0.8, 1.6, 2.4)),
+            ParameterVector(np.array([0.5, -0.3]), np.array([0.2, 0.4, -0.3]),
+                            0.3, 1.2),
+            (1.0, 0.0)),
+        "switch_spline": (
+            make_model("weibull", "spline", (-1.0, 0.0, 1.0),
+                       covariates=("x1",), time_varying=True),
+            ParameterVector(np.array([-0.6, 0.2]), np.array([0.1, 0.05]), 0.5,
+                            1.1),
+            (0.7, 1.5, math.inf)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_bisection(self, rng, case):
+        from conftest import random_dataset
+        from qvaft.data import max_followup
+        from qvaft.inference import BISECT_RTOL, _standardized_sf
+        from qvaft.roots import increasing_root
+
+        model, psi, levels = self.CASES[case]
+        data = random_dataset(rng, 40, len(model.covariates),
+                              time_varying=model.time_varying)
+        for level in levels:
+            got = _invert_standardized(model, psi, data, level, self.P)
+            sf = _standardized_sf(model, psi, data, level)
+            want = increasing_root(lambda t: -sf(t), -self.P,
+                                   max(max_followup(data), 1.0), BISECT_RTOL,
+                                   "bisection")
+            if model.baseline.is_tbp:
+                # 1 - S_std = 1e-9 is below the resolution of the Bernstein
+                # survivor (log of a sum near 1): the computed S_std is
+                # within a few ulp of p, and not monotone, over a stretch
+                # of about 1e-7 relative, so the two searches may stop at
+                # different points of it; both must be roots to rounding
+                for t in (got[-1], want[-1]):
+                    assert abs(sf(np.array([t]))[0] - self.P[-1]) <= \
+                        4 * np.spacing(1.0)
+                np.testing.assert_allclose(got[-1], want[-1], rtol=1e-6)
+                got, want = got[:-1], want[:-1]
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 class TestSurface:
     MODEL = make_model(covariates=("x2",), time_varying=True)
 

@@ -59,3 +59,76 @@ def test_nan_counts_as_not_reached():
     with pytest.raises(NumericalError) as info:
         increasing_root(f, np.array([2.0, 50.0]), 1.0, 1e-10, "nan inverse")
     assert info.value.context["targets"] == [50.0]
+
+
+# -- with a slope: safeguarded Newton -------------------------------------
+
+def log1p_slope(t):
+    return np.log1p(t), 1.0 / (1.0 + t)
+
+
+def kinked_slope(t):
+    """`kinked` with its right-hand slope."""
+    t = np.asarray(t, dtype=float)
+    d = np.select([t < 1.0, t < 2.0, t < 3.0], [1.0, 0.5, 0.0], 2.0)
+    return kinked(t), d
+
+
+def test_newton_elements_converge_independently():
+    y = np.array([1e-12, 0.3, 5.0, 200.0])
+    batch = increasing_root(log1p_slope, y, 1.0, 1e-13, "log1p", slope=True)
+    alone = [increasing_root(log1p_slope, yi, 1.0, 1e-13, "log1p", slope=True)
+             for yi in y]
+    np.testing.assert_array_equal(batch, alone)
+    np.testing.assert_allclose(batch, np.expm1(y), rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, -1.0, np.inf])
+def test_unusable_slopes_fall_back_to_bisection(bad):
+    y = np.array([1e-6, 0.3, 5.0, 40.0])
+
+    def f(t):
+        return np.log1p(t), np.full(t.shape, bad)
+    got = increasing_root(f, y, 1.0, 1e-13, "bad slope", slope=True)
+    np.testing.assert_allclose(got, np.expm1(y), rtol=1e-12)
+
+
+@pytest.mark.parametrize("y", [1.0, 1.5, 1.25, 3.0])
+def test_newton_on_kinked_function(y):
+    rtol = 1e-12
+    t = float(increasing_root(kinked_slope, np.array([y]), 0.25, rtol,
+                              "kinked", slope=True)[0])
+    lo, hi = t * (1 - rtol), t * (1 + rtol)
+    assert kinked(lo) <= y <= kinked(hi)
+    if y == 1.5:
+        assert 2.0 - 1e-9 <= t <= 3.0 + 1e-9
+    else:
+        assert kinked(t) == pytest.approx(y, rel=1e-11)
+
+
+def test_slope_and_slope_free_paths_agree():
+    y = -np.array([1e-9, 0.01, 0.3, 0.5, 0.9, 0.99, 1 - 1e-9])
+
+    def f(t):  # a Weibull survivor, negated so that it increases
+        return -np.exp(-t ** 1.7)
+
+    def fs(t):
+        s = np.exp(-t ** 1.7)
+        return -s, 1.7 * t ** 0.7 * s
+    rtol = 1e-13
+    bisected = increasing_root(f, y, 1.0, rtol, "weibull")
+    newton = increasing_root(fs, y, 1.0, rtol, "weibull", slope=True)
+    np.testing.assert_allclose(newton, bisected, rtol=4 * rtol)
+
+
+def test_given_brackets_and_starts():
+    y = np.array([0.5, 2.0, 3.0])
+    lo, hi = np.array([0.25, 1.0, 15.0]), np.array([1.0, 10.0, 20.0])
+    want = np.expm1(y)
+    for start in (None, np.array([0.6, 7.0, 0.1])):  # the last lies outside
+        got = increasing_root(log1p_slope, y, hi, 1e-13, "log1p", lo=lo,
+                              slope=True, start=start)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    np.testing.assert_allclose(
+        increasing_root(np.log1p, y, hi, 1e-13, "log1p", lo=lo), want,
+        rtol=1e-12)
