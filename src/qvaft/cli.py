@@ -140,8 +140,10 @@ def cmd_fit(args) -> int:
             "seed": cfg.seed,
             "target_accept": cfg.target_accept,
             "divergences": int(draws.divergent.sum()),
-            "step_size": [float(s) for s in
-                          np.unique(draws.step_size).tolist()],
+            "step_size": draws.step_size[::draws.draws_per_chain].tolist(),
+            "grad_calls": draws.grad_calls.tolist(),
+            "grad_calls_per_iter": float(draws.grad_calls.sum()) / (
+                cfg.chains * (cfg.warmup_iters + cfg.sampling_iters)),
         },
         "n_subjects": data.n,
     }

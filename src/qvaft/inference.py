@@ -344,18 +344,44 @@ def _summaries(samples: np.ndarray):
     return mean, median, lo, hi
 
 
-def _extrapolation_threshold(model, draws, data, levels) -> float:
-    """Smallest posterior-mean standardized survivor value attained at the
-    largest observed follow-up time, minimized over the contrast groups."""
+def _sf_at_followup(model, draws, data, level) -> float:
+    """Posterior-mean standardized survivor of one level at the largest
+    observed follow-up time."""
     tmax = np.array([max_followup(data)])
-    vals = []
-    for level in levels:
-        per_draw = [
-            _standardized_sf(model, psi, data, level)(tmax)[0]
-            for psi in _draw_parameters(model, draws)
-        ]
-        vals.append(float(np.mean(per_draw)))
-    return min(vals)
+    return float(np.mean([
+        _standardized_sf(model, psi, data, level)(tmax)[0]
+        for psi in _draw_parameters(model, draws)
+    ]))
+
+
+def _af_tables(model, draws, data, p, exposed, reference,
+               labels) -> list:
+    """Standardized AF curves of each level in `exposed` against the one
+    `reference` level, on the same draws: one table per exposed level.
+    Each draw inverts the reference once and shares it across the exposed
+    levels, and so does the extrapolation threshold: the smaller of the two
+    groups' posterior-mean survivor values at the largest follow-up."""
+    if draws.M == 0:
+        raise DomainError("no posterior draws supplied")
+    ratios = np.empty((len(exposed), draws.M, len(p)))
+    for m, psi in enumerate(_draw_parameters(model, draws)):
+        try:
+            t0 = _invert_standardized(model, psi, data, reference, p)
+            for k, level in enumerate(exposed):
+                ratios[k, m] = (_invert_standardized(model, psi, data, level, p)
+                                / t0)
+        except NumericalError as err:
+            raise NumericalError(f"standardized inverse failed at draw {m}: "
+                                 f"{err}", draw=m, p=p.tolist(),
+                                 **err.context) from None
+    ref_sf = _sf_at_followup(model, draws, data, reference)
+    tables = []
+    for level, label, r in zip(exposed, labels, ratios):
+        mean, median, lo, hi = _summaries(r)
+        thr = min(_sf_at_followup(model, draws, data, level), ref_sf)
+        tables.append(CurveTable(p.copy(), np.full(len(p), label, dtype=object),
+                                 mean, median, lo, hi, p < thr))
+    return tables
 
 
 def standardized_af(model: ModelSpec, draws: PosteriorDraws, data,
@@ -368,28 +394,12 @@ def standardized_af(model: ModelSpec, draws: PosteriorDraws, data,
     carry the across-draw mean, median and 95% interval at each p.
     """
     data = as_dataset(data)
-    if draws.M == 0:
-        raise DomainError("no posterior draws supplied")
     if contrast is None:
         contrast = ContrastSpec.default(model)
     p = _check_p(p_grid if p_grid is not None else default_quantile_grid())
-
-    ratios = np.empty((draws.M, len(p)))
-    for m, psi in enumerate(_draw_parameters(model, draws)):
-        try:
-            t1 = _invert_standardized(model, psi, data, contrast.exposed, p)
-            t0 = _invert_standardized(model, psi, data, contrast.reference, p)
-        except NumericalError as err:
-            raise NumericalError(f"standardized inverse failed at draw {m}: "
-                                 f"{err}", draw=m, p=p.tolist(),
-                                 **err.context) from None
-        ratios[m] = t1 / t0
-    mean, median, lo, hi = _summaries(ratios)
-    thr = _extrapolation_threshold(model, draws, data,
-                                   (contrast.exposed, contrast.reference))
     label = group_label if group_label is not None else "af"
-    return CurveTable(p.copy(), np.full(len(p), label, dtype=object),
-                      mean, median, lo, hi, p < thr)
+    return _af_tables(model, draws, data, p, (contrast.exposed,),
+                      contrast.reference, (label,))[0]
 
 
 def standardized_survivor_curves(model: ModelSpec, draws: PosteriorDraws,
@@ -430,13 +440,8 @@ def af_surface(model: ModelSpec, draws: PosteriorDraws, data,
     if onset_grid is None:
         onset_grid = np.linspace(0.0, max_followup(data), 41)[1:]
     onset_grid = np.asarray(onset_grid, dtype=float)
-    if p_grid is None:
-        p_grid = surface_quantile_grid()
+    p = _check_p(p_grid if p_grid is not None else surface_quantile_grid())
     sub = draws.thin_by(thin) if thin > 1 else draws
-    tables = [
-        standardized_af(model, sub, data, p_grid,
-                        ContrastSpec(float(g), math.inf),
-                        group_label=f"tx={g:g}")
-        for g in onset_grid
-    ]
-    return CurveTable.concat(tables)
+    return CurveTable.concat(_af_tables(
+        model, sub, data, p, [float(g) for g in onset_grid], math.inf,
+        [f"tx={g:g}" for g in onset_grid]))

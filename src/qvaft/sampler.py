@@ -9,10 +9,13 @@ with log-posterior -inf get zero selection weight, so they are never
 accepted.
 
 Warmup interleaves dual-averaging step-size adaptation (toward
-`target_accept`) with windowed estimation of a diagonal inverse mass
-matrix: a 75-iteration step-size-only buffer, expanding variance windows
-starting at 25 iterations, and a 50-iteration terminal buffer, scaled
-proportionally when the warmup budget is small.
+`target_accept`) with windowed estimation of a dense inverse metric
+(inverse mass matrix) M^-1: a 75-iteration step-size-only buffer,
+expanding covariance windows starting at 25 iterations, and a 50-iteration
+terminal buffer, scaled proportionally when the warmup budget is small.
+Each window's M^-1 is Stan's regularised covariance estimate of its draws.
+Positions move along M^-1 p, and momenta are drawn as p = L^-T xi for
+M^-1 = L L^T, so that p ~ N(0, M).
 
 Every iteration draws its randomness from a counter-based Philox stream
 keyed by (seed, chain, iteration), so runs are bit-reproducible and chains
@@ -100,6 +103,7 @@ class PosteriorDraws:
     step_size: np.ndarray
     n_chains: int
     model: ModelSpec | None = field(default=None, repr=False)
+    grad_calls: np.ndarray | None = None    # (n_chains,) gradient evaluations
 
     @property
     def M(self) -> int:
@@ -122,7 +126,8 @@ class PosteriorDraws:
         return PosteriorDraws(
             self.z[keep], self.constrained[keep], self.param_names,
             self.chain_id[keep], self.iteration[keep], self.divergent[keep],
-            self.energy[keep], self.step_size[keep], self.n_chains, self.model)
+            self.energy[keep], self.step_size[keep], self.n_chains, self.model,
+            self.grad_calls)
 
 
 # -- hamiltonian pieces -------------------------------------------------------
@@ -133,16 +138,38 @@ def _iteration_rng(seed: int, chain: int, iteration: int) -> np.random.Generator
 
 
 def leapfrog_step(logp_and_grad, z, p, grad, eps, inv_mass):
-    """One leapfrog update; returns (z', p', logp', grad')."""
+    """One leapfrog update; returns (z', p', logp', grad'). `inv_mass` is
+    the (d, d) inverse metric M^-1, or its (d,) diagonal."""
+    inv_mass = np.asarray(inv_mass, dtype=float)
+    if inv_mass.ndim == 1:
+        inv_mass = np.diag(inv_mass)
+    return _leapfrog(logp_and_grad, z, p, grad, eps, inv_mass)
+
+
+def _leapfrog(logp_and_grad, z, p, grad, eps, inv_mass):
     p_half = p + 0.5 * eps * grad
-    z_new = z + eps * inv_mass * p_half
+    z_new = z + eps * (inv_mass @ p_half)
     logp_new, grad_new = logp_and_grad(z_new)
     p_new = p_half + 0.5 * eps * grad_new
     return z_new, p_new, logp_new, grad_new
 
 
 def _kinetic(p, inv_mass):
-    return 0.5 * float(np.dot(inv_mass * p, p))
+    return 0.5 * float(p @ (inv_mass @ p))
+
+
+def _momentum_factor(inv_mass, chain: int, iteration: int) -> np.ndarray:
+    """L^-T for the Cholesky factor L of M^-1 = L L^T; momenta L^-T xi with
+    xi ~ N(0, I) then have covariance M."""
+    try:
+        chol = np.linalg.cholesky(inv_mass)
+        if np.all(np.isfinite(chol)):
+            return np.linalg.inv(chol).T
+    except np.linalg.LinAlgError:
+        pass
+    raise NumericalError(
+        f"chain {chain}: the inverse metric adapted at warmup iteration "
+        f"{iteration} has no Cholesky factor", chain=chain, iteration=iteration)
 
 
 class _Tree:
@@ -154,8 +181,8 @@ class _Tree:
 def _build_tree(rng, logp_and_grad, z, p, grad, direction, depth, eps,
                 inv_mass, h0):
     if depth == 0:
-        z1, p1, logp1, grad1 = leapfrog_step(logp_and_grad, z, p, grad,
-                                             direction * eps, inv_mass)
+        z1, p1, logp1, grad1 = _leapfrog(logp_and_grad, z, p, grad,
+                                         direction * eps, inv_mass)
         h1 = -logp1 + _kinetic(p1, inv_mass)
         delta = h1 - h0
         t = _Tree()
@@ -203,15 +230,14 @@ def _build_tree(rng, logp_and_grad, z, p, grad, direction, depth, eps,
 
 
 def _uturn(tree: _Tree, inv_mass) -> bool:
-    dz = tree.z_right - tree.z_left
-    return (np.dot(dz, inv_mass * tree.p_left) < 0
-            or np.dot(dz, inv_mass * tree.p_right) < 0)
+    # (dz' M^-1) p at both ends; M^-1 is symmetric, so one product serves both
+    dz = inv_mass @ (tree.z_right - tree.z_left)
+    return dz @ tree.p_left < 0 or dz @ tree.p_right < 0
 
 
 def _nuts_transition(rng, logp_and_grad, z, logp, grad, eps, inv_mass,
-                     max_depth):
-    dim = len(z)
-    p0 = rng.standard_normal(dim) / np.sqrt(inv_mass)
+                     momentum, max_depth):
+    p0 = momentum @ rng.standard_normal(len(z))
     h0 = -logp + _kinetic(p0, inv_mass)
 
     t = _Tree()
@@ -258,11 +284,12 @@ def _nuts_transition(rng, logp_and_grad, z, logp, grad, eps, inv_mass,
             accept_stat)
 
 
-def _find_epsilon(rng, logp_and_grad, z, logp, grad, inv_mass) -> float:
+def _find_epsilon(rng, logp_and_grad, z, logp, grad, inv_mass,
+                  momentum) -> float:
     eps = 1.0
-    p = rng.standard_normal(len(z)) / np.sqrt(inv_mass)
+    p = momentum @ rng.standard_normal(len(z))
     h0 = -logp + _kinetic(p, inv_mass)
-    _, p1, logp1, _ = leapfrog_step(logp_and_grad, z, p, grad, eps, inv_mass)
+    _, p1, logp1, _ = _leapfrog(logp_and_grad, z, p, grad, eps, inv_mass)
     h1 = -logp1 + _kinetic(p1, inv_mass) if math.isfinite(logp1) else math.inf
     ratio = h0 - h1
     direction = 1.0 if ratio > math.log(0.5) else -1.0
@@ -270,7 +297,7 @@ def _find_epsilon(rng, logp_and_grad, z, logp, grad, inv_mass) -> float:
         eps *= 2.0 ** direction
         if eps < 1e-10 or eps > 1e7:
             break
-        _, p1, logp1, _ = leapfrog_step(logp_and_grad, z, p, grad, eps, inv_mass)
+        _, p1, logp1, _ = _leapfrog(logp_and_grad, z, p, grad, eps, inv_mass)
         h1 = -logp1 + _kinetic(p1, inv_mass) if math.isfinite(logp1) else math.inf
         ratio = h0 - h1
         if direction * ratio <= direction * math.log(0.5):
@@ -312,7 +339,7 @@ class _DualAveraging:
 
 
 def _mass_update_points(warmup: int) -> list:
-    """Warmup iterations (1-based) after which the mass matrix is refreshed."""
+    """Warmup iterations (1-based) after which the metric is refreshed."""
     if warmup < 20:
         return []
     init_buffer, term_buffer, base = 75, 50, 25
@@ -336,23 +363,30 @@ def _mass_update_points(warmup: int) -> list:
 
 
 class _Welford:
+    """Running mean and covariance of one adaptation window's draws."""
+
     def __init__(self, dim):
         self.n = 0
         self.mean = np.zeros(dim)
-        self.m2 = np.zeros(dim)
+        self.m2 = np.zeros((dim, dim))
 
     def push(self, x):
         self.n += 1
         d = x - self.mean
         self.mean += d / self.n
-        self.m2 += d * (x - self.mean)
+        self.m2 += np.outer(x - self.mean, d)
 
-    def variance(self):
+    def covariance(self):
+        """Stan's regularised estimate (n/(n+5)) S + 1e-3 (5/(n+5)) I of the
+        sample covariance S, symmetrised; it shrinks toward unit scale as a
+        guard for short windows."""
+        dim = len(self.mean)
         if self.n < 2:
-            return np.ones_like(self.mean)
-        var = self.m2 / (self.n - 1)
-        # shrink toward unit scale, as a guard for short windows
-        return (self.n / (self.n + 5.0)) * var + 1e-3 * (5.0 / (self.n + 5.0))
+            return np.eye(dim)
+        n = self.n
+        cov = ((n / (n + 5.0)) * (self.m2 / (n - 1))
+               + 1e-3 * (5.0 / (n + 5.0)) * np.eye(dim))
+        return 0.5 * (cov + cov.T)
 
 
 # -- chain driver -------------------------------------------------------------
@@ -363,7 +397,13 @@ def _default_init(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _run_chain(target: GradientTarget, cfg: SamplerConfig, chain: int):
     dim = target.dim
-    lg = target.logp_and_grad
+    grad_calls = 0
+
+    def lg(z):
+        nonlocal grad_calls
+        grad_calls += 1
+        return target.logp_and_grad(z)
+
     rng0 = _iteration_rng(cfg.seed, chain, 0)
     init = target.initial_point or (lambda r: _default_init(r, dim))
     z = logp = grad = None
@@ -377,8 +417,8 @@ def _run_chain(target: GradientTarget, cfg: SamplerConfig, chain: int):
             f"chain {chain}: no finite log-posterior found in 100 "
             "initialization attempts")
 
-    inv_mass = np.ones(dim)
-    eps = _find_epsilon(rng0, lg, z, logp, grad, inv_mass)
+    inv_mass = momentum = np.eye(dim)
+    eps = _find_epsilon(rng0, lg, z, logp, grad, inv_mass, momentum)
     da = _DualAveraging(eps, cfg.target_accept)
     mass_points = set(_mass_update_points(cfg.warmup_iters))
     welford = _Welford(dim)
@@ -396,15 +436,18 @@ def _run_chain(target: GradientTarget, cfg: SamplerConfig, chain: int):
         rng = _iteration_rng(cfg.seed, chain, it)
         warming = it <= cfg.warmup_iters
         z, logp, grad, energy, divergent, astat = _nuts_transition(
-            rng, lg, z, logp, grad, eps, inv_mass, cfg.max_tree_depth)
+            rng, lg, z, logp, grad, eps, inv_mass, momentum,
+            cfg.max_tree_depth)
         if warming:
             warmup_divergences += divergent
             eps = da.update(astat)
             welford.push(z)
             if it in mass_points:
-                inv_mass = welford.variance()
+                inv_mass = welford.covariance()
+                momentum = _momentum_factor(inv_mass, chain, it)
                 welford = _Welford(dim)
-                eps = _find_epsilon(rng, lg, z, logp, grad, inv_mass)
+                eps = _find_epsilon(rng, lg, z, logp, grad, inv_mass,
+                                    momentum)
                 da.restart(eps)
             if it == cfg.warmup_iters:
                 eps = da.adapted
@@ -421,7 +464,7 @@ def _run_chain(target: GradientTarget, cfg: SamplerConfig, chain: int):
         raise NumericalError(
             f"chain {chain}: every warmup iteration diverged; "
             "the posterior may be improper or the initialization invalid")
-    return zs, divs, energies, iters, eps
+    return zs, divs, energies, iters, eps, grad_calls
 
 
 def sample(target: GradientTarget, cfg: SamplerConfig) -> PosteriorDraws:
@@ -451,7 +494,8 @@ def sample(target: GradientTarget, cfg: SamplerConfig) -> PosteriorDraws:
     names = tuple(target.param_names) or tuple(
         f"z_{i}" for i in range(target.dim))
     return PosteriorDraws(zs, constrained, names, chain_id, iters, divs,
-                          energies, step, cfg.chains)
+                          energies, step, cfg.chains,
+                          grad_calls=np.array([r[5] for r in results]))
 
 
 def _model_initial_point(dim: int, n_free: int, rng) -> np.ndarray:

@@ -349,6 +349,39 @@ class TestPostProcessing:
         assert read_loo_report(out + "/loo.txt")["n"] == 120
 
 
+class TestFitSummary:
+    def test_step_sizes_per_chain_in_chain_order(self, fitted):
+        summary = json.load(open(fitted["fit"] + "/summary.json"))
+        raw = np.load(fitted["fit"] + "/draws.npz")
+        per = len(raw["step_size"]) // int(raw["n_chains"])
+        assert summary["sampler"]["step_size"] == \
+            raw["step_size"][::per].tolist()
+
+    def test_grad_calls_match_a_counting_target(self, fitted):
+        import dataclasses
+
+        from qvaft import config as cfgmod
+        from qvaft.sampler import make_model_target, sample
+
+        raw = cfgmod.load_config(fitted["cfg"])
+        data = read_csv(fitted["data"])
+        target = make_model_target(cfgmod.resolve_model(raw, data), data,
+                                   cfgmod.resolve_priors(raw))
+        calls = []
+
+        def counted(z):
+            calls.append(1)
+            return target.logp_and_grad(z)
+
+        cfg = cfgmod.resolve_sampler(raw, threads=1)
+        sample(dataclasses.replace(target, logp_and_grad=counted), cfg)
+        sampler = json.load(open(fitted["fit"] + "/summary.json"))["sampler"]
+        assert len(sampler["grad_calls"]) == cfg.chains
+        assert sum(sampler["grad_calls"]) == len(calls)
+        iters = cfg.chains * (cfg.warmup_iters + cfg.sampling_iters)
+        assert sampler["grad_calls_per_iter"] == len(calls) / iters
+
+
 class TestThreads:
     def test_parallel_chains_match_sequential(self, fitted, tmp_path,
                                               monkeypatch):

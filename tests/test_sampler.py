@@ -11,6 +11,7 @@ from scipy import stats
 from qvaft.errors import DiagnosticsError, DomainError
 from qvaft.sampler import (
     GradientTarget,
+    _Welford,
     SamplerConfig,
     ess,
     leapfrog_step,
@@ -186,3 +187,106 @@ class TestConfigValidation:
     def test_target_accept_range(self):
         with pytest.raises(DomainError):
             SamplerConfig(target_accept=1.5)
+
+
+def counting_target(target):
+    """`target` with a list that receives one entry per gradient call."""
+    calls = []
+
+    def lg(z):
+        calls.append(1)
+        return target.logp_and_grad(z)
+
+    return GradientTarget(target.dim, lg, target.initial_point), calls
+
+
+def gaussian_target(cov):
+    prec = np.linalg.inv(cov)
+    return GradientTarget(len(cov),
+                          lambda z: (-0.5 * float(z @ prec @ z), -(prec @ z)))
+
+
+class TestDenseMetric:
+    def test_welford_covariance_is_regularised_np_cov(self, rng):
+        x = rng.normal(size=(40, 3)) @ np.array([[2.0, 0.0, 0.0],
+                                                 [1.5, 0.3, 0.0],
+                                                 [-4.0, 1.0, 0.1]])
+        acc = _Welford(3)
+        for row in x:
+            acc.push(row)
+        n = len(x)
+        want = (n / (n + 5.0)) * np.cov(x.T) + 1e-3 * (5.0 / (n + 5.0)) * np.eye(3)
+        got = acc.covariance()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(got, got.T)
+
+    def test_identity_metric_equals_unit_diagonal(self):
+        def lg(v):
+            return -0.5 * float(v @ v), -v
+
+        z = np.array([0.3, -1.2, 0.7])
+        p = np.array([0.5, 0.8, -0.1])
+        _, grad = lg(z)
+        dense = leapfrog_step(lg, z, p, grad, 0.1, np.eye(3))
+        diag = leapfrog_step(lg, z, p, grad, 0.1, np.ones(3))
+        for a, b in zip(dense, diag):
+            assert np.array_equal(a, b)
+
+    def test_strong_correlation_is_cheap_after_warmup(self):
+        """rho = 0.99: a diagonal metric needs about 14 gradient calls per
+        iteration here; the adapted dense metric makes the target round."""
+        rho = 0.99
+        target = gaussian_target(np.array([[1.0, rho], [rho, 1.0]]))
+        cfg = SamplerConfig(chains=4, warmup_iters=500, sampling_iters=1000,
+                            seed=3)
+        d = sample(target, cfg)
+        # draws depend only on (seed, chain, iteration), so a run with one
+        # sampling iteration is the same warmup plus its first iteration
+        warm = sample(target, SamplerConfig(chains=4, warmup_iters=500,
+                                            sampling_iters=1, seed=3))
+        per_iter = (d.grad_calls - warm.grad_calls) / (cfg.sampling_iters - 1)
+        assert np.all(per_iter <= 8.0)
+        for i in range(2):
+            col = d.constrained[:, i]
+            assert abs(col.mean()) < 4 * mcse(col, ess(d, i))
+            sq = col ** 2
+            n_eff = ess(sq.reshape(d.n_chains, -1))
+            assert abs(sq.mean() - 1.0) < 4 * mcse(sq, n_eff)
+
+    def test_ill_conditioned_4d_sds(self):
+        sd = np.array([0.05, 1.0, 3.0, 0.2])
+        corr = np.array([[1.0, 0.9, 0.0, 0.0],
+                         [0.9, 1.0, -0.3, 0.0],
+                         [0.0, -0.3, 1.0, 0.6],
+                         [0.0, 0.0, 0.6, 1.0]])
+        cov = corr * np.outer(sd, sd)
+        assert np.all(np.linalg.eigvalsh(cov) > 0)
+        assert np.linalg.cond(cov) >= 1e3
+        cfg = SamplerConfig(chains=4, warmup_iters=1000, sampling_iters=1000,
+                            seed=13)
+        d = sample(gaussian_target(cov), cfg)
+        got = d.constrained.std(axis=0, ddof=1)
+        np.testing.assert_allclose(got, sd, rtol=0.05)
+
+    def test_grad_calls_match_a_counting_target(self):
+        cfg = SamplerConfig(chains=2, warmup_iters=150, sampling_iters=100,
+                            seed=4)
+        target, calls = counting_target(std_normal_target(3))
+        d = sample(target, cfg)
+        assert int(d.grad_calls.sum()) == len(calls)
+        # chain 0 alone draws exactly what it drew beside chain 1
+        target1, calls1 = counting_target(std_normal_target(3))
+        sample(target1, SamplerConfig(chains=1, warmup_iters=150,
+                                      sampling_iters=100, seed=4))
+        assert list(d.grad_calls) == [len(calls1), len(calls) - len(calls1)]
+
+    def test_failed_cholesky_names_chain_and_iteration(self, monkeypatch):
+        from qvaft.errors import NumericalError
+
+        monkeypatch.setattr(_Welford, "covariance",
+                            lambda self: -np.eye(len(self.mean)))
+        cfg = SamplerConfig(chains=1, warmup_iters=50, sampling_iters=10,
+                            seed=0)
+        with pytest.raises(NumericalError, match=r"chain 0.*iteration 45") as err:
+            sample(std_normal_target(2), cfg)
+        assert err.value.context == {"chain": 0, "iteration": 45}
