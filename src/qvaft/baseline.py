@@ -23,16 +23,20 @@ centering cumulative hazard -log S0c (F0 from the prefix sums of w), then
 applies the closed-form centering inverse, as the parametric families do.
 
 All operations are pure functions of immutable value objects and accept a
-scalar or ndarray time argument.
+scalar or ndarray time argument. Only the log-normal formulas need scipy
+(`erfcx`, `log_ndtr`, `ndtri_exp`), and they import it on first use, so
+this module never loads it for a Weibull or Weibull-centred tbp baseline;
+the binomial coefficients of the Bernstein basis are logs of exact integers
+(`math.comb`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 from .roots import increasing_root
@@ -175,7 +179,8 @@ def _weibull_terms(mu, sigma, u, pdf, grad):
 
 def _normal_hazard(s):
     # phi(s) / (1 - Phi(s)), stable for large |s|
-    return np.sqrt(2.0 / np.pi) / special.erfcx(s / np.sqrt(2.0))
+    from scipy.special import erfcx
+    return np.sqrt(2.0 / np.pi) / erfcx(s / np.sqrt(2.0))
 
 
 def _lognormal_terms(mu, sigma, u, pdf, grad):
@@ -186,7 +191,8 @@ def _lognormal_terms(mu, sigma, u, pdf, grad):
         if not grad:
             return BaselineTerms(val)
         return BaselineTerms(val, -(s / sigma + 1.0) / u, s / sigma, s * s - 1.0)
-    val = special.log_ndtr(-s)
+    from scipy.special import log_ndtr
+    val = log_ndtr(-s)
     if not grad:
         return BaselineTerms(val)
     lam = _normal_hazard(s)
@@ -198,10 +204,11 @@ _PARAMETRIC = {"weibull": _weibull_terms, "lognormal": _lognormal_terms}
 
 @functools.lru_cache(maxsize=None)
 def _binomial(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """log C(n, j), j and n - j, for j = 0..n (read-only, shared)."""
+    """log C(n, j) (the log of the exact integer), j and n - j, for
+    j = 0..n (read-only, shared)."""
     j = np.arange(n + 1.0)
-    out = (special.gammaln(n + 1.0) - special.gammaln(j + 1.0)
-           - special.gammaln(n - j + 1.0), j, n - j)
+    out = (np.array([math.log(math.comb(n, k)) for k in range(n + 1)]),
+           j, n - j)
     for a in out:
         a.flags.writeable = False
     return out
@@ -284,7 +291,8 @@ def _centering_quantile(family: str, mu: float, sigma: float, q):
     cumulative hazard q > 0; closed form."""
     if family == "weibull":
         return np.exp(mu) * q ** (1.0 / sigma)
-    return np.exp(mu - sigma * special.ndtri_exp(-q))
+    from scipy.special import ndtri_exp
+    return np.exp(mu - sigma * ndtri_exp(-q))
 
 
 def _tbp_hazard(K: int, w: np.ndarray, p: np.ndarray) -> np.ndarray:

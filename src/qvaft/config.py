@@ -15,7 +15,6 @@ import json
 import math
 
 import numpy as np
-import yaml
 
 from .baseline import BaselineSpec
 from .covproc import EffectSpec
@@ -45,6 +44,7 @@ __all__ = [
 
 
 def load_config(path) -> dict:
+    import yaml  # here, not at the top: post-fit commands read fit.json
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)

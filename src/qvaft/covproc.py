@@ -395,10 +395,12 @@ def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, x1=0.0, b1=0.0,
 
 # -- V, v, V^{-1} ----------------------------------------------------------
 
-def _nonnegative(a, what: str) -> np.ndarray:
+def _nonnegative(a, what: str, strict: bool = False) -> np.ndarray:
+    """a as a float array; DomainError naming `what` if an entry is NaN or
+    negative (with `strict`, also if it is 0)."""
     a = np.asarray(a, dtype=float)
-    if np.any(np.isnan(a)) or np.any(a < 0):
-        raise DomainError(f"{what} must be >= 0")
+    if np.any(np.isnan(a)) or np.any(a <= 0 if strict else a < 0):
+        raise DomainError(f"{what} must be {'>' if strict else '>='} 0")
     return a
 
 
@@ -482,9 +484,7 @@ def v_deriv(spec: EffectSpec, beta, alpha, x, t, x1_index: int = 0):
     """v(t|x) = dV/dt for t > 0; right-hand value at piecewise breakpoints.
     Clamped at 0 where a spline transform is not increasing."""
     alpha = _check_alpha(spec, alpha)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(np.isnan(t_arr)) or np.any(t_arr <= 0):
-        raise DomainError("time must be > 0")
+    t_arr = _nonnegative(t, "time", strict=True)
     tt = transform(TimeBasis(spec, t_arr), alpha,
                    *_pattern(spec, beta, x, x1_index), logv=True)
     return _scalar_like(t, np.exp(tt.logv))

@@ -41,6 +41,11 @@ Flexible transforms that `covproc.is_monotone` finds non-increasing on a
 grid spanning the follow-up, and proposals whose constrained values
 overflow or underflow (where `constrain` raises a DomainError naming the
 coordinate), are likewise rejected by returning -inf.
+
+The stick transform (log-sigmoids from `np.logaddexp`, its inverse from
+suffix sums of w) and the Dirichlet normaliser (`math.lgamma`, inf where it
+would overflow) need no scipy; `scipy.special.digamma` is imported on first
+use, by the gradient in log theta only.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import baseline as bl
 from .covproc import TimeBasis, is_monotone, slope_basis, transform
@@ -144,29 +148,28 @@ def check_psi(model: ModelSpec, psi: ParameterVector) -> None:
 
 def _stick_forward(y: np.ndarray):
     """Stick-breaking y in R^(K-1) -> simplex w in R^K, plus the logistic
-    values z_k and the log-Jacobian of the transform. The log-Jacobian is
-    summed in log space, so it is finite for every finite y; weights of a
-    saturated stick underflow to 0 instead of raising."""
+    values z_k and the log-Jacobian of the transform. The weights and the
+    log-Jacobian come from the log stick lengths, so a saturated stick
+    (1 - z_k far below machine precision) keeps every later weight to full
+    relative precision, the log-Jacobian is finite for every finite y, and
+    weights underflow to 0 instead of raising."""
     x = y - np.log(np.arange(y.size, 0, -1, dtype=float))  # offset log(K - k)
-    z = special.expit(x)
-    stick = np.concatenate([[1.0], np.cumprod(1.0 - z)])
-    w = np.append(z * stick[:-1], stick[-1])
     log_z = -np.logaddexp(0.0, -x)
     log_1mz = -np.logaddexp(0.0, x)
-    log_stick = np.cumsum(log_1mz) - log_1mz  # log of the stick before k
-    logjac = float(np.sum(log_z + log_1mz + log_stick))
-    return w, z, logjac
+    log_stick = np.append(0.0, np.cumsum(log_1mz))  # log of the stick before k
+    w = np.exp(np.append(log_z + log_stick[:-1], log_stick[-1]))
+    logjac = float(np.sum(log_z + log_1mz + log_stick[:-1]))
+    return w, np.exp(log_z), logjac
 
 
 def _stick_inverse(w: np.ndarray) -> np.ndarray:
-    Km1 = w.size - 1
-    offsets = np.log(np.arange(Km1, 0, -1, dtype=float))
-    y = np.empty(Km1)
-    stick = 1.0
-    for k in range(Km1):
-        y[k] = special.logit(w[k] / stick) + offsets[k]
-        stick -= w[k]
-    return y
+    """The inverse of `_stick_forward`: y_k = logit(w_k / stick_k) plus the
+    offset, with the stick before k taken as the suffix sum of w, so that
+    the logit is log w_k - log sum_{j>k} w_j, with no cancellation."""
+    suffix = np.cumsum(w[::-1])[::-1]  # suffix[k] = sum_{j >= k} w_j
+    offsets = np.log(np.arange(w.size - 1, 0, -1, dtype=float))
+    with np.errstate(divide="ignore"):
+        return np.log(w[:-1]) - np.log(suffix[1:]) + offsets
 
 
 def unconstrain(model: ModelSpec, psi: ParameterVector) -> np.ndarray:
@@ -427,14 +430,22 @@ def _gamma_logpdf(x, a, b):
     return a * math.log(b) - math.lgamma(a) + (a - 1.0) * math.log(x) - b * x
 
 
+def _lgamma(x: float) -> float:
+    """math.lgamma, but inf where the result overflows instead of raising."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
 def _log_prior(model: ModelSpec, sigma: float, w, theta, priors: PriorSpec):
     out = _gamma_logpdf(sigma, priors.a_sigma, priors.b_sigma)
     if model.baseline.is_tbp:
-        # gammaln, unlike math.lgamma, gives inf instead of raising for a
-        # huge theta; the caller rejects the non-finite result
+        # a huge theta makes the normaliser inf or NaN, not an error; the
+        # caller rejects the non-finite result
         K = model.K
-        out += float(special.gammaln(K * theta) - K * special.gammaln(theta)
-                     + (theta - 1.0) * np.sum(np.log(w)))
+        out += (_lgamma(K * theta) - K * _lgamma(theta)
+                + (theta - 1.0) * float(np.sum(np.log(w))))
         out += _gamma_logpdf(theta, priors.a_theta, priors.b_theta)
     return out
 
@@ -498,7 +509,8 @@ def _posterior_impl(model, z, prep, priors, want_grad: bool):
         gy += 1.0 - zk * (K + 1.0 - ks)
         gz[nb + J + 2:nb + J + 1 + K] = gy
         # theta coordinate
-        dtheta = (K * special.digamma(K * theta) - K * special.digamma(theta)
+        from scipy.special import digamma
+        dtheta = (K * digamma(K * theta) - K * digamma(theta)
                   + float(np.sum(np.log(w))))
         gz[nb + J + 1 + K] = (theta * dtheta
                               + (priors.a_theta - 1.0) - priors.b_theta * theta

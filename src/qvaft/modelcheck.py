@@ -13,7 +13,9 @@ capped at the raw maximum. Then
 
 elpd = sum_i elpd_i, and se = sqrt(n * var(elpd_i)). Subjects with
 khat > 0.7 are reported in `warnings` but not refit automatically;
-`exact_loo` refits the model n times for a brute-force reference.
+`exact_loo` refits the model n times for a brute-force reference. Both
+sum in log space with one max-shifted log-sum-exp (`_logsumexp`), so this
+module imports no scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import as_dataset, atomic_write_text
 from .errors import ComparisonError, DomainError, NumericalError
@@ -97,6 +98,16 @@ def pointwise_loglik(model: ModelSpec, draws: PosteriorDraws,
     return PointwiseLogLik(out)
 
 
+def _logsumexp(a) -> float:
+    """log sum exp(a), shifted by the largest entry. All -inf gives -inf,
+    any +inf gives +inf and a NaN gives NaN, with no warning."""
+    a = np.asarray(a, dtype=float)
+    m = a.max()
+    if not math.isfinite(m):
+        return float(m)
+    return float(m + np.log(np.exp(a - m).sum()))
+
+
 # -- generalized Pareto fit (Zhang & Stephens 2009 posterior estimate) --------
 
 def _gpd_fit(x: np.ndarray) -> tuple[float, float]:
@@ -163,7 +174,7 @@ def psis_loo(ll: PointwiseLogLik) -> LooResult:
         lr = -lli
         lr = lr - lr.max()
         lw, k = _smooth_tail(lr, warnings, i)
-        pointwise[i] = logsumexp(lw + lli) - logsumexp(lw)
+        pointwise[i] = _logsumexp(lw + lli) - _logsumexp(lw)
         khat[i] = k
     high = np.where(khat > KHAT_WARN)[0]
     if high.size:
@@ -223,7 +234,7 @@ def exact_loo_subject(model: ModelSpec, data, priors: PriorSpec,
     for m, row in enumerate(refit.constrained):
         psi = psi_from_constrained(model, row)
         vals[m] = pointwise_loglik_vector(model, psi, prep)[0]
-    return float(logsumexp(vals) - math.log(len(vals)))
+    return _logsumexp(vals) - math.log(len(vals))
 
 
 def exact_loo(model: ModelSpec, data, priors: PriorSpec,

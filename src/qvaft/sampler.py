@@ -25,7 +25,6 @@ are independent; chains can run in worker processes when `threads` > 1.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -473,6 +472,7 @@ def sample(target: GradientTarget, cfg: SamplerConfig) -> PosteriorDraws:
     then pickle), and merge them in chain order. Each chain draws only from
     its own seeded streams, so the draws do not depend on `cfg.threads`."""
     if cfg.threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(_run_chain, [target] * cfg.chains,
                                     [cfg] * cfg.chains, range(cfg.chains)))

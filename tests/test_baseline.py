@@ -2,9 +2,12 @@
 degeneracy and its independent beta-CDF-sum oracle, tail-stable log forms,
 and quantile round trips."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 from scipy.stats import beta as beta_dist
 
 from qvaft.baseline import (
@@ -17,6 +20,7 @@ from qvaft.baseline import (
     log_survivor,
     survivor,
 )
+from qvaft.baseline import _binomial
 from qvaft.errors import DomainError
 
 WEIBULL = BaselineSpec("weibull")
@@ -215,3 +219,23 @@ class TestValidation:
             survivor(WEIBULL, STD, EQUAL_W, 1.0)
         with pytest.raises(DomainError):
             survivor(TBP5, STD, None, 1.0)
+
+
+class TestBinomial:
+    """log C(n, j) of the Bernstein basis, from exact integers."""
+
+    def test_against_gammaln(self):
+        # gammaln's own cancellation reaches 1.25e-14 relative (n = 46)
+        for n in range(1, 61):
+            j = np.arange(n + 1.0)
+            want = gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
+            np.testing.assert_allclose(_binomial(n)[0], want, rtol=2e-14,
+                                       atol=0.0)
+
+    def test_exact_for_small_degrees(self):
+        row = [1]
+        for n in range(1, 21):
+            row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]  # Pascal
+            assert _binomial(n)[0].tolist() == [math.log(c) for c in row]
+            np.testing.assert_array_equal(_binomial(n)[1], np.arange(n + 1))
+            np.testing.assert_array_equal(_binomial(n)[2], n - np.arange(n + 1))

@@ -28,7 +28,7 @@ from qvaft.likelihood import (
     psi_from_constrained,
     unconstrain,
 )
-from qvaft.likelihood import _stick_forward
+from qvaft.likelihood import _stick_forward, _stick_inverse
 
 UNIT_EXP = make_model(covariates=("x1",))  # weibull mu=0 sigma=1 at psi below
 PSI_EXP = ParameterVector(np.zeros(1), np.array([]), 0.0, 1.0)
@@ -415,3 +415,56 @@ class TestGridRejectionMatchesChecks:
             assert (logp == -math.inf) == (not ok), alpha
             seen.add(ok)
         assert seen == {True, False}
+
+
+class TestSaturatedSticks:
+    """The stick transform at logistic saturation, where 1 - z_k is far
+    below machine precision."""
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    @pytest.mark.parametrize("v", [30.0, -30.0])
+    def test_round_trip(self, K, v):
+        ys = [np.full(K - 1, v)]
+        for k in range(K - 1):
+            y = np.zeros(K - 1)
+            y[k] = v
+            ys.append(y)
+        for y in ys:
+            w, z, logjac = _stick_forward(y)
+            assert np.all(w > 0) and abs(w.sum() - 1.0) <= 4e-16 * K
+            assert math.isfinite(logjac)
+            np.testing.assert_allclose(_stick_inverse(w), y, rtol=0.0,
+                                       atol=1e-13)
+
+    def test_later_weights_keep_relative_precision(self):
+        # y = (30, 0): w_2 = (1 - z_1)(1 - z_2) with 1 - z_1 = 1/(1 + e^x)
+        w, _, _ = _stick_forward(np.array([30.0, 0.0]))
+        x1 = 30.0 - math.log(2.0)
+        assert w[2] == pytest.approx(0.5 / (1.0 + math.exp(x1)), rel=1e-14,
+                                     abs=0.0)
+
+
+class TestDirichletNormaliserOverflow:
+    """Where K theta (or theta) is beyond math.lgamma's range the posterior
+    is -inf with a zero gradient, as it was with scipy's gammaln."""
+
+    @pytest.mark.parametrize("log_theta", [703.0, 706.0, 709.0])
+    def test_rejected_not_raised(self, log_theta, rng):
+        model = make_model(family="tbp", K=5)
+        data = random_dataset(rng, 20, 2)
+        z = np.zeros(model.n_unconstrained)
+        z[-1] = log_theta
+        k_theta = 5 * math.exp(log_theta)  # inf at 709
+        if math.isfinite(k_theta):
+            with pytest.raises(OverflowError):
+                math.lgamma(k_theta)
+        assert log_posterior_unconstrained(model, z, data, PRIORS) == -math.inf
+        logp, grad = make_posterior(model, data, PRIORS)[0](z)
+        assert logp == -math.inf
+        assert np.array_equal(grad, np.zeros(model.n_unconstrained))
+
+    def test_log_prior_not_finite(self):
+        model = make_model(family="tbp", K=5)
+        psi = ParameterVector(np.zeros(2), np.array([]), 0.0, 1.0,
+                              np.full(5, 0.2), math.exp(703.0))
+        assert not math.isfinite(log_prior(model, psi, PRIORS))

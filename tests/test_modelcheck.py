@@ -2,6 +2,7 @@
 and the comparison table."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qvaft.modelcheck import (
     write_loo_pointwise,
     write_loo_report,
 )
-from qvaft.modelcheck import _smooth_tail
+from qvaft.modelcheck import _logsumexp, _smooth_tail
 from qvaft.sampler import PosteriorDraws
 
 
@@ -179,3 +180,47 @@ class TestCompare:
         b = self._fake(rng.normal(size=29))
         with pytest.raises(ComparisonError):
             compare([a, b])
+
+
+class TestLogSumExp:
+    """The max-shifted log-sum-exp against scipy's."""
+
+    def _agrees(self, a):
+        with np.errstate(all="ignore"):
+            want = float(logsumexp(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp(a)
+        if math.isfinite(want):
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("size", [2, 7, 1000])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 800.0])
+    def test_random_vectors(self, rng, size, scale):
+        for shift in (-1e4, 0.0, 700.0):
+            self._agrees(shift + scale * rng.normal(size=size))
+
+    def test_entries_at_minus_inf(self, rng):
+        a = rng.normal(size=50)
+        a[::3] = -np.inf
+        self._agrees(a)
+
+    def test_all_minus_inf_is_minus_inf(self):
+        for size in (1, 5):
+            assert _logsumexp(np.full(size, -np.inf)) == -math.inf
+            self._agrees(np.full(size, -np.inf))
+
+    def test_plus_inf(self, rng):
+        a = rng.normal(size=20)
+        a[4] = np.inf
+        assert _logsumexp(a) == math.inf
+        self._agrees(a)
+        a[7] = -np.inf
+        self._agrees(a)
+
+    @pytest.mark.parametrize("x", [-1e300, -745.5, -3.25, 0.0, 2.5, 1e300])
+    def test_single_element(self, x):
+        assert _logsumexp(np.array([x])) == x
+        self._agrees(np.array([x]))
