@@ -14,10 +14,11 @@ Three families are supported:
   incomplete-beta CDFs. Any simplex weights give a valid survivor; equal
   weights give W_j = j/K and reproduce the centering distribution exactly.
 
-Every formula lives in one evaluator per family, `log_terms`: log S0(u) or
-log f0(u) and, on request, the partials in u, mu, log sigma and the
-weights. The public functions (`survivor` is exp log S0) and the
-likelihood call it. For tbp all of these come from the log Bernstein basis
+Every formula lives in one evaluator, `log_terms`: log f0(u) on a leading
+block of rows and log S0(u) on the rest, in one call that shares log u
+(and, for tbp, the centering terms) between them, and, on request, the
+partials in u, mu, log sigma and the weights. The public functions
+(`survivor` is exp log S0) and the likelihood call it. For tbp all of these come from the log Bernstein basis
 at p. `inverse_survivor` solves log F0 - log S0 of the same basis for the
 centering cumulative hazard -log S0c (F0 from the prefix sums of w), then
 applies the closed-form centering inverse, as the parametric families do.
@@ -147,11 +148,11 @@ def _scalar_like(t, value: np.ndarray):
     return value
 
 
-# -- the evaluator: log S0 or log f0 with parameter partials ------------------
+# -- the evaluator: log f0 on the leading rows, log S0 on the rest -----------
 
 class BaselineTerms:
-    """log S0(u) or log f0(u) (`val`) and, when asked for, its partials with
-    respect to u, mu, log sigma and (tbp only) the weights w."""
+    """log f0(u) or log S0(u) per entry (`val`) and, when asked for, its
+    partials with respect to u, mu, log sigma and (tbp only) the weights w."""
 
     __slots__ = ("val", "d_du", "d_dmu", "d_dls", "d_dw")
 
@@ -160,21 +161,47 @@ class BaselineTerms:
         self.d_dls, self.d_dw = d_dls, d_dw
 
 
-def _weibull_terms(mu, sigma, u, pdf, grad):
+def _stack(head: BaselineTerms | None, tail: BaselineTerms | None):
+    """The rows of `head` followed by those of `tail`; either may be None."""
+    if head is None or tail is None:
+        return tail if head is None else head
+    return BaselineTerms(*(
+        None if getattr(head, name) is None
+        else np.concatenate([getattr(head, name), getattr(tail, name)])
+        for name in BaselineTerms.__slots__))
+
+
+def _weibull_terms(mu, sigma, u, k, grad, sf_head=False):
+    """log S0 = -z with z = (u exp(-mu))^sigma on the rows of u (its first
+    axis) and log f0 = log sigma - mu + (sigma - 1) r - z, r = log u - mu,
+    on the first k of them. Returns (terms, head): the density replaces the
+    survivor on those rows and head is None, or, with `sf_head`, terms is
+    the survivor on every row and head the density on the first k. z is a
+    power, not exp(sigma r), which would lose exactness (exp(log 50) is
+    49.99999999999999)."""
     z = (u * np.exp(-mu)) ** sigma
-    if not (pdf or grad):
-        return BaselineTerms(-z)
+    sf = BaselineTerms(-z)
+    if not (k or grad):
+        return sf, None
     r = np.log(u) - mu
-    if pdf:
-        val = np.log(sigma) - mu + (sigma - 1.0) * r - z
-    else:
-        val = -z
-    if not grad:
-        return BaselineTerms(val)
-    if pdf:
-        return BaselineTerms(val, ((sigma - 1.0) - sigma * z) / u,
-                             sigma * (z - 1.0), 1.0 + sigma * r * (1.0 - z))
-    return BaselineTerms(val, -sigma * z / u, sigma * z, -sigma * r * z)
+    if grad:
+        sz = sigma * z
+        sf.d_du, sf.d_dmu, sf.d_dls = -sz / u, sz, -r * sz
+    if not k:
+        return sf, None
+    rk, zk = r[:k], z[:k]
+    pdf = BaselineTerms(math.log(sigma) - mu + (sigma - 1.0) * rk - zk)
+    if grad:
+        pdf.d_du = ((sigma - 1.0) - sz[:k]) / u[:k]
+        pdf.d_dmu = sigma * (zk - 1.0)
+        pdf.d_dls = 1.0 + sigma * rk * (1.0 - zk)
+    if sf_head:
+        return sf, pdf
+    sf.val[:k] = pdf.val  # the survivor's arrays are this call's own
+    if grad:
+        sf.d_du[:k], sf.d_dmu[:k], sf.d_dls[:k] = (pdf.d_du, pdf.d_dmu,
+                                                   pdf.d_dls)
+    return sf, None
 
 
 def _normal_hazard(s):
@@ -183,20 +210,31 @@ def _normal_hazard(s):
     return np.sqrt(2.0 / np.pi) / erfcx(s / np.sqrt(2.0))
 
 
-def _lognormal_terms(mu, sigma, u, pdf, grad):
+def _lognormal_terms(mu, sigma, u, k, grad, sf_head=False):
+    """log S0 = log Phi(-s), s = (log u - mu) / sigma, and on the first k
+    rows log f0 = -s^2 / 2 - log(sigma u sqrt(2 pi)); (terms, head) as in
+    `_weibull_terms`. The survivor is evaluated only on the rows that need
+    it, so a density-only call loads no scipy."""
     logu = np.log(u)
     s = (logu - mu) / sigma
-    if pdf:
-        val = -0.5 * s * s - 0.5 * np.log(2.0 * np.pi) - np.log(sigma) - logu
-        if not grad:
-            return BaselineTerms(val)
-        return BaselineTerms(val, -(s / sigma + 1.0) / u, s / sigma, s * s - 1.0)
-    from scipy.special import log_ndtr
-    val = log_ndtr(-s)
-    if not grad:
-        return BaselineTerms(val)
-    lam = _normal_hazard(s)
-    return BaselineTerms(val, -lam / (sigma * u), lam / sigma, lam * s)
+    k0 = 0 if sf_head else k
+    sf = pdf = None
+    if k0 < len(u) or not k:  # survivor rows, or no rows at all
+        from scipy.special import log_ndtr
+        st = s[k0:]
+        sf = BaselineTerms(log_ndtr(-st))
+        if grad:
+            lam = _normal_hazard(st)
+            sf.d_du, sf.d_dmu, sf.d_dls = (-lam / (sigma * u[k0:]),
+                                           lam / sigma, lam * st)
+    if k:
+        sk = s[:k]
+        pdf = BaselineTerms(-0.5 * sk * sk - 0.5 * math.log(2.0 * math.pi)
+                            - math.log(sigma) - logu[:k])
+        if grad:
+            pdf.d_du = -(sk / sigma + 1.0) / u[:k]
+            pdf.d_dmu, pdf.d_dls = sk / sigma, sk * sk - 1.0
+    return (sf, pdf) if sf_head else (_stack(pdf, sf), None)
 
 
 _PARAMETRIC = {"weibull": _weibull_terms, "lognormal": _lognormal_terms}
@@ -238,52 +276,62 @@ def _log_bsum(lb: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return (m + np.log(np.exp(a - m).sum(axis=-1, keepdims=True)))[..., 0]
 
 
-def _tbp_terms(spec, mu, sigma, w, u, pdf, grad):
+def _tbp_terms(spec, mu, sigma, w, u, k, grad):
     """Bernstein-transformed baseline on top of the centering evaluator, at
-    p = S0c(u), from one Bernstein basis:
+    p = S0c(u), from one Bernstein basis per block of rows:
 
         S0 = sum_{j=1..K} W_j b_{K,j}(p),   W_j = sum_{k > K-j} w_k,
-        f0 = fc * K * sum_{j=0..K-1} w_{K-j} b_{K-1,j}(p).
+        f0 = fc * K * sum_{j=0..K-1} w_{K-j} b_{K-1,j}(p),
 
-    The partials come from the normalised basis r_j = b_j / sum: d log S0/dw_k
-    = sum_{j > K-k} r_j, d log f0/dw_k = r_{K-k}, and p d/dp of the log sum
-    is sum_j j w_{K+1-j} r_j for S0 and sum_j j (w_{K-j} - w_{K+1-j}) r_j for
+    the density on the first k rows. The centering survivor (and its
+    partials) is evaluated once for all rows and the centering density fc
+    on the first k from the same log u. The partials come from the
+    normalised basis r_j = b_j / sum: d log S0/dw_k = sum_{j > K-k} r_j,
+    d log f0/dw_k = r_{K-k}, and p d/dp of the log sum is
+    sum_j j w_{K+1-j} r_j for S0 and sum_j j (w_{K-j} - w_{K+1-j}) r_j for
     f0."""
     K = spec.K
-    centering = _PARAMETRIC[spec.centering]
-    sc = centering(mu, sigma, u, False, grad)
+    sc, fc = _PARAMETRIC[spec.centering](mu, sigma, u, k, grad, sf_head=True)
     wr = w[::-1]
-    if pdf:
-        fc = centering(mu, sigma, u, True, grad)
-        lb = _log_bernstein(K - 1, sc.val)
+    head = tail = None
+    if k < len(u) or not k:  # survivor rows, or no rows at all
+        p = slice(k, None)
+        lb = _log_bernstein(K, sc.val[p])[..., 1:]  # W_0 = 0
+        tail = BaselineTerms(_log_bsum(lb, np.cumsum(wr)))
+        if grad:
+            r = np.exp(lb - tail.val[..., None])
+            chain = r @ (np.arange(1, K + 1) * wr)
+            tail.d_du, tail.d_dmu, tail.d_dls = (
+                chain * sc.d_du[p], chain * sc.d_dmu[p], chain * sc.d_dls[p])
+            tail.d_dw = np.cumsum(r[..., ::-1], axis=-1)
+    if k:  # density rows
+        p = slice(None, k)
+        lb = _log_bernstein(K - 1, sc.val[p])
         logsum = _log_bsum(lb, wr)
-        val = fc.val + np.log(K) + logsum
-    else:
-        lb = _log_bernstein(K, sc.val)[..., 1:]  # W_0 = 0
-        val = logsum = _log_bsum(lb, np.cumsum(wr))
-    if not grad:
-        return BaselineTerms(val)
-    r = np.exp(lb - logsum[..., None])
-    if pdf:
-        chain = r @ (np.arange(K) * np.diff(wr, prepend=0.0))
-        return BaselineTerms(val, fc.d_du + chain * sc.d_du,
-                             fc.d_dmu + chain * sc.d_dmu,
-                             fc.d_dls + chain * sc.d_dls, r[..., ::-1])
-    chain = r @ (np.arange(1, K + 1) * wr)
-    return BaselineTerms(val, chain * sc.d_du, chain * sc.d_dmu,
-                         chain * sc.d_dls, np.cumsum(r[..., ::-1], axis=-1))
+        head = BaselineTerms(fc.val + np.log(K) + logsum)
+        if grad:
+            r = np.exp(lb - logsum[..., None])
+            chain = r @ (np.arange(K) * np.diff(wr, prepend=0.0))
+            head.d_du, head.d_dmu, head.d_dls = (
+                fc.d_du + chain * sc.d_du[p], fc.d_dmu + chain * sc.d_dmu[p],
+                fc.d_dls + chain * sc.d_dls[p])
+            head.d_dw = r[..., ::-1]
+    return _stack(head, tail)
 
 
 def log_terms(spec: BaselineSpec, mu: float, sigma: float, w, u,
-              pdf: bool = False, grad: bool = False) -> BaselineTerms:
-    """The one evaluator of every baseline formula: log S0(u), or log f0(u)
-    with `pdf`, for the family in `spec`; `w` is the tbp weight array (None
-    otherwise). With `grad` the partials d/du, d/dmu, d/dlog sigma and
-    (tbp) d/dw are filled in. No input checks: callers validate."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if spec.is_tbp:
-            return _tbp_terms(spec, mu, sigma, w, u, pdf, grad)
-        return _PARAMETRIC[spec.family](mu, sigma, u, pdf, grad)
+              n_pdf: int = 0, grad: bool = False) -> BaselineTerms:
+    """The one evaluator of every baseline formula, for the family in
+    `spec`: log f0(u) on the first `n_pdf` rows of u (along its first axis,
+    of at least one dimension) and log S0(u) on the rest. `w` is the tbp
+    weight array (None otherwise). With `grad` the partials d/du, d/dmu,
+    d/dlog sigma and (tbp) d/dw are filled in. One call serves density and
+    survivor rows together, sharing log u and, for tbp, the centering
+    terms. No input checks and no warning suppression: callers validate,
+    and silence the floating-point warnings that extreme values raise."""
+    if spec.is_tbp:
+        return _tbp_terms(spec, mu, sigma, w, u, n_pdf, grad)
+    return _PARAMETRIC[spec.family](mu, sigma, u, n_pdf, grad)[0]
 
 
 def _centering_quantile(family: str, mu: float, sigma: float, q):
@@ -317,8 +365,12 @@ def _tbp_hazard(K: int, w: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _public_terms(spec, params, w, t, pdf: bool):
     _check_weights(spec, w)
     arr = _as_time_array(t, allow_zero=not pdf)
-    return log_terms(spec, params.mu, params.sigma,
-                     None if w is None else w.as_array(), arr, pdf).val
+    flat = arr.reshape(-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        val = log_terms(spec, params.mu, params.sigma,
+                        None if w is None else w.as_array(), flat,
+                        flat.size if pdf else 0).val
+    return val.reshape(arr.shape)
 
 
 def log_survivor(spec: BaselineSpec, params: BaselineParams,

@@ -146,6 +146,12 @@ def cmd_fit(args) -> int:
                 cfg.chains * (cfg.warmup_iters + cfg.sampling_iters)),
         },
         "n_subjects": data.n,
+        # wall times vary run to run, so they stay out of fit.json
+        "chains": [{"warmup_divergences": int(d), "warmup_s": float(tw),
+                    "sampling_s": float(ts)}
+                   for d, tw, ts in zip(draws.warmup_divergences,
+                                        draws.warmup_seconds,
+                                        draws.sampling_seconds)],
     }
     cfgmod.write_json(os.path.join(args.out, "summary.json"), summary)
     cfgmod.write_json(os.path.join(args.out, "fit.json"), {

@@ -35,9 +35,13 @@ likelihood is deterministic for observations landing exactly on a knot.
 
 Each rule has one implementation, and the public functions are thin
 callers of it. V and log v: `transform`, which reads a `TimeBasis` (the
-part of V that depends only on the times and switch times, built once per
-dataset by the likelihood) and returns V, log v and their partials in
-alpha and the switch coefficient. V^{-1}: `transform_inverse`, with the
+part of V that depends only on the times, exposure values and switch
+times, built once per dataset by the likelihood) and returns V, log v and
+their partials in alpha and the switch coefficient in contracted form:
+du/dalpha as a per-row factor times a basis matrix (for a piecewise effect
+the segment lengths at their slope factors, otherwise the alpha basis), and
+the partials of sum log v as column sums whose parameter-free part the
+basis holds. V^{-1}: `transform_inverse`, with the
 same (eta, x1, b1, onset) arguments; closed forms where one exists
 (constant, piecewise, constant switch effect), the shared root-finder
 `roots.increasing_root` for the spline and flexible switch effects.
@@ -253,31 +257,46 @@ def _lead(a, k):
 
 
 class TimeBasis:
-    """Everything in V(t) that depends on the times t (and, for a binary
-    time-varying covariate, its switch times `onset`) but not on the
+    """Everything in V(t) that depends on the times t, the exposure value
+    `x1` that scales alpha (a scalar or one value per row) and, for a
+    binary time-varying covariate, its switch times `onset`, but not on the
     parameters, so it is computed once and reused by `transform`.
 
-    The slope parts that only log v needs (`seg`, `slopes`) cover the
-    leading `n_slope` rows of t (None: all rows) and are built on first use.
+    `B` is the alpha basis of the spline and switch kinds (zero before the
+    switch; no columns for a constant effect). A piecewise effect keeps its
+    capped segment lengths `terms` and the distinct exposure values
+    `levels`, so that exp(-x1 alpha) is taken once per value. The parts that
+    only log v needs (`seg`, `slopes`, and `fixed_dlogv`, the parameter-free
+    part of the gradient of sum log v) cover the leading `n_slope` rows of t
+    (None: all rows) and are built on first use.
     """
 
-    def __init__(self, effect: EffectSpec | None, t, onset=None,
+    def __init__(self, effect: EffectSpec | None, t, onset=None, x1=0.0,
                  n_slope: int | None = None):
         t = np.asarray(t, dtype=float)
         self.effect = effect
         self.kind = "constant" if effect is None else effect.kind
         self.t = t
+        self.x1 = np.asarray(x1, dtype=float)
         self.tv = onset is not None
         self.n_slope = n_slope
+        J = 0 if self.kind == "constant" else effect.J
         if self.tv:
             self.post = t > onset
             self.min_t = np.minimum(t, onset)
             self.s = np.where(self.post, t - onset, 1.0)
-            if self.kind != "constant":  # the basis only acts after a switch
-                self.B = (tv_basis(effect, self.s) if self.post.any()
-                          else np.zeros(t.shape + (effect.J,)))
+            self.B = (np.where(self.post[..., None], tv_basis(effect, self.s),
+                               0.0) if J and self.post.any()
+                      else np.zeros(t.shape + (J,)))
+        elif self.kind == "constant":
+            self.B = np.zeros(t.shape + (0,))
         elif self.kind == "piecewise":
             self.lead, self.terms = piecewise_terms(effect.knot_array(), t)
+            if self.x1.ndim:
+                levels, index = np.unique(self.x1, return_inverse=True)
+                self.levels, self.level_index = levels, index.reshape(-1)
+            else:
+                self.levels, self.level_index = self.x1[None], None
         elif self.kind == "spline":
             with np.errstate(divide="ignore"):
                 self.B = spline_basis(effect.knot_array(), np.log(t))
@@ -289,107 +308,122 @@ class TimeBasis:
 
     @cached_property
     def slopes(self):
-        return slope_basis(self.effect, _lead(self.s if self.tv else self.t,
-                                              self.n_slope), self.tv)
+        k = self.n_slope
+        slopes = slope_basis(self.effect, _lead(self.s if self.tv else self.t,
+                                                k), self.tv)
+        if self.tv and slopes is not None:  # zero before the switch
+            slopes = np.where(_lead(self.post, k)[..., None], slopes, 0.0)
+        return slopes
+
+    @cached_property
+    def fixed_dlogv(self):
+        """The partials (d/db1, d/dalpha) of the parameter-free part of
+        sum log v over the slope rows: minus the number of post-switch rows
+        and minus the column sums of B over them (switch), minus the sum of
+        x1 per segment (piecewise), -x1 @ B (spline and constant)."""
+        k = self.n_slope
+        if self.tv:
+            return (-float(np.count_nonzero(_lead(self.post, k))),
+                    -_lead(self.B, k).sum(axis=0))
+        x1 = np.broadcast_to(_lead(self.x1, k), _lead(self.t, k).shape)
+        if self.kind == "piecewise":
+            return 0.0, -np.bincount(self.seg, weights=x1,
+                                     minlength=self.effect.J + 1)[1:]
+        return 0.0, -(x1 @ _lead(self.B, k))
 
 
 class TransformTerms:
     """u = V(t) and, when asked for, log v(t) on the slope rows, with their
-    partials in the switch coefficient b1 and in alpha. Partials in the
-    linear predictor eta = x'beta are not stored: du/deta = -u and
-    dlog v/deta = -1 for every kind. `ok` is False when V is not
-    increasing at some slope row; log v is -inf there (v clamped at 0)."""
+    partials in the switch coefficient b1 and in alpha, in contracted form.
 
-    __slots__ = ("u", "du_db1", "du_dalpha", "logv", "dlv_db1", "dlv_dalpha",
-                 "ok")
+    Partials in the linear predictor eta = x'beta are not stored: du/deta
+    = -u and dlog v/deta = -1 for every kind. du/dalpha is the per-row
+    factor `du_factor` times that row of `du_matrix`, so a weighted sum over
+    rows is one product (c * du_factor) @ du_matrix; `du_db1` is per row.
+    `dlv_db1` and `dlv_dalpha` are the partials of sum log v over the slope
+    rows. `ok` is False when V is not increasing at some slope row; log v
+    is -inf there (v clamped at 0)."""
+
+    __slots__ = ("u", "du_db1", "du_factor", "du_matrix", "logv", "dlv_db1",
+                 "dlv_dalpha", "ok")
 
     def __init__(self):
-        self.du_db1 = self.du_dalpha = self.logv = None
+        self.du_db1 = self.du_factor = self.du_matrix = self.logv = None
         self.dlv_db1 = self.dlv_dalpha = None
         self.ok = True
 
 
-def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, x1=0.0, b1=0.0,
+def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, b1=0.0,
               logv: bool = False, grad: bool = False) -> TransformTerms:
     """The one evaluator of V(t|x) (and log v) for every effect kind.
 
     `eta` is x'beta (time-invariant covariates only for time-varying
-    models), `x1` the exposure value that multiplies alpha (ordinary
-    flexible kinds), `b1` the switch coefficient (time-varying models);
-    each is a scalar or one value per row of the basis. Extreme parameter
-    values may overflow; the likelihood, which meets them, suppresses the
-    floating-point warnings around its call.
+    models), a scalar or one value per row of the basis, and `b1` the
+    switch coefficient (time-varying models); the exposure value that
+    multiplies alpha belongs to the basis. Extreme parameter values, and
+    t = 0 under a spline effect, raise floating-point warnings; callers
+    suppress them around the call.
     """
     out = TransformTerms()
-    k, kind, J = basis.n_slope, basis.kind, alpha.size
+    k, kind = basis.n_slope, basis.kind
     scale = np.exp(-eta)
+    slopes = basis.slopes if logv else None
+    if grad:
+        out.dlv_db1, out.dlv_dalpha = basis.fixed_dlogv
     if basis.tv:
-        a = 0.0 if kind == "constant" else basis.B @ alpha
+        a = basis.B @ alpha  # zero before the switch and for a constant effect
         bump = np.where(basis.post, basis.s * np.exp(-b1 - a), 0.0)
         out.u = scale * (basis.min_t + bump)
         if grad:
-            out.du_db1 = -scale * bump
-            out.du_dalpha = (out.du_db1[..., None] * basis.B if J
-                             else np.zeros(out.u.shape + (0,)))
+            out.du_db1 = out.du_factor = -scale * bump
+            out.du_matrix = basis.B
         if logv:
-            post = _lead(basis.post, k)
             one_minus = 1.0
-            if kind != "constant":
-                one_minus = np.where(post, 1.0 - basis.slopes @ alpha, 1.0)
+            if slopes is not None:
+                one_minus = 1.0 - slopes @ alpha
                 out.ok = bool(np.all(one_minus > 0.0))
+                if grad:
+                    out.dlv_dalpha = out.dlv_dalpha - (1.0 / one_minus) @ slopes
             out.logv = -_lead(eta, k) + np.where(
-                post, -b1 - _lead(a, k) + np.log(np.maximum(one_minus, 0.0)),
-                0.0)
-            if grad:
-                out.dlv_db1 = -post.astype(float)
-                out.dlv_dalpha = (
-                    np.where(post[..., None], -_lead(basis.B, k)
-                             - basis.slopes / one_minus[..., None], 0.0) if J
-                    else np.zeros(post.shape + (0,)))
+                _lead(basis.post, k),
+                -b1 - _lead(a, k) + np.log(np.maximum(one_minus, 0.0)), 0.0)
         return out
 
     if kind == "constant":
         out.u = basis.t * scale
         if grad:
-            out.du_dalpha = np.zeros(out.u.shape + (0,))
+            out.du_factor, out.du_matrix = 0.0, basis.B
         if logv:
             out.logv = np.zeros(_lead(basis.t, k).shape) - _lead(eta, k)
-            if grad:
-                out.dlv_dalpha = np.zeros(out.logv.shape + (0,))
         return out
 
-    x1 = np.asarray(x1, dtype=float)
+    x1 = basis.x1
     x1s = _lead(x1, k)
     if kind == "piecewise":
-        E = np.exp(-x1[..., None] * alpha)  # segment slope factors
-        if E.ndim == 1:                      # one exposure value for all rows
-            out.u = scale * (basis.lead + basis.terms @ E)
-        else:
-            out.u = scale * (basis.lead + (E * basis.terms) @ np.ones(J))
+        E = np.exp(-np.multiply.outer(basis.levels, alpha))  # one row per level
+        E = (E[0] if basis.level_index is None
+             else np.take(E, basis.level_index, axis=0))
+        ET = E * basis.terms  # segment lengths at their slope factors
+        out.u = scale * (basis.lead + ET @ np.ones(alpha.size))
         if grad:
-            out.du_dalpha = -(scale * x1)[..., None] * E * basis.terms
+            out.du_factor, out.du_matrix = -(scale * x1), ET
         if logv:
             alpha_seg = np.concatenate([[0.0], alpha])[basis.seg]
             out.logv = -_lead(eta, k) - x1s * alpha_seg
-            if grad:
-                out.dlv_dalpha = -x1s[..., None] * (
-                    basis.seg[..., None] == np.arange(1, J + 1))
         return out
 
     # spline; at t = 0 the log-time basis is -inf and V is 0 by definition
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = basis.B @ alpha
-        out.u = np.where(basis.t > 0, basis.t * np.exp(-eta - x1 * g), 0.0)
+    g = basis.B @ alpha
+    out.u = np.where(basis.t > 0, basis.t * np.exp(-eta - x1 * g), 0.0)
+    if grad:
+        out.du_factor, out.du_matrix = -(x1 * out.u), basis.B
+    if logv:
+        one_minus = 1.0 - x1s * (slopes @ alpha)
+        out.ok = bool(np.all(one_minus > 0.0))
+        out.logv = (-_lead(eta, k) - x1s * _lead(g, k)
+                    + np.log(np.maximum(one_minus, 0.0)))
         if grad:
-            out.du_dalpha = -(x1 * out.u)[..., None] * basis.B
-        if logv:
-            one_minus = 1.0 - x1s * (basis.slopes @ alpha)
-            out.ok = bool(np.all(one_minus > 0.0))
-            out.logv = (-_lead(eta, k) - x1s * _lead(g, k)
-                        + np.log(np.maximum(one_minus, 0.0)))
-            if grad:
-                out.dlv_dalpha = (-x1s[..., None] * _lead(basis.B, k)
-                                  - (x1s / one_minus)[..., None] * basis.slopes)
+            out.dlv_dalpha = out.dlv_dalpha - (x1s / one_minus) @ slopes
     return out
 
 
@@ -409,8 +443,9 @@ def transform_value(effect: EffectSpec | None, alpha: np.ndarray, t, eta=0.0,
     """V(t) for t >= 0 (V(0) = 0) with the arguments of `transform`;
     `onset` is the switch time of a binary time-varying covariate (None:
     no switch)."""
-    basis = TimeBasis(effect, _nonnegative(t, "time"), onset)
-    return _scalar_like(t, transform(basis, alpha, eta, x1, b1).u)
+    basis = TimeBasis(effect, _nonnegative(t, "time"), onset, x1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _scalar_like(t, transform(basis, alpha, eta, b1).u)
 
 
 def transform_inverse(effect: EffectSpec | None, alpha: np.ndarray, s,
@@ -485,8 +520,9 @@ def v_deriv(spec: EffectSpec, beta, alpha, x, t, x1_index: int = 0):
     Clamped at 0 where a spline transform is not increasing."""
     alpha = _check_alpha(spec, alpha)
     t_arr = _nonnegative(t, "time", strict=True)
-    tt = transform(TimeBasis(spec, t_arr), alpha,
-                   *_pattern(spec, beta, x, x1_index), logv=True)
+    eta, x1 = _pattern(spec, beta, x, x1_index)
+    with np.errstate(divide="ignore", over="ignore"):
+        tt = transform(TimeBasis(spec, t_arr, x1=x1), alpha, eta, logv=True)
     return _scalar_like(t, np.exp(tt.logv))
 
 

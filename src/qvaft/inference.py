@@ -272,17 +272,19 @@ def _standardized_sf(model, psi, data, level, slope: bool = False):
     params, w = psi.baseline_params(), psi.tbp_weights()
 
     def sf(t: np.ndarray) -> np.ndarray:
-        h = transform(TimeBasis(model.effect, t, onset), psi.alpha, x1=x1,
-                      b1=b1).u
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            h = transform(TimeBasis(model.effect, t, onset, x1), psi.alpha,
+                          b1=b1).u
         u = np.outer(h, scale)                                 # (nt, n)
         return bl.survivor(model.baseline, params, w, u).mean(axis=1)
 
     def neg_sf_slope(t: np.ndarray):
-        h = transform(TimeBasis(model.effect, t, onset), psi.alpha, x1=x1,
-                      b1=b1, logv=True)
-        u = np.outer(h.u, scale)                               # (nt, n)
-        st = bl.log_terms(model.baseline, params.mu, params.sigma, psi.w, u,
-                          grad=True)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            h = transform(TimeBasis(model.effect, t, onset, x1), psi.alpha,
+                          b1=b1, logv=True)
+            u = np.outer(h.u, scale)                           # (nt, n)
+            st = bl.log_terms(model.baseline, params.mu, params.sigma, psi.w,
+                              u, grad=True)
         s = np.exp(st.val)
         dens = (s * -st.d_du * scale).mean(axis=1)             # mean f0 e^-eta
         return -s.mean(axis=1), dens * np.exp(h.logv)

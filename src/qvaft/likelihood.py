@@ -11,12 +11,17 @@ with S0(inf) = 0, so right censoring and the classic censored-data
 likelihood fall out as special cases. All time points (exact,
 interval-lower, right, interval-upper, truncation) are stacked into one
 vector, put once through `covproc.transform` and once through
-`baseline.log_terms` (density on the exact rows, survivor on the rest);
-the gradient is (c * d/du) @ du/dtheta with one coefficient per row. The
-transform's arguments come from the model: each row's exposure value from
-`ModelSpec.predictor`, once per dataset, and eta = X @ coef from
-`ModelSpec.split_beta` on every call, so this module holds no copy of V,
-the baseline or the linear predictor. Priors are flat
+`baseline.log_terms` (density on the leading exact rows, survivor on the
+rest). The gradient is contracted, never built as a (rows x parameters)
+matrix: with c the weight of each row term in the total (+1, -1 on
+truncation rows, and from the parameters on interval rows), the beta part
+is X'(c * d/du * -u) minus the exact rows' covariate sums, the alpha part
+is (c * d/du * du_factor) @ du_matrix plus the column sums of d log v, and
+the baseline parts are c @ d/dmu and so on. The transform's arguments come
+from the model: each row's exposure value from `ModelSpec.predictor`,
+once per dataset, and eta = X @ coef from `ModelSpec.split_beta` on every
+call, so this module holds no copy of V, the baseline or the linear
+predictor. Priors are flat
 on beta, alpha and mu, Gamma(a_sigma, b_sigma) on sigma, and for
 Bernstein-transformed baselines symmetric Dirichlet(theta) on the weights
 with a Gamma(a_theta, b_theta) hyperprior on theta.
@@ -265,6 +270,11 @@ class Prepared:
 
     so the first n rows hold one row per subject (`main`), and a single
     transform basis covers them all, with slope parts on the exact rows.
+    Everything in the gradient that does not depend on the parameters is
+    kept here: the row weights c = d ll_total / d(row term), which are +1
+    and -1 (truncation rows) unless interval rows take theirs from the
+    parameters, and the column sums of the exact rows' covariates, which
+    are minus d sum log v / d coef.
     """
 
     def __init__(self, model: ModelSpec, data: Dataset):
@@ -274,26 +284,35 @@ class Prepared:
                 f"expects {len(model.covariates)}")
         self.model = model
         self.data = data
-        self.n = data.n
+        self.n = n = data.n
         ev = data.event
         fin_u = np.isfinite(data.y_upper)
         exact = np.where(ev)[0]
         interval = np.where(~ev & fin_u)[0]
         right = np.where(~ev & ~fin_u)[0]
-        self.idx_trunc = np.where(data.trunc > 0)[0]
-        self.main = np.concatenate([exact, interval, right])
-        rows = np.concatenate([self.main, interval, self.idx_trunc])
-        t = np.concatenate([data.y_lower[self.main], data.y_upper[interval],
-                            data.trunc[self.idx_trunc]])
+        idx_trunc = np.where(data.trunc > 0)[0]
+        main = np.concatenate([exact, interval, right])
+        rows = np.concatenate([main, interval, idx_trunc])
+        t = np.concatenate([data.y_lower[main], data.y_upper[interval],
+                            data.trunc[idx_trunc]])
         self.n_exact = ne = exact.size
+        self.has_interval = interval.size > 0
         self.lo = slice(ne, ne + interval.size)           # interval-lower rows
-        self.hi = slice(self.n, self.n + interval.size)   # interval-upper rows
-        self.tr = slice(self.n + interval.size, None)     # truncation rows
-        self.X = data.x[rows]
+        self.hi = slice(n, n + interval.size)             # interval-upper rows
+        self.tr = slice(n + interval.size, None)          # truncation rows
+        # each subject's main row, and the main rows of truncated subjects
+        self.subject_rows = np.empty(n, dtype=int)
+        self.subject_rows[main] = np.arange(n)
+        self.trunc_rows = self.subject_rows[idx_trunc]
+        X = data.x[rows]
+        self.Xt = np.ascontiguousarray(X.T)
+        self.x_exact = X[:ne].sum(axis=0)
+        self.c = np.ones(len(t))
+        self.c[self.tr] = -1.0
         # the exposure value that scales alpha on each row (0.0 where none)
-        _, self.x1, _ = model.predictor(np.zeros(model.n_beta), self.X)
+        _, self.x1, _ = model.predictor(np.zeros(model.n_beta), X)
         onset = data.onset[rows] if model.time_varying else None
-        self.basis = TimeBasis(model.effect, t, onset, n_slope=ne)
+        self.basis = TimeBasis(model.effect, t, onset, self.x1, n_slope=ne)
 
         # Monotonicity-rejection grid: its slope basis and the extreme
         # exposure values (the rule is linear in x1; a switch acts as 1).
@@ -304,6 +323,12 @@ class Prepared:
                          np.array([np.min(self.x1, initial=0.0),
                                    np.max(self.x1, initial=0.0)]))
 
+    def eta(self, coef: np.ndarray) -> np.ndarray:
+        """x'coef on every row; one data column is a scaled copy."""
+        if coef.size == 1:
+            return coef[0] * self.Xt[0]
+        return coef @ self.Xt
+
 
 def prepare(model: ModelSpec, data) -> Prepared:
     return Prepared(model, as_dataset(data, tuple(model.covariates)))
@@ -312,25 +337,26 @@ def prepare(model: ModelSpec, data) -> Prepared:
 # -- likelihood ---------------------------------------------------------------
 
 def _log1mexp(logx: np.ndarray) -> np.ndarray:
-    """log(1 - exp(logx)) for logx <= 0, stable near both ends."""
-    logx = np.asarray(logx, dtype=float)
+    """log(1 - exp(logx)) for logx <= 0, stable near both ends; the caller
+    silences the warnings at logx = 0."""
     out = np.empty_like(logx)
     small = logx < np.log(0.5)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[small] = np.log1p(-np.exp(logx[small]))
-        out[~small] = np.log(-np.expm1(logx[~small]))
+    out[small] = np.log1p(-np.exp(logx[small]))
+    out[~small] = np.log(-np.expm1(logx[~small]))
     return out
 
 
 def _pointwise(model: ModelSpec, psi: ParameterVector, prep: Prepared,
                want_grad: bool):
-    """Per-subject log-likelihood vector in one pass over the stacked rows.
-    Returns (ll_vector, ok_flag, grad), grad being the gradient of the total
-    in the blocks (beta, alpha, mu, log sigma, w) when asked for.
+    """Log-likelihood contributions in one pass over the stacked rows, one
+    per subject in the order of the main rows (`prep.subject_rows` maps a
+    subject to its entry). Returns (ll, ok_flag, grad), grad being the
+    gradient of the total in the blocks (beta, alpha, mu, log sigma, w)
+    when asked for.
 
     Extreme parameter proposals can overflow intermediates; the resulting
     non-finite contributions are caught by the callers (rejection), so the
-    arithmetic warnings are suppressed here."""
+    arithmetic warnings of the whole pass are suppressed here, once."""
     with np.errstate(all="ignore"):
         return _pointwise_impl(model, psi, prep, want_grad)
 
@@ -338,47 +364,38 @@ def _pointwise(model: ModelSpec, psi: ParameterVector, prep: Prepared,
 def _pointwise_impl(model, psi, prep, want_grad):
     n, ne = prep.n, prep.n_exact
     coef, b1 = model.split_beta(psi.beta)
-    tt = transform(prep.basis, psi.alpha, prep.X @ coef, prep.x1, b1,
-                   logv=True, grad=want_grad)
-    u = tt.u
-    pdf = bl.log_terms(model.baseline, psi.mu, psi.sigma, psi.w, u[:ne],
-                       pdf=True, grad=want_grad)
-    sf = bl.log_terms(model.baseline, psi.mu, psi.sigma, psi.w, u[ne:],
-                      grad=want_grad)
-    val = np.concatenate([pdf.val + tt.logv, sf.val])
-
-    # interval rows: log[S(y_l) - S(y_u)] = log S(y_l) + log(1 - S(y_u)/S(y_l))
-    lower = val[prep.lo]
-    delta = val[prep.hi] - lower
-    bad = delta >= 0
-    delta = np.where(bad, -1e-300, delta)
-    main = val[:n].copy()
-    main[prep.lo] = np.where(bad, -np.inf, lower + _log1mexp(delta))
-    ll = np.empty(n)
-    ll[prep.main] = main
-    ll[prep.idx_trunc] -= val[prep.tr]
+    tt = transform(prep.basis, psi.alpha, prep.eta(coef), b1, logv=True,
+                   grad=want_grad)
+    bt = bl.log_terms(model.baseline, psi.mu, psi.sigma, psi.w, tt.u,
+                      n_pdf=ne, grad=want_grad)
+    val = bt.val
+    val[:ne] += tt.logv
+    ll = val[:n]
+    c = prep.c
+    if prep.has_interval:
+        # log[S(y_l) - S(y_u)] = log S(y_l) + log(1 - S(y_u)/S(y_l))
+        lower = val[prep.lo]
+        delta = val[prep.hi] - lower
+        bad = delta >= 0
+        delta = np.where(bad, -1e-300, delta)
+        ll[prep.lo] = np.where(bad, -np.inf, lower + _log1mexp(delta))
+        if want_grad:
+            q1 = 1.0 / (-np.expm1(delta))
+            c = c.copy()
+            c[prep.lo] = q1
+            c[prep.hi] = -np.exp(delta) * q1
+    ll[prep.trunc_rows] -= val[prep.tr]
     if not want_grad:
         return ll, tt.ok, None
 
-    # d ll_total / d(row term) for each row
-    q1 = 1.0 / (-np.expm1(delta))
-    c = np.ones(len(u))
-    c[prep.lo] = q1
-    c[prep.hi] = -np.exp(delta) * q1
-    c[prep.tr] = -1.0
-    cu = c * np.concatenate([pdf.d_du, sf.d_du])
-    g_eta = -cu * u                     # du/deta = -u
-    g_eta[:ne] -= 1.0                   # dlog v/deta = -1 on exact rows
-    g_beta = g_eta @ prep.X
+    # d ll_total / d(row term) is c; du/deta = -u, dlog v/deta = -1
+    cu = c * bt.d_du
+    g_beta = -(prep.Xt @ (cu * tt.u)) - prep.x_exact
     if model.time_varying:
-        g_beta = np.concatenate([[cu @ tt.du_db1 + tt.dlv_db1.sum()], g_beta])
-    g_alpha = cu @ tt.du_dalpha + tt.dlv_dalpha.sum(axis=0)
-    g_mu = c @ np.concatenate([pdf.d_dmu, sf.d_dmu])
-    g_ls = c @ np.concatenate([pdf.d_dls, sf.d_dls])
-    g_w = None
-    if model.baseline.is_tbp:
-        g_w = c @ np.concatenate([pdf.d_dw, sf.d_dw])
-    return ll, tt.ok, (g_beta, g_alpha, g_mu, g_ls, g_w)
+        g_beta = np.concatenate([[cu @ tt.du_db1 + tt.dlv_db1], g_beta])
+    g_alpha = (cu * tt.du_factor) @ tt.du_matrix + tt.dlv_dalpha
+    g_w = c @ bt.d_dw if model.baseline.is_tbp else None
+    return ll, tt.ok, (g_beta, g_alpha, c @ bt.d_dmu, c @ bt.d_dls, g_w)
 
 
 def pointwise_loglik_vector(model: ModelSpec, psi: ParameterVector,
@@ -388,6 +405,7 @@ def pointwise_loglik_vector(model: ModelSpec, psi: ParameterVector,
     check_psi(model, psi)
     prep = data if isinstance(data, Prepared) else prepare(model, data)
     ll, _, _ = _pointwise(model, psi, prep, want_grad=False)
+    ll = ll[prep.subject_rows]
     ll = np.where(ll < LOG_FLOOR, -np.inf, ll)
     if np.any(np.isnan(ll)):
         bad = int(np.where(np.isnan(ll))[0][0])
@@ -413,9 +431,12 @@ def loglik_subject(model: ModelSpec, psi: ParameterVector, rec) -> float:
 def _conditional_logsf(model, psi, ds, t):
     """log S(t | x) of the single record in `ds`."""
     onset = ds.onset if model.time_varying else None
-    basis = TimeBasis(model.effect, np.array([float(t)]), onset)
-    u = transform(basis, psi.alpha, *model.predictor(psi.beta, ds.x)).u
-    return float(bl.log_terms(model.baseline, psi.mu, psi.sigma, psi.w, u).val[0])
+    eta, x1, b1 = model.predictor(psi.beta, ds.x)
+    basis = TimeBasis(model.effect, np.array([float(t)]), onset, x1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = transform(basis, psi.alpha, eta, b1).u
+        return float(bl.log_terms(model.baseline, psi.mu, psi.sigma, psi.w,
+                                  u).val[0])
 
 
 def loglik_total(model: ModelSpec, psi: ParameterVector, data) -> float:
@@ -477,8 +498,8 @@ def _posterior_impl(model, z, prep, priors, want_grad: bool):
     sigma, w, theta = psi.sigma, psi.w, psi.theta
 
     ll, ok, grad = _pointwise(model, psi, prep, want_grad)
-    ll = np.where(ll < LOG_FLOOR, -np.inf, ll)
-    if not ok or not np.all(np.isfinite(ll)):
+    # a contribution below LOG_FLOOR or NaN rejects here, +inf by the total
+    if not ok or not np.min(ll, initial=math.inf) >= LOG_FLOOR:
         return -math.inf, None
 
     total = float(ll.sum()) + _log_prior(model, sigma, w, theta, priors) + logjac

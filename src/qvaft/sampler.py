@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from time import perf_counter
 
 import numpy as np
 
@@ -103,6 +104,10 @@ class PosteriorDraws:
     n_chains: int
     model: ModelSpec | None = field(default=None, repr=False)
     grad_calls: np.ndarray | None = None    # (n_chains,) gradient evaluations
+    # per chain: warmup divergences, warmup and sampling wall seconds
+    warmup_divergences: np.ndarray | None = None
+    warmup_seconds: np.ndarray | None = None
+    sampling_seconds: np.ndarray | None = None
 
     @property
     def M(self) -> int:
@@ -126,7 +131,8 @@ class PosteriorDraws:
             self.z[keep], self.constrained[keep], self.param_names,
             self.chain_id[keep], self.iteration[keep], self.divergent[keep],
             self.energy[keep], self.step_size[keep], self.n_chains, self.model,
-            self.grad_calls)
+            self.grad_calls, self.warmup_divergences, self.warmup_seconds,
+            self.sampling_seconds)
 
 
 # -- hamiltonian pieces -------------------------------------------------------
@@ -395,6 +401,11 @@ def _default_init(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _run_chain(target: GradientTarget, cfg: SamplerConfig, chain: int):
+    """One chain's retained draws and its counters: gradient calls, warmup
+    divergences, and the wall seconds of warmup (from the first
+    initialisation attempt) and of sampling. The clock draws no random
+    numbers, so it cannot move the draws."""
+    start = perf_counter()
     dim = target.dim
     grad_calls = 0
 
@@ -434,6 +445,8 @@ def _run_chain(target: GradientTarget, cfg: SamplerConfig, chain: int):
     for it in range(1, total + 1):
         rng = _iteration_rng(cfg.seed, chain, it)
         warming = it <= cfg.warmup_iters
+        if it == cfg.warmup_iters + 1:  # sampling_iters >= 1
+            warmed = perf_counter()
         z, logp, grad, energy, divergent, astat = _nuts_transition(
             rng, lg, z, logp, grad, eps, inv_mass, momentum,
             cfg.max_tree_depth)
@@ -463,17 +476,20 @@ def _run_chain(target: GradientTarget, cfg: SamplerConfig, chain: int):
         raise NumericalError(
             f"chain {chain}: every warmup iteration diverged; "
             "the posterior may be improper or the initialization invalid")
-    return zs, divs, energies, iters, eps, grad_calls
+    return (zs, divs, energies, iters, eps, grad_calls, warmup_divergences,
+            warmed - start, perf_counter() - warmed)
 
 
 def sample(target: GradientTarget, cfg: SamplerConfig) -> PosteriorDraws:
     """Run `cfg.chains` independent chains on an arbitrary gradient target,
-    in `cfg.threads` worker processes when that is above 1 (the target must
-    then pickle), and merge them in chain order. Each chain draws only from
-    its own seeded streams, so the draws do not depend on `cfg.threads`."""
-    if cfg.threads > 1:
+    in min(`cfg.threads`, `cfg.chains`) worker processes when that is above
+    1 (the target must then pickle), and merge them in chain order. Each
+    chain draws only from its own seeded streams, so the draws do not
+    depend on the number of workers."""
+    workers = min(cfg.threads, cfg.chains)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_chain, [target] * cfg.chains,
                                     [cfg] * cfg.chains, range(cfg.chains)))
     else:
@@ -495,7 +511,10 @@ def sample(target: GradientTarget, cfg: SamplerConfig) -> PosteriorDraws:
         f"z_{i}" for i in range(target.dim))
     return PosteriorDraws(zs, constrained, names, chain_id, iters, divs,
                           energies, step, cfg.chains,
-                          grad_calls=np.array([r[5] for r in results]))
+                          grad_calls=np.array([r[5] for r in results]),
+                          warmup_divergences=np.array([r[6] for r in results]),
+                          warmup_seconds=np.array([r[7] for r in results]),
+                          sampling_seconds=np.array([r[8] for r in results]))
 
 
 def _model_initial_point(dim: int, n_free: int, rng) -> np.ndarray:

@@ -382,6 +382,19 @@ class TestFitSummary:
         assert sampler["grad_calls_per_iter"] == len(calls) / iters
 
 
+    def test_chain_counters_in_summary_only(self, fitted):
+        summary = json.load(open(fitted["fit"] + "/summary.json"))
+        fit = json.load(open(fitted["fit"] + "/fit.json"))
+        chains = summary["chains"]
+        assert len(chains) == summary["sampler"]["chains"]
+        for c in chains:
+            assert set(c) == {"warmup_divergences", "warmup_s", "sampling_s"}
+            assert 0 <= c["warmup_divergences"] <= summary["sampler"]["warmup"]
+            assert c["warmup_s"] > 0 and c["sampling_s"] > 0
+        assert "chains" not in fit
+        assert fit["sampler"] == summary["sampler"]
+
+
 class TestThreads:
     def test_parallel_chains_match_sequential(self, fitted, tmp_path,
                                               monkeypatch):

@@ -78,6 +78,53 @@ def test_gradient_time_varying(family, centering, K, kind, knots, rng):
     assert_grad_matches(model, data, rng)
 
 
+FLEXIBLE = [("piecewise", (0.0, 1.0, 2.5)), ("spline", (-1.5, 0.0, 1.2))]
+
+
+@pytest.mark.parametrize("family,centering,K", [("weibull", "weibull", 0),
+                                                ("tbp", "lognormal", 3)])
+@pytest.mark.parametrize("kind,knots", FLEXIBLE)
+def test_gradient_continuous_exposure(family, centering, K, kind, knots, rng):
+    """Every row has its own exposure value (x2 is normal)."""
+    model = make_model(family, kind, knots, exposure="x2",
+                       centering=centering, K=K)
+    data = random_dataset(rng, 25, 2)
+    assert np.unique(data.x[:, 1]).size == data.n
+    # a wide exposure range makes many spline proposals non-monotone
+    assert_grad_matches(model, data, rng, tries=40)
+
+
+def _no_exact(rng, n, d, **kw):
+    data = random_dataset(rng, n, d, **kw)
+    return data.subset(np.where(~data.event)[0])
+
+
+EMPTY_BLOCKS = {
+    "no censored rows": lambda rng, **kw: random_dataset(
+        rng, 25, 2, censored=False, **kw),
+    "no interval rows": lambda rng, **kw: random_dataset(
+        rng, 25, 2, interval=False, **kw),
+    "no truncated rows": lambda rng, **kw: random_dataset(
+        rng, 25, 2, truncated=False, **kw),
+    "no exact rows": lambda rng, **kw: _no_exact(rng, 40, 2, **kw),
+}
+
+
+@pytest.mark.parametrize("block", list(EMPTY_BLOCKS))
+@pytest.mark.parametrize("kind,knots", FLEXIBLE)
+@pytest.mark.parametrize("time_varying", [False, True])
+def test_gradient_with_an_empty_block(block, kind, knots, time_varying, rng):
+    model = make_model("weibull", kind, knots, time_varying=time_varying)
+    data = EMPTY_BLOCKS[block](rng, time_varying=time_varying)
+    prep = prepare(model, data)
+    sizes = {"no censored rows": prep.n - prep.n_exact,
+             "no interval rows": prep.lo.stop - prep.lo.start,
+             "no truncated rows": int(np.sum(data.trunc > 0)),
+             "no exact rows": prep.n_exact}
+    assert sizes[block] == 0 and data.n > 0
+    assert_grad_matches(model, data, rng)
+
+
 def test_flat_prior_has_zero_beta_gradient():
     """With no data, the posterior gradient along beta must vanish."""
     model = make_model()

@@ -290,3 +290,106 @@ class TestDenseMetric:
         with pytest.raises(NumericalError, match=r"chain 0.*iteration 45") as err:
             sample(std_normal_target(2), cfg)
         assert err.value.context == {"chain": 0, "iteration": 45}
+
+
+def barrier_target():
+    """A half-normal: proposals below 0 have log-density -inf and diverge."""
+
+    def lg(z):
+        if z[0] < 0.0:
+            return -math.inf, np.zeros(1)
+        return -0.5 * float(z @ z), -z
+
+    return GradientTarget(1, lg,
+                          initial_point=lambda r: np.abs(r.normal(size=1)))
+
+
+def same_draws(a, b):
+    return (np.array_equal(a.z, b.z) and np.array_equal(a.energy, b.energy)
+            and np.array_equal(a.divergent, b.divergent)
+            and np.array_equal(a.step_size, b.step_size))
+
+
+class TestWorkers:
+    class StubPool:
+        """Records its worker count and runs the chains in this process."""
+
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            return map(fn, *args)
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        import concurrent.futures
+
+        monkeypatch.setattr(self.StubPool, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            self.StubPool)
+        return self.StubPool
+
+    def test_no_more_workers_than_chains(self, pool):
+        cfg = SamplerConfig(chains=2, warmup_iters=20, sampling_iters=20,
+                            seed=3, threads=16)
+        d = sample(std_normal_target(2), cfg)
+        assert pool.sizes == [2]
+        ref = sample(std_normal_target(2),
+                     SamplerConfig(chains=2, warmup_iters=20,
+                                   sampling_iters=20, seed=3))
+        assert same_draws(d, ref)
+
+    def test_one_chain_runs_in_process(self, pool):
+        cfg = SamplerConfig(chains=1, warmup_iters=20, sampling_iters=20,
+                            seed=3, threads=4)
+        sample(std_normal_target(2), cfg)
+        assert pool.sizes == []
+
+
+class TestChainCounters:
+    def test_warmup_divergences_and_wall_times(self, monkeypatch):
+        import qvaft.sampler as smp
+
+        flags = []
+        transition = smp._nuts_transition
+
+        def recorded(*args):
+            out = transition(*args)
+            flags.append(bool(out[4]))
+            return out
+
+        monkeypatch.setattr(smp, "_nuts_transition", recorded)
+        cfg = SamplerConfig(chains=1, warmup_iters=200, sampling_iters=50,
+                            seed=5)
+        d = sample(barrier_target(), cfg)
+        assert d.warmup_divergences.tolist() == [sum(flags[:200])]
+        assert sum(flags[:200]) > 0
+        for seconds in (d.warmup_seconds, d.sampling_seconds):
+            assert seconds.shape == (1,) and np.all(seconds > 0)
+        thinned = d.thin_by(5)
+        assert thinned.warmup_divergences is d.warmup_divergences
+        assert thinned.sampling_seconds is d.sampling_seconds
+
+    def test_clock_does_not_move_the_draws(self, monkeypatch):
+        import qvaft.sampler as smp
+
+        cfg = SamplerConfig(chains=2, warmup_iters=100, sampling_iters=50,
+                            seed=8)
+        ref = sample(barrier_target(), cfg)
+        ticks = iter(range(1000))
+        monkeypatch.setattr(smp, "perf_counter",
+                            lambda: float(next(ticks)) ** 2)
+        d = sample(barrier_target(), cfg)
+        assert same_draws(d, ref)
+        # per chain: start, end of warmup, end of sampling
+        assert d.warmup_seconds.tolist() == [1.0, 16.0 - 9.0]
+        assert d.sampling_seconds.tolist() == [4.0 - 1.0, 25.0 - 16.0]
+        assert d.warmup_divergences.tolist() == ref.warmup_divergences.tolist()
