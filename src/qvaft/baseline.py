@@ -18,10 +18,11 @@ Every formula lives in one evaluator, `log_terms`: log f0(u) on a leading
 block of rows and log S0(u) on the rest, in one call that shares log u
 (and, for tbp, the centering terms) between them, and, on request, the
 partials in u, mu, log sigma and the weights. The public functions
-(`survivor` is exp log S0) and the likelihood call it. For tbp all of these come from the log Bernstein basis
-at p. `inverse_survivor` solves log F0 - log S0 of the same basis for the
-centering cumulative hazard -log S0c (F0 from the prefix sums of w), then
-applies the closed-form centering inverse, as the parametric families do.
+(`survivor` is exp log S0) and the likelihood call it. For tbp all of
+these come from the log Bernstein basis at p. `inverse_survivor` solves
+log F0 - log S0 of the same basis for the centering cumulative hazard
+-log S0c (F0 from the prefix sums of w), then applies the closed-form
+centering inverse, as the parametric families do.
 
 All operations are pure functions of immutable value objects and accept a
 scalar or ndarray time argument. Only the log-normal formulas need scipy

@@ -383,7 +383,8 @@ def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, b1=0.0,
                 one_minus = 1.0 - slopes @ alpha
                 out.ok = bool(np.all(one_minus > 0.0))
                 if grad:
-                    out.dlv_dalpha = out.dlv_dalpha - (1.0 / one_minus) @ slopes
+                    out.dlv_dalpha = (out.dlv_dalpha
+                                      - (1.0 / one_minus) @ slopes)
             out.logv = -_lead(eta, k) + np.where(
                 _lead(basis.post, k),
                 -b1 - _lead(a, k) + np.log(np.maximum(one_minus, 0.0)), 0.0)
@@ -400,7 +401,7 @@ def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, b1=0.0,
     x1 = basis.x1
     x1s = _lead(x1, k)
     if kind == "piecewise":
-        E = np.exp(-np.multiply.outer(basis.levels, alpha))  # one row per level
+        E = np.exp(-np.multiply.outer(basis.levels, alpha))  # row per level
         E = (E[0] if basis.level_index is None
              else np.take(E, basis.level_index, axis=0))
         ET = E * basis.terms  # segment lengths at their slope factors

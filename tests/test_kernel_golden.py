@@ -6,9 +6,10 @@ unconstrained points z with their log posterior and gradient, and the two
 datasets they were taken on (`random_dataset` with exact, interval,
 right-censored and truncated records). The values were recorded with the
 kernel of commit 0f95df3, before the gradient was rewritten as
-contractions, by running this file as a script:
+contractions, by running this file as a script with that commit's source
+tree on the path (run on a later tree it records that tree's values):
 
-    PYTHONPATH=src python tests/test_kernel_golden.py
+    PYTHONPATH=<0f95df3 checkout>/src python tests/test_kernel_golden.py
 
 Values must agree within 1e-12 relative and gradients within 1e-10 of the
 largest gradient component.
