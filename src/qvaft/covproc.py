@@ -404,10 +404,13 @@ def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, b1=0.0,
         E = np.exp(-np.multiply.outer(basis.levels, alpha))  # row per level
         E = (E[0] if basis.level_index is None
              else np.take(E, basis.level_index, axis=0))
-        ET = E * basis.terms  # segment lengths at their slope factors
-        out.u = scale * (basis.lead + ET @ np.ones(alpha.size))
-        if grad:
-            out.du_factor, out.du_matrix = -(scale * x1), ET
+        if E.ndim == 1 and not grad:  # one exposure value, as in inference
+            out.u = scale * (basis.lead + basis.terms @ E)
+        else:
+            ET = E * basis.terms  # segment lengths at their slope factors
+            out.u = scale * (basis.lead + ET @ np.ones(alpha.size))
+            if grad:
+                out.du_factor, out.du_matrix = -(scale * x1), ET
         if logv:
             alpha_seg = np.concatenate([[0.0], alpha])[basis.seg]
             out.logv = -_lead(eta, k) - x1s * alpha_seg
