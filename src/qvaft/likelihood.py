@@ -185,56 +185,59 @@ def unconstrain(model: ModelSpec, psi: ParameterVector) -> np.ndarray:
     return np.concatenate([np.asarray(p, dtype=float) for p in parts])
 
 
-def _split(model: ModelSpec, z: np.ndarray):
+def _positive(name: str, v) -> float:
+    """exp(v) for a log scale v; a DomainError naming it where exp(v)
+    overflows or underflows. The caller silences the overflow warning."""
+    e = float(np.exp(v))
+    if e == 0.0 or math.isinf(e):
+        raise DomainError(f"{name} = {v:g} "
+                          f"{'overflows' if e else 'underflows'} on the "
+                          "constrained scale")
+    return e
+
+
+def _constrain_pass(model: ModelSpec, z: np.ndarray):
+    """The constraining transform in one pass: (beta, alpha, mu, sigma, w,
+    theta, log-Jacobian, stick values z_k), with beta and alpha views of z
+    and w, theta and z_k None for a non-tbp baseline. A constrained value
+    that cannot be represented (sigma or theta overflowing or
+    underflowing, a weight below 1e-300) raises a DomainError naming its
+    coordinate; the caller silences the overflow warnings."""
     nb, J = model.n_beta, model.J
     if z.shape != (model.n_unconstrained,):
         raise DomainError(f"z has shape {z.shape}, expected "
                           f"({model.n_unconstrained},)")
-    beta = z[:nb]
-    alpha = z[nb:nb + J]
-    mu = z[nb + J]
     logsigma = z[nb + J + 1]
-    rest = z[nb + J + 2:]
-    return beta, alpha, mu, logsigma, rest
-
-
-def _constrain_pass(model: ModelSpec, z: np.ndarray):
-    """The constraining transform in one pass: (psi, log-Jacobian, stick
-    values z_k). A constrained value that cannot be represented (sigma or
-    theta overflowing or underflowing, a weight below 1e-300) raises a
-    DomainError naming its coordinate."""
-    beta, alpha, mu, logsigma, rest = _split(model, z)
-    logs = {"log sigma": logsigma}
     logjac = float(logsigma)
-    w = zk = None
+    w = theta = zk = None
     if model.baseline.is_tbp:
-        w, zk, lj = _stick_forward(rest[:model.K - 1])
+        K = model.K
+        sticks = z[nb + J + 2:nb + J + 1 + K]
+        w, zk, lj = _stick_forward(sticks)
         if np.any(w < 1e-300):
-            raise DomainError(f"stick coordinates {rest[:model.K - 1]} put "
-                              f"weight w_{int(np.argmax(w < 1e-300)) + 1} "
+            raise DomainError(f"stick coordinates {sticks} put weight "
+                              f"w_{int(np.argmax(w < 1e-300)) + 1} "
                               "below 1e-300")
-        logs["log theta"] = rest[model.K - 1]
-        logjac += lj + float(rest[model.K - 1])
-    scales = {}
-    for name, v in logs.items():
-        with np.errstate(over="ignore"):
-            scales[name] = e = float(np.exp(v))
-        if e == 0.0 or math.isinf(e):
-            raise DomainError(f"{name} = {v:g} "
-                              f"{'overflows' if e else 'underflows'} on the "
-                              "constrained scale")
-    psi = ParameterVector(beta.copy(), alpha.copy(), float(mu),
-                          scales["log sigma"], w, scales.get("log theta"))
-    return psi, logjac, zk
+        logtheta = z[nb + J + 1 + K]
+        logjac += lj + float(logtheta)
+    sigma = _positive("log sigma", logsigma)
+    if w is not None:
+        theta = _positive("log theta", logtheta)
+    return (z[:nb], z[nb:nb + J], float(z[nb + J]), sigma, w, theta, logjac,
+            zk)
 
 
 def constrain(model: ModelSpec, z: np.ndarray) -> ParameterVector:
-    return _constrain_pass(model, np.asarray(z, dtype=float))[0]
+    with np.errstate(over="ignore"):
+        beta, alpha, mu, sigma, w, theta, _, _ = _constrain_pass(
+            model, np.asarray(z, dtype=float))
+    return ParameterVector(beta.copy(), alpha.copy(), mu, sigma, w, theta)
 
 
 def log_jacobian(model: ModelSpec, z: np.ndarray) -> float:
     """log |d constrained / d z| of the constraining transform."""
-    return _constrain_pass(model, np.asarray(z, dtype=float))[1]
+    with np.errstate(over="ignore"):
+        return _constrain_pass(model, np.asarray(z, dtype=float))[6]
 
 
 def constrained_array(model: ModelSpec, psi: ParameterVector) -> np.ndarray:
@@ -346,7 +349,7 @@ def _log1mexp(logx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pointwise(model: ModelSpec, psi: ParameterVector, prep: Prepared,
+def _pointwise(model: ModelSpec, prep: Prepared, beta, alpha, mu, sigma, w,
                want_grad: bool):
     """Log-likelihood contributions in one pass over the stacked rows, one
     per subject in the order of the main rows (`prep.subject_rows` maps a
@@ -358,16 +361,17 @@ def _pointwise(model: ModelSpec, psi: ParameterVector, prep: Prepared,
     non-finite contributions are caught by the callers (rejection), so the
     arithmetic warnings of the whole pass are suppressed here, once."""
     with np.errstate(all="ignore"):
-        return _pointwise_impl(model, psi, prep, want_grad)
+        return _pointwise_impl(model, prep, beta, alpha, mu, sigma, w,
+                               want_grad)
 
 
-def _pointwise_impl(model, psi, prep, want_grad):
+def _pointwise_impl(model, prep, beta, alpha, mu, sigma, w, want_grad):
     n, ne = prep.n, prep.n_exact
-    coef, b1 = model.split_beta(psi.beta)
-    tt = transform(prep.basis, psi.alpha, prep.eta(coef), b1, logv=True,
+    coef, b1 = model.split_beta(beta)
+    tt = transform(prep.basis, alpha, prep.eta(coef), b1, logv=True,
                    grad=want_grad)
-    bt = bl.log_terms(model.baseline, psi.mu, psi.sigma, psi.w, tt.u,
-                      n_pdf=ne, grad=want_grad)
+    bt = bl.log_terms(model.baseline, mu, sigma, w, tt.u, n_pdf=ne,
+                      grad=want_grad)
     val = bt.val
     val[:ne] += tt.logv
     ll = val[:n]
@@ -404,7 +408,8 @@ def pointwise_loglik_vector(model: ModelSpec, psi: ParameterVector,
     subjects; NaN raises a numerical error naming the subject."""
     check_psi(model, psi)
     prep = data if isinstance(data, Prepared) else prepare(model, data)
-    ll, _, _ = _pointwise(model, psi, prep, want_grad=False)
+    ll, _, _ = _pointwise(model, prep, psi.beta, psi.alpha, psi.mu, psi.sigma,
+                          psi.w, want_grad=False)
     ll = ll[prep.subject_rows]
     ll = np.where(ll < LOG_FLOOR, -np.inf, ll)
     if np.any(np.isnan(ll)):
@@ -485,19 +490,21 @@ def log_prior(model: ModelSpec, psi: ParameterVector,
 def _posterior_impl(model, z, prep, priors, want_grad: bool):
     """(log posterior, gradient) at z; (-inf, None) rejects a proposal that
     has no finite posterior or cannot be represented (an overflowing scale,
-    an underflowing weight), and (value, None) flags a non-finite gradient."""
+    an underflowing weight), and (value, None) flags a non-finite gradient.
+    The parameters are read off z as views, with no `ParameterVector`."""
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         return -math.inf, None
-    try:
-        psi, logjac, zk = _constrain_pass(model, z)
-    except DomainError:
-        return -math.inf, None
-    if not is_monotone(prep.slopes, psi.alpha, prep.x1_range):
-        return -math.inf, None
-    sigma, w, theta = psi.sigma, psi.w, psi.theta
-
-    ll, ok, grad = _pointwise(model, psi, prep, want_grad)
+    with np.errstate(all="ignore"):
+        try:
+            beta, alpha, mu, sigma, w, theta, logjac, zk = _constrain_pass(
+                model, z)
+        except DomainError:
+            return -math.inf, None
+        if not is_monotone(prep.slopes, alpha, prep.x1_range):
+            return -math.inf, None
+        ll, ok, grad = _pointwise_impl(model, prep, beta, alpha, mu, sigma, w,
+                                       want_grad)
     # a contribution below LOG_FLOOR or NaN rejects here, +inf by the total
     if not ok or not np.min(ll, initial=math.inf) >= LOG_FLOOR:
         return -math.inf, None
