@@ -42,9 +42,11 @@ du/dalpha as a per-row factor times a basis matrix (for a piecewise effect
 the segment lengths at their slope factors, otherwise the alpha basis), and
 the partials of sum log v as column sums whose parameter-free part the
 basis holds. V^{-1}: `transform_inverse`, with the
-same (eta, x1, b1, onset) arguments; closed forms where one exists
-(constant, piecewise, constant switch effect), the shared root-finder
-`roots.increasing_root` for the spline and flexible switch effects.
+same (eta, x1, b1, onset) arguments, eta, x1 and onset each a scalar or
+one value per row; closed forms where one exists (constant, piecewise,
+constant switch effect), the shared root-finder `roots.increasing_root`
+for the spline and flexible switch effects, with each row's exposure
+value passed to it beside its target.
 Monotonicity: `is_monotone`, the condition 1 - x1 * g'(log t) > 0 (or
 1 - s a'(s) > 0 after a switch) on a slope basis from `slope_basis`.
 `ModelSpec.predictor` turns a model's beta and covariates into those
@@ -455,7 +457,9 @@ def transform_value(effect: EffectSpec | None, alpha: np.ndarray, t, eta=0.0,
 def transform_inverse(effect: EffectSpec | None, alpha: np.ndarray, s,
                       eta=0.0, x1=0.0, b1=0.0, onset=None):
     """The one V^{-1}: the time t with V(t) = s, for s >= 0, where V is the
-    transform `transform_value` evaluates with the same arguments.
+    transform `transform_value` evaluates with the same arguments: eta,
+    x1 and onset may each be one value per row, broadcast against s, and
+    each row is inverted as it would be alone.
 
     Closed form for constant and piecewise kinds and for a constant switch
     effect; a root search for the spline kind (on the log-time axis) and
@@ -476,25 +480,33 @@ def transform_inverse(effect: EffectSpec | None, alpha: np.ndarray, s,
 
 
 def _piecewise_inverse(knots, eta, x1, alpha, s):
-    slopes = np.exp(-eta - x1 * np.concatenate([[0.0], alpha]))
-    tau_star = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(knots))])
-    seg = np.clip(np.searchsorted(tau_star, s, side="right") - 1, 0, len(knots) - 1)
-    return knots[seg] + (s - tau_star[seg]) / slopes[seg]
+    # per row: the slopes and the transformed breakpoints V(tau_j)
+    s, eta, x1 = np.broadcast_arrays(s, eta, x1)
+    slopes = np.exp(-eta[..., None]
+                    - x1[..., None] * np.concatenate([[0.0], alpha]))
+    tau_star = np.zeros(slopes.shape)
+    np.cumsum(slopes[..., :-1] * np.diff(knots), axis=-1, out=tau_star[..., 1:])
+    seg = np.clip(np.count_nonzero(tau_star <= s[..., None], axis=-1) - 1,
+                  0, len(knots) - 1)[..., None]
+    tau, slope = (np.take_along_axis(a, seg, -1)[..., 0]
+                  for a in (tau_star, slopes))
+    return knots[seg[..., 0]] + (s - tau) / slope
 
 
 def _spline_inverse(knots, eta, x1, alpha, s):
     # Solve r - x1*g(r) = log(s) + eta for r = log(t); s = 0 maps to t = 0
     # directly and is excluded from the root search.
+    s, eta, x1 = np.broadcast_arrays(s, eta, x1)
     pos = s > 0
-    target = np.log(s[pos]) + eta
+    target = np.log(s[pos]) + eta[pos]
 
-    def phi(t):
+    def phi(t, x1):
         r = np.log(t)
         return r - x1 * (spline_basis(knots, r) @ alpha)
 
-    out = np.zeros_like(s)
+    out = np.zeros(s.shape)
     out[pos] = increasing_root(phi, target, np.exp(target + 1.0), 1e-12,
-                               "spline inverse")
+                               "spline inverse", args=(x1[pos],))
     return out
 
 
@@ -592,6 +604,7 @@ def tv_monotonicity_check(beta1: float, alpha, effect: EffectSpec | None,
 
 
 def _scalar_like(t, value):
-    if np.ndim(t) == 0:
+    """A float for a scalar t, unless per-row arguments gave value rows."""
+    if np.ndim(t) == 0 and np.ndim(value) == 0:
         return float(value)
     return value

@@ -43,7 +43,6 @@ import numpy as np
 from . import baseline as bl
 from .covproc import (
     TimeBasis,
-    TimeVaryingCovariate,
     transform,
     transform_inverse,
     transform_value,
@@ -176,16 +175,28 @@ def _check_p(p):
 
 # -- conditional quantities ---------------------------------------------------
 
-def _switch(model: ModelSpec, onset: float):
-    """The checked switch time of a time-varying model; None otherwise."""
-    return TimeVaryingCovariate(onset).change_time if model.time_varying else None
+def _switch(model: ModelSpec, onset):
+    """The checked switch times (a scalar or an array) of a time-varying
+    model; None otherwise."""
+    if not model.time_varying:
+        return None
+    arr = np.asarray(onset, dtype=float)
+    bad = ~(arr > 0)  # NaN included
+    if bad.any():
+        raise DomainError(
+            f"change time must be > 0 (or +inf), got {arr[bad].flat[0]}")
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def quantile_time(model: ModelSpec, psi: ParameterVector, x, p,
-                  onset: float = math.inf, level: float | None = None):
+                  onset=math.inf, level: float | None = None):
     """p-th quantile survival time under covariate pattern x (and, for
     time-varying models, a switch at `onset`); a contrast `level`, if
-    given, replaces x's exposure value (see `ModelSpec.predictor`)."""
+    given, replaces x's exposure value (see `ModelSpec.predictor`).
+
+    x may also be covariate rows, shape (n, d), with p and onset scalars or
+    one value per row; the rows are inverted in one call, and each row's
+    time depends on its own x, p and onset only."""
     check_psi(model, psi)
     _check_p(p)
     q = bl.inverse_survivor(model.baseline, psi.baseline_params(),

@@ -112,7 +112,8 @@ class ModelSpec:
         x'beta over the data columns, x1 the exposure value that scales
         alpha (0 for a constant effect and for time-varying models) and b1
         the switch coefficient beta[0] of a time-varying model (else 0).
-        A contrast `level` replaces the exposure column, in eta and as x1."""
+        Each row's eta is rounded as x'beta of that row alone. A contrast
+        `level` replaces the exposure column, in eta and as x1."""
         X = np.asarray(X, dtype=float)
         coef, b1 = self.split_beta(np.asarray(beta, dtype=float))
         if X.shape[-1:] != coef.shape:
@@ -122,7 +123,9 @@ class ModelSpec:
         if level is not None and j is not None:
             X = X.copy()
             X[..., j] = level
-        eta = X @ coef
+        # one dot product per row: a row's eta is the same alone or among
+        # others, which a matrix-vector product does not round alike
+        eta = np.matmul(X[..., None, :], coef[:, None])[..., 0, 0]
         if self.time_varying or self.effect.kind == "constant":
             return eta, 0.0, b1
         return eta, (X[..., j] if level is None else level), b1

@@ -11,7 +11,9 @@ the caller. Without a slope the bracket is bisected. With a slope (f then
 returns f(t) and f'(t) from one call), each target is polished by
 safeguarded Newton inside its bracket, with a bisection step wherever
 Newton leaves the bracket, has no finite positive slope or stops halving
-its step. Only the standardized quantile passes a slope.
+its step. Only the standardized quantile passes a slope. Arguments that
+differ between targets (the spline inverse's exposure values) go to f
+beside the times, compacted with the targets still being solved.
 """
 
 from __future__ import annotations
@@ -28,15 +30,17 @@ MAX_BISECT = 2200
 
 
 def increasing_root(f, y, hi, rtol: float, what: str, lo=None,
-                    slope: bool = False, start=None) -> np.ndarray:
+                    slope: bool = False, start=None, args=()) -> np.ndarray:
     """The t > 0 with f(t) = y, elementwise; shaped like `y`.
 
     `f` maps a 1-D array of times to values elementwise and is increasing,
-    with f(0+) <= y. Without `lo` every bracket starts at lo = 0 and `hi`
-    (a scalar or one value per target, > 0) is multiplied by 4 until
-    f(hi) >= y, with lo moved up to the old hi each time. A given `lo` (a
-    scalar or one value per target) must already bracket each target with
-    `hi`, f(lo) <= y <= f(hi), and nothing is widened.
+    with f(0+) <= y. Each of `args` (one value per target, or a scalar)
+    is passed to f after the times, holding the entries of the targets f
+    is evaluated for: f(t, *args). Without `lo` every bracket starts at
+    lo = 0 and `hi` (a scalar or one value per target, > 0) is multiplied
+    by 4 until f(hi) >= y, with lo moved up to the old hi each time. A
+    given `lo` (a scalar or one value per target) must already bracket
+    each target with `hi`, f(lo) <= y <= f(hi), and nothing is widened.
 
     Without `slope`, each element is then bisected until hi - lo <= rtol *
     hi, and the midpoint of its final bracket is returned. With `slope`,
@@ -55,22 +59,26 @@ def increasing_root(f, y, hi, rtol: float, what: str, lo=None,
     y = np.asarray(y, dtype=float)
     yf = y.ravel()
     hi = np.array(np.broadcast_to(hi, y.shape), dtype=float).ravel()
+    args = [np.broadcast_to(a, y.shape).ravel() for a in args]
     if lo is None:
-        lo = _widen((lambda t: f(t)[0]) if slope else f, yf, hi, what)
+        lo = _widen((lambda t, *a: f(t, *a)[0]) if slope else f, yf, hi,
+                    what, args)
     else:
         lo = np.array(np.broadcast_to(lo, y.shape), dtype=float).ravel()
     if slope:
-        return _newton(f, yf, lo, hi, rtol, what, start).reshape(y.shape)
+        return _newton(f, yf, lo, hi, rtol, what, start,
+                       args).reshape(y.shape)
 
     # the unconverged elements are bisected as compact arrays; each is
     # written back once, when its bracket is narrow enough
     idx = np.flatnonzero(hi - lo > rtol * hi)
     a_lo, a_hi, a_y = lo[idx], hi[idx], yf[idx]
+    a_args = [a[idx] for a in args]
     for _ in range(MAX_BISECT):
         if idx.size == 0:
             break
         mid = 0.5 * (a_lo + a_hi)
-        below = f(mid) < a_y
+        below = f(mid, *a_args) < a_y
         a_lo = np.where(below, mid, a_lo)
         a_hi = np.where(below, a_hi, mid)
         done = a_hi - a_lo <= rtol * a_hi
@@ -78,6 +86,7 @@ def increasing_root(f, y, hi, rtol: float, what: str, lo=None,
             lo[idx[done]], hi[idx[done]] = a_lo[done], a_hi[done]
             keep = ~done
             idx, a_lo, a_hi, a_y = idx[keep], a_lo[keep], a_hi[keep], a_y[keep]
+            a_args = [a[keep] for a in a_args]
     if idx.size:
         raise NumericalError(f"{what}: bisection did not converge",
                              targets=a_y.tolist(), lo=a_lo.tolist(),
@@ -85,16 +94,17 @@ def increasing_root(f, y, hi, rtol: float, what: str, lo=None,
     return (0.5 * (lo + hi)).reshape(y.shape)
 
 
-def _widen(f, yf, hi, what):
+def _widen(f, yf, hi, what, args):
     """Widen `hi` in place until f(hi) >= yf; returns the matching lo."""
     lo = np.zeros_like(hi)
-    short = np.flatnonzero(~(f(hi) >= yf))  # NaN counts as not reached
+    short = np.flatnonzero(~(f(hi, *args) >= yf))  # NaN: not reached
     for _ in range(MAX_WIDEN):
         if short.size == 0:
             break
         lo[short] = hi[short]
         hi[short] *= 4.0
-        short = short[~(f(hi[short]) >= yf[short])]
+        short = short[~(f(hi[short], *[a[short] for a in args])
+                        >= yf[short])]
     if short.size:
         raise NumericalError(f"{what}: target not reached after {MAX_WIDEN} "
                              f"widenings", targets=yf[short].tolist(),
@@ -102,7 +112,7 @@ def _widen(f, yf, hi, what):
     return lo
 
 
-def _newton(f, yf, lo, hi, rtol, what, start):
+def _newton(f, yf, lo, hi, rtol, what, start, args):
     """Safeguarded Newton inside each bracket [lo, hi] (see
     `increasing_root`), on compact arrays of the unconverged elements."""
     out = 0.5 * (lo + hi)
@@ -112,11 +122,12 @@ def _newton(f, yf, lo, hi, rtol, what, start):
         out[inside] = start[inside]
     idx = np.flatnonzero(hi - lo > rtol * hi)
     a_lo, a_hi, a_y, t = lo[idx], hi[idx], yf[idx], out[idx]
+    a_args = [a[idx] for a in args]
     last = a_hi - a_lo  # length of the step before
     for _ in range(MAX_BISECT):
         if idx.size == 0:
             break
-        val, d = f(t)
+        val, d = f(t, *a_args)
         r = val - a_y
         below = r < 0  # NaN counts as not reached, as in bisection
         a_lo = np.where(below, t, a_lo)
@@ -141,6 +152,7 @@ def _newton(f, yf, lo, hi, rtol, what, start):
             keep = ~done
             idx, a_lo, a_hi, a_y = idx[keep], a_lo[keep], a_hi[keep], a_y[keep]
             t, last = t[keep], last[keep]
+            a_args = [a[keep] for a in a_args]
     if idx.size:
         raise NumericalError(f"{what}: Newton did not converge",
                              targets=a_y.tolist(), lo=a_lo.tolist(),

@@ -11,6 +11,12 @@ before the censoring time are right-censored at the last clean visit.
 
 Each subject draws from its own counter-based stream keyed by
 (seed, subject), so datasets are reproducible and order-independent.
+Subjects are simulated in rounds: a round draws one attempt (covariates,
+switch time, entry time and U, in that order) for every subject still
+pending, inverts all their event times in one batched call, and leaves
+pending those whose time falls at or before entry. Each subject's stream
+is consumed exactly as if it were simulated alone, so subject i's record
+depends only on (seed, i), and not on n or on the other subjects.
 """
 
 from __future__ import annotations
@@ -164,33 +170,24 @@ def _subject_rng(seed: int, subject: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def draw_event_time(model: ModelSpec, psi: ParameterVector, x,
-                    rng: np.random.Generator, onset: float = math.inf) -> float:
-    """One exact event time: T = V^{-1}(S0^{-1}(U) | x), U ~ Uniform(0,1)."""
+def _uniform(rng: np.random.Generator) -> float:
+    """U ~ Uniform(0, 1) without 0: redrawn while it is 0."""
     u = rng.random()
     while u <= 0.0:
         u = rng.random()
-    return float(quantile_time(model, psi, np.asarray(x, dtype=float), u, onset))
+    return u
 
 
-def _one_record(cfg: SimConfig, i: int) -> SubjectRecord:
-    rng = _subject_rng(cfg.seed, i)
-    cens = cfg.censoring
-    for _ in range(MAX_REJECTION_ATTEMPTS):
-        x = tuple(spec.draw(rng) for spec in cfg.covariates)
-        onset = cfg.onset.draw(rng) if cfg.onset is not None else math.inf
-        entry = cfg.truncation.draw(rng)
-        if cens.admin_time is not None and entry >= cens.admin_time:
-            continue  # would be unobservable; redraw the subject
-        t = draw_event_time(cfg.model, cfg.psi, x, rng, onset)
-        if t > entry:
-            break
-    else:
-        raise ConfigError(
-            f"subject {i}: rejection acceptance rate below "
-            f"{1.0 / MAX_REJECTION_ATTEMPTS:g}; entry times sit in the far "
-            "tail of the event distribution")
+def draw_event_time(model: ModelSpec, psi: ParameterVector, x,
+                    rng: np.random.Generator, onset: float = math.inf) -> float:
+    """One exact event time: T = V^{-1}(S0^{-1}(U) | x), U ~ Uniform(0,1)."""
+    return float(quantile_time(model, psi, np.asarray(x, dtype=float),
+                               _uniform(rng), onset))
 
+
+def _record(cens: CensoringSpec, rng: np.random.Generator, t: float,
+            entry: float, x: tuple, onset: float) -> SubjectRecord:
+    """The observed record of an accepted event time t."""
     censor = math.inf
     if cens.admin_time is not None:
         censor = cens.admin_time
@@ -215,6 +212,44 @@ def _one_record(cfg: SimConfig, i: int) -> SubjectRecord:
 
 
 def simulate_dataset(cfg: SimConfig) -> Dataset:
-    """Generate n records satisfying the `SubjectRecord` invariants."""
-    records = [_one_record(cfg, i) for i in range(cfg.n)]
+    """Generate n records satisfying the `SubjectRecord` invariants.
+
+    Works in rounds: each round draws an attempt for every pending subject
+    from its own stream and inverts all their event times in one
+    `quantile_time` call; subjects whose time falls at or before entry
+    are pending again in the next round."""
+    n, admin = cfg.n, cfg.censoring.admin_time
+    rngs = [_subject_rng(cfg.seed, i) for i in range(n)]
+    x = np.empty((n, len(cfg.covariates)))
+    onset = np.full(n, math.inf)
+    entry = np.empty(n)
+    t = np.empty(n)
+    attempts = [0] * n
+
+    def attempt(i: int) -> float:
+        """Subject i's next x, switch time and entry time, written to row
+        i (redrawn while entry is past the administrative cutoff), and
+        the U of its event time."""
+        rng = rngs[i]
+        while attempts[i] < MAX_REJECTION_ATTEMPTS:
+            attempts[i] += 1
+            x[i] = [spec.draw(rng) for spec in cfg.covariates]
+            if cfg.onset is not None:
+                onset[i] = cfg.onset.draw(rng)
+            entry[i] = cfg.truncation.draw(rng)
+            if admin is None or entry[i] < admin:
+                return _uniform(rng)
+        raise ConfigError(
+            f"subject {i}: rejection acceptance rate below "
+            f"{1.0 / MAX_REJECTION_ATTEMPTS:g}; entry times sit in the far "
+            "tail of the event distribution")
+
+    pending = np.arange(n)
+    while pending.size:
+        u = np.array([attempt(i) for i in pending])
+        t[pending] = quantile_time(cfg.model, cfg.psi, x[pending], u,
+                                   onset[pending])
+        pending = pending[~(t[pending] > entry[pending])]
+    records = [_record(cfg.censoring, rngs[i], float(t[i]), float(entry[i]),
+                       tuple(x[i]), float(onset[i])) for i in range(n)]
     return Dataset.from_records(records, tuple(cfg.model.covariates))

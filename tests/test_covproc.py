@@ -10,6 +10,8 @@ from qvaft.covproc import (
     EffectSpec,
     TimeVaryingCovariate,
     monotonicity_check,
+    transform_inverse,
+    transform_value,
     spline_basis,
     spline_basis_deriv,
     tv_monotonicity_check,
@@ -265,3 +267,49 @@ class TestValidation:
     def test_bad_change_time(self):
         with pytest.raises(DomainError):
             TimeVaryingCovariate(0.0)
+
+
+class TestPerRowArguments:
+    """`transform_inverse` takes one (eta, x1, onset) per row, as
+    `transform_value` does, and inverts each row as it would alone."""
+
+    EFFECTS = [("constant", (), ()),
+               ("piecewise", (0.0, 1.0, 2.5), (0.3, -0.2)),
+               ("spline", (-0.5, 0.5, 1.5), (0.2, 0.05))]
+
+    @pytest.mark.parametrize("switch", [False, True])
+    @pytest.mark.parametrize("kind,knots,alpha", EFFECTS)
+    def test_round_trip_row_by_row(self, kind, knots, alpha, switch):
+        rng = np.random.default_rng(31)
+        n = 300
+        effect, alpha = EffectSpec(kind, knots), np.array(alpha)
+        t = rng.gamma(2.0, 1.0, n)
+        eta = rng.normal(size=n)
+        x1 = 0.0 if switch else rng.uniform(0.0, 1.5, n)  # every value distinct
+        b1 = -0.7 if switch else 0.0
+        onset = (np.where(rng.random(n) < 0.3, np.inf, rng.uniform(0.2, 3.0, n))
+                 if switch else None)
+        s = transform_value(effect, alpha, t, eta, x1, b1, onset)
+        back = transform_inverse(effect, alpha, s, eta, x1, b1, onset)
+        np.testing.assert_allclose(back, t, rtol=1e-11)
+        for i in range(n):
+            one = transform_inverse(
+                effect, alpha, s[i], eta[i], x1 if switch else x1[i], b1,
+                None if onset is None else onset[i])
+            assert one == back[i]
+
+    @pytest.mark.parametrize("kind,knots,alpha", EFFECTS[1:])
+    def test_one_target_for_many_rows_and_many_for_one(self, kind, knots,
+                                                       alpha):
+        effect, alpha = EffectSpec(kind, knots), np.array(alpha)
+        eta, x1 = np.array([0.3, -0.2, 1.1]), np.array([0.0, 0.5, 1.4])
+        many_rows = transform_inverse(effect, alpha, 2.0, eta, x1)
+        assert many_rows.shape == (3,)
+        for i in range(3):
+            assert many_rows[i] == transform_inverse(effect, alpha, 2.0,
+                                                     eta[i], x1[i])
+        s = np.array([0.0, 0.5, 2.0, 9.0])
+        many_targets = transform_inverse(effect, alpha, s, 0.3, 0.5)
+        np.testing.assert_array_equal(
+            many_targets, [transform_inverse(effect, alpha, si, 0.3, 0.5)
+                           for si in s])

@@ -132,3 +132,33 @@ def test_given_brackets_and_starts():
     np.testing.assert_allclose(
         increasing_root(np.log1p, y, hi, 1e-13, "log1p", lo=lo), want,
         rtol=1e-12)
+
+
+def _scaled(t, a):
+    """a * t + log1p(t), increasing in t for a >= 0; a is per target."""
+    return a * t + np.log1p(t)
+
+
+def _scaled_slope(t, a):
+    return a * t + np.log1p(t), a + 1.0 / (1.0 + t)
+
+
+@pytest.mark.parametrize("slope", [False, True])
+def test_per_target_arguments_follow_their_targets(slope):
+    """Arguments that differ between targets are compacted with the
+    targets still being solved: each root equals that target's root with
+    its own argument, solved alone."""
+    y = np.array([1e-9, 0.4, 3.0, 50.0, 2e3])
+    a = np.array([0.0, 2.0, 0.1, 7.0, 0.5])
+    f = _scaled_slope if slope else _scaled
+    batch = increasing_root(f, y, 1.0, 1e-13, "scaled", slope=slope, args=(a,))
+    alone = [increasing_root(lambda t, ai=ai: f(t, ai), yi, 1.0, 1e-13,
+                             "scaled", slope=slope) for yi, ai in zip(y, a)]
+    np.testing.assert_array_equal(batch, alone)
+    np.testing.assert_allclose(_scaled(batch, a), y, rtol=1e-12)
+
+
+def test_scalar_argument_is_broadcast_to_every_target():
+    y = np.array([0.5, 4.0])
+    t = increasing_root(_scaled, y, 1.0, 1e-13, "scaled", args=(3.0,))
+    np.testing.assert_allclose(_scaled(t, 3.0), y, rtol=1e-12)

@@ -10,7 +10,7 @@ from scipy import stats
 
 from conftest import make_model
 from qvaft.data import write_csv, read_csv
-from qvaft.errors import ConfigError
+from qvaft.errors import ConfigError, DomainError
 from qvaft.inference import quantile_time, survivor_conditional
 from qvaft.likelihood import ParameterVector
 from qvaft.simulate import (
@@ -75,6 +75,44 @@ class TestDrawEventTime:
         t = quantile_time(model, psi, x, u)
         s = survivor_conditional(model, psi, x, t)
         assert stats.kstest(s, "uniform").statistic < 0.01
+
+
+class TestQuantileTimeRows:
+    """`quantile_time` on covariate rows with per-row p and onsets: the
+    batched inversion that simulation runs, one row at a time."""
+
+    @pytest.mark.parametrize("family,kind,knots,alpha,tv", [
+        ("lognormal", "piecewise", (0.0, 1.0, 2.5), (0.3, -0.2), False),
+        ("tbp", "spline", (-0.5, 0.5, 1.5), (0.2, 0.05), False),
+        ("lognormal", "piecewise", (0.0, 1.0, 2.0), (0.2, 0.4), True),
+        ("lognormal", "spline", (-1.0, 0.0, 1.0), (0.15, -0.05), True)])
+    def test_rows_match_single_patterns(self, family, kind, knots, alpha, tv,
+                                        rng):
+        tbp = family == "tbp"
+        model = make_model(family, kind, knots, covariates=("x1", "x2"),
+                           time_varying=tv, K=5 if tbp else 0)
+        psi = ParameterVector(np.array([-0.7, 0.4, 0.2] if tv else [0.5, -0.3]),
+                              np.array(alpha), 0.8, 1.1,
+                              np.array([0.1, 0.15, 0.3, 0.25, 0.2]) if tbp
+                              else None, 1.0 if tbp else None)
+        n = 60
+        x = np.column_stack([rng.uniform(0.0, 1.5, n), rng.normal(size=n)])
+        p = rng.random(n)
+        onset = np.where(rng.random(n) < 0.3, np.inf, rng.uniform(0.2, 3.0, n))
+        t = quantile_time(model, psi, x, p, onset)
+        for i in range(n):
+            assert t[i] == quantile_time(model, psi, x[i], p[i], onset[i])
+        # S(t | x) = p at every row
+        s = np.array([survivor_conditional(model, psi, x[i], t[i], onset[i])
+                      for i in range(n)])
+        np.testing.assert_allclose(s, p, rtol=1e-8)
+
+    def test_bad_onset_in_an_array_is_domain_error(self):
+        model = make_model(covariates=("x2",), time_varying=True)
+        psi = ParameterVector(np.array([-0.5, 0.2]), np.array([]), 0.8, 1.1)
+        with pytest.raises(DomainError, match="change time"):
+            quantile_time(model, psi, np.zeros((3, 1)), 0.5,
+                          np.array([1.0, np.nan, 2.0]))
 
 
 class TestSimulateDataset:
@@ -165,6 +203,34 @@ class TestSimulateDataset:
                         truncation=TruncationSpec("fixed", (1e8,)), seed=1)
         with pytest.raises(ConfigError, match="acceptance"):
             simulate_dataset(cfg)
+
+    def test_hopeless_truncation_error_names_the_subject(self):
+        model = make_model()
+        cfg = SimConfig(3, model, PSI2, GENS2,
+                        truncation=TruncationSpec("fixed", (1e8,)), seed=1)
+        with pytest.raises(ConfigError, match=r"^subject 0: rejection"):
+            simulate_dataset(cfg)
+
+    def test_first_records_do_not_depend_on_n(self):
+        """Subject i's record depends only on (seed, i): the first 40
+        records of n = 80 are those of n = 40, bit for bit, under a
+        truncation law that rejects many first attempts and redraws entries
+        past the administrative cutoff."""
+        model = make_model(effect_kind="piecewise", knots=(0.0, 1.0, 2.5))
+        psi = ParameterVector(np.array([0.5, -0.3]), np.array([0.3, -0.2]),
+                              1.0, 1.2)
+        gens = (CovariateSpec("uniform", (0.0, 1.0)),
+                CovariateSpec("normal", (0.0, 1.0)))
+        cens = CensoringSpec(admin_time=8.0, exp_rate=0.1)
+        trunc = TruncationSpec("uniform", (0.0, 10.0))
+        big = simulate_dataset(SimConfig(80, model, psi, gens, cens, trunc,
+                                         seed=5))
+        small = simulate_dataset(SimConfig(40, model, psi, gens, cens, trunc,
+                                           seed=5))
+        for f in ("y_lower", "y_upper", "event", "trunc", "x", "onset"):
+            np.testing.assert_array_equal(getattr(big, f)[:40],
+                                          getattr(small, f), err_msg=f)
+        assert np.mean(big.trunc > 0) > 0.9
 
     def test_covariate_generator_count_checked(self):
         model = make_model()
