@@ -480,17 +480,21 @@ def transform_inverse(effect: EffectSpec | None, alpha: np.ndarray, s,
 
 
 def _piecewise_inverse(knots, eta, x1, alpha, s):
-    # per row: the slopes and the transformed breakpoints V(tau_j)
-    s, eta, x1 = np.broadcast_arrays(s, eta, x1)
-    slopes = np.exp(-eta[..., None]
-                    - x1[..., None] * np.concatenate([[0.0], alpha]))
+    # slopes and transformed breakpoints V(tau_j), one row per (eta, x1)
+    slopes = np.exp(-np.asarray(eta)[..., None]
+                    - np.multiply.outer(x1, np.concatenate([[0.0], alpha])))
     tau_star = np.zeros(slopes.shape)
     np.cumsum(slopes[..., :-1] * np.diff(knots), axis=-1, out=tau_star[..., 1:])
-    seg = np.clip(np.count_nonzero(tau_star <= s[..., None], axis=-1) - 1,
-                  0, len(knots) - 1)[..., None]
-    tau, slope = (np.take_along_axis(a, seg, -1)[..., 0]
+    last = len(knots) - 1
+    if slopes.ndim == 1:  # one transform for every target
+        seg = np.clip(np.searchsorted(tau_star, s, side="right") - 1, 0, last)
+        return knots[seg] + (s - tau_star[seg]) / slopes[seg]
+    # one transform per row: each target's segment on its own row
+    seg = np.clip((tau_star <= s[..., None]).sum(-1) - 1, 0, last)
+    tau, slope = (np.take_along_axis(np.broadcast_to(a, seg.shape + a.shape[-1:]),
+                                     seg[..., None], -1)[..., 0]
                   for a in (tau_star, slopes))
-    return knots[seg[..., 0]] + (s - tau) / slope
+    return knots[seg] + (s - tau) / slope
 
 
 def _spline_inverse(knots, eta, x1, alpha, s):
