@@ -128,14 +128,17 @@ class EffectSpec:
 
 @dataclass(frozen=True)
 class TimeVaryingCovariate:
-    """Switch time of a binary step covariate; +inf means never switches."""
+    """Switch time of a binary step covariate; +inf means never switches.
+    An array holds one switch time per subject."""
 
-    change_time: float
+    change_time: float | np.ndarray
 
     def __post_init__(self):
-        if np.isnan(self.change_time) or self.change_time <= 0:
+        t = np.asarray(self.change_time)
+        bad = ~(t > 0)  # NaN included
+        if bad.any():
             raise DomainError(
-                f"change time must be > 0 (or +inf), got {self.change_time}")
+                f"change time must be > 0 (or +inf), got {t[bad].flat[0]}")
 
 
 def _check_alpha(spec: EffectSpec | None, alpha) -> np.ndarray:
@@ -480,17 +483,13 @@ def transform_inverse(effect: EffectSpec | None, alpha: np.ndarray, s,
 
 
 def _piecewise_inverse(knots, eta, x1, alpha, s):
-    # slopes and transformed breakpoints V(tau_j), one row per (eta, x1)
+    # slopes and transformed breakpoints V(tau_j), one row per (eta, x1);
+    # each target's segment is found on its own row
     slopes = np.exp(-np.asarray(eta)[..., None]
                     - np.multiply.outer(x1, np.concatenate([[0.0], alpha])))
     tau_star = np.zeros(slopes.shape)
     np.cumsum(slopes[..., :-1] * np.diff(knots), axis=-1, out=tau_star[..., 1:])
-    last = len(knots) - 1
-    if slopes.ndim == 1:  # one transform for every target
-        seg = np.clip(np.searchsorted(tau_star, s, side="right") - 1, 0, last)
-        return knots[seg] + (s - tau_star[seg]) / slopes[seg]
-    # one transform per row: each target's segment on its own row
-    seg = np.clip((tau_star <= s[..., None]).sum(-1) - 1, 0, last)
+    seg = np.clip((tau_star <= s[..., None]).sum(-1) - 1, 0, len(knots) - 1)
     tau, slope = (np.take_along_axis(np.broadcast_to(a, seg.shape + a.shape[-1:]),
                                      seg[..., None], -1)[..., 0]
                   for a in (tau_star, slopes))

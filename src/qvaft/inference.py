@@ -43,6 +43,7 @@ import numpy as np
 from . import baseline as bl
 from .covproc import (
     TimeBasis,
+    TimeVaryingCovariate,
     transform,
     transform_inverse,
     transform_value,
@@ -178,14 +179,7 @@ def _check_p(p):
 def _switch(model: ModelSpec, onset):
     """The checked switch times (a scalar or an array) of a time-varying
     model; None otherwise."""
-    if not model.time_varying:
-        return None
-    arr = np.asarray(onset, dtype=float)
-    bad = ~(arr > 0)  # NaN included
-    if bad.any():
-        raise DomainError(
-            f"change time must be > 0 (or +inf), got {arr[bad].flat[0]}")
-    return float(arr) if arr.ndim == 0 else arr
+    return TimeVaryingCovariate(onset).change_time if model.time_varying else None
 
 
 def quantile_time(model: ModelSpec, psi: ParameterVector, x, p,
