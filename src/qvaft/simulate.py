@@ -211,13 +211,23 @@ def _record(cens: CensoringSpec, rng: np.random.Generator, t: float,
                          min(entry, max(last_clean, TINY_TIME)), x, onset)
 
 
+def _hopeless(subject: int) -> ConfigError:
+    return ConfigError(
+        f"subject {subject}: rejection acceptance rate below "
+        f"{1.0 / MAX_REJECTION_ATTEMPTS:g}; entry times sit in the far "
+        "tail of the event distribution")
+
+
 def simulate_dataset(cfg: SimConfig) -> Dataset:
     """Generate n records satisfying the `SubjectRecord` invariants.
 
     Works in rounds: each round draws an attempt for every pending subject
     from its own stream and inverts all their event times in one
     `quantile_time` call; subjects whose time falls at or before entry
-    are pending again in the next round."""
+    are pending again in the next round. A subject that needs more than
+    `MAX_REJECTION_ATTEMPTS` attempts is a `ConfigError`, and so is a
+    sample that has made that many attempts in all without accepting
+    anyone, which bounds the cost of a hopeless truncation law."""
     n, admin = cfg.n, cfg.censoring.admin_time
     rngs = [_subject_rng(cfg.seed, i) for i in range(n)]
     x = np.empty((n, len(cfg.covariates)))
@@ -239,10 +249,7 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
             entry[i] = cfg.truncation.draw(rng)
             if admin is None or entry[i] < admin:
                 return _uniform(rng)
-        raise ConfigError(
-            f"subject {i}: rejection acceptance rate below "
-            f"{1.0 / MAX_REJECTION_ATTEMPTS:g}; entry times sit in the far "
-            "tail of the event distribution")
+        raise _hopeless(i)
 
     pending = np.arange(n)
     while pending.size:
@@ -250,6 +257,8 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
         t[pending] = quantile_time(cfg.model, cfg.psi, x[pending], u,
                                    onset[pending])
         pending = pending[~(t[pending] > entry[pending])]
+        if pending.size == n and sum(attempts) >= MAX_REJECTION_ATTEMPTS:
+            raise _hopeless(0)  # no subject accepted yet
     records = [_record(cfg.censoring, rngs[i], float(t[i]), float(entry[i]),
                        tuple(x[i]), float(onset[i])) for i in range(n)]
     return Dataset.from_records(records, tuple(cfg.model.covariates))

@@ -211,6 +211,24 @@ class TestSimulateDataset:
         with pytest.raises(ConfigError, match=r"^subject 0: rejection"):
             simulate_dataset(cfg)
 
+    def test_hopeless_truncation_cost_does_not_grow_with_n(self, monkeypatch):
+        """With no subject accepted, the error comes once the sample has
+        made MAX_REJECTION_ATTEMPTS attempts in all: 20 rounds at n = 500,
+        not MAX_REJECTION_ATTEMPTS rounds over every subject."""
+        import qvaft.simulate as sim
+        rounds = []
+
+        def counted(*args):
+            rounds.append(1)
+            return quantile_time(*args)
+
+        monkeypatch.setattr(sim, "quantile_time", counted)
+        cfg = SimConfig(500, make_model(), PSI2, GENS2,
+                        truncation=TruncationSpec("fixed", (1e8,)), seed=1)
+        with pytest.raises(ConfigError, match=r"^subject 0: rejection"):
+            simulate_dataset(cfg)
+        assert len(rounds) == sim.MAX_REJECTION_ATTEMPTS // 500
+
     def test_first_records_do_not_depend_on_n(self):
         """Subject i's record depends only on (seed, i): the first 40
         records of n = 80 are those of n = 40, bit for bit, under a
