@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .data import Dataset, read_csv, write_csv
+from .data import Dataset, check_format_version, read_csv, write_csv
 from .errors import (
     ComparisonError,
     ConfigError,
@@ -50,10 +50,10 @@ from .modelcheck import (
     write_loo_report,
 )
 from .sampler import (
-    DRAWS_FORMAT_VERSION,
     PosteriorDraws,
     SamplerConfig,
     draws_from_csv,
+    draws_from_npz,
     draws_to_csv,
     draws_to_npz,
     ess,
@@ -180,29 +180,16 @@ def _load_fit(fit_dir: str):
         raise DataError(f"{fit_dir}: missing fit artifacts: {missing}")
     with open(meta_path) as fh:
         meta = json.load(fh)
-    _check_version(meta_path, meta.get("format_version"), FIT_FORMAT_VERSION)
+    check_format_version(meta_path, meta.get("format_version"),
+                         FIT_FORMAT_VERSION)
     model = cfgmod.model_from_jsonable(meta["model"])
     data = read_csv(os.path.join(fit_dir, "data.csv"))
     npz_path = os.path.join(fit_dir, "draws.npz")
     if os.path.exists(npz_path):
-        raw = np.load(npz_path, allow_pickle=False)
-        _check_version(npz_path, raw["format_version"].item()
-                       if "format_version" in raw else None,
-                       DRAWS_FORMAT_VERSION)
-        draws = PosteriorDraws(
-            raw["z"], raw["constrained"],
-            tuple(str(s) for s in raw["param_names"]),
-            raw["chain_id"], raw["iteration"], raw["divergent"],
-            raw["energy"], raw["step_size"], int(raw["n_chains"]), model)
+        draws = draws_from_npz(npz_path, model)
     else:
         draws = draws_from_csv(os.path.join(fit_dir, "draws.csv"), model)
     return meta, model, data, draws
-
-
-def _check_version(path: str, found, known: int) -> None:
-    if found != known:
-        raise DataError(f"{path}: format_version {found!r} is not one this "
-                        f"qvaft reads (it reads {known})")
 
 
 # -- simulate ---------------------------------------------------------------------

@@ -19,11 +19,12 @@ import numpy as np
 from .baseline import BaselineSpec
 from .covproc import EffectSpec
 from .data import Dataset, atomic_write_text, max_followup, observed_event_times
-from .errors import ConfigError
+from .errors import ConfigError, QvaftError
 from .likelihood import ParameterVector, PriorSpec
 from .model import ModelSpec
 from .sampler import SamplerConfig
 from .simulate import (
+    DISTRIBUTIONS,
     CensoringSpec,
     CovariateSpec,
     OnsetSpec,
@@ -345,43 +346,21 @@ def resolve_truth(raw: dict, model: ModelSpec) -> ParameterVector:
         raise ConfigError(f"truth: {err}") from None
 
 
-_DIST_PARAM_KEYS = {
-    "bernoulli": ("p",),
-    "normal": ("mean", "sd"),
-    "uniform": ("lo", "hi"),
-    "constant": ("value",),
-    "fixed": ("time",),
-    "exponential": ("rate",),
-    "none": (),
-}
-
-
-# the values each distribution parameter may take; NaN fails every test
-_DIST_PARAM_RANGES = {
-    "p": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-    "sd": (lambda v: v >= 0.0, "must be >= 0"),
-    "rate": (lambda v: v > 0.0, "must be > 0"),
-    "time": (lambda v: v >= 0.0, "must be >= 0"),
-}
-
-
-def _dist(sec: dict, path: str, choices: tuple, default=None, extra=()):
-    """(dist, parameters) of a distribution block; a key its `dist` does
-    not take, or a value outside its range, is an error naming the key."""
+def _dist(sec: dict, path: str, spec_cls, *rest, default=None, extra=()):
+    """The `spec_cls` a distribution block describes, with the parameter
+    keys of its `dist` read from `simulate.DISTRIBUTIONS`; a key its
+    `dist` does not take, or a value the spec rejects, is an error naming
+    the key. `rest` holds the spec's arguments after `params`."""
     dist = _str(sec, path, "dist", default=default, required=default is None,
-                choices=choices)
-    keys = _DIST_PARAM_KEYS[dist]
+                choices=spec_cls.DISTS)
+    keys = DISTRIBUTIONS[dist].keys
     _unknown_keys(sec, path, ("dist",) + keys + extra,
                   f"not a parameter of dist {dist!r}")
     params = tuple(_num(sec, path, k, required=True) for k in keys)
-    for key, val in zip(keys, params):
-        if key in _DIST_PARAM_RANGES and not _DIST_PARAM_RANGES[key][0](val):
-            raise ConfigError(f"{path}.{key}: {_DIST_PARAM_RANGES[key][1]}, "
-                              f"got {val!r}")
-    if dist == "uniform" and not params[0] <= params[1]:
-        raise ConfigError(f"{path}.hi: must be >= lo, got {params[1]!r} < "
-                          f"{params[0]!r}")
-    return dist, params
+    try:
+        return spec_cls(dist, params, *rest)
+    except QvaftError as err:
+        raise ConfigError(f"{path}.{err}") from None
 
 
 def resolve_sim(raw: dict, model: ModelSpec, psi: ParameterVector,
@@ -399,12 +378,7 @@ def resolve_sim(raw: dict, model: ModelSpec, psi: ParameterVector,
             raise ConfigError(f"simulate.covariates.{name}: required")
         if not isinstance(spec, dict):
             raise ConfigError(f"simulate.covariates.{name}: must be a mapping")
-        dist, params = _dist(spec, f"simulate.covariates.{name}",
-                             ("bernoulli", "normal", "uniform", "constant"))
-        try:
-            gens.append(CovariateSpec(dist, params))
-        except Exception as err:
-            raise ConfigError(f"simulate.covariates.{name}: {err}") from None
+        gens.append(_dist(spec, f"simulate.covariates.{name}", CovariateSpec))
 
     xsec = _section(sec, "censoring")
     _unknown_keys(xsec, "simulate.censoring",
@@ -415,18 +389,15 @@ def resolve_sim(raw: dict, model: ModelSpec, psi: ParameterVector,
         visit_gap=_num(xsec, "simulate.censoring", "visit_gap"),
     )
 
-    truncation = TruncationSpec(*_dist(
-        _section(sec, "truncation"), "simulate.truncation",
-        ("none", "fixed", "uniform", "exponential"), default="none"))
+    truncation = _dist(_section(sec, "truncation"), "simulate.truncation",
+                       TruncationSpec, default="none")
 
     onset = None
     if model.time_varying:
         osec = _section(sec, "onset", required=True)
-        onset = OnsetSpec(*_dist(osec, "simulate.onset",
-                                 ("fixed", "uniform", "exponential"),
-                                 extra=("never_prob",)),
-                          _num(osec, "simulate.onset", "never_prob",
-                               default=0.0))
+        onset = _dist(osec, "simulate.onset", OnsetSpec,
+                      _num(osec, "simulate.onset", "never_prob", default=0.0),
+                      extra=("never_prob",))
 
     seed = (seed_override if seed_override is not None
             else _int(sec, "simulate", "seed", default=0))

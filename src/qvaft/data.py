@@ -227,6 +227,13 @@ def write_csv(data: Dataset, path, include_onset: bool | None = None) -> None:
     )
 
 
+def check_format_version(path, found, known: int) -> None:
+    """Raises `DataError` unless an artifact's format_version is `known`."""
+    if found != known:
+        raise DataError(f"{path}: format_version {found!r} is not one this "
+                        f"qvaft reads (it reads {known})")
+
+
 def atomic_write_text(path, text: str) -> None:
     path = os.fspath(path)
     d = os.path.dirname(path) or "."

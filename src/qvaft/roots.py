@@ -7,13 +7,14 @@ time-varying V^{-1} (f = the part of V after the switch) and the
 standardized quantile (f = -S_std, y = -p).
 
 Each target gets a bracket [lo, hi]: from lo = 0 by widening hi, or from
-the caller. Without a slope the bracket is bisected. With a slope (f then
-returns f(t) and f'(t) from one call), each target is polished by
-safeguarded Newton inside its bracket, with a bisection step wherever
-Newton leaves the bracket, has no finite positive slope or stops halving
-its step. Only the standardized quantile passes a slope. Arguments that
-differ between targets (the spline inverse's exposure values) go to f
-beside the times, compacted with the targets still being solved.
+the caller. One loop then shrinks every bracket around its iterate. With
+a slope (f then returns f(t) and f'(t) from one call) the next iterate is
+a safeguarded Newton step, and a bisection step wherever Newton leaves the
+bracket, has no finite positive slope or stops halving its step; without
+one every step is a bisection step, so the loop is plain bisection. Only
+the standardized quantile passes a slope. Arguments that differ between
+targets (the spline inverse's exposure values) go to f beside the times,
+compacted with the targets still being solved.
 """
 
 from __future__ import annotations
@@ -42,15 +43,16 @@ def increasing_root(f, y, hi, rtol: float, what: str, lo=None,
     given `lo` (a scalar or one value per target) must already bracket
     each target with `hi`, f(lo) <= y <= f(hi), and nothing is widened.
 
-    Without `slope`, each element is then bisected until hi - lo <= rtol *
-    hi, and the midpoint of its final bracket is returned. With `slope`,
-    f returns the pair (f(t), f'(t)) and each element is polished by
-    safeguarded Newton from `start` (one value per target; from the
-    bracket's midpoint where it is not given or not inside the bracket).
-    A step that leaves the bracket, comes from a slope that is not finite
-    and positive, or is longer than half the step before becomes a
-    bisection step; the iterate is returned once its step is at most
-    rtol * t or its bracket is narrower than rtol * hi. Either way an
+    Each element then starts from its bracket's midpoint and the bracket
+    shrinks to the side of the root at every evaluation. Without `slope`
+    the next iterate is always the midpoint, and the midpoint of the
+    bracket is returned once hi - lo <= rtol * hi. With `slope`, f returns
+    the pair (f(t), f'(t)) and the iterate is polished by safeguarded
+    Newton from `start` (one value per target; used where it lies inside
+    the bracket). A step that leaves the bracket, comes from a slope that
+    is not finite and positive, or is longer than half the step before
+    becomes a bisection step; the iterate is returned once its step is at
+    most rtol * t or its bracket is narrower than rtol * hi. Either way an
     element is left alone once it has converged, so its root does not
     depend on the other targets. Raises `NumericalError` naming `what`,
     with the targets that could not be bracketed or resolved in its
@@ -65,33 +67,59 @@ def increasing_root(f, y, hi, rtol: float, what: str, lo=None,
                     what, args)
     else:
         lo = np.array(np.broadcast_to(lo, y.shape), dtype=float).ravel()
-    if slope:
-        return _newton(f, yf, lo, hi, rtol, what, start,
-                       args).reshape(y.shape)
+    out = 0.5 * (lo + hi)
+    if slope and start is not None:
+        start = np.ravel(start)
+        inside = (start > lo) & (start < hi)
+        out[inside] = start[inside]
 
-    # the unconverged elements are bisected as compact arrays; each is
-    # written back once, when its bracket is narrow enough
+    # the unconverged elements are iterated as compact arrays; each is
+    # written back once, when it has converged
     idx = np.flatnonzero(hi - lo > rtol * hi)
-    a_lo, a_hi, a_y = lo[idx], hi[idx], yf[idx]
+    a_lo, a_hi, a_y, t = lo[idx], hi[idx], yf[idx], out[idx]
     a_args = [a[idx] for a in args]
+    last = a_hi - a_lo  # length of the step before
     for _ in range(MAX_BISECT):
         if idx.size == 0:
             break
-        mid = 0.5 * (a_lo + a_hi)
-        below = f(mid, *a_args) < a_y
-        a_lo = np.where(below, mid, a_lo)
-        a_hi = np.where(below, a_hi, mid)
+        val = f(t, *a_args)
+        if slope:
+            val, d = val
+        below = val < a_y  # NaN counts as not reached
+        a_lo = np.where(below, t, a_lo)
+        a_hi = np.where(below, a_hi, t)
+        nt = 0.5 * (a_lo + a_hi)
         done = a_hi - a_lo <= rtol * a_hi
+        if slope:
+            r = val - a_y
+            usable = (d > 0) & (d < np.inf)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = r / d
+                # a step this short, also for a residual of one unit in
+                # the last place of y, ends the search; where f is flat to
+                # rounding over a longer stretch, its lower end is
+                # bisected for
+                short = usable & (np.maximum(np.abs(r),
+                                             np.spacing(np.abs(a_y)))
+                                  <= rtol * t * d)
+                tn = t - step
+            newton = (usable & (tn > a_lo) & (tn < a_hi)
+                      & (np.abs(step) <= 0.5 * last))
+            nt = np.where(newton | short, tn, nt)
+            last = np.abs(nt - t)
+            done |= short | (last <= rtol * nt)
+        t = nt
         if done.any():
-            lo[idx[done]], hi[idx[done]] = a_lo[done], a_hi[done]
+            out[idx[done]] = t[done]
             keep = ~done
             idx, a_lo, a_hi, a_y = idx[keep], a_lo[keep], a_hi[keep], a_y[keep]
+            t, last = t[keep], last[keep]
             a_args = [a[keep] for a in a_args]
     if idx.size:
-        raise NumericalError(f"{what}: bisection did not converge",
+        raise NumericalError(f"{what}: bisection/Newton did not converge",
                              targets=a_y.tolist(), lo=a_lo.tolist(),
                              hi=a_hi.tolist())
-    return (0.5 * (lo + hi)).reshape(y.shape)
+    return out.reshape(y.shape)
 
 
 def _widen(f, yf, hi, what, args):
@@ -110,51 +138,3 @@ def _widen(f, yf, hi, what, args):
                              f"widenings", targets=yf[short].tolist(),
                              hi=hi[short].tolist())
     return lo
-
-
-def _newton(f, yf, lo, hi, rtol, what, start, args):
-    """Safeguarded Newton inside each bracket [lo, hi] (see
-    `increasing_root`), on compact arrays of the unconverged elements."""
-    out = 0.5 * (lo + hi)
-    if start is not None:
-        start = np.ravel(start)
-        inside = (start > lo) & (start < hi)
-        out[inside] = start[inside]
-    idx = np.flatnonzero(hi - lo > rtol * hi)
-    a_lo, a_hi, a_y, t = lo[idx], hi[idx], yf[idx], out[idx]
-    a_args = [a[idx] for a in args]
-    last = a_hi - a_lo  # length of the step before
-    for _ in range(MAX_BISECT):
-        if idx.size == 0:
-            break
-        val, d = f(t, *a_args)
-        r = val - a_y
-        below = r < 0  # NaN counts as not reached, as in bisection
-        a_lo = np.where(below, t, a_lo)
-        a_hi = np.where(below, a_hi, t)
-        usable = (d > 0) & (d < np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = r / d
-            # a step this short, also for a residual of one unit in the
-            # last place of y, ends the search; where f is flat to
-            # rounding over a longer stretch, its lower end is bisected for
-            short = usable & (np.maximum(np.abs(r), np.spacing(np.abs(a_y)))
-                              <= rtol * t * d)
-        nt = t - step
-        newton = (usable & (nt > a_lo) & (nt < a_hi)
-                  & (np.abs(step) <= 0.5 * last))
-        nt = np.where(newton | short, nt, 0.5 * (a_lo + a_hi))
-        last = np.abs(nt - t)
-        t = nt
-        done = short | (last <= rtol * t) | (a_hi - a_lo <= rtol * a_hi)
-        if done.any():
-            out[idx[done]] = t[done]
-            keep = ~done
-            idx, a_lo, a_hi, a_y = idx[keep], a_lo[keep], a_hi[keep], a_y[keep]
-            t, last = t[keep], last[keep]
-            a_args = [a[keep] for a in a_args]
-    if idx.size:
-        raise NumericalError(f"{what}: Newton did not converge",
-                             targets=a_y.tolist(), lo=a_lo.tolist(),
-                             hi=a_hi.tolist())
-    return out

@@ -25,13 +25,13 @@ are independent; chains can run in worker processes when `threads` > 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from time import perf_counter
 
 import numpy as np
 
-from .data import atomic_write_text
+from .data import atomic_write_text, check_format_version
 from .errors import DiagnosticsError, DomainError, NumericalError
 from .likelihood import PriorSpec, constrain, constrained_array, make_posterior
 from .model import ModelSpec
@@ -48,6 +48,7 @@ __all__ = [
     "draws_to_csv",
     "draws_from_csv",
     "draws_to_npz",
+    "draws_from_npz",
 ]
 
 DIVERGENCE_THRESHOLD = 1000.0
@@ -91,7 +92,16 @@ class GradientTarget:
 
 @dataclass
 class PosteriorDraws:
-    """Retained draws of all chains, merged in (chain, iteration) order."""
+    """Retained draws of all chains, merged in (chain, iteration) order.
+
+    The arrays named in PER_DRAW hold one row per retained draw; thinning,
+    merging chains and the .npz file all go through that tuple. The
+    arrays named in PER_CHAIN hold one entry per chain."""
+
+    PER_DRAW = ("z", "constrained", "chain_id", "iteration", "divergent",
+                "energy", "step_size")
+    PER_CHAIN = ("grad_calls", "warmup_divergences", "warmup_seconds",
+                 "sampling_seconds")
 
     z: np.ndarray               # (M, dim) unconstrained
     constrained: np.ndarray     # (M, P) reported view
@@ -127,12 +137,8 @@ class PosteriorDraws:
         per = self.draws_per_chain
         for c in range(self.n_chains):
             keep[c * per:(c + 1) * per][::factor] = True
-        return PosteriorDraws(
-            self.z[keep], self.constrained[keep], self.param_names,
-            self.chain_id[keep], self.iteration[keep], self.divergent[keep],
-            self.energy[keep], self.step_size[keep], self.n_chains, self.model,
-            self.grad_calls, self.warmup_divergences, self.warmup_seconds,
-            self.sampling_seconds)
+        return replace(
+            self, **{f: getattr(self, f)[keep] for f in self.PER_DRAW})
 
 
 # -- hamiltonian pieces -------------------------------------------------------
@@ -400,11 +406,12 @@ def _default_init(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.uniform(-2.0, 2.0, size=dim)
 
 
-def _run_chain(target: GradientTarget, cfg: SamplerConfig, chain: int):
-    """One chain's retained draws and its counters: gradient calls, warmup
-    divergences, and the wall seconds of warmup (from the first
-    initialisation attempt) and of sampling. The clock draws no random
-    numbers, so it cannot move the draws."""
+def _run_chain(target: GradientTarget, cfg: SamplerConfig,
+               chain: int) -> PosteriorDraws:
+    """One chain's record: its retained draws with their reported view, and
+    its counters: gradient calls, warmup divergences, and the wall seconds
+    of warmup (from the first initialisation attempt) and of sampling. The
+    clock draws no random numbers, so it cannot move the draws."""
     start = perf_counter()
     dim = target.dim
     grad_calls = 0
@@ -476,8 +483,19 @@ def _run_chain(target: GradientTarget, cfg: SamplerConfig, chain: int):
         raise NumericalError(
             f"chain {chain}: every warmup iteration diverged; "
             "the posterior may be improper or the initialization invalid")
-    return (zs, divs, energies, iters, eps, grad_calls, warmup_divergences,
-            warmed - start, perf_counter() - warmed)
+    sampling_seconds = perf_counter() - warmed
+    if target.constrain_fn is not None:
+        constrained = np.array([target.constrain_fn(z) for z in zs])
+    else:
+        constrained = zs.copy()
+    names = tuple(target.param_names) or tuple(
+        f"z_{i}" for i in range(target.dim))
+    return PosteriorDraws(zs, constrained, names, np.full(n_keep, chain),
+                          iters, divs, energies, np.full(n_keep, eps), 1,
+                          grad_calls=np.array([grad_calls]),
+                          warmup_divergences=np.array([warmup_divergences]),
+                          warmup_seconds=np.array([warmed - start]),
+                          sampling_seconds=np.array([sampling_seconds]))
 
 
 def sample(target: GradientTarget, cfg: SamplerConfig) -> PosteriorDraws:
@@ -494,27 +512,9 @@ def sample(target: GradientTarget, cfg: SamplerConfig) -> PosteriorDraws:
                                     [cfg] * cfg.chains, range(cfg.chains)))
     else:
         results = [_run_chain(target, cfg, c) for c in range(cfg.chains)]
-
-    zs = np.concatenate([r[0] for r in results])
-    divs = np.concatenate([r[1] for r in results])
-    energies = np.concatenate([r[2] for r in results])
-    iters = np.concatenate([r[3] for r in results])
-    per = cfg.sampling_iters // cfg.thin
-    chain_id = np.repeat(np.arange(cfg.chains), per)
-    step = np.repeat([r[4] for r in results], per)
-
-    if target.constrain_fn is not None:
-        constrained = np.array([target.constrain_fn(z) for z in zs])
-    else:
-        constrained = zs.copy()
-    names = tuple(target.param_names) or tuple(
-        f"z_{i}" for i in range(target.dim))
-    return PosteriorDraws(zs, constrained, names, chain_id, iters, divs,
-                          energies, step, cfg.chains,
-                          grad_calls=np.array([r[5] for r in results]),
-                          warmup_divergences=np.array([r[6] for r in results]),
-                          warmup_seconds=np.array([r[7] for r in results]),
-                          sampling_seconds=np.array([r[8] for r in results]))
+    return replace(results[0], n_chains=cfg.chains, **{
+        f: np.concatenate([getattr(r, f) for r in results])
+        for f in PosteriorDraws.PER_DRAW + PosteriorDraws.PER_CHAIN})
 
 
 def _model_initial_point(dim: int, n_free: int, rng) -> np.ndarray:
@@ -665,16 +665,22 @@ def draws_from_csv(path, model: ModelSpec) -> PosteriorDraws:
 
 
 def draws_to_npz(draws: PosteriorDraws, path) -> None:
+    """The per-draw arrays, the parameter names and the chain count; the
+    per-chain counters stay in summary.json."""
     np.savez_compressed(
-        path,
-        format_version=DRAWS_FORMAT_VERSION,
-        z=draws.z,
-        constrained=draws.constrained,
-        param_names=np.array(draws.param_names),
-        chain_id=draws.chain_id,
-        iteration=draws.iteration,
-        divergent=draws.divergent,
-        energy=draws.energy,
-        step_size=draws.step_size,
-        n_chains=draws.n_chains,
-    )
+        path, format_version=DRAWS_FORMAT_VERSION,
+        param_names=np.array(draws.param_names), n_chains=draws.n_chains,
+        **{f: getattr(draws, f) for f in PosteriorDraws.PER_DRAW})
+
+
+def draws_from_npz(path, model: ModelSpec) -> PosteriorDraws:
+    """What `draws_to_npz` wrote, with `model` attached; raises `DataError`
+    for a file of another format_version."""
+    with np.load(path, allow_pickle=False) as raw:
+        check_format_version(path, raw["format_version"].item()
+                             if "format_version" in raw else None,
+                             DRAWS_FORMAT_VERSION)
+        return PosteriorDraws(
+            param_names=tuple(str(s) for s in raw["param_names"]),
+            n_chains=int(raw["n_chains"]), model=model,
+            **{f: raw[f] for f in PosteriorDraws.PER_DRAW})

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .likelihood import ParameterVector, check_psi
 from .model import ModelSpec
 
 __all__ = [
+    "DISTRIBUTIONS",
     "CovariateSpec",
     "CensoringSpec",
     "TruncationSpec",
@@ -46,30 +48,76 @@ MAX_REJECTION_ATTEMPTS = 10_000  # acceptance below 1e-4 is a config error
 TINY_TIME = 1e-12  # floor for interval/censoring endpoints at time zero
 
 
+class Distribution(NamedTuple):
+    keys: tuple  # parameter names, in the order a spec's `params` holds them
+    draw: object  # (rng, *params) -> float
+
+
+# every distribution a covariate, an entry time or a switch time can follow
+DISTRIBUTIONS = {
+    "bernoulli": Distribution(("p",), lambda rng, p: float(rng.random() < p)),
+    "normal": Distribution(("mean", "sd"),
+                           lambda rng, m, sd: float(rng.normal(m, sd))),
+    "uniform": Distribution(("lo", "hi"),
+                            lambda rng, lo, hi: float(rng.uniform(lo, hi))),
+    "exponential": Distribution(
+        ("rate",), lambda rng, rate: float(rng.exponential(1.0 / rate))),
+    "constant": Distribution(("value",), lambda rng, v: v),
+    "fixed": Distribution(("time",), lambda rng, t: t),
+    "none": Distribution((), lambda rng: 0.0),
+}
+
+# the values a parameter may take, and the rule it breaks otherwise; NaN
+# fails every test
+PARAM_RANGES = {
+    "p": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "sd": (lambda v: v >= 0.0, "must be >= 0"),
+    "rate": (lambda v: v > 0.0, "must be > 0"),
+    "time": (lambda v: v >= 0.0, "must be >= 0"),
+}
+
+
 @dataclass(frozen=True)
-class CovariateSpec:
+class _DistSpec:
+    """One of the subclass's `DISTS`, with `params` checked against
+    DISTRIBUTIONS and PARAM_RANGES; a value out of range raises the
+    subclass's `ERROR` with a message that starts with its key."""
+
+    DISTS = ()
+    ERROR = ConfigError
+
+    def __post_init__(self):
+        if self.dist not in self.DISTS:
+            raise self.ERROR(f"dist: {self.dist!r} is not one of "
+                             f"{list(self.DISTS)}")
+        params = tuple(float(v) for v in self.params)
+        object.__setattr__(self, "params", params)
+        keys = DISTRIBUTIONS[self.dist].keys
+        if len(params) != len(keys):
+            raise self.ERROR(f"{self.dist} takes {len(keys)} parameters "
+                             f"{keys}, got {len(params)}")
+        for key, val in zip(keys, params):
+            ok, rule = PARAM_RANGES.get(key, (None, None))
+            if ok is not None and not ok(val):
+                raise self.ERROR(f"{key}: {rule}, got {val!r}")
+        if self.dist == "uniform" and not params[0] <= params[1]:
+            raise self.ERROR(f"hi: must be >= lo, got {params[1]!r} < "
+                             f"{params[0]!r}")
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return DISTRIBUTIONS[self.dist].draw(rng, *self.params)
+
+
+@dataclass(frozen=True)
+class CovariateSpec(_DistSpec):
     """Marginal distribution of one covariate column:
-    bernoulli(p) | normal(mean, sd) | uniform(lo, hi) | constant(v)."""
+    bernoulli(p) | normal(mean, sd) | uniform(lo, hi) | constant(value)."""
+
+    DISTS = ("bernoulli", "normal", "uniform", "constant")
+    ERROR = DomainError
 
     dist: str
     params: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(v) for v in self.params))
-        want = {"bernoulli": 1, "normal": 2, "uniform": 2, "constant": 1}
-        if self.dist not in want:
-            raise DomainError(f"unknown covariate distribution {self.dist!r}")
-        if len(self.params) != want[self.dist]:
-            raise DomainError(f"{self.dist} takes {want[self.dist]} parameters")
-
-    def draw(self, rng: np.random.Generator) -> float:
-        if self.dist == "bernoulli":
-            return float(rng.random() < self.params[0])
-        if self.dist == "normal":
-            return float(rng.normal(self.params[0], self.params[1]))
-        if self.dist == "uniform":
-            return float(rng.uniform(self.params[0], self.params[1]))
-        return self.params[0]
 
 
 @dataclass(frozen=True)
@@ -90,56 +138,38 @@ class CensoringSpec:
 
 
 @dataclass(frozen=True)
-class TruncationSpec:
-    """Entry-time distribution: none | fixed(t) | uniform(lo, hi) |
+class TruncationSpec(_DistSpec):
+    """Entry-time distribution: none | fixed(time) | uniform(lo, hi) |
     exponential(rate)."""
+
+    DISTS = ("none", "fixed", "uniform", "exponential")
 
     dist: str = "none"
     params: tuple = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(v) for v in self.params))
-        want = {"none": 0, "fixed": 1, "uniform": 2, "exponential": 1}
-        if self.dist not in want:
-            raise ConfigError(f"unknown truncation distribution {self.dist!r}")
-        if len(self.params) != want[self.dist]:
-            raise ConfigError(f"{self.dist} takes {want[self.dist]} parameters")
-
-    def draw(self, rng: np.random.Generator) -> float:
-        if self.dist == "none":
-            return 0.0
-        if self.dist == "fixed":
-            return self.params[0]
-        if self.dist == "uniform":
-            return float(rng.uniform(self.params[0], self.params[1]))
-        return float(rng.exponential(1.0 / self.params[0]))
-
 
 @dataclass(frozen=True)
-class OnsetSpec:
-    """Switch-time distribution for time-varying models: fixed(t) |
+class OnsetSpec(_DistSpec):
+    """Switch-time distribution for time-varying models: fixed(time) |
     uniform(lo, hi) | exponential(rate), with probability `never_prob` of
     never switching."""
+
+    DISTS = ("fixed", "uniform", "exponential")
 
     dist: str = "exponential"
     params: tuple = (1.0,)
     never_prob: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(v) for v in self.params))
-        if self.dist not in ("fixed", "uniform", "exponential"):
-            raise ConfigError(f"unknown onset distribution {self.dist!r}")
+        super().__post_init__()
         if not 0.0 <= self.never_prob <= 1.0:
-            raise ConfigError("onset.never_prob must lie in [0, 1]")
+            raise ConfigError(f"never_prob: must lie in [0, 1], got "
+                              f"{self.never_prob!r}")
 
     def draw(self, rng: np.random.Generator) -> float:
         if rng.random() < self.never_prob:
             return math.inf
-        if self.dist == "fixed":
-            return self.params[0]
-        if self.dist == "uniform":
-            return float(rng.uniform(self.params[0], self.params[1]))
-        return float(rng.exponential(1.0 / self.params[0]))
+        return super().draw(rng)
 
 
 @dataclass(frozen=True)

@@ -162,3 +162,49 @@ def test_scalar_argument_is_broadcast_to_every_target():
     y = np.array([0.5, 4.0])
     t = increasing_root(_scaled, y, 1.0, 1e-13, "scaled", args=(3.0,))
     np.testing.assert_allclose(_scaled(t, 3.0), y, rtol=1e-12)
+
+
+# -- the slope-free path is plain bisection --------------------------------
+
+def cubic(t):
+    """Increasing; built from exactly rounded operations only, so a scalar
+    and an array evaluation agree to the bit."""
+    return t * t * t + t
+
+
+def bisect_alone(f, y, hi, rtol):
+    """Scalar reference: widen hi by 4 from lo = 0, then evaluate the
+    midpoint, keep the side of the root and stop at hi - lo <= rtol * hi,
+    returning the midpoint."""
+    lo = 0.0
+    while not f(hi) >= y:
+        lo, hi = hi, 4.0 * hi
+    while not hi - lo <= rtol * hi:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("f", [cubic, kinked])
+@pytest.mark.parametrize("rtol", [1e-6, 1e-13])
+def test_slope_free_path_is_plain_bisection(f, rtol):
+    y = np.array([1e-9, 0.3, 1.0, 1.25, 1.5, 7.0, 1e6])
+    got = increasing_root(f, y, 0.25, rtol, "reference")
+    want = [bisect_alone(f, float(yi), 0.25, rtol) for yi in y]
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("slope", [False, True])
+def test_unresolved_targets_name_the_inverse(monkeypatch, slope):
+    import qvaft.roots as roots
+
+    monkeypatch.setattr(roots, "MAX_BISECT", 1)
+    y = np.array([0.3, 5.0])
+    with pytest.raises(NumericalError, match="demo inverse: .*did not "
+                                             "converge") as info:
+        increasing_root(log1p_slope if slope else np.log1p, y, 1.0, 1e-13,
+                        "demo inverse", slope=slope)
+    assert info.value.context["targets"] == [0.3, 5.0]

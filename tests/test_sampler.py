@@ -11,8 +11,11 @@ from scipy import stats
 from qvaft.errors import DiagnosticsError, DomainError
 from qvaft.sampler import (
     GradientTarget,
+    PosteriorDraws,
     _Welford,
     SamplerConfig,
+    draws_from_npz,
+    draws_to_npz,
     ess,
     leapfrog_step,
     rhat,
@@ -393,3 +396,65 @@ class TestChainCounters:
         assert d.warmup_seconds.tolist() == [1.0, 16.0 - 9.0]
         assert d.sampling_seconds.tolist() == [4.0 - 1.0, 25.0 - 16.0]
         assert d.warmup_divergences.tolist() == ref.warmup_divergences.tolist()
+
+
+def std_normal_lg(z):
+    """A module-level target, so that worker processes can unpickle it."""
+    return -0.5 * float(z @ z), -z
+
+
+class TestDrawsRecord:
+    """One record type for one chain and for many: the merge of three
+    chains, its .npz round trip and its thinning."""
+
+    CFG = SamplerConfig(chains=3, warmup_iters=30, sampling_iters=40, seed=4)
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return sample(GradientTarget(2, std_normal_lg), self.CFG)
+
+    def test_chains_merge_in_order(self, draws):
+        assert draws.n_chains == 3 and draws.M == 120
+        np.testing.assert_array_equal(draws.chain_id, np.repeat([0, 1, 2], 40))
+        np.testing.assert_array_equal(draws.iteration,
+                                      np.tile(np.arange(1, 41), 3))
+        for f in PosteriorDraws.PER_CHAIN:
+            assert getattr(draws, f).shape == (3,)
+
+    def test_npz_round_trip(self, draws, tmp_path):
+        path = tmp_path / "draws.npz"
+        draws_to_npz(draws, path)
+        back = draws_from_npz(path, None)
+        for f in PosteriorDraws.PER_DRAW:
+            want = getattr(draws, f)
+            np.testing.assert_array_equal(getattr(back, f), want)
+            assert getattr(back, f).dtype == want.dtype
+        assert back.param_names == draws.param_names == ("z_0", "z_1")
+        assert back.n_chains == draws.n_chains
+        # the per-chain counters are written to summary.json, not the file
+        for f in PosteriorDraws.PER_CHAIN:
+            assert getattr(back, f) is None
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_thin_by_keeps_every_kth_draw_of_each_chain(self, draws, k):
+        thinned = draws.thin_by(k)
+        rows = np.concatenate([c * 40 + np.arange(0, 40, k) for c in range(3)])
+        for f in PosteriorDraws.PER_DRAW:
+            np.testing.assert_array_equal(getattr(thinned, f),
+                                          getattr(draws, f)[rows])
+        np.testing.assert_array_equal(
+            thinned.iteration, np.tile(np.arange(1, 41, k), 3))
+        assert thinned.n_chains == 3
+        assert thinned.draws_per_chain == len(range(0, 40, k))
+
+    def test_worker_merge_equals_in_process_merge(self, draws):
+        import dataclasses
+
+        pooled = sample(GradientTarget(2, std_normal_lg),
+                        dataclasses.replace(self.CFG, threads=2))
+        for f in PosteriorDraws.PER_DRAW + ("grad_calls",
+                                            "warmup_divergences"):
+            np.testing.assert_array_equal(getattr(pooled, f),
+                                          getattr(draws, f))
+        assert pooled.param_names == draws.param_names
+        assert pooled.n_chains == draws.n_chains

@@ -254,3 +254,32 @@ class TestSimulateDataset:
         model = make_model()
         with pytest.raises(ConfigError):
             SimConfig(10, model, PSI2, GENS2[:1], seed=0)
+
+
+class TestSpecValidation:
+    """Specs built through the library check their parameters against the
+    distribution table, as the YAML path does, and name the parameter."""
+
+    @pytest.mark.parametrize("build,error,match", [
+        (lambda: CovariateSpec("normal", (0, -1)), DomainError, "^sd: "),
+        (lambda: CovariateSpec("bernoulli", (1.7,)), DomainError, "^p: "),
+        (lambda: CovariateSpec("uniform", (1.0, 0.0)), DomainError, "^hi: "),
+        (lambda: CovariateSpec("gamma", (1.0,)), DomainError, "^dist: "),
+        (lambda: TruncationSpec("exponential", (0,)), ConfigError, "^rate: "),
+        (lambda: TruncationSpec("uniform", (2, 1)), ConfigError, "^hi: "),
+        (lambda: TruncationSpec("fixed", (-1.0,)), ConfigError, "^time: "),
+        (lambda: OnsetSpec("uniform", (1.0,)), ConfigError,
+         r"uniform takes 2 parameters \('lo', 'hi'\)"),
+        (lambda: OnsetSpec("exponential", (float("nan"),)), ConfigError,
+         "^rate: "),
+        (lambda: OnsetSpec("fixed", (1.0,), never_prob=1.5), ConfigError,
+         "^never_prob: "),
+    ])
+    def test_bad_parameter_is_named(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
+
+    def test_parameters_are_stored_as_floats(self):
+        assert CovariateSpec("uniform", (0, 2)).params == (0.0, 2.0)
+        assert TruncationSpec().params == ()
+        assert OnsetSpec().params == (1.0,)
