@@ -139,6 +139,7 @@ def cmd_fit(args) -> int:
             "thin": cfg.thin,
             "seed": cfg.seed,
             "target_accept": cfg.target_accept,
+            "max_tree_depth": cfg.max_tree_depth,
             "divergences": int(draws.divergent.sum()),
             "step_size": draws.step_size[::draws.draws_per_chain].tolist(),
             "grad_calls": draws.grad_calls.tolist(),
@@ -258,8 +259,7 @@ def _with_exposure(model: ModelSpec, args) -> ModelSpec:
 def cmd_standardize(args) -> int:
     _, model, data, draws = _load_fit(args.fit)
     model = _with_exposure(model, args)
-    if args.thin > 1:
-        draws = draws.thin_by(args.thin)
+    draws = draws.thin_by(args.thin)
     t_grid = (_parse_grid(args.t_grid, "--t-grid")
               if args.t_grid else None)
     table = standardized_survivor_curves(model, draws, data, t_grid,
@@ -308,8 +308,7 @@ def cmd_af(args) -> int:
             raise ConfigError("--fit: required unless --analytic is given")
         _, model, data, draws = _load_fit(args.fit)
         model = _with_exposure(model, args)
-        if args.thin > 1:
-            draws = draws.thin_by(args.thin)
+        draws = draws.thin_by(args.thin)
         p = (_parse_grid(args.p_grid, "--p-grid") if args.p_grid
              else default_quantile_grid())
         table = standardized_af(model, draws, data, p, _contrast(args, model))
@@ -344,7 +343,9 @@ def cmd_loo(args) -> int:
         scfg = meta["sampler"]
         cfg = SamplerConfig(chains=2, warmup_iters=min(500, scfg["warmup"]),
                             sampling_iters=min(1000, scfg["iters"]),
-                            seed=scfg["seed"] + 1)
+                            seed=scfg["seed"] + 1,
+                            target_accept=scfg["target_accept"],
+                            max_tree_depth=scfg.get("max_tree_depth", 10))
         for i in np.where(res.khat > 0.7)[0]:
             res.pointwise[i] = exact_loo_subject(model, data, pri, cfg, int(i))
             res.khat[i] = math.nan

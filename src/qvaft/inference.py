@@ -448,7 +448,7 @@ def af_surface(model: ModelSpec, draws: PosteriorDraws, data,
         onset_grid = np.linspace(0.0, max_followup(data), 41)[1:]
     onset_grid = np.asarray(onset_grid, dtype=float)
     p = _check_p(p_grid if p_grid is not None else surface_quantile_grid())
-    sub = draws.thin_by(thin) if thin > 1 else draws
+    sub = draws.thin_by(thin)
     return CurveTable.concat(_af_tables(
         model, sub, data, p, [float(g) for g in onset_grid], math.inf,
         [f"tx={g:g}" for g in onset_grid]))

@@ -1,9 +1,13 @@
 """Gradient-based MCMC over the unconstrained posterior.
 
-The transition is dynamic-trajectory Hamiltonian Monte Carlo: leapfrog
-trajectories are doubled until the no-U-turn criterion fires (or a depth
-cap is hit), and the next state is drawn multinomially across the whole
-trajectory with weights exp(-H). A trajectory segment whose Hamiltonian
+The transition is multinomial NUTS (Betancourt 2017, arXiv:1701.02434):
+the leapfrog trajectory is doubled, each time on a random side, until the
+no-U-turn criterion fires (or a depth cap is hit), and the next state is
+drawn multinomially across the whole trajectory with weights exp(-H).
+There is one segment type, `_Tree` (two end states, a proposal, a summed
+weight), and one rule, `_extend`, that joins a subtree to a segment, in
+the recursive build and at the top level alike; the top level only joins
+a subtree that neither diverged nor turned. A segment whose Hamiltonian
 error exceeds 1000 is flagged divergent and stops the doubling; states
 with log-posterior -inf get zero selection weight, so they are never
 accepted.
@@ -133,10 +137,11 @@ class PosteriorDraws:
         return col.reshape(self.n_chains, self.draws_per_chain)
 
     def thin_by(self, factor: int) -> "PosteriorDraws":
-        keep = np.zeros(self.M, dtype=bool)
-        per = self.draws_per_chain
-        for c in range(self.n_chains):
-            keep[c * per:(c + 1) * per][::factor] = True
+        """Iterations 1, factor + 1, 2 factor + 1, ... of each chain: the one
+        thinning rule, which a fit at `thin` = factor applies too."""
+        if factor < 1:
+            raise DomainError(f"thinning factor must be >= 1, got {factor}")
+        keep = np.arange(self.M) % self.draws_per_chain % factor == 0
         return replace(
             self, **{f: getattr(self, f)[keep] for f in self.PER_DRAW})
 
@@ -149,15 +154,8 @@ def _iteration_rng(seed: int, chain: int, iteration: int) -> np.random.Generator
 
 
 def leapfrog_step(logp_and_grad, z, p, grad, eps, inv_mass):
-    """One leapfrog update; returns (z', p', logp', grad'). `inv_mass` is
-    the (d, d) inverse metric M^-1, or its (d,) diagonal."""
-    inv_mass = np.asarray(inv_mass, dtype=float)
-    if inv_mass.ndim == 1:
-        inv_mass = np.diag(inv_mass)
-    return _leapfrog(logp_and_grad, z, p, grad, eps, inv_mass)
-
-
-def _leapfrog(logp_and_grad, z, p, grad, eps, inv_mass):
+    """One leapfrog step under the (d, d) inverse metric M^-1; returns
+    (z', p', logp', grad')."""
     p_half = p + 0.5 * eps * grad
     z_new = z + eps * (inv_mass @ p_half)
     logp_new, grad_new = logp_and_grad(z_new)
@@ -184,134 +182,100 @@ def _momentum_factor(inv_mass, chain: int, iteration: int) -> np.ndarray:
 
 
 class _Tree:
-    __slots__ = ("z_left", "p_left", "grad_left", "z_right", "p_right",
-                 "grad_right", "z_prop", "grad_prop", "logp_prop", "h_prop",
-                 "log_w", "sum_alpha", "n_alpha", "divergent", "turning")
+    """A trajectory segment: end states (z, p, grad) by side (0 left, 1 right),
+    proposal (z, logp, grad, H), log summed weight exp(H0 - H), summed
+    acceptance statistics and their count, and whether it diverged or turned."""
+
+    __slots__ = ("ends", "prop", "log_w", "sum_alpha", "n_alpha",
+                 "divergent", "turning")
+
+    def __init__(self, z, p, grad, logp, h, log_w, sum_alpha, n_alpha,
+                 divergent=False):
+        self.ends = [(z, p, grad)] * 2
+        self.prop = (z, logp, grad, h)
+        self.log_w, self.sum_alpha, self.n_alpha = log_w, sum_alpha, n_alpha
+        self.divergent, self.turning = divergent, False
 
 
-def _build_tree(rng, logp_and_grad, z, p, grad, direction, depth, eps,
-                inv_mass, h0):
+def _extend(rng, tree: _Tree, sub: _Tree, side: int, inv_mass) -> None:
+    """Join `sub`, built outward from `tree`'s end on `side`, to `tree`: take
+    that end, draw the proposal multinomially (a number whenever `sub` has
+    finite weight), pool weights and statistics, and test for a U-turn."""
+    tree.ends[side] = sub.ends[side]
+    total = np.logaddexp(tree.log_w, sub.log_w)
+    if sub.log_w > -np.inf and math.log(rng.random() + 1e-300) < sub.log_w - total:
+        tree.prop = sub.prop
+    tree.log_w = total
+    tree.sum_alpha += sub.sum_alpha
+    tree.n_alpha += sub.n_alpha
+    tree.divergent, tree.turning = sub.divergent, sub.turning
+    if not (tree.divergent or tree.turning):
+        (z_left, p_left, _), (z_right, p_right, _) = tree.ends
+        # (dz' M^-1) p at both ends; M^-1 is symmetric, so one product serves both
+        dz = inv_mass @ (z_right - z_left)
+        tree.turning = dz @ p_left < 0 or dz @ p_right < 0
+
+
+def _build_tree(rng, logp_and_grad, z, p, grad, side, depth, eps,
+                inv_mass, h0) -> _Tree:
+    """2^depth leapfrog steps outward from (z, p, grad) on `side`; the
+    doubling stops early at a divergent or turning half."""
     if depth == 0:
-        z1, p1, logp1, grad1 = _leapfrog(logp_and_grad, z, p, grad,
-                                         direction * eps, inv_mass)
+        z1, p1, logp1, grad1 = leapfrog_step(logp_and_grad, z, p, grad,
+                                             eps if side else -eps, inv_mass)
         h1 = -logp1 + _kinetic(p1, inv_mass)
         delta = h1 - h0
-        t = _Tree()
-        t.z_left = t.z_right = t.z_prop = z1
-        t.p_left = t.p_right = p1
-        t.grad_left = t.grad_right = t.grad_prop = grad1
-        t.logp_prop = logp1
-        t.h_prop = h1
-        t.divergent = (not math.isfinite(h1)) or delta > DIVERGENCE_THRESHOLD
-        t.turning = False
-        t.log_w = -np.inf if t.divergent else -delta
-        t.sum_alpha = min(1.0, math.exp(min(0.0, -delta))) if math.isfinite(delta) else 0.0
-        t.n_alpha = 1
-        return t
-
-    first = _build_tree(rng, logp_and_grad, z, p, grad, direction, depth - 1,
-                        eps, inv_mass, h0)
-    if first.divergent or first.turning:
-        return first
-    if direction == 1:
-        second = _build_tree(rng, logp_and_grad, first.z_right, first.p_right,
-                             first.grad_right, direction, depth - 1, eps,
-                             inv_mass, h0)
-        first.z_right, first.p_right = second.z_right, second.p_right
-        first.grad_right = second.grad_right
-    else:
-        second = _build_tree(rng, logp_and_grad, first.z_left, first.p_left,
-                             first.grad_left, direction, depth - 1, eps,
-                             inv_mass, h0)
-        first.z_left, first.p_left = second.z_left, second.p_left
-        first.grad_left = second.grad_left
-
-    total = np.logaddexp(first.log_w, second.log_w)
-    if second.log_w > -np.inf and math.log(rng.random() + 1e-300) < second.log_w - total:
-        first.z_prop = second.z_prop
-        first.grad_prop = second.grad_prop
-        first.logp_prop = second.logp_prop
-        first.h_prop = second.h_prop
-    first.log_w = total
-    first.sum_alpha += second.sum_alpha
-    first.n_alpha += second.n_alpha
-    first.divergent = second.divergent
-    first.turning = second.turning or _uturn(first, inv_mass)
-    return first
-
-
-def _uturn(tree: _Tree, inv_mass) -> bool:
-    # (dz' M^-1) p at both ends; M^-1 is symmetric, so one product serves both
-    dz = inv_mass @ (tree.z_right - tree.z_left)
-    return dz @ tree.p_left < 0 or dz @ tree.p_right < 0
+        divergent = (not math.isfinite(h1)) or delta > DIVERGENCE_THRESHOLD
+        return _Tree(z1, p1, grad1, logp1, h1, -np.inf if divergent else -delta,
+                     min(1.0, math.exp(min(0.0, -delta)))
+                     if math.isfinite(delta) else 0.0, 1, divergent)
+    tree = _build_tree(rng, logp_and_grad, z, p, grad, side, depth - 1, eps,
+                       inv_mass, h0)
+    if not (tree.divergent or tree.turning):
+        sub = _build_tree(rng, logp_and_grad, *tree.ends[side], side,
+                          depth - 1, eps, inv_mass, h0)
+        _extend(rng, tree, sub, side, inv_mass)
+    return tree
 
 
 def _nuts_transition(rng, logp_and_grad, z, logp, grad, eps, inv_mass,
                      momentum, max_depth):
     p0 = momentum @ rng.standard_normal(len(z))
     h0 = -logp + _kinetic(p0, inv_mass)
-
-    t = _Tree()
-    t.z_left = t.z_right = t.z_prop = z
-    t.p_left = t.p_right = p0
-    t.grad_left = t.grad_right = t.grad_prop = grad
-    t.logp_prop = logp
-    t.h_prop = h0
-    t.log_w = 0.0
-    t.sum_alpha = 0.0
-    t.n_alpha = 0
-    divergent = False
-    depth = 0
-    while depth < max_depth:
-        direction = 1 if rng.random() < 0.5 else -1
-        if direction == 1:
-            sub = _build_tree(rng, logp_and_grad, t.z_right, t.p_right,
-                              t.grad_right, 1, depth, eps, inv_mass, h0)
-        else:
-            sub = _build_tree(rng, logp_and_grad, t.z_left, t.p_left,
-                              t.grad_left, -1, depth, eps, inv_mass, h0)
-        t.sum_alpha += sub.sum_alpha
-        t.n_alpha += sub.n_alpha
-        if sub.divergent:
-            divergent = True
+    t = _Tree(z, p0, grad, logp, h0, 0.0, 0.0, 0)
+    for depth in range(max_depth):
+        side = 1 if rng.random() < 0.5 else 0
+        sub = _build_tree(rng, logp_and_grad, *t.ends[side], side, depth,
+                          eps, inv_mass, h0)
+        if sub.divergent or sub.turning:
+            # not joined: only its acceptance statistics count
+            t.sum_alpha += sub.sum_alpha
+            t.n_alpha += sub.n_alpha
+            t.divergent = sub.divergent
             break
-        if direction == 1:
-            t.z_right, t.p_right, t.grad_right = sub.z_right, sub.p_right, sub.grad_right
-        else:
-            t.z_left, t.p_left, t.grad_left = sub.z_left, sub.p_left, sub.grad_left
-        if not sub.turning:
-            total = np.logaddexp(t.log_w, sub.log_w)
-            if math.log(rng.random() + 1e-300) < sub.log_w - total:
-                t.z_prop = sub.z_prop
-                t.grad_prop = sub.grad_prop
-                t.logp_prop = sub.logp_prop
-                t.h_prop = sub.h_prop
-            t.log_w = total
-        if sub.turning or _uturn(t, inv_mass):
+        _extend(rng, t, sub, side, inv_mass)
+        if t.turning:
             break
-        depth += 1
-    accept_stat = t.sum_alpha / max(t.n_alpha, 1)
-    return (t.z_prop, t.logp_prop, t.grad_prop, t.h_prop, divergent,
-            accept_stat)
+    return (*t.prop, t.divergent, t.sum_alpha / max(t.n_alpha, 1))
 
 
 def _find_epsilon(rng, logp_and_grad, z, logp, grad, inv_mass,
                   momentum) -> float:
-    eps = 1.0
+    """Double or halve the step size from 1, whichever way the first step's
+    energy error points, until the acceptance ratio crosses 1/2."""
+    eps, direction = 1.0, 0.0
     p = momentum @ rng.standard_normal(len(z))
     h0 = -logp + _kinetic(p, inv_mass)
-    _, p1, logp1, _ = _leapfrog(logp_and_grad, z, p, grad, eps, inv_mass)
-    h1 = -logp1 + _kinetic(p1, inv_mass) if math.isfinite(logp1) else math.inf
-    ratio = h0 - h1
-    direction = 1.0 if ratio > math.log(0.5) else -1.0
-    for _ in range(100):
-        eps *= 2.0 ** direction
-        if eps < 1e-10 or eps > 1e7:
-            break
-        _, p1, logp1, _ = _leapfrog(logp_and_grad, z, p, grad, eps, inv_mass)
+    while True:
+        _, p1, logp1, _ = leapfrog_step(logp_and_grad, z, p, grad, eps, inv_mass)
         h1 = -logp1 + _kinetic(p1, inv_mass) if math.isfinite(logp1) else math.inf
         ratio = h0 - h1
-        if direction * ratio <= direction * math.log(0.5):
+        if not direction:
+            direction = 1.0 if ratio > math.log(0.5) else -1.0
+        elif direction * ratio <= direction * math.log(0.5):
+            break
+        eps *= 2.0 ** direction
+        if eps < 1e-10 or eps > 1e7:
             break
     return min(max(eps, 1e-10), 1e7)
 
@@ -355,7 +319,6 @@ def _mass_update_points(warmup: int) -> list:
         return []
     init_buffer, term_buffer, base = 75, 50, 25
     if warmup < init_buffer + term_buffer + base:
-        init_buffer = max(1, int(0.15 * warmup))
         term_buffer = max(1, int(0.10 * warmup))
         return [warmup - term_buffer]
     points = []
@@ -408,10 +371,11 @@ def _default_init(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _run_chain(target: GradientTarget, cfg: SamplerConfig,
                chain: int) -> PosteriorDraws:
-    """One chain's record: its retained draws with their reported view, and
-    its counters: gradient calls, warmup divergences, and the wall seconds
-    of warmup (from the first initialisation attempt) and of sampling. The
-    clock draws no random numbers, so it cannot move the draws."""
+    """One chain's record: its draws, thinned by `thin_by`, with their
+    reported view, and its counters: gradient calls, warmup divergences,
+    and the wall seconds of warmup (from the first initialisation attempt)
+    and of sampling. The clock draws no random numbers, so it cannot move
+    the draws."""
     start = perf_counter()
     dim = target.dim
     grad_calls = 0
@@ -440,12 +404,9 @@ def _run_chain(target: GradientTarget, cfg: SamplerConfig,
     mass_points = set(_mass_update_points(cfg.warmup_iters))
     welford = _Welford(dim)
 
-    n_keep = cfg.sampling_iters // cfg.thin
-    zs = np.empty((n_keep, dim))
-    divs = np.zeros(n_keep, dtype=bool)
-    energies = np.empty(n_keep)
-    iters = np.empty(n_keep, dtype=int)
-    kept = 0
+    zs = np.empty((cfg.sampling_iters, dim))
+    divs = np.zeros(cfg.sampling_iters, dtype=bool)
+    energies = np.empty(cfg.sampling_iters)
     warmup_divergences = 0
 
     total = cfg.warmup_iters + cfg.sampling_iters
@@ -471,31 +432,29 @@ def _run_chain(target: GradientTarget, cfg: SamplerConfig,
             if it == cfg.warmup_iters:
                 eps = da.adapted
         else:
-            s = it - cfg.warmup_iters
-            if s % cfg.thin == 0:
-                zs[kept] = z
-                divs[kept] = divergent
-                energies[kept] = energy
-                iters[kept] = s
-                kept += 1
+            s = it - cfg.warmup_iters - 1
+            zs[s], divs[s], energies[s] = z, divergent, energy
 
     if cfg.warmup_iters and warmup_divergences == cfg.warmup_iters:
         raise NumericalError(
             f"chain {chain}: every warmup iteration diverged; "
             "the posterior may be improper or the initialization invalid")
     sampling_seconds = perf_counter() - warmed
-    if target.constrain_fn is not None:
-        constrained = np.array([target.constrain_fn(z) for z in zs])
-    else:
-        constrained = zs.copy()
     names = tuple(target.param_names) or tuple(
         f"z_{i}" for i in range(target.dim))
-    return PosteriorDraws(zs, constrained, names, np.full(n_keep, chain),
-                          iters, divs, energies, np.full(n_keep, eps), 1,
-                          grad_calls=np.array([grad_calls]),
-                          warmup_divergences=np.array([warmup_divergences]),
-                          warmup_seconds=np.array([warmed - start]),
-                          sampling_seconds=np.array([sampling_seconds]))
+    n = cfg.sampling_iters
+    # z stands in as the (identity) reported view; thin_by's row selection
+    # copies the two apart, and only the kept rows are constrained
+    draws = PosteriorDraws(zs, zs, names, np.full(n, chain),
+                           np.arange(1, n + 1), divs, energies, np.full(n, eps),
+                           1, grad_calls=np.array([grad_calls]),
+                           warmup_divergences=np.array([warmup_divergences]),
+                           warmup_seconds=np.array([warmed - start]),
+                           sampling_seconds=np.array([sampling_seconds])
+                           ).thin_by(cfg.thin)
+    if target.constrain_fn is not None:
+        draws.constrained = np.array([target.constrain_fn(z) for z in draws.z])
+    return draws
 
 
 def sample(target: GradientTarget, cfg: SamplerConfig) -> PosteriorDraws:

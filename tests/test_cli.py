@@ -236,6 +236,15 @@ class TestPostProcessing:
         # constant-effect model: flat in p
         assert got.mean.max() - got.mean.min() < 1e-9
 
+    @pytest.mark.parametrize("thin", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["standardize", "af"])
+    def test_thin_below_one_exit_2(self, fitted, tmp_path, capsys, command,
+                                   thin):
+        out = str(tmp_path / "out.csv")
+        assert main([command, "--fit", fitted["fit"], "--out", out,
+                     "--thin", thin]) == 2
+        assert "thinning factor must be >= 1" in capsys.readouterr().err
+
     def test_af_analytic_constant(self, fitted, tmp_path):
         out = str(tmp_path / "af_an.csv")
         assert main(["af", "--analytic", "--config", fitted["cfg"],
@@ -349,6 +358,54 @@ class TestPostProcessing:
         assert read_loo_report(out + "/loo.txt")["n"] == 120
 
 
+class TestLooRefit:
+    def test_refit_uses_the_fit_sampler_settings(self, tmp_path,
+                                                 monkeypatch):
+        """`loo --refit-khat` refits with the fit's target_accept and
+        max_tree_depth; a fit.json without max_tree_depth means 10."""
+        import qvaft.cli as cli
+
+        cfg = write_config(tmp_path, {
+            "simulate.n": 50, "sampler.warmup": 60, "sampler.iters": 60,
+            "sampler.max_tree_depth": 3, "sampler.target_accept": 0.9})
+        data = str(tmp_path / "d.csv")
+        assert main(["simulate", "--config", cfg, "--out", data]) == 0
+        fit_dir = str(tmp_path / "f")
+        assert main(["fit", "--data", data, "--config", cfg,
+                     "--out", fit_dir]) == 0
+        meta = json.load(open(fit_dir + "/fit.json"))
+        assert meta["sampler"]["max_tree_depth"] == 3
+
+        loo = cli.psis_loo
+
+        def one_high_khat(ll):
+            res = loo(ll)
+            res.khat[7] = 0.9
+            return res
+
+        configs = []
+
+        def stub(model, data, priors, cfg, i):
+            configs.append((i, cfg))
+            return -1.0
+
+        monkeypatch.setattr(cli, "psis_loo", one_high_khat)
+        monkeypatch.setattr(cli, "exact_loo_subject", stub)
+        args = ["loo", "--fit", fit_dir, "--data", data, "--refit-khat"]
+        assert main(args) == 0
+        assert 7 in [i for i, _ in configs]
+        assert {(c.target_accept, c.max_tree_depth)
+                for _, c in configs} == {(0.9, 3)}
+        configs.clear()
+        del meta["sampler"]["max_tree_depth"]
+        with open(fit_dir + "/fit.json", "w") as fh:
+            json.dump(meta, fh)
+        assert main(args) == 0
+        assert 7 in [i for i, _ in configs]
+        assert {(c.target_accept, c.max_tree_depth)
+                for _, c in configs} == {(0.9, 10)}
+
+
 class TestFitSummary:
     def test_step_sizes_per_chain_in_chain_order(self, fitted):
         summary = json.load(open(fitted["fit"] + "/summary.json"))
@@ -440,6 +497,28 @@ class TestTimeVaryingPipeline:
         direct = CurveTable.from_csv(af)
         np.testing.assert_array_equal(slice1.mean, direct.mean)
         np.testing.assert_array_equal(slice1.lo95, direct.lo95)
+
+
+    def test_surface_thin_below_one_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "model.covariates": ["x2"],
+            "model.effect": {"kind": "constant", "time_varying": True},
+            "truth.beta": {"onset": -0.7, "x2": 0.2},
+            "simulate.covariates": {"x2": {"dist": "normal", "mean": 0.0,
+                                           "sd": 1.0}},
+            "simulate.onset": {"dist": "exponential", "rate": 0.4,
+                               "never_prob": 0.3},
+            "simulate.n": 40,
+            "sampler.warmup": 20, "sampler.iters": 10,
+        })
+        data = str(tmp_path / "tv.csv")
+        assert main(["simulate", "--config", cfg, "--out", data]) == 0
+        fit_dir = str(tmp_path / "tvfit")
+        assert main(["fit", "--data", data, "--config", cfg,
+                     "--out", fit_dir]) == 0
+        assert main(["surface", "--fit", fit_dir, "--out",
+                     str(tmp_path / "surf.csv"), "--thin", "0"]) == 2
+        assert "thinning factor must be >= 1" in capsys.readouterr().err
 
 
 class TestRoundTripBudget:

@@ -88,7 +88,7 @@ class TestIntegrator:
         rng = np.random.default_rng(0)
         z = rng.normal(size=4)
         p = rng.normal(size=4)
-        inv_mass = np.ones(4)
+        inv_mass = np.eye(4)
 
         def lg(v):
             return -0.5 * float(v @ v), -v
@@ -105,7 +105,7 @@ class TestIntegrator:
 
         z = np.array([0.3, -1.2])
         p = np.array([0.5, 0.8])
-        inv_mass = np.ones(2)
+        inv_mass = np.eye(2)
         logp, grad = lg(z)
         z1, p1, _, g1 = leapfrog_step(lg, z, p, grad, 0.1, inv_mass)
         z2, p2, _, _ = leapfrog_step(lg, z1, -p1, g1, 0.1, inv_mass)
@@ -222,18 +222,6 @@ class TestDenseMetric:
         got = acc.covariance()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert np.array_equal(got, got.T)
-
-    def test_identity_metric_equals_unit_diagonal(self):
-        def lg(v):
-            return -0.5 * float(v @ v), -v
-
-        z = np.array([0.3, -1.2, 0.7])
-        p = np.array([0.5, 0.8, -0.1])
-        _, grad = lg(z)
-        dense = leapfrog_step(lg, z, p, grad, 0.1, np.eye(3))
-        diag = leapfrog_step(lg, z, p, grad, 0.1, np.ones(3))
-        for a, b in zip(dense, diag):
-            assert np.array_equal(a, b)
 
     def test_strong_correlation_is_cheap_after_warmup(self):
         """rho = 0.99: a diagonal metric needs about 14 gradient calls per
@@ -446,6 +434,26 @@ class TestDrawsRecord:
             thinned.iteration, np.tile(np.arange(1, 41, k), 3))
         assert thinned.n_chains == 3
         assert thinned.draws_per_chain == len(range(0, 40, k))
+
+    @pytest.mark.parametrize("k", [2, 4, 5])
+    def test_fit_thinning_is_thin_by(self, draws, k):
+        """A fit at thin = k keeps the draws that thin_by(k) keeps of the
+        same fit at thin = 1: iterations 1, k + 1, ... of each chain."""
+        import dataclasses
+
+        thinned = sample(GradientTarget(2, std_normal_lg),
+                         dataclasses.replace(self.CFG, thin=k))
+        want = draws.thin_by(k)
+        for f in PosteriorDraws.PER_DRAW:
+            np.testing.assert_array_equal(getattr(thinned, f),
+                                          getattr(want, f), err_msg=f)
+        np.testing.assert_array_equal(thinned.grad_calls, draws.grad_calls)
+        assert thinned.n_chains == want.n_chains
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_thin_by_rejects_factor_below_one(self, draws, k):
+        with pytest.raises(DomainError, match="thinning factor"):
+            draws.thin_by(k)
 
     def test_worker_merge_equals_in_process_merge(self, draws):
         import dataclasses
