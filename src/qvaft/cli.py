@@ -33,13 +33,11 @@ from .errors import (
 from .inference import (
     ContrastSpec,
     CurveTable,
-    acceleration_factor,
     af_surface,
     default_quantile_grid,
     quantile_time,
     standardized_af,
     standardized_survivor_curves,
-    surface_quantile_grid,
 )
 from .model import ModelSpec
 from .modelcheck import (
@@ -73,7 +71,11 @@ def dataset_hash(data: Dataset) -> str:
     return h.hexdigest()
 
 
-def _parse_grid(text: str, name: str) -> np.ndarray:
+def _parse_grid(text: str | None, name: str) -> np.ndarray | None:
+    """lo:hi:count as that many evenly spaced values; None if `text` is
+    absent, which leaves the library's default grid."""
+    if not text:
+        return None
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"{name}: expected lo:hi:count, got {text!r}")
@@ -87,12 +89,12 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
+    if args.threads is not None:
         return args.threads
     env = os.environ.get("QAFT_THREADS", "")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             raise ConfigError(f"QAFT_THREADS: not an integer: {env!r}")
     return 1
@@ -260,10 +262,9 @@ def cmd_standardize(args) -> int:
     _, model, data, draws = _load_fit(args.fit)
     model = _with_exposure(model, args)
     draws = draws.thin_by(args.thin)
-    t_grid = (_parse_grid(args.t_grid, "--t-grid")
-              if args.t_grid else None)
-    table = standardized_survivor_curves(model, draws, data, t_grid,
-                                         _contrast(args, model))
+    table = standardized_survivor_curves(
+        model, draws, data, _parse_grid(args.t_grid, "--t-grid"),
+        _contrast(args, model))
     table.to_csv(args.out)
     print(f"standardize: {table.n_rows} rows -> {args.out}")
     return 0
@@ -273,26 +274,22 @@ def _analytic_af(args) -> CurveTable:
     raw = cfgmod.load_config(args.config)
     model = cfgmod.resolve_model(raw, None)
     psi = cfgmod.resolve_truth(raw, model)
-    p = (_parse_grid(args.p_grid, "--p-grid") if args.p_grid
-         else default_quantile_grid())
+    p = _parse_grid(args.p_grid, "--p-grid")
+    p = default_quantile_grid() if p is None else p
     d = len(model.covariates)
-    if model.time_varying:
-        con = _contrast(args, model)
-        x = np.zeros(d)
-        vals = np.array([
-            acceleration_factor(model, psi, pv, x, x,
-                                onset=con.exposed, onset_prime=con.reference)
-            for pv in p])
-    else:
-        if not args.covariate and model.exposure is None and d == 1:
-            model = dataclasses.replace(model, exposure=model.covariates[0])
-        model = _with_exposure(model, args)
-        con = _contrast(args, model)
-        x = np.zeros(d)
-        vals = np.array([
-            quantile_time(model, psi, x, pv, level=con.exposed)
-            / quantile_time(model, psi, x, pv, level=con.reference)
-            for pv in p])
+    if (not model.time_varying and not args.covariate
+            and model.exposure is None and d == 1):
+        model = dataclasses.replace(model, exposure=model.covariates[0])
+    model = _with_exposure(model, args)
+    con = _contrast(args, model)
+    # the contrast sets the switch time of a time-varying model, else the
+    # exposure value
+    key = "onset" if model.time_varying else "level"
+    x = np.zeros(d)
+    vals = np.array([
+        quantile_time(model, psi, x, pv, **{key: con.exposed})
+        / quantile_time(model, psi, x, pv, **{key: con.reference})
+        for pv in p])
     zeros = np.zeros(len(p), dtype=bool)
     return CurveTable(p, np.full(len(p), "af", dtype=object), vals,
                       vals.copy(), vals.copy(), vals.copy(), zeros)
@@ -308,10 +305,9 @@ def cmd_af(args) -> int:
             raise ConfigError("--fit: required unless --analytic is given")
         _, model, data, draws = _load_fit(args.fit)
         model = _with_exposure(model, args)
-        draws = draws.thin_by(args.thin)
-        p = (_parse_grid(args.p_grid, "--p-grid") if args.p_grid
-             else default_quantile_grid())
-        table = standardized_af(model, draws, data, p, _contrast(args, model))
+        table = standardized_af(model, draws.thin_by(args.thin), data,
+                                _parse_grid(args.p_grid, "--p-grid"),
+                                _contrast(args, model))
     table.to_csv(args.out)
     print(f"af: {table.n_rows} rows -> {args.out}")
     return 0
@@ -319,11 +315,9 @@ def cmd_af(args) -> int:
 
 def cmd_surface(args) -> int:
     _, model, data, draws = _load_fit(args.fit)
-    onset_grid = (_parse_grid(args.onset_grid, "--onset-grid")
-                  if args.onset_grid else None)
-    p = (_parse_grid(args.p_grid, "--p-grid") if args.p_grid
-         else surface_quantile_grid())
-    table = af_surface(model, draws, data, onset_grid, p, thin=args.thin)
+    table = af_surface(model, draws, data,
+                       _parse_grid(args.onset_grid, "--onset-grid"),
+                       _parse_grid(args.p_grid, "--p-grid"), thin=args.thin)
     table.to_csv(args.out)
     print(f"surface: {table.n_rows} rows -> {args.out}")
     return 0

@@ -74,15 +74,12 @@ def _section(raw: dict, key: str, required: bool = False) -> dict:
     return val
 
 
-def _num(section: dict, path: str, key: str, default=None, required=False,
-         allow_inf=False):
+def _num(section: dict, path: str, key: str, default=None, required=False):
     if key not in section or section[key] is None:
         if required:
             raise ConfigError(f"{path}.{key}: required value missing")
         return default
     val = section[key]
-    if isinstance(val, str) and allow_inf and val.lower() in ("inf", "+inf"):
-        return math.inf
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
     return float(val)
@@ -293,7 +290,7 @@ def resolve_priors(raw: dict) -> PriorSpec:
         raise ConfigError(f"priors: {err}") from None
 
 
-def resolve_sampler(raw: dict, seed_override=None, threads=None) -> SamplerConfig:
+def resolve_sampler(raw: dict, seed_override=None, threads=1) -> SamplerConfig:
     sec = _section(raw, "sampler")
     _unknown_keys(sec, "sampler", ("chains", "warmup", "iters", "seed",
                                    "target_accept", "thin", "max_tree_depth"))
@@ -307,7 +304,7 @@ def resolve_sampler(raw: dict, seed_override=None, threads=None) -> SamplerConfi
             target_accept=_num(sec, "sampler", "target_accept", default=0.8),
             thin=_int(sec, "sampler", "thin", default=1),
             max_tree_depth=_int(sec, "sampler", "max_tree_depth", default=10),
-            threads=threads or 1,
+            threads=threads,
         )
     except ConfigError:
         raise

@@ -22,15 +22,17 @@ V(t | level, z_i) = exp(-eta_i) h(t) splits into a per-subject factor and
 a per-level time profile h. Standardized quantile times come from the
 shared root-finder `roots.increasing_root`, converged to ~1e-13 relative
 (well inside the documented 1e-9 requirement, so degenerate cases reduce
-exactly to their conditional counterparts). Per draw and level, S_std is
-evaluated once on a fixed geometric time grid, every p is bracketed
-between two grid times, and the root-finder polishes each bracket by
-safeguarded Newton with the slope dS_std/dt = -mean_i f0(u_i) exp(-eta_i)
-h'(t), which the same transform and baseline calls give with the value.
+exactly to their conditional counterparts). Per draw and level, one
+evaluator holds exp(-eta_i), x1 and b1 and reads the baseline from
+`baseline.log_terms`, and every use of S_std in one pass over the draws
+reads it: its value at the largest follow-up (for the extrapolation
+threshold), its values on a fixed geometric time grid, between two of
+which every p is bracketed, and, for the root-finder's safeguarded Newton
+polish, its slope dS_std/dt = -mean_i f0(u_i) exp(-eta_i) h'(t).
 Posterior summaries are the mean, median, and equal-tailed 95% interval
 across draws. A quantile is flagged as extrapolated when it lies below the
-smallest standardized survivor value reached by the largest observed
-follow-up time in both contrast groups.
+smallest posterior-mean standardized survivor value reached by the largest
+observed follow-up time in both contrast groups.
 """
 
 from __future__ import annotations
@@ -258,54 +260,57 @@ def standardized_survivor(model: ModelSpec, psi: ParameterVector, data,
     data = as_dataset(data)
     if data.n == 0:
         raise DomainError("standardization needs a nonempty dataset")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = np.atleast_1d(bl._as_time_array(t, allow_zero=True))
     out = _standardized_sf(model, psi, data, level)(t_arr)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _standardized_sf(model, psi, data, level, slope: bool = False):
-    """t -> S_std(t | level) for a 1-D array t, with exp(-eta_i) and the
-    baseline parameters built once for the draw and level; the profile
-    h(t) is the transform at eta = 0 with the exposure (or, time-varying,
-    the switch time) at `level`. With `slope`, t -> (-S_std, -dS_std/dt)
-    instead, the increasing function and slope that the inverse solves;
-    dS_std/dt = -mean_i f0(u_i) exp(-eta_i) h'(t), with f0 = S0 times the
-    baseline's -dlog S0/du."""
+def _standardized_sf(model, psi, data, level):
+    """t -> S_std(t | level) for a 1-D array t, with exp(-eta_i), x1 and b1
+    built once for the draw and level; the profile h(t) is the transform at
+    eta = 0 with the exposure (or, time-varying, the switch time) at
+    `level`. Its attribute `newton` is t -> (-S_std, -dS_std/dt), the
+    increasing function and slope that the inverse solves, with
+    dS_std/dt = -mean_i f0(u_i) exp(-eta_i) h'(t) and f0 = S0 times the
+    baseline's -dlog S0/du. Both read the baseline from `log_terms`."""
     eta, x1, b1 = model.predictor(psi.beta, data.x, level)
     scale = np.exp(-eta)                                       # (n,)
     onset = level if model.time_varying else None
-    params, w = psi.baseline_params(), psi.tbp_weights()
+
+    def terms(t: np.ndarray, grad: bool):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            h = transform(TimeBasis(model.effect, t, onset, x1), psi.alpha,
+                          b1=b1, logv=grad)
+            u = np.outer(h.u, scale)                           # (nt, n)
+            return h, bl.log_terms(model.baseline, psi.mu, psi.sigma, psi.w,
+                                   u, grad=grad)
 
     def sf(t: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            h = transform(TimeBasis(model.effect, t, onset, x1), psi.alpha,
-                          b1=b1).u
-        u = np.outer(h, scale)                                 # (nt, n)
-        return bl.survivor(model.baseline, params, w, u).mean(axis=1)
+        return np.exp(terms(t, False)[1].val).mean(axis=1)
 
-    def neg_sf_slope(t: np.ndarray):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            h = transform(TimeBasis(model.effect, t, onset, x1), psi.alpha,
-                          b1=b1, logv=True)
-            u = np.outer(h.u, scale)                           # (nt, n)
-            st = bl.log_terms(model.baseline, params.mu, params.sigma, psi.w,
-                              u, grad=True)
+    def newton(t: np.ndarray):
+        h, st = terms(t, True)
         s = np.exp(st.val)
         dens = (s * -st.d_du * scale).mean(axis=1)             # mean f0 e^-eta
         return -s.mean(axis=1), dens * np.exp(h.logv)
-    return neg_sf_slope if slope else sf
+    sf.newton = newton
+    return sf
 
 
-def _invert_standardized(model, psi, data, level, p: np.ndarray) -> np.ndarray:
-    """Solve S_std(t | level) = p elementwise, to a relative BISECT_RTOL.
+def _invert_standardized(model, psi, data, level, p: np.ndarray,
+                         sf=None) -> np.ndarray:
+    """Solve S_std(t | level) = p elementwise, to a relative BISECT_RTOL;
+    `sf` is the draw's `_standardized_sf` at `level`, built here if not
+    given.
 
     S_std is evaluated once on a geometric grid of AF_GRID times around the
     largest follow-up, extended x4 at a time past its top only while some
     target lies beyond it; each p is bracketed between neighbouring grid
     times (or 0 and the first) and polished by the root-finder's
-    safeguarded Newton."""
+    safeguarded Newton on `sf.newton`."""
     what = f"standardized inverse at level {level:g}"
-    sf = _standardized_sf(model, psi, data, level)
+    if sf is None:
+        sf = _standardized_sf(model, psi, data, level)
     grid = max(max_followup(data), 1.0) * np.geomspace(2.0 ** -20, 4.0,
                                                         AF_GRID)
     y = -p
@@ -331,9 +336,8 @@ def _invert_standardized(model, psi, data, level, p: np.ndarray) -> np.ndarray:
         km = np.maximum(k - 1, 0)
         w = (c_y - c[km]) / (c[k] - c[km])
         start = lo * (hi / lo) ** w
-    return increasing_root(_standardized_sf(model, psi, data, level, True), y,
-                           hi, BISECT_RTOL, what, lo=lo, slope=True,
-                           start=start)
+    return increasing_root(sf.newton, y, hi, BISECT_RTOL, what, lo=lo,
+                           slope=True, start=start)
 
 
 def _draw_parameters(model: ModelSpec, draws: PosteriorDraws):
@@ -351,49 +355,40 @@ def _summaries(samples: np.ndarray):
     return mean, median, lo, hi
 
 
-def _sf_at_followup(model, draws, data, level) -> float:
-    """Posterior-mean standardized survivor of one level at the largest
-    observed follow-up time."""
-    tmax = np.array([max_followup(data)])
-    return float(np.mean([
-        _standardized_sf(model, psi, data, level)(tmax)[0]
-        for psi in _draw_parameters(model, draws)
-    ]))
-
-
 def _af_tables(model, draws, data, p, exposed, reference,
                labels) -> list:
     """Standardized AF curves of each level in `exposed` against the one
     `reference` level, on the same draws: one table per exposed level.
-    Each draw inverts the reference once and shares it across the exposed
-    levels, and so does the extrapolation threshold: the smaller of the two
-    groups' posterior-mean survivor values at the largest follow-up."""
+    Each draw builds the S_std of each level once, reads it at the largest
+    follow-up and inverts it; the reference is inverted once for all
+    exposed levels. A p is flagged as extrapolated below the smaller of the
+    two groups' posterior-mean S_std at the largest follow-up."""
     if draws.M == 0:
         raise DomainError("no posterior draws supplied")
-    ratios = np.empty((len(exposed), draws.M, len(p)))
+    levels = (reference, *exposed)
+    tmax = np.array([max_followup(data)])
+    times = np.empty((len(levels), draws.M, len(p)))
+    at_tmax = np.empty((len(levels), draws.M))
     for m, psi in enumerate(_draw_parameters(model, draws)):
         try:
-            t0 = _invert_standardized(model, psi, data, reference, p)
-            for k, level in enumerate(exposed):
-                ratios[k, m] = (_invert_standardized(model, psi, data, level, p)
-                                / t0)
+            for k, level in enumerate(levels):
+                sf = _standardized_sf(model, psi, data, level)
+                at_tmax[k, m] = sf(tmax)[0]
+                times[k, m] = _invert_standardized(model, psi, data, level,
+                                                   p, sf)
         except NumericalError as err:
             raise NumericalError(f"standardized inverse failed at draw {m}: "
                                  f"{err}", draw=m, p=p.tolist(),
                                  **err.context) from None
-    ref_sf = _sf_at_followup(model, draws, data, reference)
-    tables = []
-    for level, label, r in zip(exposed, labels, ratios):
-        mean, median, lo, hi = _summaries(r)
-        thr = min(_sf_at_followup(model, draws, data, level), ref_sf)
-        tables.append(CurveTable(p.copy(), np.full(len(p), label, dtype=object),
-                                 mean, median, lo, hi, p < thr))
-    return tables
+    ref_tmax, *exposed_tmax = at_tmax.mean(axis=1)
+    return [CurveTable(p.copy(), np.full(len(p), label, dtype=object),
+                       *_summaries(t / times[0]), p < min(s, ref_tmax))
+            for label, t, s in zip(labels, times[1:], exposed_tmax)]
 
 
 def standardized_af(model: ModelSpec, draws: PosteriorDraws, data,
-                    p_grid=None, contrast: ContrastSpec | None = None,
-                    group_label: str | None = None) -> CurveTable:
+                    p_grid=None, contrast: ContrastSpec | None = None
+                    ) -> CurveTable:
     """Posterior-summarized standardized acceleration factor curve.
 
     Per draw, the standardized survivor of each contrast group is inverted
@@ -404,9 +399,8 @@ def standardized_af(model: ModelSpec, draws: PosteriorDraws, data,
     if contrast is None:
         contrast = ContrastSpec.default(model)
     p = _check_p(p_grid if p_grid is not None else default_quantile_grid())
-    label = group_label if group_label is not None else "af"
     return _af_tables(model, draws, data, p, (contrast.exposed,),
-                      contrast.reference, (label,))[0]
+                      contrast.reference, ("af",))[0]
 
 
 def standardized_survivor_curves(model: ModelSpec, draws: PosteriorDraws,
@@ -419,7 +413,7 @@ def standardized_survivor_curves(model: ModelSpec, draws: PosteriorDraws,
         contrast = ContrastSpec.default(model)
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.2 * max_followup(data), 101)[1:]
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = bl._as_time_array(t_grid, allow_zero=True)
 
     tables = []
     for label, level in (("exposed", contrast.exposed),
@@ -428,10 +422,13 @@ def standardized_survivor_curves(model: ModelSpec, draws: PosteriorDraws,
             _standardized_sf(model, psi, data, level)(t_grid)
             for psi in _draw_parameters(model, draws)
         ])
-        mean, median, lo, hi = _summaries(vals)
+        bad = np.flatnonzero(np.isnan(vals).any(axis=1))
+        if bad.size:  # 0 * inf: exp(-eta_i) = 0 against an infinite profile
+            raise NumericalError(f"standardized survivor ({label}) is NaN at "
+                                 f"draw {bad[0]}", draw=int(bad[0]))
         tables.append(CurveTable(
             t_grid.copy(), np.full(len(t_grid), label, dtype=object),
-            mean, median, lo, hi, np.zeros(len(t_grid), dtype=bool)))
+            *_summaries(vals), np.zeros(len(t_grid), dtype=bool)))
     return CurveTable.concat(tables)
 
 

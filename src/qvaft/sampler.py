@@ -77,8 +77,10 @@ class SamplerConfig:
             raise DomainError("target_accept must lie in (0, 1)")
         if self.max_tree_depth < 1:
             raise DomainError("max_tree_depth must be >= 1")
-        if self.thin < 1 or self.sampling_iters % self.thin:
-            raise DomainError("thin must divide sampling_iters")
+        if self.thin < 1:
+            raise DomainError(f"thin must be >= 1, got {self.thin}")
+        if self.threads < 1:
+            raise DomainError(f"threads must be >= 1, got {self.threads}")
         if self.seed < 0:
             raise DomainError("seed must be a non-negative integer")
 

@@ -296,6 +296,17 @@ class TestPostProcessing:
                      "--out", str(tmp_path / "af.csv")]) == 2
         assert "flexible effect acts on 'x1'" in capsys.readouterr().err
 
+    def test_af_analytic_covariate_on_time_varying_exit_2(self, tmp_path,
+                                                          capsys):
+        cfg = write_config(tmp_path, {
+            "model.covariates": ["x2"],
+            "model.effect": {"kind": "constant", "time_varying": True},
+            "truth.beta": {"onset": -0.7, "x2": 0.2}})
+        assert main(["af", "--analytic", "--config", cfg, "--exposed", "1.0",
+                     "--covariate", "x2",
+                     "--out", str(tmp_path / "af.csv")]) == 2
+        assert "switch itself" in capsys.readouterr().err
+
     def test_missing_fit_artifacts_exit_2(self, tmp_path):
         assert main(["af", "--fit", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "x.csv")]) == 2
@@ -463,6 +474,17 @@ class TestThreads:
         assert main(["fit", "--data", fitted["data"], "--config",
                      fitted["cfg"], "--out", f2, "--seed", "3"]) == 0
         assert open(f1 + "/draws.csv").read() == open(f2 + "/draws.csv").read()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2(self, fitted, tmp_path, monkeypatch,
+                                      capsys, threads):
+        args = ["fit", "--data", fitted["data"], "--config", fitted["cfg"],
+                "--out", str(tmp_path / "fit")]
+        assert main(args + ["--threads", threads]) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+        monkeypatch.setenv("QAFT_THREADS", threads)
+        assert main(args) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
 
 
 class TestTimeVaryingPipeline:

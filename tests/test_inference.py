@@ -281,6 +281,40 @@ class TestStandardization:
         np.testing.assert_array_equal(table.extrapolated, p < thr)
 
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_time_below_zero_or_nan_rejected(self, t):
+        model = make_model(exposure="x1", effect_kind="spline",
+                           knots=(-1.0, 0.5))
+        psi = ParameterVector(np.array([0.4, -0.2]), np.array([0.2]), 0.4, 1.2)
+        data = self.z_data()
+        with pytest.raises(DomainError, match="time"):
+            standardized_survivor(model, psi, data, 1.0, t)
+        with pytest.raises(DomainError, match="time"):
+            standardized_survivor_curves(model, draws_from_psis(model, [psi]),
+                                         data, np.array([1.0, t]))
+
+    def test_nan_survivor_names_the_draw(self):
+        """exp(-eta) = 0 (x2 = 1000) times an infinite profile (exp(800) on
+        the last segment at the exposed level) is NaN, so S_std is NaN
+        past t = 2: the inverse and the survivor curves fail and name the
+        draw."""
+        from qvaft.errors import NumericalError
+        model = make_model("weibull", "piecewise", (0.0, 1.0, 2.0))
+        psis = [ParameterVector(np.array([0.5, 1.0]), np.array([0.0, a]),
+                                0.0, 1.0) for a in (0.0, -800.0)]
+        recs = [SubjectRecord(1.0, 1.0, 1, 0.0, (0.0, z)) for z in
+                (0.0, 1000.0)]
+        data = Dataset.from_records(recs, ("x1", "x2"))
+        with pytest.raises(NumericalError, match="at draw 1") as err:
+            standardized_af(model, draws_from_psis(model, psis), data,
+                            np.array([0.6, 0.8]))
+        assert err.value.context["draw"] == 1
+        with pytest.raises(NumericalError, match="NaN at draw 1") as err:
+            standardized_survivor_curves(model, draws_from_psis(model, psis),
+                                         data, np.array([1.0, 3.0]))
+        assert err.value.context["draw"] == 1
+
+
 class TestStandardizedInverse:
     """The grid-bracketed Newton inverse against plain bisection of the same
     S_std (the slope-free root-finder from lo = 0)."""

@@ -183,9 +183,14 @@ class TestDiagnostics:
 
 
 class TestConfigValidation:
-    def test_thin_must_divide(self):
-        with pytest.raises(DomainError):
-            SamplerConfig(sampling_iters=10, thin=3)
+    def test_thin_below_one(self):
+        with pytest.raises(DomainError, match="thin must be >= 1"):
+            SamplerConfig(thin=0)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one(self, threads):
+        with pytest.raises(DomainError, match="threads must be >= 1"):
+            SamplerConfig(threads=threads)
 
     def test_target_accept_range(self):
         with pytest.raises(DomainError):
@@ -435,7 +440,7 @@ class TestDrawsRecord:
         assert thinned.n_chains == 3
         assert thinned.draws_per_chain == len(range(0, 40, k))
 
-    @pytest.mark.parametrize("k", [2, 4, 5])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 7])
     def test_fit_thinning_is_thin_by(self, draws, k):
         """A fit at thin = k keeps the draws that thin_by(k) keeps of the
         same fit at thin = 1: iterations 1, k + 1, ... of each chain."""
