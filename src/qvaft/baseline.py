@@ -19,17 +19,16 @@ block of rows and log S0(u) on the rest, in one call that shares log u
 (and, for tbp, the centering terms) between them, and, on request, the
 partials in u, mu, log sigma and the weights. The public functions
 (`survivor` is exp log S0) and the likelihood call it. For tbp all of
-these come from the log Bernstein basis at p. `inverse_survivor` solves
-log F0 - log S0 of the same basis for the centering cumulative hazard
--log S0c (F0 from the prefix sums of w), then applies the closed-form
-centering inverse, as the parametric families do.
+these are sums of powers of r = p/(1 - p) or s = (1 - p)/p, whichever is
+at most 1 (`_scaled_terms`). `inverse_survivor` solves log F0 - log S0 of
+the same terms for the centering cumulative hazard -log S0c, then applies
+the closed-form centering inverse, as the parametric families do.
 
 All operations are pure functions of immutable value objects and accept a
 scalar or ndarray time argument. Only the log-normal formulas need scipy
 (`erfcx`, `log_ndtr`, `ndtri_exp`), and they import it on first use, so
 this module never loads it for a Weibull or Weibull-centred tbp baseline;
-the binomial coefficients of the Bernstein basis are logs of exact integers
-(`math.comb`).
+the binomial coefficients are exact integers (`math.comb`) as doubles.
 """
 
 from __future__ import annotations
@@ -242,82 +241,80 @@ _PARAMETRIC = {"weibull": _weibull_terms, "lognormal": _lognormal_terms}
 
 
 @functools.lru_cache(maxsize=None)
-def _binomial(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """log C(n, j) (the log of the exact integer), j and n - j, for
-    j = 0..n (read-only, shared)."""
-    j = np.arange(n + 1.0)
-    out = (np.array([math.log(math.comb(n, k)) for k in range(n + 1)]),
-           j, n - j)
-    for a in out:
-        a.flags.writeable = False
+def _comb(n: int) -> np.ndarray:
+    """C(n, j), j = 0..n: `math.comb`'s exact integers as doubles (shared)."""
+    out = np.array([float(math.comb(n, j)) for j in range(n + 1)])
+    out.flags.writeable = False
     return out
 
 
-def _log_bernstein(n: int, logp) -> np.ndarray:
-    """The degree-n Bernstein basis in log space on a new last axis,
-
-        log b_j(p) = log C(n, j) + j log p + (n - j) log(1 - p),  j = 0..n.
-
-    log(1 - p) is taken at p <= 1 - 1e-300, so at p = 1 the last column is
-    exactly 0 and the others are finite; the first column is written apart
-    so that p = 0 gives 0 there, not NaN from 0 * -inf."""
-    logc, j, nj = _binomial(n)
-    log1mp = np.log(-np.expm1(np.minimum(logp, -1e-300)))
-    lb = logc + np.multiply.outer(logp, j) + np.multiply.outer(log1mp, nj)
-    lb[..., 0] = n * log1mp
-    return lb
+def _tbp_coefficients(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c_j = W_j C(K, j), j = 0..K (c_0 = 0), of the tbp survivor and
+    d_j = w_{K-j} C(K-1, j), j = 0..K-1, of its density's sum."""
+    K, wr = len(w), w[::-1]
+    return np.append(0.0, np.cumsum(wr)) * _comb(K), wr * _comb(K - 1)
 
 
-def _log_bsum(lb: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """log sum_j coef_j b_j over the last axis of lb = log b, for coef >= 0,
-    shifted by the largest term so that it stays finite far in the tails."""
-    a = lb + np.log(coef)
-    m = a.max(axis=-1, keepdims=True)
-    m = np.where(m > -np.inf, m, 0.0)  # no finite term: the sum is -inf
-    return (m + np.log(np.exp(a - m).sum(axis=-1, keepdims=True)))[..., 0]
+def _scaled_terms(logp: np.ndarray, n: int):
+    """Terms b_j = p^j (1 - p)^(n-j), j = 0..n, p = exp(logp), scaled as by
+    Schumaker & Volk (1986, CAGD 3:149): (lo, n log m, b / m^n), lo = p < 1/2,
+    m = max(p, 1 - p); on a new first axis b_j / m^n = r^j on lo, s^(n-j)
+    elsewhere, cumulative products of one array of r = p/(1 - p) or
+    s = (1 - p)/p <= 1, each zeroed off its branch. Sums with nonnegative
+    coefficients keep their relative accuracy, also where p underflows."""
+    lo = logp < math.log(0.5)
+    p = np.exp(logp)
+    x = np.where(lo, p / (1.0 - p), np.expm1(-logp))
+    b = np.empty((n + 1,) + logp.shape)
+    b[n] = ~lo
+    for j in range(n, 0, -1):
+        np.multiply(b[j], x, out=b[j - 1])
+    power = lo.astype(float)
+    for j in range(n + 1):
+        b[j] += power
+        power *= x
+    return lo, n * np.where(lo, np.log1p(-p), logp), b
 
 
 def _tbp_terms(spec, mu, sigma, w, u, k, grad):
-    """Bernstein-transformed baseline on top of the centering evaluator, at
-    p = S0c(u), from one Bernstein basis per block of rows:
-
-        S0 = sum_{j=1..K} W_j b_{K,j}(p),   W_j = sum_{k > K-j} w_k,
-        f0 = fc * K * sum_{j=0..K-1} w_{K-j} b_{K-1,j}(p),
-
-    the density on the first k rows. The centering survivor (and its
-    partials) is evaluated once for all rows and the centering density fc
-    on the first k from the same log u. The partials come from the
-    normalised basis r_j = b_j / sum: d log S0/dw_k = sum_{j > K-k} r_j,
-    d log f0/dw_k = r_{K-k}, and p d/dp of the log sum is
-    sum_j j w_{K+1-j} r_j for S0 and sum_j j (w_{K-j} - w_{K+1-j}) r_j for
-    f0."""
+    """Bernstein-transformed baseline at p = S0c(u), from the terms
+    b_j = p^j (1 - p)^(K-1-j) of `_scaled_terms` for all rows at once:
+    S0 = p sum_j c_{j+1} b_j and, on the first k rows, f0 = fc K sum_j d_j
+    b_j (`_tbp_coefficients`; fc the centering density). Where p >= 1/2 the
+    last term is 1 and c_K = W_K = 1, so log S0 is log1p of the others and
+    stays accurate as S0 nears 1. Partials come from each term's share:
+    d log S0/dw_k adds the shares C(K, j+1) b_j over j >= K - k, d log
+    f0/dw_k is the share C(K-1, K-k) b_{K-k}; p d/dp log S0 is K sum_j d_j
+    b_j / sum_j c_{j+1} b_j (dS0/dp is the density's sum), and that of the
+    density's log sum is sum_j j C(K-1, j) (w_{K-j} - w_{K+1-j}) b_j / sum."""
     K = spec.K
     sc, fc = _PARAMETRIC[spec.centering](mu, sigma, u, k, grad, sf_head=True)
-    wr = w[::-1]
-    head = tail = None
-    if k < len(u) or not k:  # survivor rows, or no rows at all
-        p = slice(k, None)
-        lb = _log_bernstein(K, sc.val[p])[..., 1:]  # W_0 = 0
-        tail = BaselineTerms(_log_bsum(lb, np.cumsum(wr)))
-        if grad:
-            r = np.exp(lb - tail.val[..., None])
-            chain = r @ (np.arange(1, K + 1) * wr)
-            tail.d_du, tail.d_dmu, tail.d_dls = (
-                chain * sc.d_du[p], chain * sc.d_dmu[p], chain * sc.d_dls[p])
-            tail.d_dw = np.cumsum(r[..., ::-1], axis=-1)
-    if k:  # density rows
-        p = slice(None, k)
-        lb = _log_bernstein(K - 1, sc.val[p])
-        logsum = _log_bsum(lb, wr)
-        head = BaselineTerms(fc.val + np.log(K) + logsum)
-        if grad:
-            r = np.exp(lb - logsum[..., None])
-            chain = r @ (np.arange(K) * np.diff(wr, prepend=0.0))
-            head.d_du, head.d_dmu, head.d_dls = (
-                fc.d_du + chain * sc.d_du[p], fc.d_dmu + chain * sc.d_dmu[p],
-                fc.d_dls + chain * sc.d_dls[p])
-            head.d_dw = r[..., ::-1]
-    return _stack(head, tail)
+    c, d = _tbp_coefficients(w)
+    lo, out, b = _scaled_terms(sc.val, K - 1)
+    bf, bs = b[:, :k], b[:, k:]  # density and survivor rows
+    part = np.tensordot(c[1:K], bs[:-1], 1)
+    fsum, ssum = np.tensordot(d, bf, 1), part + c[K] * bs[-1]
+    out[k:] += sc.val[k:] + np.where(lo[k:], np.log(ssum), np.log1p(part))
+    if k:
+        out[:k] += fc.val + math.log(K) + np.log(fsum)
+    out = BaselineTerms(out)
+    if grad:
+        ramp = np.arange(K) * np.diff(w[::-1], prepend=0.0) * _comb(K - 1)
+        chain = np.concatenate([np.tensordot(ramp, bf, 1) / fsum,
+                                np.tensordot(K * d, bs, 1) / ssum])
+        col = (-1,) + (1,) * u.ndim
+        bf *= _comb(K - 1).reshape(col) / fsum
+        bs *= _comb(K)[1:].reshape(col) / ssum
+        for j in range(K - 2, -1, -1):  # the survivor's shares, summed
+            bs[j] += bs[j + 1]
+        out.d_dw = np.moveaxis(b[::-1], 0, -1)
+        out.d_du, out.d_dmu, out.d_dls = (
+            chain * sc.d_du, chain * sc.d_dmu, chain * sc.d_dls)
+        if k:
+            out.d_du[:k] += fc.d_du
+            out.d_dmu[:k] += fc.d_dmu
+            out.d_dls[:k] += fc.d_dls
+    return out
 
 
 def log_terms(spec: BaselineSpec, mu: float, sigma: float, w, u,
@@ -346,16 +343,17 @@ def _centering_quantile(family: str, mu: float, sigma: float, q):
 
 def _tbp_hazard(K: int, w: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The centering cumulative hazard q = -log S0c at which the tbp survivor
-    is p. `roots.increasing_root` solves log F0 - log S0 = log((1 - p) / p),
-    with F0 and S0 from one degree-K basis and the prefix and suffix sums of
-    w, so neither tail is a difference of nearly equal numbers. The basis
-    sums to 1, so its largest term never underflows and needs no shift."""
-    coef = np.stack([np.append(np.cumsum(w)[::-1], 0.0),    # F0: sum_{k<=K-j}
-                     np.append(0.0, np.cumsum(w[::-1]))], 1)  # S0: sum_{k>K-j}
+    is p: `roots.increasing_root` solves log F0 - log S0 = log((1 - p) / p),
+    F0 = (1 - p) sum_j f_j b_j with f_j = C(K, j) sum_{k <= K-j} w_k and S0
+    as in `_tbp_terms`: two sums of the same scaled terms, so neither tail
+    is a difference of nearly equal numbers."""
+    c = _tbp_coefficients(w)[0]
+    f = np.cumsum(w)[::-1] * _comb(K)[:K]
 
     def log_odds(q):
-        fs = np.exp(_log_bernstein(K, -q)) @ coef
-        return np.log(fs[:, 0] / fs[:, 1])
+        b = _scaled_terms(-q, K - 1)[2]
+        ratio = np.tensordot(f, b, 1) / np.tensordot(c[1:], b, 1)
+        return np.log(ratio) + np.log(-np.expm1(-q)) + q
     with np.errstate(divide="ignore", over="ignore"):
         return increasing_root(log_odds, np.log1p(-p) - np.log(p),
                                -2.0 * np.log(p), 1e-10, "tbp inverse")

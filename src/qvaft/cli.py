@@ -89,15 +89,16 @@ def _parse_grid(text: str | None, name: str) -> np.ndarray | None:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("QAFT_THREADS", "")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"QAFT_THREADS: not an integer: {env!r}")
-    return 1
+    source, value = "--threads", args.threads
+    if value is None:
+        source, value = "QAFT_THREADS", os.environ.get("QAFT_THREADS") or 1
+    try:
+        n = int(value)
+    except ValueError:
+        raise ConfigError(f"{source}: not an integer: {value!r}") from None
+    if n < 1:
+        raise ConfigError(f"{source}: threads must be >= 1, got {n}")
+    return n
 
 
 # -- fit ------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln
 from scipy.stats import beta as beta_dist
 
 from qvaft.baseline import (
@@ -20,7 +19,7 @@ from qvaft.baseline import (
     log_survivor,
     survivor,
 )
-from qvaft.baseline import _binomial
+from qvaft.baseline import _tbp_coefficients, log_terms
 from qvaft.errors import DomainError
 
 WEIBULL = BaselineSpec("weibull")
@@ -221,21 +220,45 @@ class TestValidation:
             survivor(TBP5, STD, None, 1.0)
 
 
-class TestBinomial:
-    """log C(n, j) of the Bernstein basis, from exact integers."""
+class TestCoefficients:
+    """The Bernstein coefficients of the tbp survivor and density."""
 
-    def test_against_gammaln(self):
-        # gammaln's own cancellation reaches 1.25e-14 relative (n = 46)
-        for n in range(1, 61):
-            j = np.arange(n + 1.0)
-            want = gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
-            np.testing.assert_allclose(_binomial(n)[0], want, rtol=2e-14,
-                                       atol=0.0)
+    def test_weighted_binomials_are_exact(self):
+        # c_j = W_j C(K, j) and d_j = w_{K-j} C(K-1, j), with C(K, j) the
+        # exact integer (beyond 2^53 for K = 60, rounded once to a double)
+        rng = np.random.default_rng(7)
+        for K in range(1, 61):
+            w = rng.dirichlet(np.ones(K))
+            W = np.append(0.0, np.cumsum(w[::-1]))
+            c, d = _tbp_coefficients(w)
+            assert c.tolist() == [W[j] * math.comb(K, j) for j in range(K + 1)]
+            assert d.tolist() == [w[K - 1 - j] * math.comb(K - 1, j)
+                                  for j in range(K)]
 
-    def test_exact_for_small_degrees(self):
-        row = [1]
-        for n in range(1, 21):
-            row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]  # Pascal
-            assert _binomial(n)[0].tolist() == [math.log(c) for c in row]
-            np.testing.assert_array_equal(_binomial(n)[1], np.arange(n + 1))
-            np.testing.assert_array_equal(_binomial(n)[2], n - np.arange(n + 1))
+
+class TestTBPNearOne:
+    """log S0 of the Bernstein-transformed baseline where S0 is close to 1,
+    and its partials where the centering survivor underflows."""
+
+    SPEC = BaselineSpec("tbp", "weibull", 5)
+    W = np.array([0.1, 0.15, 0.3, 0.25, 0.2])
+
+    def test_log_survivor_against_50_digit_values(self):
+        # mpmath at 50 digits; mu = 1, sigma = 1.2
+        u = np.array([1e-9, 1e-7, 1e-3])
+        want = [-2.3868032803502427e-12, -5.99537877996455e-10,
+                -3.7830429500745586e-05]
+        got = log_terms(self.SPEC, 1.0, 1.2, self.W, u).val
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_deep_tail_partials_are_finite(self):
+        # z = (u e^-mu)^sigma > 745: the centering survivor p underflows
+        u, h = 2000.0, 1e-3
+        with np.errstate(over="ignore"):  # log_terms leaves warnings to callers
+            t = log_terms(self.SPEC, 1.0, 1.2, self.W,
+                          np.array([u - h, u, u + h]), grad=True)
+        assert np.isfinite(t.val).all()
+        for part in (t.d_du, t.d_dmu, t.d_dls, t.d_dw):
+            assert np.isfinite(part).all()
+        fd = (t.val[2] - t.val[0]) / (2 * h)
+        assert t.d_du[1] == pytest.approx(fd, rel=1e-6)

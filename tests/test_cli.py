@@ -486,6 +486,23 @@ class TestThreads:
         assert main(args) == 2
         assert "threads must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_named_by_source(self, fitted, tmp_path,
+                                               monkeypatch, capsys, threads):
+        # the flag or the variable that set the count, not the sampler
+        # section of the config, which has no threads key
+        args = ["fit", "--data", fitted["data"], "--config", fitted["cfg"],
+                "--out", str(tmp_path / "fit")]
+        assert main(args + ["--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --threads: threads must be >= 1, got {threads}" in err
+        assert "sampler" not in err
+        monkeypatch.setenv("QAFT_THREADS", threads)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"error: QAFT_THREADS: threads must be >= 1, got {threads}" in err
+        assert "sampler" not in err
+
 
 class TestTimeVaryingPipeline:
     def test_surface_and_slice(self, tmp_path):
