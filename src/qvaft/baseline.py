@@ -132,18 +132,26 @@ def _check_weights(spec: BaselineSpec, w: TBPWeights | None) -> None:
         raise DomainError("weights supplied for a non-tbp baseline")
 
 
-def _as_time_array(t, allow_zero: bool) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.isnan(arr)):
-        raise DomainError("time contains NaN")
-    lo = 0.0 if allow_zero else np.nextafter(0.0, 1.0)
-    if np.any(arr < lo):
-        raise DomainError("time must be " + (">= 0" if allow_zero else "> 0"))
+def _nonnegative(a, what: str = "time", strict: bool = False) -> np.ndarray:
+    """a as a float array; DomainError naming `what` if an entry is NaN or
+    negative (with `strict`, also if it is 0)."""
+    a = np.asarray(a, dtype=float)
+    if np.any(np.isnan(a)) or np.any(a <= 0 if strict else a < 0):
+        raise DomainError(f"{what} must be {'>' if strict else '>='} 0")
+    return a
+
+
+def _check_p(p) -> np.ndarray:
+    """Quantile levels p as a float array; DomainError unless in (0, 1)."""
+    arr = np.asarray(p, dtype=float)
+    if np.any(~np.isfinite(arr)) or np.any(arr <= 0) or np.any(arr >= 1):
+        raise DomainError("quantile level p must lie in (0, 1)")
     return arr
 
 
-def _scalar_like(t, value: np.ndarray):
-    if np.ndim(t) == 0:
+def _scalar_like(t, value):
+    """A float for a scalar t, unless per-row arguments gave value rows."""
+    if np.ndim(t) == 0 and np.ndim(value) == 0:
         return float(value)
     return value
 
@@ -363,7 +371,7 @@ def _tbp_hazard(K: int, w: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _public_terms(spec, params, w, t, pdf: bool):
     _check_weights(spec, w)
-    arr = _as_time_array(t, allow_zero=not pdf)
+    arr = _nonnegative(t, strict=pdf)
     flat = arr.reshape(-1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         val = log_terms(spec, params.mu, params.sigma,
@@ -406,9 +414,7 @@ def inverse_survivor(spec: BaselineSpec, params: BaselineParams,
     closed-form centering inverse then gives t.
     """
     _check_weights(spec, w)
-    parr = np.asarray(p, dtype=float)
-    if np.any(~np.isfinite(parr)) or np.any(parr <= 0) or np.any(parr >= 1):
-        raise DomainError("quantile level p must lie in (0, 1)")
+    parr = _check_p(p)
     if spec.is_tbp:
         q = _tbp_hazard(spec.K, w.as_array(), parr)
         family = spec.centering

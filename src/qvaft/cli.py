@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: simulate, fit, standardize, af, surface, loo. A fit writes a
-self-contained directory (draws.csv/draws.npz, summary.json, fit.json,
-data.csv snapshot) that the post-processing commands consume. Exit codes:
+self-contained directory (draws.npz, summary.json, fit.json, data.csv
+snapshot) that the post-processing commands consume, plus a draws.csv
+export. Exit codes:
 0 success, 2 input/schema problems, 3 numerical failures.
 """
 
@@ -24,11 +25,8 @@ from .errors import (
     ComparisonError,
     ConfigError,
     DataError,
-    DiagnosticsError,
     DomainError,
-    NumericalError,
     QvaftError,
-    ValidityError,
 )
 from .inference import (
     ContrastSpec,
@@ -50,7 +48,6 @@ from .modelcheck import (
 from .sampler import (
     PosteriorDraws,
     SamplerConfig,
-    draws_from_csv,
     draws_from_npz,
     draws_to_csv,
     draws_to_npz,
@@ -175,11 +172,8 @@ def cmd_fit(args) -> int:
 
 def _load_fit(fit_dir: str):
     meta_path = os.path.join(fit_dir, "fit.json")
-    missing = [p for p in ("fit.json", "data.csv")
+    missing = [p for p in ("fit.json", "data.csv", "draws.npz")
                if not os.path.exists(os.path.join(fit_dir, p))]
-    if not (os.path.exists(os.path.join(fit_dir, "draws.npz"))
-            or os.path.exists(os.path.join(fit_dir, "draws.csv"))):
-        missing.append("draws.csv")
     if missing:
         raise DataError(f"{fit_dir}: missing fit artifacts: {missing}")
     with open(meta_path) as fh:
@@ -188,11 +182,7 @@ def _load_fit(fit_dir: str):
                          FIT_FORMAT_VERSION)
     model = cfgmod.model_from_jsonable(meta["model"])
     data = read_csv(os.path.join(fit_dir, "data.csv"))
-    npz_path = os.path.join(fit_dir, "draws.npz")
-    if os.path.exists(npz_path):
-        draws = draws_from_npz(npz_path, model)
-    else:
-        draws = draws_from_csv(os.path.join(fit_dir, "draws.csv"), model)
+    draws = draws_from_npz(os.path.join(fit_dir, "draws.npz"), model)
     return meta, model, data, draws
 
 
@@ -433,9 +423,6 @@ def main(argv=None) -> int:
     except (DataError, ConfigError, DomainError, ComparisonError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (NumericalError, ValidityError, DiagnosticsError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except QvaftError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

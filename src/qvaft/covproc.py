@@ -28,7 +28,9 @@ A binary time-varying covariate switching 0 -> 1 at time t_x induces
 
 with the flexible basis evaluated on the time-since-switch axis (the
 piecewise basis B_k(s) = (min(s, tau_{k+1}) - tau_k)_+ / s, or the spline
-basis at log(s)). The covariate has not yet switched at t == t_x.
+basis at log(s)). The covariate has not yet switched at t == t_x. This
+switch form, with x1 scaling alpha, also covers the constant and spline
+kinds: they are a switch at t_x = 0 with b1 = 0 (after a switch, x1 = 1).
 
 Derivatives at piecewise breakpoints use the right-hand limit so the
 likelihood is deterministic for observations landing exactly on a knot.
@@ -37,9 +39,11 @@ Each rule has one implementation, and the public functions are thin
 callers of it. V and log v: `transform`, which reads a `TimeBasis` (the
 part of V that depends only on the times, exposure values and switch
 times, built once per dataset by the likelihood) and returns V, log v and
-their partials in alpha and the switch coefficient in contracted form:
-du/dalpha as a per-row factor times a basis matrix (for a piecewise effect
-the segment lengths at their slope factors, otherwise the alpha basis), and
+their partials in alpha and the switch coefficient in contracted form. It
+has two branches: a piecewise effect without a switch, summed over its
+segments, and the switch form for every other kind. du/dalpha is a per-row
+factor times a basis matrix (for a piecewise effect without a switch the
+segment lengths at their slope factors, otherwise the alpha basis), and
 the partials of sum log v as column sums whose parameter-free part the
 basis holds. V^{-1}: `transform_inverse`, with the
 same (eta, x1, b1, onset) arguments, eta, x1 and onset each a scalar or
@@ -60,6 +64,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .baseline import _nonnegative, _scalar_like
 from .errors import DomainError
 from .roots import increasing_root
 
@@ -141,11 +146,10 @@ class TimeVaryingCovariate:
                 f"change time must be > 0 (or +inf), got {t[bad].flat[0]}")
 
 
-def _check_alpha(spec: EffectSpec | None, alpha) -> np.ndarray:
+def _check_alpha(spec: EffectSpec, alpha) -> np.ndarray:
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    J = 0 if spec is None else spec.J
-    if alpha.size != J:
-        raise DomainError(f"alpha has length {alpha.size}, expected {J}")
+    if alpha.size != spec.J:
+        raise DomainError(f"alpha has length {alpha.size}, expected {spec.J}")
     return alpha
 
 
@@ -237,14 +241,14 @@ def tv_basis(effect: EffectSpec, s):
     return spline_basis(effect.knot_array(), np.log(s))
 
 
-def slope_basis(effect: EffectSpec | None, grid, time_varying: bool = False):
+def slope_basis(effect: EffectSpec, grid, time_varying: bool = False):
     """The basis D of the monotonicity rule (see `is_monotone`) on a grid
     of times, or of times since the switch for a switch effect: g'(log t)
     per alpha for a spline effect, s a'(s) for a switch effect, shape
     grid.shape + (J,). None for the kinds that are increasing for every
     finite alpha (constant; piecewise without a switch)."""
     grid = np.asarray(grid, dtype=float)
-    kind = "constant" if effect is None else effect.kind
+    kind = effect.kind
     if kind == "constant" or (kind == "piecewise" and not time_varying):
         return None
     knots = effect.knot_array()
@@ -267,44 +271,42 @@ class TimeBasis:
     binary time-varying covariate, its switch times `onset`, but not on the
     parameters, so it is computed once and reused by `transform`.
 
-    `B` is the alpha basis of the spline and switch kinds (zero before the
-    switch; no columns for a constant effect). A piecewise effect keeps its
-    capped segment lengths `terms` and the distinct exposure values
-    `levels`, so that exp(-x1 alpha) is taken once per value. The parts that
-    only log v needs (`seg`, `slopes`, and `fixed_dlogv`, the parameter-free
-    part of the gradient of sum log v) cover the leading `n_slope` rows of t
-    (None: all rows) and are built on first use.
+    A piecewise effect without a switch keeps its capped segment lengths
+    `terms` and the distinct exposure values `levels`, so that exp(-x1
+    alpha) is taken once per value. Every other kind is the switch form:
+    `post` marks the rows past the switch (past t = 0 without one), `min_t`
+    is min(t, onset), `s` the time since the switch and `B` the alpha basis
+    at s (zero before the switch; no columns for a constant effect). After
+    a switch, x1 is 1. The parts that only log v needs (`seg`, `slopes`, and
+    `fixed_dlogv`, the parameter-free part of the gradient of sum log v)
+    cover the leading `n_slope` rows of t (None: all rows) and are built on
+    first use.
     """
 
-    def __init__(self, effect: EffectSpec | None, t, onset=None, x1=0.0,
+    def __init__(self, effect: EffectSpec, t, onset=None, x1=0.0,
                  n_slope: int | None = None):
         t = np.asarray(t, dtype=float)
         self.effect = effect
-        self.kind = "constant" if effect is None else effect.kind
         self.t = t
-        self.x1 = np.asarray(x1, dtype=float)
         self.tv = onset is not None
+        self.x1 = np.asarray(1.0 if self.tv else x1, dtype=float)
         self.n_slope = n_slope
-        J = 0 if self.kind == "constant" else effect.J
-        if self.tv:
-            self.post = t > onset
-            self.min_t = np.minimum(t, onset)
-            self.s = np.where(self.post, t - onset, 1.0)
-            self.B = (np.where(self.post[..., None], tv_basis(effect, self.s),
-                               0.0) if J and self.post.any()
-                      else np.zeros(t.shape + (J,)))
-        elif self.kind == "constant":
-            self.B = np.zeros(t.shape + (0,))
-        elif self.kind == "piecewise":
+        self.switch_form = self.tv or effect.kind != "piecewise"
+        if not self.switch_form:
             self.lead, self.terms = piecewise_terms(effect.knot_array(), t)
             if self.x1.ndim:
                 levels, index = np.unique(self.x1, return_inverse=True)
                 self.levels, self.level_index = levels, index.reshape(-1)
             else:
                 self.levels, self.level_index = self.x1[None], None
-        elif self.kind == "spline":
-            with np.errstate(divide="ignore"):
-                self.B = spline_basis(effect.knot_array(), np.log(t))
+            return
+        onset = 0.0 if onset is None else onset
+        J = effect.J
+        self.post = t > onset
+        self.min_t = np.minimum(t, onset)
+        self.s = np.where(self.post, t - onset, 1.0)
+        self.B = (np.where(self.post[..., None], tv_basis(effect, self.s), 0.0)
+                  if J and self.post.any() else np.zeros(t.shape + (J,)))
 
     @cached_property
     def seg(self):
@@ -314,27 +316,25 @@ class TimeBasis:
     @cached_property
     def slopes(self):
         k = self.n_slope
-        slopes = slope_basis(self.effect, _lead(self.s if self.tv else self.t,
-                                                k), self.tv)
-        if self.tv and slopes is not None:  # zero before the switch
-            slopes = np.where(_lead(self.post, k)[..., None], slopes, 0.0)
-        return slopes
+        if not self.effect.J:  # constant: as B, no columns
+            return _lead(self.B, k)
+        return np.where(_lead(self.post, k)[..., None],
+                        slope_basis(self.effect, _lead(self.s, k), self.tv), 0.0)
 
     @cached_property
     def fixed_dlogv(self):
         """The partials (d/db1, d/dalpha) of the parameter-free part of
-        sum log v over the slope rows: minus the number of post-switch rows
-        and minus the column sums of B over them (switch), minus the sum of
-        x1 per segment (piecewise), -x1 @ B (spline and constant)."""
+        sum log v over the slope rows: minus the sum of x1 per segment
+        (piecewise without a switch); otherwise minus the number of rows
+        past the switch and -x1 @ B (the column sums of B after a switch)."""
         k = self.n_slope
-        if self.tv:
-            return (-float(np.count_nonzero(_lead(self.post, k))),
-                    -_lead(self.B, k).sum(axis=0))
         x1 = np.broadcast_to(_lead(self.x1, k), _lead(self.t, k).shape)
-        if self.kind == "piecewise":
+        if not self.switch_form:
             return 0.0, -np.bincount(self.seg, weights=x1,
                                      minlength=self.effect.J + 1)[1:]
-        return 0.0, -(x1 @ _lead(self.B, k))
+        B = _lead(self.B, k)
+        return (-float(np.count_nonzero(_lead(self.post, k))),
+                -B.sum(axis=0) if self.tv else -(x1 @ B))
 
 
 class TransformTerms:
@@ -346,16 +346,14 @@ class TransformTerms:
     factor `du_factor` times that row of `du_matrix`, so a weighted sum over
     rows is one product (c * du_factor) @ du_matrix; `du_db1` is per row.
     `dlv_db1` and `dlv_dalpha` are the partials of sum log v over the slope
-    rows. `ok` is False when V is not increasing at some slope row; log v
-    is -inf there (v clamped at 0)."""
+    rows. log v is -inf (v clamped at 0) where V is not increasing."""
 
     __slots__ = ("u", "du_db1", "du_factor", "du_matrix", "logv", "dlv_db1",
-                 "dlv_dalpha", "ok")
+                 "dlv_dalpha")
 
     def __init__(self):
         self.du_db1 = self.du_factor = self.du_matrix = self.logv = None
         self.dlv_db1 = self.dlv_dalpha = None
-        self.ok = True
 
 
 def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, b1=0.0,
@@ -364,48 +362,24 @@ def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, b1=0.0,
 
     `eta` is x'beta (time-invariant covariates only for time-varying
     models), a scalar or one value per row of the basis, and `b1` the
-    switch coefficient (time-varying models); the exposure value that
-    multiplies alpha belongs to the basis. Extreme parameter values, and
-    t = 0 under a spline effect, raise floating-point warnings; callers
+    switch coefficient (time-varying models; ignored without a switch); the
+    exposure value that multiplies alpha belongs to the basis. A piecewise
+    effect without a switch is summed over its segments; every other kind
+    is the switch form
+
+        V(t) = exp(-eta) * [min(t, t_x) + (t - t_x)_+ exp(-b1 - x1 a)],
+
+    a = B(t - t_x) @ alpha, at onset t_x = 0 and b1 = 0 without a switch.
+    Extreme parameter values raise floating-point warnings; callers
     suppress them around the call.
     """
     out = TransformTerms()
-    k, kind = basis.n_slope, basis.kind
+    k, x1 = basis.n_slope, basis.x1
+    x1s = _lead(x1, k)
     scale = np.exp(-eta)
-    slopes = basis.slopes if logv else None
     if grad:
         out.dlv_db1, out.dlv_dalpha = basis.fixed_dlogv
-    if basis.tv:
-        a = basis.B @ alpha  # zero before the switch and for a constant effect
-        bump = np.where(basis.post, basis.s * np.exp(-b1 - a), 0.0)
-        out.u = scale * (basis.min_t + bump)
-        if grad:
-            out.du_db1 = out.du_factor = -scale * bump
-            out.du_matrix = basis.B
-        if logv:
-            one_minus = 1.0
-            if slopes is not None:
-                one_minus = 1.0 - slopes @ alpha
-                out.ok = bool(np.all(one_minus > 0.0))
-                if grad:
-                    out.dlv_dalpha = (out.dlv_dalpha
-                                      - (1.0 / one_minus) @ slopes)
-            out.logv = -_lead(eta, k) + np.where(
-                _lead(basis.post, k),
-                -b1 - _lead(a, k) + np.log(np.maximum(one_minus, 0.0)), 0.0)
-        return out
-
-    if kind == "constant":
-        out.u = basis.t * scale
-        if grad:
-            out.du_factor, out.du_matrix = 0.0, basis.B
-        if logv:
-            out.logv = np.zeros(_lead(basis.t, k).shape) - _lead(eta, k)
-        return out
-
-    x1 = basis.x1
-    x1s = _lead(x1, k)
-    if kind == "piecewise":
+    if not basis.switch_form:  # piecewise without a switch
         E = np.exp(-np.multiply.outer(basis.levels, alpha))  # row per level
         E = (E[0] if basis.level_index is None
              else np.take(E, basis.level_index, axis=0))
@@ -421,16 +395,20 @@ def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, b1=0.0,
             out.logv = -_lead(eta, k) - x1s * alpha_seg
         return out
 
-    # spline; at t = 0 the log-time basis is -inf and V is 0 by definition
-    g = basis.B @ alpha
-    out.u = np.where(basis.t > 0, basis.t * np.exp(-eta - x1 * g), 0.0)
+    if not basis.tv:
+        b1 = 0.0
+    xa = x1 * (basis.B @ alpha)  # zero before the switch
+    bump = np.where(basis.post, basis.s * np.exp(-b1 - xa), 0.0)
+    out.u = scale * (basis.min_t + bump)
     if grad:
-        out.du_factor, out.du_matrix = -(x1 * out.u), basis.B
+        out.du_db1 = -scale * bump
+        out.du_factor, out.du_matrix = out.du_db1 * x1, basis.B
     if logv:
+        slopes = basis.slopes
         one_minus = 1.0 - x1s * (slopes @ alpha)
-        out.ok = bool(np.all(one_minus > 0.0))
-        out.logv = (-_lead(eta, k) - x1s * _lead(g, k)
-                    + np.log(np.maximum(one_minus, 0.0)))
+        out.logv = -_lead(eta, k) + np.where(
+            _lead(basis.post, k),
+            -b1 - _lead(xa, k) + np.log(np.maximum(one_minus, 0.0)), 0.0)
         if grad:
             out.dlv_dalpha = out.dlv_dalpha - (x1s / one_minus) @ slopes
     return out
@@ -438,26 +416,17 @@ def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, b1=0.0,
 
 # -- V, v, V^{-1} ----------------------------------------------------------
 
-def _nonnegative(a, what: str, strict: bool = False) -> np.ndarray:
-    """a as a float array; DomainError naming `what` if an entry is NaN or
-    negative (with `strict`, also if it is 0)."""
-    a = np.asarray(a, dtype=float)
-    if np.any(np.isnan(a)) or np.any(a <= 0 if strict else a < 0):
-        raise DomainError(f"{what} must be {'>' if strict else '>='} 0")
-    return a
-
-
-def transform_value(effect: EffectSpec | None, alpha: np.ndarray, t, eta=0.0,
+def transform_value(effect: EffectSpec, alpha: np.ndarray, t, eta=0.0,
                     x1=0.0, b1=0.0, onset=None):
     """V(t) for t >= 0 (V(0) = 0) with the arguments of `transform`;
     `onset` is the switch time of a binary time-varying covariate (None:
     no switch)."""
-    basis = TimeBasis(effect, _nonnegative(t, "time"), onset, x1)
+    basis = TimeBasis(effect, _nonnegative(t), onset, x1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _scalar_like(t, transform(basis, alpha, eta, b1).u)
 
 
-def transform_inverse(effect: EffectSpec | None, alpha: np.ndarray, s,
+def transform_inverse(effect: EffectSpec, alpha: np.ndarray, s,
                       eta=0.0, x1=0.0, b1=0.0, onset=None):
     """The one V^{-1}: the time t with V(t) = s, for s >= 0, where V is the
     transform `transform_value` evaluates with the same arguments: eta,
@@ -470,7 +439,7 @@ def transform_inverse(effect: EffectSpec | None, alpha: np.ndarray, s,
     increasing, which is the caller's to ensure via `is_monotone`.
     """
     s_arr = _nonnegative(s, "target value")
-    kind = "constant" if effect is None else effect.kind
+    kind = effect.kind
     if onset is not None:
         out = _switch_inverse(effect, kind, alpha, s_arr, eta, b1, onset)
     elif kind == "constant":
@@ -538,7 +507,7 @@ def v_deriv(spec: EffectSpec, beta, alpha, x, t, x1_index: int = 0):
     """v(t|x) = dV/dt for t > 0; right-hand value at piecewise breakpoints.
     Clamped at 0 where a spline transform is not increasing."""
     alpha = _check_alpha(spec, alpha)
-    t_arr = _nonnegative(t, "time", strict=True)
+    t_arr = _nonnegative(t, strict=True)
     eta, x1 = _pattern(spec, beta, x, x1_index)
     with np.errstate(divide="ignore", over="ignore"):
         tt = transform(TimeBasis(spec, t_arr, x1=x1), alpha, eta, logv=True)
@@ -559,6 +528,7 @@ def tv_v_value(beta1: float, beta2_term: float, alpha, tv: TimeVaryingCovariate,
     covariates; `effect` carries the flexible basis for the switch effect
     (None or constant kind for a pure constant effect).
     """
+    effect = effect or EffectSpec("constant")
     return transform_value(effect, _check_alpha(effect, alpha), t, beta2_term,
                            b1=beta1, onset=tv.change_time)
 
@@ -566,6 +536,7 @@ def tv_v_value(beta1: float, beta2_term: float, alpha, tv: TimeVaryingCovariate,
 def tv_v_inverse(beta1: float, beta2_term: float, alpha,
                  tv: TimeVaryingCovariate, effect: EffectSpec | None, s):
     """Inverse of `tv_v_value` (see `transform_inverse`)."""
+    effect = effect or EffectSpec("constant")
     return transform_inverse(effect, _check_alpha(effect, alpha), s,
                              beta2_term, b1=beta1, onset=tv.change_time)
 
@@ -600,14 +571,8 @@ def tv_monotonicity_check(beta1: float, alpha, effect: EffectSpec | None,
                           s_grid) -> bool:
     """True iff the post-switch transform u * exp(-b1 - a(u)) is increasing
     at every point of the time-since-switch grid."""
-    if effect is None or effect.kind == "constant":
+    effect = effect or EffectSpec("constant")
+    if effect.kind == "constant":
         return np.isfinite(beta1)
     return is_monotone(slope_basis(effect, s_grid, True),
                        _check_alpha(effect, alpha))
-
-
-def _scalar_like(t, value):
-    """A float for a scalar t, unless per-row arguments gave value rows."""
-    if np.ndim(t) == 0 and np.ndim(value) == 0:
-        return float(value)
-    return value

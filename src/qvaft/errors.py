@@ -9,11 +9,6 @@ class DomainError(QvaftError, ValueError):
     """An argument or parameter is outside its mathematical domain."""
 
 
-class ValidityError(QvaftError):
-    """A model configuration is structurally invalid for the requested
-    operation (e.g. a non-monotone time transform)."""
-
-
 class NumericalError(QvaftError):
     """A numerical procedure failed (bracket failure, non-finite
     intermediate). Carries whatever diagnostics the caller attached."""

@@ -169,13 +169,6 @@ class CurveTable:
                                       "lo95", "hi95", "extrapolated")])
 
 
-def _check_p(p):
-    arr = np.asarray(p, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0) or np.any(arr >= 1):
-        raise DomainError("quantile level p must lie in (0, 1)")
-    return arr
-
-
 # -- conditional quantities ---------------------------------------------------
 
 def _switch(model: ModelSpec, onset):
@@ -194,7 +187,6 @@ def quantile_time(model: ModelSpec, psi: ParameterVector, x, p,
     one value per row; the rows are inverted in one call, and each row's
     time depends on its own x, p and onset only."""
     check_psi(model, psi)
-    _check_p(p)
     q = bl.inverse_survivor(model.baseline, psi.baseline_params(),
                             psi.tbp_weights(), p)
     return transform_inverse(model.effect, psi.alpha, q,
@@ -223,9 +215,8 @@ def tv_acceleration_factor(model: ModelSpec, psi: ParameterVector, p, t_x,
     if model.effect.kind != "constant" and np.any(psi.alpha != 0.0):
         raise DomainError("closed form requires a constant switch effect; "
                           "use acceleration_factor for flexible effects")
-    parr = _check_p(p)
     q = bl.inverse_survivor(model.baseline, psi.baseline_params(),
-                            psi.tbp_weights(), parr)
+                            psi.tbp_weights(), p)
     b2, _, b1 = model.predictor(psi.beta, x2)
     b2p = b2 if x2_prime is None else model.predictor(psi.beta, x2_prime)[0]
     eb1 = math.exp(b1)
@@ -260,7 +251,7 @@ def standardized_survivor(model: ModelSpec, psi: ParameterVector, data,
     data = as_dataset(data)
     if data.n == 0:
         raise DomainError("standardization needs a nonempty dataset")
-    t_arr = np.atleast_1d(bl._as_time_array(t, allow_zero=True))
+    t_arr = np.atleast_1d(bl._nonnegative(t))
     out = _standardized_sf(model, psi, data, level)(t_arr)
     return float(out[0]) if np.ndim(t) == 0 else out
 
@@ -398,7 +389,7 @@ def standardized_af(model: ModelSpec, draws: PosteriorDraws, data,
     data = as_dataset(data)
     if contrast is None:
         contrast = ContrastSpec.default(model)
-    p = _check_p(p_grid if p_grid is not None else default_quantile_grid())
+    p = bl._check_p(p_grid if p_grid is not None else default_quantile_grid())
     return _af_tables(model, draws, data, p, (contrast.exposed,),
                       contrast.reference, ("af",))[0]
 
@@ -413,7 +404,7 @@ def standardized_survivor_curves(model: ModelSpec, draws: PosteriorDraws,
         contrast = ContrastSpec.default(model)
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.2 * max_followup(data), 101)[1:]
-    t_grid = bl._as_time_array(t_grid, allow_zero=True)
+    t_grid = bl._nonnegative(t_grid)
 
     tables = []
     for label, level in (("exposed", contrast.exposed),
@@ -444,7 +435,7 @@ def af_surface(model: ModelSpec, draws: PosteriorDraws, data,
     if onset_grid is None:
         onset_grid = np.linspace(0.0, max_followup(data), 41)[1:]
     onset_grid = np.asarray(onset_grid, dtype=float)
-    p = _check_p(p_grid if p_grid is not None else surface_quantile_grid())
+    p = bl._check_p(p_grid if p_grid is not None else surface_quantile_grid())
     sub = draws.thin_by(thin)
     return CurveTable.concat(_af_tables(
         model, sub, data, p, [float(g) for g in onset_grid], math.inf,

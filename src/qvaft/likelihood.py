@@ -143,8 +143,7 @@ def check_psi(model: ModelSpec, psi: ParameterVector) -> None:
             raise DomainError("tbp baseline requires w and theta")
         if psi.w.size != model.K:
             raise DomainError(f"w has length {psi.w.size}, expected {model.K}")
-        if np.any(psi.w < 0) or abs(psi.w.sum() - 1.0) > 1e-10:
-            raise DomainError("w must lie on the simplex")
+        psi.tbp_weights()  # raises off the simplex, by the rule of TBPWeights
     elif psi.w is not None or psi.theta is not None:
         raise DomainError("w/theta supplied for a non-tbp baseline")
 
@@ -353,9 +352,8 @@ def _pointwise(model: ModelSpec, prep: Prepared, beta, alpha, mu, sigma, w,
                want_grad: bool):
     """Log-likelihood contributions in one pass over the stacked rows, one
     per subject in the order of the main rows (`prep.subject_rows` maps a
-    subject to its entry). Returns (ll, ok_flag, grad), grad being the
-    gradient of the total in the blocks (beta, alpha, mu, log sigma, w)
-    when asked for.
+    subject to its entry). Returns (ll, grad), grad being the gradient of
+    the total in the blocks (beta, alpha, mu, log sigma, w) when asked for.
 
     Extreme parameter proposals can overflow intermediates; the resulting
     non-finite contributions are caught by the callers (rejection), so the
@@ -390,7 +388,7 @@ def _pointwise_impl(model, prep, beta, alpha, mu, sigma, w, want_grad):
             c[prep.hi] = -np.exp(delta) * q1
     ll[prep.trunc_rows] -= val[prep.tr]
     if not want_grad:
-        return ll, tt.ok, None
+        return ll, None
 
     # d ll_total / d(row term) is c; du/deta = -u, dlog v/deta = -1
     cu = c * bt.d_du
@@ -399,7 +397,7 @@ def _pointwise_impl(model, prep, beta, alpha, mu, sigma, w, want_grad):
         g_beta = np.concatenate([[cu @ tt.du_db1 + tt.dlv_db1], g_beta])
     g_alpha = (cu * tt.du_factor) @ tt.du_matrix + tt.dlv_dalpha
     g_w = c @ bt.d_dw if model.baseline.is_tbp else None
-    return ll, tt.ok, (g_beta, g_alpha, c @ bt.d_dmu, c @ bt.d_dls, g_w)
+    return ll, (g_beta, g_alpha, c @ bt.d_dmu, c @ bt.d_dls, g_w)
 
 
 def pointwise_loglik_vector(model: ModelSpec, psi: ParameterVector,
@@ -408,8 +406,8 @@ def pointwise_loglik_vector(model: ModelSpec, psi: ParameterVector,
     subjects; NaN raises a numerical error naming the subject."""
     check_psi(model, psi)
     prep = data if isinstance(data, Prepared) else prepare(model, data)
-    ll, _, _ = _pointwise(model, prep, psi.beta, psi.alpha, psi.mu, psi.sigma,
-                          psi.w, want_grad=False)
+    ll, _ = _pointwise(model, prep, psi.beta, psi.alpha, psi.mu, psi.sigma,
+                       psi.w, want_grad=False)
     ll = ll[prep.subject_rows]
     ll = np.where(ll < LOG_FLOOR, -np.inf, ll)
     if np.any(np.isnan(ll)):
@@ -503,10 +501,10 @@ def _posterior_impl(model, z, prep, priors, want_grad: bool):
             return -math.inf, None
         if not is_monotone(prep.slopes, alpha, prep.x1_range):
             return -math.inf, None
-        ll, ok, grad = _pointwise_impl(model, prep, beta, alpha, mu, sigma, w,
-                                       want_grad)
+        ll, grad = _pointwise_impl(model, prep, beta, alpha, mu, sigma, w,
+                                   want_grad)
     # a contribution below LOG_FLOOR or NaN rejects here, +inf by the total
-    if not ok or not np.min(ll, initial=math.inf) >= LOG_FLOOR:
+    if not np.min(ll, initial=math.inf) >= LOG_FLOOR:
         return -math.inf, None
 
     total = float(ll.sum()) + _log_prior(model, sigma, w, theta, priors) + logjac

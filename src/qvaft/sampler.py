@@ -50,7 +50,6 @@ __all__ = [
     "ess",
     "leapfrog_step",
     "draws_to_csv",
-    "draws_from_csv",
     "draws_to_npz",
     "draws_from_npz",
 ]
@@ -605,24 +604,6 @@ def draws_to_csv(draws: PosteriorDraws, path) -> None:
         row += [str(int(draws.divergent[i])), repr(float(draws.energy[i]))]
         lines.append(",".join(row))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def draws_from_csv(path, model: ModelSpec) -> PosteriorDraws:
-    from .likelihood import psi_from_constrained, unconstrain
-
-    raw = np.genfromtxt(path, delimiter=",", names=True)
-    names = model.param_names
-    cols = [raw[nm.replace("[", "_").replace("]", "_")] for nm in names]
-    constrained = np.column_stack([np.atleast_1d(c) for c in cols])
-    chain_id = np.atleast_1d(raw["chain"]).astype(int)
-    iteration = np.atleast_1d(raw["iter"]).astype(int)
-    divergent = np.atleast_1d(raw["divergent"]).astype(bool)
-    energy = np.atleast_1d(raw["energy"]).astype(float)
-    z = np.array([unconstrain(model, psi_from_constrained(model, row))
-                  for row in constrained])
-    n_chains = len(np.unique(chain_id))
-    return PosteriorDraws(z, constrained, names, chain_id, iteration,
-                          divergent, energy, np.zeros(len(z)), n_chains, model)
 
 
 def draws_to_npz(draws: PosteriorDraws, path) -> None:

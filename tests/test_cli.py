@@ -5,6 +5,7 @@ simulate -> fit -> summarize loop under the CI budget."""
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,14 @@ from qvaft.cli import main
 from qvaft.data import read_csv
 from qvaft.inference import CurveTable
 from qvaft.modelcheck import read_loo_report
+
+def _read(path):
+    return Path(path).read_text()
+
+
+def _json(path):
+    return json.loads(_read(path))
+
 
 BASE_CONFIG = {
     "model": {
@@ -70,7 +79,7 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
         ds = read_csv(out)
         assert ds.n == 120
-        truth = json.load(open(out + ".truth.json"))
+        truth = _json(out + ".truth.json")
         assert truth["beta"] == {"x1": 0.5, "x2": -0.3}
 
     def test_seed_override_and_determinism(self, tmp_path):
@@ -79,8 +88,8 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", a, "--seed", "9"]) == 0
         assert main(["simulate", "--config", cfg, "--out", b, "--seed", "9"]) == 0
         assert main(["simulate", "--config", cfg, "--out", c, "--seed", "10"]) == 0
-        assert open(a).read() == open(b).read()
-        assert open(a).read() != open(c).read()
+        assert _read(a) == _read(b)
+        assert _read(a) != _read(c)
 
     def test_schema_error_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"simulate.n": -5})
@@ -175,14 +184,14 @@ class TestSimulate:
 class TestFit:
     def test_artifacts_and_summary(self, fitted):
         fit = fitted["fit"]
-        summary = json.load(open(fit + "/summary.json"))
+        summary = _json(fit + "/summary.json")
         for name in ("beta_x1", "beta_x2", "mu", "sigma"):
             p = summary["params"][name]
             assert math.isfinite(p["median"])
             assert p["lo95"] <= p["median"] <= p["hi95"]
-        meta = json.load(open(fit + "/fit.json"))
+        meta = _json(fit + "/fit.json")
         assert meta["model"]["effect"]["kind"] == "constant"
-        lines = open(fit + "/draws.csv").read().splitlines()
+        lines = _read(fit + "/draws.csv").splitlines()
         assert lines[0] == ("chain,iter,beta_x1,beta_x2,mu,sigma,"
                             "divergent,energy")
         assert len(lines) == 1 + 600
@@ -202,7 +211,7 @@ class TestFit:
         fit_dir = str(tmp_path / "fit_spline")
         assert main(["fit", "--data", fitted["data"], "--config", cfg,
                      "--out", fit_dir]) == 0
-        knots = json.load(open(fit_dir + "/fit.json"))["model"]["effect"]["knots"]
+        knots = _json(fit_dir + "/fit.json")["model"]["effect"]["knots"]
         ds = read_csv(fitted["data"])
         interval = ~ds.event & np.isfinite(ds.y_upper)
         times = np.concatenate([ds.y_lower[ds.event],
@@ -215,7 +224,7 @@ class TestFit:
         for f in (f1, f2):
             assert main(["fit", "--data", fitted["data"], "--config",
                          fitted["cfg"], "--out", f, "--seed", "77"]) == 0
-        assert open(f1 + "/draws.csv").read() == open(f2 + "/draws.csv").read()
+        assert _read(f1 + "/draws.csv") == _read(f2 + "/draws.csv")
 
 
 class TestPostProcessing:
@@ -332,18 +341,16 @@ class TestPostProcessing:
         err = capsys.readouterr().err
         assert str(path) in err and "format_version 99" in err
 
-    def test_csv_draws_fallback_matches_npz(self, fitted, tmp_path):
+    def test_fit_without_npz_exit_2(self, fitted, tmp_path, capsys):
+        # draws.csv is an export; post-processing reads draws.npz only
         import shutil
 
         clone = tmp_path / "fit_csv_only"
         shutil.copytree(fitted["fit"], clone)
         (clone / "draws.npz").unlink()
-        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        args = ["--thin", "4", "--p-grid", "0.3:0.7:3"]
-        assert main(["af", "--fit", str(clone), "--out", a] + args) == 0
-        assert main(["af", "--fit", fitted["fit"], "--out", b] + args) == 0
-        ta, tb = CurveTable.from_csv(a), CurveTable.from_csv(b)
-        np.testing.assert_allclose(ta.mean, tb.mean, rtol=1e-12)
+        assert main(["af", "--fit", str(clone),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "draws.npz" in capsys.readouterr().err
 
     def test_loo_report(self, fitted, tmp_path):
         out = str(tmp_path / "loo_out")
@@ -352,7 +359,7 @@ class TestPostProcessing:
         rep = read_loo_report(out + "/loo.txt")
         assert rep["minus2elpd"] == -2 * rep["elpd"]
         assert rep["n"] == 120
-        rows = open(out + "/loo_pointwise.csv").read().splitlines()
+        rows = _read(out + "/loo_pointwise.csv").splitlines()
         assert rows[0] == "subject,elpd_i,khat"
         assert len(rows) == 121
 
@@ -384,7 +391,7 @@ class TestLooRefit:
         fit_dir = str(tmp_path / "f")
         assert main(["fit", "--data", data, "--config", cfg,
                      "--out", fit_dir]) == 0
-        meta = json.load(open(fit_dir + "/fit.json"))
+        meta = _json(fit_dir + "/fit.json")
         assert meta["sampler"]["max_tree_depth"] == 3
 
         loo = cli.psis_loo
@@ -419,11 +426,11 @@ class TestLooRefit:
 
 class TestFitSummary:
     def test_step_sizes_per_chain_in_chain_order(self, fitted):
-        summary = json.load(open(fitted["fit"] + "/summary.json"))
-        raw = np.load(fitted["fit"] + "/draws.npz")
-        per = len(raw["step_size"]) // int(raw["n_chains"])
-        assert summary["sampler"]["step_size"] == \
-            raw["step_size"][::per].tolist()
+        summary = _json(fitted["fit"] + "/summary.json")
+        with np.load(fitted["fit"] + "/draws.npz") as raw:
+            per = len(raw["step_size"]) // int(raw["n_chains"])
+            assert summary["sampler"]["step_size"] == \
+                raw["step_size"][::per].tolist()
 
     def test_grad_calls_match_a_counting_target(self, fitted):
         import dataclasses
@@ -443,7 +450,7 @@ class TestFitSummary:
 
         cfg = cfgmod.resolve_sampler(raw, threads=1)
         sample(dataclasses.replace(target, logp_and_grad=counted), cfg)
-        sampler = json.load(open(fitted["fit"] + "/summary.json"))["sampler"]
+        sampler = _json(fitted["fit"] + "/summary.json")["sampler"]
         assert len(sampler["grad_calls"]) == cfg.chains
         assert sum(sampler["grad_calls"]) == len(calls)
         iters = cfg.chains * (cfg.warmup_iters + cfg.sampling_iters)
@@ -451,8 +458,8 @@ class TestFitSummary:
 
 
     def test_chain_counters_in_summary_only(self, fitted):
-        summary = json.load(open(fitted["fit"] + "/summary.json"))
-        fit = json.load(open(fitted["fit"] + "/fit.json"))
+        summary = _json(fitted["fit"] + "/summary.json")
+        fit = _json(fitted["fit"] + "/fit.json")
         chains = summary["chains"]
         assert len(chains) == summary["sampler"]["chains"]
         for c in chains:
@@ -473,7 +480,7 @@ class TestThreads:
         monkeypatch.setenv("QAFT_THREADS", "1")
         assert main(["fit", "--data", fitted["data"], "--config",
                      fitted["cfg"], "--out", f2, "--seed", "3"]) == 0
-        assert open(f1 + "/draws.csv").read() == open(f2 + "/draws.csv").read()
+        assert _read(f1 + "/draws.csv") == _read(f2 + "/draws.csv")
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_exit_2(self, fitted, tmp_path, monkeypatch,
@@ -519,7 +526,7 @@ class TestTimeVaryingPipeline:
         })
         data = str(tmp_path / "tv.csv")
         assert main(["simulate", "--config", cfg, "--out", data]) == 0
-        assert "tx_time" in open(data).readline().strip().split(",")
+        assert "tx_time" in _read(data).splitlines()[0].split(",")
         fit_dir = str(tmp_path / "tvfit")
         assert main(["fit", "--data", data, "--config", cfg,
                      "--out", fit_dir]) == 0
@@ -572,7 +579,7 @@ class TestRoundTripBudget:
         fit_dir = str(tmp_path / "f")
         assert main(["fit", "--data", data, "--config", cfg,
                      "--out", fit_dir]) == 0
-        summary = json.load(open(fit_dir + "/summary.json"))
+        summary = _json(fit_dir + "/summary.json")
         assert all(math.isfinite(v["median"])
                    for v in summary["params"].values())
         assert time.time() - start < 300.0
@@ -600,7 +607,7 @@ class TestCalibrationSmoke:
             fit_dir = str(tmp_path / f"f{rep}")
             assert main(["fit", "--data", data, "--config", fit_cfg,
                          "--out", fit_dir]) == 0
-            params = json.load(open(fit_dir + "/summary.json"))["params"]
+            params = _json(fit_dir + "/summary.json")["params"]
             cover = sum(
                 params[f"alpha_{j}"]["lo95"] <= 0.0 <= params[f"alpha_{j}"]["hi95"]
                 for j in range(1, 5))

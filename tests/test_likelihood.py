@@ -253,6 +253,16 @@ class TestValidation:
             log_prior(model, ParameterVector(np.zeros(3), np.array([]), 0, 1),
                       PRIORS)
 
+    def test_one_simplex_rule(self):
+        # within 1e-10 of the simplex but not within the 1e-12 of TBPWeights
+        model = make_model(family="tbp", K=3)
+        psi = ParameterVector(np.zeros(2), np.array([]), 0.0, 1.0,
+                              np.array([0.3, 0.3, 0.4 + 5e-11]), 1.0)
+        data = Dataset.from_records([rec(1.0, 1.0, 1, x=(0.0, 0.0))],
+                                    ("x1", "x2"))
+        with pytest.raises(DomainError, match="sum to 1"):
+            pointwise_loglik_vector(model, psi, data)
+
     def test_tbp_needs_weights(self):
         model = make_model(family="tbp", K=3)
         with pytest.raises(DomainError):
@@ -415,6 +425,39 @@ class TestGridRejectionMatchesChecks:
             assert (logp == -math.inf) == (not ok), alpha
             seen.add(ok)
         assert seen == {True, False}
+
+
+class TestExactRowSlopeRejection:
+    """An exact event where V is not increasing rejects through its log v,
+    even where the monotonicity grid passes. Piecewise switch effect on
+    knots (0, 1, 2): past the switch, 1 - s a'(s) = 1 - alpha_1 / s on
+    s in [1, 2), negative below s = alpha_1 = 1.02887. The grid (follow-up
+    4.0) has no point in [1, 1.02887): its first point at or above 1 is
+    1.0577. The event at s = 1 + 1e-9 lies in that gap."""
+
+    MODEL = make_model(effect_kind="piecewise", knots=(0.0, 1.0, 2.0),
+                       time_varying=True)
+    ALPHA = np.array([1.02887, 0.0])
+    DATA = Dataset.from_records(
+        [SubjectRecord(1.5 + 1e-9, 1.5 + 1e-9, 1, 0.0, (1.0, 0.0), 0.5),
+         SubjectRecord(2.0, math.inf, 0, 0.0, (0.0, 1.0), 0.5),
+         SubjectRecord(4.0, math.inf, 0, 0.0, (1.0, -1.0), math.inf)],
+        ("x1", "x2"))
+
+    def test_grid_passes(self):
+        grid = np.geomspace(4.0 * 1.5e-6, 1.5 * 4.0, 200)  # as in Prepared
+        assert max_followup(self.DATA) == 4.0
+        assert grid[grid >= 1.0][0] == pytest.approx(1.0577, abs=1e-4)
+        assert tv_monotonicity_check(0.0, self.ALPHA, self.MODEL.effect, grid)
+
+    def test_posterior_and_pointwise_reject(self):
+        z = np.zeros(self.MODEL.n_unconstrained)
+        z[3:5] = self.ALPHA
+        assert log_posterior_unconstrained(self.MODEL, z, self.DATA,
+                                           PRIORS) == -math.inf
+        psi = ParameterVector(np.zeros(3), self.ALPHA, 0.0, 1.0)
+        ll = pointwise_loglik_vector(self.MODEL, psi, self.DATA)
+        assert ll[0] == -math.inf and np.all(np.isfinite(ll[1:]))
 
 
 class TestSaturatedSticks:
