@@ -52,7 +52,10 @@ constant switch effect), the shared root-finder `roots.increasing_root`
 for the spline and flexible switch effects, with each row's exposure
 value passed to it beside its target.
 Monotonicity: `is_monotone`, the condition 1 - x1 * g'(log t) > 0 (or
-1 - s a'(s) > 0 after a switch) on a slope basis from `slope_basis`.
+1 - s a'(s) > 0 after a switch) for every t, checked exactly at the
+slope's extremes, which depend only on the effect, alpha and the range of
+x1. The likelihood samples a piecewise switch effect as zeta = log(1 - D
+alpha), so that it is monotone by construction.
 `ModelSpec.predictor` turns a model's beta and covariates into those
 arguments. All functions are pure and accept scalar or ndarray times.
 """
@@ -84,7 +87,6 @@ __all__ = [
     "monotonicity_check",
     "tv_monotonicity_check",
     "spline_basis",
-    "spline_basis_deriv",
 ]
 
 EFFECT_KINDS = ("constant", "piecewise", "spline")
@@ -130,6 +132,18 @@ class EffectSpec:
     def knot_array(self) -> np.ndarray:
         return np.asarray(self.knots, dtype=float)
 
+    @cached_property
+    def knot_rows(self):
+        """The constant rows of the exact monotonicity rule (see
+        `is_monotone`): for a spline, g' and g'' per alpha at the knots;
+        for a piecewise effect, the unit lower-triangular D of its rule
+        after a switch, with D^{-1}."""
+        knots = self.knot_array()
+        if self.kind == "spline":
+            return spline_basis(knots, knots, 1), spline_basis(knots, knots, 2)
+        D = slope_basis(self, knots[1:])
+        return D, np.linalg.inv(D)
+
 
 @dataclass(frozen=True)
 class TimeVaryingCovariate:
@@ -166,8 +180,9 @@ def _pattern(spec: EffectSpec, beta, x, x1_index: int):
 
 # -- natural cubic spline basis -------------------------------------------
 
-def spline_basis(knots, u):
-    """Natural cubic spline basis on knots k_1 < ... < k_m, evaluated at u.
+def spline_basis(knots, u, order: int = 0):
+    """Natural cubic spline basis on knots k_1 < ... < k_m, evaluated at u,
+    or its derivative of the given order (1 or 2) in u.
 
     Column 0 is the identity; column i is the restricted cubic for
     internal knot k_{i+1},
@@ -179,34 +194,20 @@ def spline_basis(knots, u):
     """
     knots = np.asarray(knots, dtype=float)
     u = np.asarray(u, dtype=float)
-    cols = [u]
+    cols = [u if order == 0 else np.full(u.shape, float(order == 1))]
     k1, km = knots[0], knots[-1]
+    p = 3 - order
     for k in knots[1:-1]:
         lam = (km - k) / (km - k1)
-        cols.append(_pcub(u, k) - lam * _pcub(u, k1) - (1 - lam) * _pcub(u, km))
+        col = _ppow(u, k, p) - lam * _ppow(u, k1, p) - (1 - lam) * _ppow(u, km, p)
+        cols.append(3.0 * order * col if order else col)
     return np.stack(cols, axis=-1)
 
 
-def spline_basis_deriv(knots, u):
-    """Derivative of `spline_basis` with respect to u, same shape."""
-    knots = np.asarray(knots, dtype=float)
-    u = np.asarray(u, dtype=float)
-    cols = [np.ones_like(u)]
-    k1, km = knots[0], knots[-1]
-    for k in knots[1:-1]:
-        lam = (km - k) / (km - k1)
-        cols.append(3 * (_psq(u, k) - lam * _psq(u, k1) - (1 - lam) * _psq(u, km)))
-    return np.stack(cols, axis=-1)
-
-
-def _pcub(u, k):
+def _ppow(u, k, p):
+    """(u - k)_+ to the power p = 1, 2 or 3, as a product of its factors."""
     d = np.maximum(u - k, 0.0)
-    return d * d * d
-
-
-def _psq(u, k):
-    d = np.maximum(u - k, 0.0)
-    return d * d
+    return d * d * d if p == 3 else d * d if p == 2 else d
 
 
 # -- piecewise pieces ------------------------------------------------------
@@ -241,19 +242,15 @@ def tv_basis(effect: EffectSpec, s):
     return spline_basis(effect.knot_array(), np.log(s))
 
 
-def slope_basis(effect: EffectSpec, grid, time_varying: bool = False):
-    """The basis D of the monotonicity rule (see `is_monotone`) on a grid
-    of times, or of times since the switch for a switch effect: g'(log t)
-    per alpha for a spline effect, s a'(s) for a switch effect, shape
-    grid.shape + (J,). None for the kinds that are increasing for every
-    finite alpha (constant; piecewise without a switch)."""
+def slope_basis(effect: EffectSpec, grid):
+    """The slope of the monotonicity rule (see `is_monotone`) per alpha at
+    times t > 0 (times since the switch for a switch effect): g'(log t)
+    for a spline effect, s a'(s) for a piecewise switch effect, shape
+    grid.shape + (J,)."""
     grid = np.asarray(grid, dtype=float)
-    kind = effect.kind
-    if kind == "constant" or (kind == "piecewise" and not time_varying):
-        return None
     knots = effect.knot_array()
-    if kind == "spline":  # d/dlog t of B(log t), with or without a switch
-        return spline_basis_deriv(knots, np.log(grid))
+    if effect.kind == "spline":  # d/dlog t of B(log t)
+        return spline_basis(knots, np.log(grid), 1)
     active = piecewise_segment(knots, grid)[..., None] == np.arange(1, len(knots))
     return active.astype(float) - tv_basis(effect, grid)
 
@@ -319,7 +316,7 @@ class TimeBasis:
         if not self.effect.J:  # constant: as B, no columns
             return _lead(self.B, k)
         return np.where(_lead(self.post, k)[..., None],
-                        slope_basis(self.effect, _lead(self.s, k), self.tv), 0.0)
+                        slope_basis(self.effect, _lead(self.s, k)), 0.0)
 
     @cached_property
     def fixed_dlogv(self):
@@ -543,36 +540,42 @@ def tv_v_inverse(beta1: float, beta2_term: float, alpha,
 
 # -- monotonicity ----------------------------------------------------------
 
-def is_monotone(slopes, alpha: np.ndarray, x1=1.0) -> bool:
-    """The one monotonicity rule: V is increasing on the grid of `slopes`
-    (from `slope_basis`) iff alpha is finite and 1 - x1 * (slopes @ alpha)
-    > 0 at every grid point for each exposure value in x1 (a switch acts
-    as x1 = 1)."""
+def is_monotone(effect: EffectSpec, alpha: np.ndarray, x1=1.0,
+                switch: bool = False) -> bool:
+    """The one monotonicity rule: V(t) is increasing on t > 0 iff alpha is
+    finite and 1 - x1 g'(log t) > 0 (1 - s a'(s) > 0 after a `switch`,
+    where x1 = 1) at the extremes of the slope, for each exposure value in
+    x1. A spline's g' is constant beyond the boundary knots and quadratic
+    between them, so its extremes are its values at the knots and at the
+    vertex of each piece where g'' changes sign. After a switch, s a'(s) on
+    segment k is (alpha_k tau_k - sum_{j<k} alpha_j L_j) / s, largest at
+    the left knot: D alpha < 1 with D from `EffectSpec.knot_rows`. Other
+    kinds are increasing for every finite alpha."""
     if not np.isfinite(alpha).all():
         return False
-    if slopes is None:
+    if effect.kind == "spline":
+        g, c = (rows @ alpha for rows in effect.knot_rows)  # g', g'' at knots
+        turn = c[:-1] * c[1:] < 0.0
+        a, b, h = c[:-1][turn], c[1:][turn], np.diff(effect.knot_array())[turn]
+        g = np.append(g, g[:-1][turn] + 0.5 * h * a * (a / (a - b)))
+    elif effect.kind == "piecewise" and switch:
+        g = effect.knot_rows[0] @ alpha
+    else:
         return True
-    g = slopes @ alpha
-    g = np.multiply.outer(x1, g) if isinstance(x1, np.ndarray) else x1 * g
-    return bool((1.0 - g > 0.0).all())
+    return bool((1.0 - np.multiply.outer(x1, g) > 0.0).all())
 
 
-def monotonicity_check(spec: EffectSpec, beta, alpha, x, grid,
+def monotonicity_check(spec: EffectSpec, beta, alpha, x,
                        x1_index: int = 0) -> bool:
-    """True iff v(t|x) > 0 at every grid point, for every row of x."""
-    alpha = _check_alpha(spec, alpha)
-    slopes = slope_basis(spec, grid)
-    x1 = (1.0 if slopes is None
-          else np.atleast_2d(np.asarray(x, dtype=float))[:, x1_index])
-    return is_monotone(slopes, alpha, x1)
+    """True iff V(t|x) is increasing in t > 0 for every row of x."""
+    x1 = [_pattern(spec, beta, row, x1_index)[1] for row in np.atleast_2d(x)]
+    return is_monotone(spec, _check_alpha(spec, alpha), np.array(x1))
 
 
-def tv_monotonicity_check(beta1: float, alpha, effect: EffectSpec | None,
-                          s_grid) -> bool:
+def tv_monotonicity_check(beta1: float, alpha,
+                          effect: EffectSpec | None) -> bool:
     """True iff the post-switch transform u * exp(-b1 - a(u)) is increasing
-    at every point of the time-since-switch grid."""
+    in u > 0."""
     effect = effect or EffectSpec("constant")
-    if effect.kind == "constant":
-        return np.isfinite(beta1)
-    return is_monotone(slope_basis(effect, s_grid, True),
-                       _check_alpha(effect, alpha))
+    return bool(np.isfinite(beta1)) and is_monotone(
+        effect, _check_alpha(effect, alpha), switch=True)

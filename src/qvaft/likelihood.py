@@ -32,20 +32,24 @@ The sampler works on an unconstrained vector z laid out as
 
 with the standard logistic stick-breaking transform (offset log(K - k) at
 stick k so the origin maps to uniform weights) and its log-Jacobian added
-to the posterior. One pass, `_constrain_pass`, maps z to the constrained
-parameters, the log-Jacobian and the stick values; `constrain`,
-`log_jacobian` and the posterior all call it. Gradients are assembled
-analytically by the chain rule through the time transform, the baseline,
-and the transforms; every component is pinned against central finite
-differences in the test suite.
+to the posterior. For a piecewise effect after a switch the alpha block
+is zeta = log(1 - D alpha), with D from `covproc.is_monotone`, so every
+finite zeta gives an increasing V: alpha = D^{-1}(1 - exp(zeta)), the
+log-Jacobian is sum zeta, and the prior stays flat on alpha. One pass,
+`_constrain_pass`, maps z to the constrained parameters, the log-Jacobian
+and the stick values; `constrain`, `log_jacobian` and the posterior all
+call it. Gradients are assembled analytically by the chain rule through
+the time transform, the baseline, and the transforms; every component is
+pinned against central finite differences in the test suite.
 
 Per-subject log-likelihood contributions are computed in log space
 throughout; a contribution that falls below -745 (where a double
 underflows) is declared -inf, which the sampler treats as a rejection.
-Flexible transforms that `covproc.is_monotone` finds non-increasing on a
-grid spanning the follow-up, and proposals whose constrained values
-overflow or underflow (where `constrain` raises a DomainError naming the
-coordinate), are likewise rejected by returning -inf.
+Spline transforms that `covproc.is_monotone` finds non-increasing
+anywhere on t > 0 (no other effect can be, at a finite z), and proposals
+whose constrained values overflow or underflow (where `constrain` raises a
+DomainError naming the coordinate), are likewise rejected by returning
+-inf.
 
 The stick transform (log-sigmoids from `np.logaddexp`, its inverse from
 suffix sums of w) and the Dirichlet normaliser (`math.lgamma`, inf where it
@@ -61,8 +65,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baseline as bl
-from .covproc import TimeBasis, is_monotone, slope_basis, transform
-from .data import Dataset, as_dataset, max_followup
+from .covproc import TimeBasis, is_monotone, transform
+from .data import Dataset, as_dataset
 from .errors import DomainError, NumericalError
 from .model import ModelSpec
 
@@ -176,9 +180,24 @@ def _stick_inverse(w: np.ndarray) -> np.ndarray:
         return np.log(w[:-1]) - np.log(suffix[1:]) + offsets
 
 
+def _zeta_rows(model: ModelSpec):
+    """(D, D^{-1}) of a piecewise switch effect, whose alpha block of z is
+    zeta = log(1 - D alpha); None for every other effect."""
+    if model.time_varying and model.effect.kind == "piecewise":
+        return model.effect.knot_rows
+    return None
+
+
 def unconstrain(model: ModelSpec, psi: ParameterVector) -> np.ndarray:
     check_psi(model, psi)
-    parts = [psi.beta, psi.alpha, [psi.mu], [math.log(psi.sigma)]]
+    alpha, rows = psi.alpha, _zeta_rows(model)
+    if rows is not None:
+        d = rows[0] @ alpha
+        if not np.all(d < 1.0):
+            raise DomainError(f"alpha = {alpha} is outside the monotone set "
+                              f"D alpha < 1 (D alpha = {d})")
+        alpha = np.log1p(-d)
+    parts = [psi.beta, alpha, [psi.mu], [math.log(psi.sigma)]]
     if model.baseline.is_tbp:
         parts += [_stick_inverse(psi.w), [math.log(psi.theta)]]
     return np.concatenate([np.asarray(p, dtype=float) for p in parts])
@@ -197,9 +216,10 @@ def _positive(name: str, v) -> float:
 
 def _constrain_pass(model: ModelSpec, z: np.ndarray):
     """The constraining transform in one pass: (beta, alpha, mu, sigma, w,
-    theta, log-Jacobian, stick values z_k), with beta and alpha views of z
-    and w, theta and z_k None for a non-tbp baseline. A constrained value
-    that cannot be represented (sigma or theta overflowing or
+    theta, log-Jacobian, stick values z_k), with beta a view of z, alpha
+    too unless it is D^{-1}(1 - exp(zeta)) (see `_zeta_rows`), and w,
+    theta and z_k None for a non-tbp baseline. A constrained value that
+    cannot be represented (alpha, sigma or theta overflowing or
     underflowing, a weight below 1e-300) raises a DomainError naming its
     coordinate; the caller silences the overflow warnings."""
     nb, J = model.n_beta, model.J
@@ -208,6 +228,12 @@ def _constrain_pass(model: ModelSpec, z: np.ndarray):
                           f"({model.n_unconstrained},)")
     logsigma = z[nb + J + 1]
     logjac = float(logsigma)
+    alpha, rows = z[nb:nb + J], _zeta_rows(model)
+    if rows is not None:  # |d alpha / d zeta| = prod exp(zeta), as det D = 1
+        logjac += sum(alpha.tolist())
+        alpha = rows[1] @ -np.expm1(alpha)
+        if not math.isfinite(alpha.sum()):
+            raise DomainError(f"zeta = {z[nb:nb + J]} overflows alpha")
     w = theta = zk = None
     if model.baseline.is_tbp:
         K = model.K
@@ -222,8 +248,7 @@ def _constrain_pass(model: ModelSpec, z: np.ndarray):
     sigma = _positive("log sigma", logsigma)
     if w is not None:
         theta = _positive("log theta", logtheta)
-    return (z[:nb], z[nb:nb + J], float(z[nb + J]), sigma, w, theta, logjac,
-            zk)
+    return z[:nb], alpha, float(z[nb + J]), sigma, w, theta, logjac, zk
 
 
 def constrain(model: ModelSpec, z: np.ndarray) -> ParameterVector:
@@ -316,11 +341,8 @@ class Prepared:
         onset = data.onset[rows] if model.time_varying else None
         self.basis = TimeBasis(model.effect, t, onset, self.x1, n_slope=ne)
 
-        # Monotonicity-rejection grid: its slope basis and the extreme
-        # exposure values (the rule is linear in x1; a switch acts as 1).
-        tmax = max(max_followup(data), 1e-8)
-        grid = np.geomspace(tmax * 1.5e-6, 1.5 * tmax, 200)
-        self.slopes = slope_basis(model.effect, grid, model.time_varying)
+        # the extreme exposure values of the monotonicity rule, which is
+        # linear in x1 (a switch acts as 1)
         self.x1_range = (1.0 if model.time_varying else
                          np.array([np.min(self.x1, initial=0.0),
                                    np.max(self.x1, initial=0.0)]))
@@ -489,9 +511,9 @@ def _posterior_impl(model, z, prep, priors, want_grad: bool):
     """(log posterior, gradient) at z; (-inf, None) rejects a proposal that
     has no finite posterior or cannot be represented (an overflowing scale,
     an underflowing weight), and (value, None) flags a non-finite gradient.
-    The parameters are read off z as views, with no `ParameterVector`."""
+    The parameters come from `_constrain_pass`, with no `ParameterVector`."""
     z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         return -math.inf, None
     with np.errstate(all="ignore"):
         try:
@@ -499,12 +521,14 @@ def _posterior_impl(model, z, prep, priors, want_grad: bool):
                 model, z)
         except DomainError:
             return -math.inf, None
-        if not is_monotone(prep.slopes, alpha, prep.x1_range):
+        # only a spline effect can decrease at a finite alpha from z
+        if model.effect.kind == "spline" and not is_monotone(
+                model.effect, alpha, prep.x1_range, model.time_varying):
             return -math.inf, None
         ll, grad = _pointwise_impl(model, prep, beta, alpha, mu, sigma, w,
                                    want_grad)
     # a contribution below LOG_FLOOR or NaN rejects here, +inf by the total
-    if not np.min(ll, initial=math.inf) >= LOG_FLOOR:
+    if not ll.min(initial=math.inf) >= LOG_FLOOR:
         return -math.inf, None
 
     total = float(ll.sum()) + _log_prior(model, sigma, w, theta, priors) + logjac
@@ -517,7 +541,9 @@ def _posterior_impl(model, z, prep, priors, want_grad: bool):
     gz = np.zeros_like(z)
     nb, J = model.n_beta, model.J
     gz[:nb] = g_beta
-    gz[nb:nb + J] = g_alpha
+    rows = _zeta_rows(model)
+    gz[nb:nb + J] = (g_alpha if rows is None
+                     else 1.0 - np.exp(z[nb:nb + J]) * (g_alpha @ rows[1]))
     gz[nb + J] = g_mu
     # d/dlog sigma: chain through likelihood, Gamma prior, and Jacobian
     gz[nb + J + 1] = (g_ls + (priors.a_sigma - 1.0) - priors.b_sigma * sigma

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from qvaft.covproc import (
     EffectSpec,
     TimeVaryingCovariate,
+    is_monotone,
     monotonicity_check,
+    slope_basis,
     transform_inverse,
     transform_value,
     spline_basis,
-    spline_basis_deriv,
     tv_monotonicity_check,
     tv_v_inverse,
     tv_v_value,
@@ -114,12 +115,15 @@ class TestSpline:
             assert np.abs(np.diff(b, n=2, axis=0)).max() < 1e-9
 
     def test_basis_derivative_finite_difference(self):
-        u = np.linspace(-2.5, 2.5, 41)
         h = 1e-6
-        fd = (spline_basis(self.SPEC.knot_array(), u + h)
-              - spline_basis(self.SPEC.knot_array(), u - h)) / (2 * h)
-        an = spline_basis_deriv(self.SPEC.knot_array(), u)
-        assert np.abs(fd - an).max() < 1e-8
+        # order 2 off the knots, where the second derivative has a kink
+        for order, u in ((1, np.linspace(-2.5, 2.5, 41)),
+                         (2, np.linspace(-2.5, 2.5, 41) + 0.01)):
+            fd = (spline_basis(self.SPEC.knot_array(), u + h, order - 1)
+                  - spline_basis(self.SPEC.knot_array(), u - h, order - 1)
+                  ) / (2 * h)
+            an = spline_basis(self.SPEC.knot_array(), u, order)
+            assert np.abs(fd - an).max() < 1e-8
 
     def test_deriv_matches_finite_difference(self):
         rng = np.random.default_rng(3)
@@ -144,13 +148,12 @@ class TestSpline:
                 t, rel=1e-9)
 
     def test_monotonicity_check_flags_bad_alpha(self):
-        grid = np.geomspace(0.01, 10.0, 200)
         good = np.array([0.2, 0.1, -0.1])
         bad = np.array([5.0, 0.0, 0.0])  # slope of g exceeds 1 in log-time
-        assert monotonicity_check(self.SPEC, [0.0], good, [[1.0]], grid)
-        assert not monotonicity_check(self.SPEC, [0.0], bad, [[1.0]], grid)
+        assert monotonicity_check(self.SPEC, [0.0], good, [[1.0]])
+        assert not monotonicity_check(self.SPEC, [0.0], bad, [[1.0]])
         # the unexposed pattern is unaffected
-        assert monotonicity_check(self.SPEC, [0.0], bad, [[0.0]], grid)
+        assert monotonicity_check(self.SPEC, [0.0], bad, [[0.0]])
 
 
 class TestReduction:
@@ -207,8 +210,7 @@ class TestTimeVarying:
                 b1 = rng.normal(scale=0.5)
                 b2 = rng.normal(scale=0.3)
                 al = rng.normal(scale=0.25, size=2)
-                if not tv_monotonicity_check(b1, al, eff,
-                                             np.geomspace(1e-4, 50, 200)):
+                if not tv_monotonicity_check(b1, al, eff):
                     continue
                 t = rng.uniform(0.2, 20.0)
                 s = tv_v_value(b1, b2, al, self.TV4, eff, t)
@@ -268,6 +270,15 @@ class TestValidation:
         with pytest.raises(DomainError):
             TimeVaryingCovariate(0.0)
 
+    def test_monotonicity_checks_validate_and_return_bool(self):
+        # two alphas for a constant effect; beta of length 3 for one column
+        with pytest.raises(DomainError, match="alpha has length 2"):
+            tv_monotonicity_check(0.3, [1.0, 2.0], None)
+        with pytest.raises(DomainError, match="beta shape"):
+            monotonicity_check(PW_EXAMPLE, [0.1, 0.2, 0.3], [0.1], [[1.0]])
+        assert tv_monotonicity_check(0.3, [], None) is True
+        assert monotonicity_check(PW_EXAMPLE, [0.1], [0.1], [[1.0]]) is True
+
 
 class TestPerRowArguments:
     """`transform_inverse` takes one (eta, x1, onset) per row, as
@@ -313,3 +324,52 @@ class TestPerRowArguments:
         np.testing.assert_array_equal(
             many_targets, [transform_inverse(effect, alpha, si, 0.3, 0.5)
                            for si in s])
+
+
+class TestExactMonotonicityRule:
+    """`is_monotone` agrees with the slope on a dense grid that holds the
+    knots and, for a spline, the vertex of each piece where g'' changes
+    sign, with knots far beyond any follow-up and exposure values of both
+    signs."""
+
+    def test_spline_against_dense_grid(self):
+        rng = np.random.default_rng(160)
+        disagree = 0
+        for _ in range(1000):
+            knots = np.sort(rng.uniform(-3.0, 3.5, size=rng.integers(2, 6)))
+            spec = EffectSpec("spline", knots)
+            alpha = rng.normal(scale=0.6, size=spec.J)
+            x = rng.normal(scale=1.5, size=(3, 1))
+            c = spline_basis(knots, knots, 2) @ alpha
+            turn = c[:-1] * c[1:] < 0
+            vertex = (knots[:-1] + np.diff(knots) * c[:-1]
+                      / np.where(turn, c[:-1] - c[1:], 1.0))[turn]
+            u = np.concatenate([np.linspace(knots[0] - 1, knots[-1] + 1,
+                                            20000), knots, vertex])
+            slope = spline_basis(knots, u, 1) @ alpha
+            dense = bool(np.all(1.0 - np.multiply.outer(x[:, 0], slope) > 0))
+            disagree += monotonicity_check(spec, [0.0], alpha, x) != dense
+        assert disagree == 0
+
+    def test_piecewise_switch_against_dense_grid(self):
+        rng = np.random.default_rng(161)
+        disagree = 0
+        for _ in range(1000):
+            J = int(rng.integers(1, 5))
+            knots = np.append(0.0, np.cumsum(rng.uniform(0.1, 8.0, size=J)))
+            spec = EffectSpec("piecewise", knots)
+            alpha = rng.normal(scale=0.8, size=J)
+            s = np.concatenate([np.geomspace(1e-3, 2 * knots[-1], 20000),
+                                knots[1:]])
+            dense = bool(np.all(1.0 - slope_basis(spec, s) @ alpha > 0))
+            disagree += tv_monotonicity_check(0.0, alpha, spec) != dense
+        assert disagree == 0
+
+    def test_vertices_only_where_the_curvature_changes_sign(self):
+        # the linear term alone: g'' = 0 everywhere, so no piece has a
+        # vertex (a 0/0 would raise under the errors-as-failures setting)
+        spec = EffectSpec("spline", (-1.0, 0.0, 1.0, 2.0))
+        with np.errstate(all="raise"):
+            assert is_monotone(spec, np.array([0.9, 0.0, 0.0]))
+            assert not is_monotone(spec, np.array([1.1, 0.0, 0.0]))
+            assert is_monotone(spec, np.array([1.1, 0.0, 0.0]), -1.0)

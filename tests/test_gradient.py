@@ -94,6 +94,27 @@ def test_gradient_continuous_exposure(family, centering, K, kind, knots, rng):
     assert_grad_matches(model, data, rng, tries=40)
 
 
+@pytest.mark.parametrize("zeta", [-20.0, 3.0])
+def test_gradient_zeta_map(zeta, rng):
+    """The alpha block of a piecewise switch effect is zeta = log(1 - D
+    alpha): every zeta near the wall (1 - D alpha = 2e-9 at each segment's
+    left knot) and far from it (alpha below -19, where a small sigma keeps
+    the contributions finite)."""
+    model = make_model("weibull", "piecewise", (0.0, 0.7, 2.0),
+                       time_varying=True)
+    data = random_dataset(rng, 25, 2, time_varying=True)
+    prep = prepare(model, data)
+    nb, J = model.n_beta, model.J
+    for _ in range(2):
+        z = rng.normal(scale=0.3, size=model.n_unconstrained)
+        z[nb:nb + J] = zeta
+        z[nb + J + 1] = -3.0  # log sigma
+        an = grad_log_posterior(model, z, prep, PRIORS)
+        fd = fd_gradient(model, z, prep, PRIORS)
+        rel = np.abs(fd - an) / np.maximum(1.0, np.abs(an))
+        assert rel.max() < 1e-5, f"max rel err {rel.max():.2e}"
+
+
 def _no_exact(rng, n, d, **kw):
     data = random_dataset(rng, n, d, **kw)
     return data.subset(np.where(~data.event)[0])

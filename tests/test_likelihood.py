@@ -392,10 +392,38 @@ def test_constrain_raises_where_posterior_rejects(coord, value, rng):
 
 
 class TestGridRejectionMatchesChecks:
-    """The likelihood rejects alpha on its monotonicity grid exactly where
-    `monotonicity_check` / `tv_monotonicity_check` fail on that grid. All
-    records are right-censored, so no exact-event slope rejects on its own,
-    and mu and sigma are large enough that no contribution underflows."""
+    """The posterior rejects a spline alpha exactly where
+    `monotonicity_check` / `tv_monotonicity_check` fail, and every zeta of
+    a piecewise switch effect gives an alpha the check accepts. All
+    records are right-censored, so no exact-event slope rejects on its
+    own, and mu and sigma are large enough that no contribution
+    underflows."""
+
+    @staticmethod
+    def _data(rng, tv, x1):
+        recs = [SubjectRecord(float(t), math.inf, 0, 0.0,
+                              (x1(), float(rng.normal())),
+                              float(rng.uniform(0.2, 3.0)) if tv else math.inf)
+                for t in rng.uniform(0.5, 3.0, size=30)]
+        return Dataset.from_records(recs, ("x1", "x2"))
+
+    def _agree(self, model, data, rng):
+        nb, J = model.n_beta, model.J
+        seen = set()
+        for _ in range(60):
+            z = np.zeros(model.n_unconstrained)
+            z[nb:nb + J] = rng.normal(scale=0.8, size=J)
+            z[nb + J:] = 3.0, -1.0  # mu, log sigma
+            alpha = constrain(model, z).alpha
+            if model.time_varying:
+                ok = tv_monotonicity_check(0.0, alpha, model.effect)
+            else:
+                ok = monotonicity_check(model.effect, z[:nb], alpha, data.x,
+                                        model.exposure_index)
+            logp = log_posterior_unconstrained(model, z, data, PRIORS)
+            assert (logp == -math.inf) == (not ok), alpha
+            seen.add(ok)
+        return seen
 
     @pytest.mark.parametrize("kind,knots,tv", [
         ("spline", (-1.5, 0.0, 1.0), False),
@@ -403,37 +431,35 @@ class TestGridRejectionMatchesChecks:
         ("piecewise", (0.0, 1.0, 2.0), True)])
     def test_random_alphas(self, kind, knots, tv, rng):
         model = make_model(effect_kind=kind, knots=knots, time_varying=tv)
-        recs = [SubjectRecord(float(t), math.inf, 0, 0.0,
-                              (float(rng.integers(0, 2)), float(rng.normal())),
-                              float(rng.uniform(0.2, 3.0)) if tv else math.inf)
-                for t in rng.uniform(0.5, 3.0, size=30)]
-        data = Dataset.from_records(recs, ("x1", "x2"))
-        tmax = max_followup(data)
-        grid = np.geomspace(tmax * 1.5e-6, 1.5 * tmax, 200)  # as in Prepared
-        nb, J = model.n_beta, model.J
-        seen = set()
-        for _ in range(60):
-            z = np.zeros(model.n_unconstrained)
-            z[nb:nb + J] = alpha = rng.normal(scale=0.8, size=J)
-            z[nb + J:] = 3.0, -1.0  # mu, log sigma
-            if tv:
-                ok = tv_monotonicity_check(0.0, alpha, model.effect, grid)
-            else:
-                ok = monotonicity_check(model.effect, z[:nb], alpha, data.x,
-                                        grid)
-            logp = log_posterior_unconstrained(model, z, data, PRIORS)
-            assert (logp == -math.inf) == (not ok), alpha
-            seen.add(ok)
-        assert seen == {True, False}
+        data = self._data(rng, tv, lambda: float(rng.integers(0, 2)))
+        if kind == "spline":
+            assert self._agree(model, data, rng) == {True, False}
+            return
+        assert self._agree(model, data, rng) == {True}
+        z = np.zeros(model.n_unconstrained)
+        # zeta from near the wall (1 - D alpha = 1e-13) to far from it
+        for zeta in rng.uniform(-30.0, 8.0, size=(200, model.J)):
+            z[model.n_beta:model.n_beta + model.J] = zeta
+            assert tv_monotonicity_check(0.0, constrain(model, z).alpha,
+                                         model.effect)
+
+    def test_knots_beyond_followup_and_exposure_of_both_signs(self, rng):
+        # the top knot e^3.1 lies beyond 1.5 times the follow-up of 3
+        model = make_model(effect_kind="spline", knots=(-1.5, 0.0, 3.1),
+                           exposure="x2")
+        data = self._data(rng, False, lambda: 0.0)
+        assert max_followup(data) < 3.0 and np.ptp(np.sign(data.x[:, 1])) == 2
+        assert self._agree(model, data, rng) == {True, False}
 
 
 class TestExactRowSlopeRejection:
-    """An exact event where V is not increasing rejects through its log v,
-    even where the monotonicity grid passes. Piecewise switch effect on
-    knots (0, 1, 2): past the switch, 1 - s a'(s) = 1 - alpha_1 / s on
-    s in [1, 2), negative below s = alpha_1 = 1.02887. The grid (follow-up
-    4.0) has no point in [1, 1.02887): its first point at or above 1 is
-    1.0577. The event at s = 1 + 1e-9 lies in that gap."""
+    """Piecewise switch effect on knots (0, 1, 2): past the switch,
+    1 - s a'(s) = 1 - alpha_1 / s on s in [1, 2), negative below s =
+    alpha_1 = 1.02887. A 200-point grid over the follow-up of 4.0 had no
+    point in [1, 1.02887), so it passed this alpha; the exact rule fails it,
+    and the posterior, which samples zeta = log(1 - D alpha), has no point
+    for it. An exact event at s = 1 + 1e-9 still rejects through its log
+    v."""
 
     MODEL = make_model(effect_kind="piecewise", knots=(0.0, 1.0, 2.0),
                        time_varying=True)
@@ -444,18 +470,14 @@ class TestExactRowSlopeRejection:
          SubjectRecord(4.0, math.inf, 0, 0.0, (1.0, -1.0), math.inf)],
         ("x1", "x2"))
 
-    def test_grid_passes(self):
-        grid = np.geomspace(4.0 * 1.5e-6, 1.5 * 4.0, 200)  # as in Prepared
-        assert max_followup(self.DATA) == 4.0
-        assert grid[grid >= 1.0][0] == pytest.approx(1.0577, abs=1e-4)
-        assert tv_monotonicity_check(0.0, self.ALPHA, self.MODEL.effect, grid)
+    def test_exact_rule_fails(self):
+        assert not tv_monotonicity_check(0.0, self.ALPHA, self.MODEL.effect)
+        assert tv_monotonicity_check(0.0, [0.999, 0.0], self.MODEL.effect)
 
     def test_posterior_and_pointwise_reject(self):
-        z = np.zeros(self.MODEL.n_unconstrained)
-        z[3:5] = self.ALPHA
-        assert log_posterior_unconstrained(self.MODEL, z, self.DATA,
-                                           PRIORS) == -math.inf
         psi = ParameterVector(np.zeros(3), self.ALPHA, 0.0, 1.0)
+        with pytest.raises(DomainError, match="alpha"):
+            unconstrain(self.MODEL, psi)
         ll = pointwise_loglik_vector(self.MODEL, psi, self.DATA)
         assert ll[0] == -math.inf and np.all(np.isfinite(ll[1:]))
 
