@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,6 +180,32 @@ def _stack(head: BaselineTerms | None, tail: BaselineTerms | None):
         for name in BaselineTerms.__slots__))
 
 
+class Outer(NamedTuple):
+    """u = outer(h, s) as its factors, h along the rows (times) and s along
+    the columns (subjects), which `log_terms` takes for u without `grad`."""
+    h: np.ndarray
+    s: np.ndarray
+
+
+def _log(u):
+    """log u; of an `Outer`, the outer sum of its factors' logs."""
+    if isinstance(u, Outer):
+        return np.add.outer(np.log(u.h), np.log(u.s))
+    return np.log(u)
+
+
+def _power(u, c, sigma):
+    """(u c)^sigma; of an `Outer`, (h c)^sigma times s^sigma if all are
+    normal numbers, else from the dense u (1e300 * 1e-300: inf times 0)."""
+    if isinstance(u, Outer):
+        a, b = (u.h * c) ** sigma, u.s ** sigma
+        if (np.finfo(float).tiny <= min(a.min(), b.min())
+                and max(a.max(), b.max()) < np.inf):  # NaN fails both
+            return np.multiply.outer(a, b)
+        u = np.multiply.outer(u.h, u.s)
+    return (u * c) ** sigma
+
+
 def _weibull_terms(mu, sigma, u, k, grad, sf_head=False):
     """log S0 = -z with z = (u exp(-mu))^sigma on the rows of u (its first
     axis) and log f0 = log sigma - mu + (sigma - 1) r - z, r = log u - mu,
@@ -187,11 +214,11 @@ def _weibull_terms(mu, sigma, u, k, grad, sf_head=False):
     the survivor on every row and head the density on the first k. z is a
     power, not exp(sigma r), which would lose exactness (exp(log 50) is
     49.99999999999999)."""
-    z = (u * np.exp(-mu)) ** sigma
+    z = _power(u, np.exp(-mu), sigma)
     sf = BaselineTerms(-z)
     if not (k or grad):
         return sf, None
-    r = np.log(u) - mu
+    r = _log(u) - mu
     if grad:
         sz = sigma * z
         sf.d_du, sf.d_dmu, sf.d_dls = -sz / u, sz, -r * sz
@@ -223,11 +250,11 @@ def _lognormal_terms(mu, sigma, u, k, grad, sf_head=False):
     rows log f0 = -s^2 / 2 - log(sigma u sqrt(2 pi)); (terms, head) as in
     `_weibull_terms`. The survivor is evaluated only on the rows that need
     it, so a density-only call loads no scipy."""
-    logu = np.log(u)
+    logu = _log(u)
     s = (logu - mu) / sigma
     k0 = 0 if sf_head else k
     sf = pdf = None
-    if k0 < len(u) or not k:  # survivor rows, or no rows at all
+    if k0 < len(s) or not k:  # survivor rows, or no rows at all
         from scipy.special import log_ndtr
         st = s[k0:]
         sf = BaselineTerms(log_ndtr(-st))
@@ -284,7 +311,7 @@ def _scaled_terms(logp: np.ndarray, n: int):
     return lo, n * np.where(lo, np.log1p(-p), logp), b
 
 
-def _tbp_terms(spec, mu, sigma, w, u, k, grad):
+def _tbp_terms(spec, mu, sigma, w, u, k, grad, sf_head=False):
     """Bernstein-transformed baseline at p = S0c(u), from the terms
     b_j = p^j (1 - p)^(K-1-j) of `_scaled_terms` for all rows at once:
     S0 = p sum_j c_{j+1} b_j and, on the first k rows, f0 = fc K sum_j d_j
@@ -294,17 +321,22 @@ def _tbp_terms(spec, mu, sigma, w, u, k, grad):
     d log S0/dw_k adds the shares C(K, j+1) b_j over j >= K - k, d log
     f0/dw_k is the share C(K-1, K-k) b_{K-k}; p d/dp log S0 is K sum_j d_j
     b_j / sum_j c_{j+1} b_j (dS0/dp is the density's sum), and that of the
-    density's log sum is sum_j j C(K-1, j) (w_{K-j} - w_{K+1-j}) b_j / sum."""
+    density's log sum is sum_j j C(K-1, j) (w_{K-j} - w_{K+1-j}) b_j / sum.
+    (terms, head) as in `_weibull_terms`; `sf_head` takes no partials."""
     K = spec.K
     sc, fc = _PARAMETRIC[spec.centering](mu, sigma, u, k, grad, sf_head=True)
     c, d = _tbp_coefficients(w)
     lo, out, b = _scaled_terms(sc.val, K - 1)
-    bf, bs = b[:, :k], b[:, k:]  # density and survivor rows
+    k0 = 0 if sf_head else k
+    bf, bs = b[:, :k], b[:, k0:]  # density and survivor rows
     part = np.tensordot(c[1:K], bs[:-1], 1)
     fsum, ssum = np.tensordot(d, bf, 1), part + c[K] * bs[-1]
-    out[k:] += sc.val[k:] + np.where(lo[k:], np.log(ssum), np.log1p(part))
+    pdf = out[:k] + (fc.val + math.log(K) + np.log(fsum)) if k else None
+    out[k0:] += sc.val[k0:] + np.where(lo[k0:], np.log(ssum), np.log1p(part))
+    if sf_head:
+        return BaselineTerms(out), pdf if pdf is None else BaselineTerms(pdf)
     if k:
-        out[:k] += fc.val + math.log(K) + np.log(fsum)
+        out[:k] = pdf
     out = BaselineTerms(out)
     if grad:
         ramp = np.arange(K) * np.diff(w[::-1], prepend=0.0) * _comb(K - 1)
@@ -322,22 +354,25 @@ def _tbp_terms(spec, mu, sigma, w, u, k, grad):
             out.d_du[:k] += fc.d_du
             out.d_dmu[:k] += fc.d_dmu
             out.d_dls[:k] += fc.d_dls
-    return out
+    return out, None
 
 
 def log_terms(spec: BaselineSpec, mu: float, sigma: float, w, u,
-              n_pdf: int = 0, grad: bool = False) -> BaselineTerms:
+              n_pdf: int = 0, grad: bool = False, sf_head: bool = False):
     """The one evaluator of every baseline formula, for the family in
     `spec`: log f0(u) on the first `n_pdf` rows of u (along its first axis,
-    of at least one dimension) and log S0(u) on the rest. `w` is the tbp
-    weight array (None otherwise). With `grad` the partials d/du, d/dmu,
-    d/dlog sigma and (tbp) d/dw are filled in. One call serves density and
+    of at least one dimension) and log S0(u) on the rest; with `sf_head`,
+    the pair (log S0 on every row, log f0 on the first `n_pdf` or None).
+    u is an array or, without `grad`, an `Outer`. `w` is the tbp weight
+    array (None otherwise). With `grad` the partials d/du, d/dmu, d/dlog
+    sigma and (tbp) d/dw are filled in. One call serves density and
     survivor rows together, sharing log u and, for tbp, the centering
     terms. No input checks and no warning suppression: callers validate,
     and silence the floating-point warnings that extreme values raise."""
-    if spec.is_tbp:
-        return _tbp_terms(spec, mu, sigma, w, u, n_pdf, grad)
-    return _PARAMETRIC[spec.family](mu, sigma, u, n_pdf, grad)[0]
+    out = (_tbp_terms(spec, mu, sigma, w, u, n_pdf, grad, sf_head)
+           if spec.is_tbp else
+           _PARAMETRIC[spec.family](mu, sigma, u, n_pdf, grad, sf_head))
+    return out if sf_head else out[0]
 
 
 def _centering_quantile(family: str, mu: float, sigma: float, q):

@@ -72,6 +72,7 @@ __all__ = [
 ]
 
 BISECT_RTOL = 1e-13
+BLOCK = 8192  # entries of u per block: 64 KiB, below glibc's mmap threshold
 # the standardized inverse brackets every p on this many grid times, spaced
 # geometrically from 2^-20 to 4 times the largest follow-up
 AF_GRID = 64
@@ -133,14 +134,12 @@ class CurveTable:
                           self.extrapolated[m])
 
     def to_csv(self, path) -> None:
-        lines = [self.HEADER]
-        for i in range(self.n_rows):
-            lines.append(",".join([
-                repr(float(self.abscissa[i])), str(self.group[i]),
-                repr(float(self.mean[i])), repr(float(self.median[i])),
-                repr(float(self.lo95[i])), repr(float(self.hi95[i])),
-                str(int(self.extrapolated[i])),
-            ]))
+        lines = [self.HEADER] + [
+            ",".join([repr(float(a)), str(g), *map(repr, map(float, v)),
+                      str(int(e))])
+            for a, g, *v, e in zip(self.abscissa, self.group, self.mean,
+                                   self.median, self.lo95, self.hi95,
+                                   self.extrapolated)]
         atomic_write_text(path, "\n".join(lines) + "\n")
 
     @staticmethod
@@ -152,15 +151,10 @@ class CurveTable:
             if ",".join(header) != CurveTable.HEADER:
                 raise DomainError(f"{path}: unexpected curve-table header")
             rows = list(reader)
-        return CurveTable(
-            abscissa=np.array([float(r[0]) for r in rows]),
-            group=np.array([r[1] for r in rows], dtype=object),
-            mean=np.array([float(r[2]) for r in rows]),
-            median=np.array([float(r[3]) for r in rows]),
-            lo95=np.array([float(r[4]) for r in rows]),
-            hi95=np.array([float(r[5]) for r in rows]),
-            extrapolated=np.array([int(r[6]) for r in rows], dtype=bool),
-        )
+        num = [np.array([float(r[j]) for r in rows]) for j in (0, 2, 3, 4, 5)]
+        return CurveTable(num[0], np.array([r[1] for r in rows], dtype=object),
+                          *num[1:], np.array([int(r[6]) for r in rows],
+                                             dtype=bool))
 
     @staticmethod
     def concat(tables) -> "CurveTable":
@@ -262,29 +256,33 @@ def _standardized_sf(model, psi, data, level):
     eta = 0 with the exposure (or, time-varying, the switch time) at
     `level`. Its attribute `newton` is t -> (-S_std, -dS_std/dt), the
     increasing function and slope that the inverse solves, with
-    dS_std/dt = -mean_i f0(u_i) exp(-eta_i) h'(t) and f0 = S0 times the
-    baseline's -dlog S0/du. Both read the baseline from `log_terms`."""
+    dS_std/dt = -mean_i f0(u_i) exp(-eta_i) h'(t). Both transform t once
+    and read the baseline from `log_terms` on u = outer(h, exp(-eta)) as
+    its factors, by blocks of one or more time rows, at most BLOCK entries
+    where n allows: a partition set by len(t) and n alone."""
     eta, x1, b1 = model.predictor(psi.beta, data.x, level)
     scale = np.exp(-eta)                                       # (n,)
     onset = level if model.time_varying else None
+    step = max(1, BLOCK // scale.size)
 
-    def terms(t: np.ndarray, grad: bool):
+    def sf(t: np.ndarray, slope: bool = False):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             h = transform(TimeBasis(model.effect, t, onset, x1), psi.alpha,
-                          b1=b1, logv=grad)
-            u = np.outer(h.u, scale)                           # (nt, n)
-            return h, bl.log_terms(model.baseline, psi.mu, psi.sigma, psi.w,
-                                   u, grad=grad)
+                          b1=b1, logv=slope)
+            s, f = np.empty(t.size), np.empty(t.size)
+            for i in range(0, t.size, step):
+                u = bl.Outer(h.u[i:i + step], scale)
+                st, pdf = bl.log_terms(model.baseline, psi.mu, psi.sigma,
+                                       psi.w, u, u.h.size if slope else 0,
+                                       sf_head=True)
+                s[i:i + step] = np.exp(st.val).sum(axis=1)
+                if slope:                                      # sum f0 e^-eta
+                    f[i:i + step] = (np.exp(pdf.val) * scale).sum(axis=1)
+        if not slope:
+            return s / scale.size
+        return -s / scale.size, f / scale.size * np.exp(h.logv)
 
-    def sf(t: np.ndarray) -> np.ndarray:
-        return np.exp(terms(t, False)[1].val).mean(axis=1)
-
-    def newton(t: np.ndarray):
-        h, st = terms(t, True)
-        s = np.exp(st.val)
-        dens = (s * -st.d_du * scale).mean(axis=1)             # mean f0 e^-eta
-        return -s.mean(axis=1), dens * np.exp(h.logv)
-    sf.newton = newton
+    sf.newton = lambda t: sf(t, slope=True)
     return sf
 
 

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .covproc import is_monotone
 from .data import Dataset, SubjectRecord
 from .errors import ConfigError, DomainError
 from .inference import quantile_time
@@ -257,7 +258,8 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
     are pending again in the next round. A subject that needs more than
     `MAX_REJECTION_ATTEMPTS` attempts is a `ConfigError`, and so is a
     sample that has made that many attempts in all without accepting
-    anyone, which bounds the cost of a hopeless truncation law."""
+    anyone, which bounds the cost of a hopeless truncation law. A truth alpha
+    that `covproc.is_monotone` rejects at the drawn x is a `DomainError`."""
     n, admin = cfg.n, cfg.censoring.admin_time
     rngs = [_subject_rng(cfg.seed, i) for i in range(n)]
     x = np.empty((n, len(cfg.covariates)))
@@ -281,9 +283,14 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
                 return _uniform(rng)
         raise _hopeless(i)
 
+    model, alpha, tv = cfg.model, cfg.psi.alpha, cfg.model.time_varying
     pending = np.arange(n)
     while pending.size:
         u = np.array([attempt(i) for i in pending])
+        x1 = 1.0 if tv else model.predictor(cfg.psi.beta, x[pending])[1]
+        if not is_monotone(model.effect, alpha, x1, tv):
+            raise DomainError(f"truth alpha {alpha.tolist()} makes V(t|x) "
+                              "decrease at a simulated exposure value")
         t[pending] = quantile_time(cfg.model, cfg.psi, x[pending], u,
                                    onset[pending])
         pending = pending[~(t[pending] > entry[pending])]

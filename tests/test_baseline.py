@@ -19,7 +19,7 @@ from qvaft.baseline import (
     log_survivor,
     survivor,
 )
-from qvaft.baseline import _tbp_coefficients, log_terms
+from qvaft.baseline import Outer, _tbp_coefficients, log_terms
 from qvaft.errors import DomainError
 
 WEIBULL = BaselineSpec("weibull")
@@ -262,3 +262,40 @@ class TestTBPNearOne:
             assert np.isfinite(part).all()
         fd = (t.val[2] - t.val[0]) / (2 * h)
         assert t.d_du[1] == pytest.approx(fd, rel=1e-6)
+
+
+class TestFactoredU:
+    """log_terms on u = outer(h, s) held as its factors against the dense
+    product, on every family: log S0 and f0 to a relative 1e-13 with the
+    same NaN and inf entries (`assert_allclose` places them exactly). The
+    grid has a row h = 0, deep-tail u (z up to 4e5) and the split case
+    h = 1e300, s = 1e-300 (u = 1, whose factors' Weibull powers are inf
+    and 0); every product is 0 or a normal number, so that the dense u
+    loses nothing to overflow or underflow and serves as the reference."""
+
+    H = np.array([0.0, 1e-3, 0.7, 3.0, 60.0, 1e4, 1e300])
+    S = np.array([1e-300, 1e-5, 0.4, 1.0, 2.5])
+    W = np.array([0.1, 0.2, 0.05, 0.4, 0.25])
+
+    @pytest.mark.parametrize("spec", [
+        WEIBULL, LOGNORMAL, BaselineSpec("tbp", "weibull", 5),
+        BaselineSpec("tbp", "lognormal", 5)],
+        ids=["weibull", "lognormal", "tbp-weibull", "tbp-lognormal"])
+    def test_matches_dense_product(self, spec):
+        w = self.W if spec.is_tbp else None
+        args = (spec, 0.3, 1.3, w)
+        with np.errstate(all="ignore"):
+            dense = log_terms(*args, np.multiply.outer(self.H, self.S),
+                              self.H.size, sf_head=True)
+            fact = log_terms(*args, Outer(self.H, self.S), self.H.size,
+                             sf_head=True)
+            assert np.isfinite(fact[0].val[-1, 0])  # u = 1e300 * 1e-300
+            for d, f in zip(dense, fact):
+                np.testing.assert_allclose(f.val, d.val, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(np.exp(fact[1].val),
+                                       np.exp(dense[1].val), rtol=1e-13,
+                                       atol=0)
+            # the survivor alone, without the density rows
+            np.testing.assert_allclose(
+                log_terms(*args, Outer(self.H, self.S)).val, dense[0].val,
+                rtol=1e-13, atol=0)

@@ -138,6 +138,30 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "simulate.onset.lo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha,rc", [([0.2, 0.3, 0.4], 0),
+                                          ([1.5, 0.0, 0.0], 2)])
+    def test_truth_alpha_must_keep_v_increasing(self, tmp_path, capsys,
+                                                alpha, rc):
+        """The tv_switch simulation config: D alpha = 1.5 >= 1 makes V fall
+        on s in [1, 1.5) after the switch, so no event time is inverted."""
+        cfg = write_config(tmp_path, {
+            "model.effect": {"kind": "piecewise", "time_varying": True,
+                             "knots": [0.0, 1.0, 2.0, 3.0]},
+            "model.covariates": ["x2"],
+            "truth.beta": {"onset": -0.7, "x2": 0.2},
+            "truth.alpha": alpha,
+            "simulate.n": 50,
+            "simulate.covariates": {"x2": {"dist": "normal", "mean": 0.0,
+                                           "sd": 1.0}},
+            "simulate.onset": {"dist": "exponential", "rate": 0.4,
+                               "never_prob": 0.3}})
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--seed", "1"]) == rc
+        assert out.exists() == (rc == 0)
+        if rc:
+            assert "truth alpha [1.5, 0.0, 0.0]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,block", [
         ("simulate.covariates.x2.sd",
          {"dist": "normal", "mean": 0.0, "sd": -1.0}),

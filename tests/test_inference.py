@@ -1,6 +1,7 @@
 """Quantile times, acceleration factors (including the time-varying closed
 form against the generic inverse pipeline), and g-formula standardization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -367,6 +368,46 @@ class TestStandardizedInverse:
                 np.testing.assert_allclose(got[-1], want[-1], rtol=1e-6)
                 got, want = got[:-1], want[:-1]
             np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+class TestBlocks:
+    """The standardized survivor is evaluated by blocks of time rows of
+    u = outer(h, exp(-eta)). Past BLOCK subjects a block holds a single
+    time row, and with n = 1 it holds many. The survivor curves match the
+    mean of the conditional survivors (dense u per subject), and the AF
+    table matches a single dense block of all rows."""
+
+    CASES = {case: TestStandardizedInverse.CASES[case]
+             for case in ("tbp_spline", "weibull_piecewise")}
+    P = np.array([0.01, 0.3, 0.5, 0.9])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("n", [1, "over"])
+    def test_matches_dense(self, rng, monkeypatch, case, n):
+        from conftest import random_dataset
+        from qvaft import inference
+
+        model, psi, (exposed, reference) = self.CASES[case]
+        n = inference.BLOCK + 1 if n == "over" else n
+        data = random_dataset(rng, n, len(model.covariates))
+        psis = [psi, dataclasses.replace(psi, mu=psi.mu + 0.2)]
+        draws = draws_from_psis(model, psis)
+        t = np.array([0.0, 0.05, 0.9, 2.5, 8.0])
+        curves = standardized_survivor_curves(model, draws, data, t)
+        af = standardized_af(model, draws, data, self.P)
+
+        for group, level in (("exposed", exposed), ("unexposed", reference)):
+            x = data.x.copy()
+            x[:, model.exposure_index] = level
+            want = [[np.mean(survivor_conditional(model, p, x, ti))
+                     for ti in t] for p in psis]
+            got = curves.rows_for(group)
+            np.testing.assert_allclose(got.mean, np.mean(want, axis=0),
+                                       rtol=1e-13)
+        monkeypatch.setattr(inference, "BLOCK", 10 ** 12)  # one block
+        np.testing.assert_allclose(
+            af.mean, standardized_af(model, draws, data, self.P).mean,
+            rtol=1e-14)
 
 
 class TestSurface:
