@@ -16,19 +16,21 @@ Three families are supported:
 
 Every formula lives in one evaluator, `log_terms`: log f0(u) on a leading
 block of rows and log S0(u) on the rest, in one call that shares log u
-(and, for tbp, the centering terms) between them, and, on request, the
-partials in u, mu, log sigma and the weights. The public functions
-(`survivor` is exp log S0) and the likelihood call it. For tbp all of
-these are sums of powers of r = p/(1 - p) or s = (1 - p)/p, whichever is
-at most 1 (`_scaled_terms`). `inverse_survivor` solves log F0 - log S0 of
-the same terms for the centering cumulative hazard -log S0c, then applies
-the closed-form centering inverse, as the parametric families do.
+(and, for tbp, the centering terms) between them, and, on request, each
+term's q = u d/du, the one partial a family computes (tbp adds those in
+the weights): the partials in mu and log sigma follow from q and
+r = log u - mu (`BaselineTerms`). The public functions (`survivor` is
+exp log S0) and the likelihood call it. For tbp all of these are sums of
+powers of r = p/(1 - p) or s = (1 - p)/p, whichever is at most 1
+(`_scaled_terms`). `inverse_survivor` solves log F0 - log S0 of the same
+terms for the centering cumulative hazard -log S0c, then applies the
+closed-form centering inverse, as the parametric families do.
 
 All operations are pure functions of immutable value objects and accept a
 scalar or ndarray time argument. Only the log-normal formulas need scipy
-(`erfcx`, `log_ndtr`, `ndtri_exp`), and they import it on first use, so
-this module never loads it for a Weibull or Weibull-centred tbp baseline;
-the binomial coefficients are exact integers (`math.comb`) as doubles.
+(`erfcx`, `log_ndtr`, `ndtri_exp`), imported on first use, so this module
+never loads it for a Weibull or Weibull-centred tbp baseline; the binomial
+coefficients are exact integers (`math.comb`) as doubles.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class BaselineSpec:
                 raise DomainError(f"tbp requires K >= 1, got {self.K}")
             object.__setattr__(self, "K", int(self.K))
 
-    @property
+    @functools.cached_property
     def is_tbp(self) -> bool:
         return self.family == "tbp"
 
@@ -160,24 +162,22 @@ def _scalar_like(t, value):
 # -- the evaluator: log f0 on the leading rows, log S0 on the rest -----------
 
 class BaselineTerms:
-    """log f0(u) or log S0(u) per entry (`val`) and, when asked for, its
-    partials with respect to u, mu, log sigma and (tbp only) the weights w."""
+    """log f0(u) or log S0(u) per entry (`val`) and, with `grad`, q = u d/du
+    of it, r = log u - mu, u and (tbp) the partials in the weights `d_dw`.
+    As S0 is a function of u e^-mu, and of sigma through sigma r (Weibull
+    centering, epsilon = +1) or r / sigma (log-normal, epsilon = -1), q
+    gives d/dmu = -q and d/dlog sigma = epsilon r q; log f0 adds -1 and
+    epsilon (r + 1) to them (epsilon: `log_sigma_sign`)."""
 
-    __slots__ = ("val", "d_du", "d_dmu", "d_dls", "d_dw")
+    __slots__ = ("val", "q", "r", "u", "d_dw")
 
-    def __init__(self, val, d_du=None, d_dmu=None, d_dls=None, d_dw=None):
-        self.val, self.d_du, self.d_dmu = val, d_du, d_dmu
-        self.d_dls, self.d_dw = d_dls, d_dw
+    def __init__(self, val, q=None, r=None):
+        self.val, self.q, self.r = val, q, r
+        self.u = self.d_dw = None
 
-
-def _stack(head: BaselineTerms | None, tail: BaselineTerms | None):
-    """The rows of `head` followed by those of `tail`; either may be None."""
-    if head is None or tail is None:
-        return tail if head is None else head
-    return BaselineTerms(*(
-        None if getattr(head, name) is None
-        else np.concatenate([getattr(head, name), getattr(tail, name)])
-        for name in BaselineTerms.__slots__))
+    @property
+    def d_du(self):
+        return self.q / self.u
 
 
 class Outer(NamedTuple):
@@ -209,33 +209,28 @@ def _power(u, c, sigma):
 def _weibull_terms(mu, sigma, u, k, grad, sf_head=False):
     """log S0 = -z with z = (u exp(-mu))^sigma on the rows of u (its first
     axis) and log f0 = log sigma - mu + (sigma - 1) r - z, r = log u - mu,
-    on the first k of them. Returns (terms, head): the density replaces the
-    survivor on those rows and head is None, or, with `sf_head`, terms is
-    the survivor on every row and head the density on the first k. z is a
-    power, not exp(sigma r), which would lose exactness (exp(log 50) is
-    49.99999999999999)."""
+    on the first k; q = -sigma z, plus sigma - 1 on the density rows.
+    Returns (terms, head): the density replaces the survivor on those rows
+    and head is None, or, with `sf_head`, terms is the survivor on every
+    row and head the density on the first k. z is a power, not exp(sigma
+    r), which loses exactness (exp(log 50) is 49.99999999999999)."""
     z = _power(u, np.exp(-mu), sigma)
     sf = BaselineTerms(-z)
     if not (k or grad):
         return sf, None
     r = _log(u) - mu
     if grad:
-        sz = sigma * z
-        sf.d_du, sf.d_dmu, sf.d_dls = -sz / u, sz, -r * sz
+        sf.q, sf.r = -sigma * z, r
     if not k:
         return sf, None
-    rk, zk = r[:k], z[:k]
-    pdf = BaselineTerms(math.log(sigma) - mu + (sigma - 1.0) * rk - zk)
-    if grad:
-        pdf.d_du = ((sigma - 1.0) - sz[:k]) / u[:k]
-        pdf.d_dmu = sigma * (zk - 1.0)
-        pdf.d_dls = 1.0 + sigma * rk * (1.0 - zk)
+    # log sigma - mu + (sigma - 1) r - z on the density rows
+    head = math.log(sigma) - mu + (sigma - 1.0) * r[:k]
     if sf_head:
-        return sf, pdf
-    sf.val[:k] = pdf.val  # the survivor's arrays are this call's own
+        return sf, BaselineTerms(head - z[:k], (sigma - 1.0) - sigma * z[:k]
+                                 if grad else None)
+    sf.val[:k] += head  # the survivor's arrays are this call's own
     if grad:
-        sf.d_du[:k], sf.d_dmu[:k], sf.d_dls[:k] = (pdf.d_du, pdf.d_dmu,
-                                                   pdf.d_dls)
+        sf.q[:k] += sigma - 1.0
     return sf, None
 
 
@@ -246,39 +241,51 @@ def _normal_hazard(s):
 
 
 def _lognormal_terms(mu, sigma, u, k, grad, sf_head=False):
-    """log S0 = log Phi(-s), s = (log u - mu) / sigma, and on the first k
-    rows log f0 = -s^2 / 2 - log(sigma u sqrt(2 pi)); (terms, head) as in
-    `_weibull_terms`. The survivor is evaluated only on the rows that need
-    it, so a density-only call loads no scipy."""
+    """log S0 = log Phi(-s), s = r / sigma, r = log u - mu, with q =
+    -hazard(s) / sigma, and on the first k rows log f0 = -s^2 / 2 -
+    log(sigma u sqrt(2 pi)) with q = -(s / sigma + 1); (terms, head) as in
+    `_weibull_terms`. A density-only call loads no scipy."""
     logu = _log(u)
-    s = (logu - mu) / sigma
+    r = logu - mu
+    s = r / sigma
     k0 = 0 if sf_head else k
-    sf = pdf = None
-    if k0 < len(s) or not k:  # survivor rows, or no rows at all
+    out = BaselineTerms(np.empty(s.shape),
+                        np.empty(s.shape) if grad else None, r)
+    if k0 < len(s):  # survivor rows
         from scipy.special import log_ndtr
         st = s[k0:]
-        sf = BaselineTerms(log_ndtr(-st))
+        out.val[k0:] = log_ndtr(-st)
         if grad:
-            lam = _normal_hazard(st)
-            sf.d_du, sf.d_dmu, sf.d_dls = (-lam / (sigma * u[k0:]),
-                                           lam / sigma, lam * st)
-    if k:
-        sk = s[:k]
-        pdf = BaselineTerms(-0.5 * sk * sk - 0.5 * math.log(2.0 * math.pi)
-                            - math.log(sigma) - logu[:k])
-        if grad:
-            pdf.d_du = -(sk / sigma + 1.0) / u[:k]
-            pdf.d_dmu, pdf.d_dls = sk / sigma, sk * sk - 1.0
-    return (sf, pdf) if sf_head else (_stack(pdf, sf), None)
+            out.q[k0:] = _normal_hazard(st) / -sigma
+    if not k:
+        return out, None
+    sk = s[:k]
+    pdf = BaselineTerms(-0.5 * sk * sk - 0.5 * math.log(2.0 * math.pi)
+                        - math.log(sigma) - logu[:k],
+                        -(sk / sigma + 1.0) if grad else None)
+    if sf_head:
+        return out, pdf
+    out.val[:k] = pdf.val
+    if grad:
+        out.q[:k] = pdf.q
+    return out, None
 
 
-_PARAMETRIC = {"weibull": _weibull_terms, "lognormal": _lognormal_terms}
+# each centering's evaluator and its epsilon (see `BaselineTerms`)
+_PARAMETRIC = {"weibull": (_weibull_terms, 1.0),
+               "lognormal": (_lognormal_terms, -1.0)}
+
+
+def log_sigma_sign(spec: BaselineSpec) -> float:
+    """epsilon of `BaselineTerms` for the family in `spec`."""
+    return _PARAMETRIC[spec.centering if spec.is_tbp else spec.family][1]
 
 
 @functools.lru_cache(maxsize=None)
-def _comb(n: int) -> np.ndarray:
-    """C(n, j), j = 0..n: `math.comb`'s exact integers as doubles (shared)."""
-    out = np.array([float(math.comb(n, j)) for j in range(n + 1)])
+def _comb(n: int, ramp: bool = False) -> np.ndarray:
+    """C(n, j), or with `ramp` j C(n, j), j = 0..n, as doubles (shared)."""
+    out = np.array([float((j if ramp else 1) * math.comb(n, j))
+                    for j in range(n + 1)])
     out.flags.writeable = False
     return out
 
@@ -287,7 +294,8 @@ def _tbp_coefficients(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """c_j = W_j C(K, j), j = 0..K (c_0 = 0), of the tbp survivor and
     d_j = w_{K-j} C(K-1, j), j = 0..K-1, of its density's sum."""
     K, wr = len(w), w[::-1]
-    return np.append(0.0, np.cumsum(wr)) * _comb(K), wr * _comb(K - 1)
+    return (np.concatenate([[0.0], wr.cumsum()]) * _comb(K),
+            wr * _comb(K - 1))
 
 
 def _scaled_terms(logp: np.ndarray, n: int):
@@ -311,6 +319,12 @@ def _scaled_terms(logp: np.ndarray, n: int):
     return lo, n * np.where(lo, np.log1p(-p), logp), b
 
 
+def _dot(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j c_j b_j over the first axis of b, of any rank."""
+    shape = b.shape[1:]
+    return (c @ b.reshape(len(b), math.prod(shape))).reshape(shape)
+
+
 def _tbp_terms(spec, mu, sigma, w, u, k, grad, sf_head=False):
     """Bernstein-transformed baseline at p = S0c(u), from the terms
     b_j = p^j (1 - p)^(K-1-j) of `_scaled_terms` for all rows at once:
@@ -319,18 +333,18 @@ def _tbp_terms(spec, mu, sigma, w, u, k, grad, sf_head=False):
     last term is 1 and c_K = W_K = 1, so log S0 is log1p of the others and
     stays accurate as S0 nears 1. Partials come from each term's share:
     d log S0/dw_k adds the shares C(K, j+1) b_j over j >= K - k, d log
-    f0/dw_k is the share C(K-1, K-k) b_{K-k}; p d/dp log S0 is K sum_j d_j
-    b_j / sum_j c_{j+1} b_j (dS0/dp is the density's sum), and that of the
-    density's log sum is sum_j j C(K-1, j) (w_{K-j} - w_{K+1-j}) b_j / sum.
-    (terms, head) as in `_weibull_terms`; `sf_head` takes no partials."""
+    f0/dw_k is the share C(K-1, K-k) b_{K-k}. q is the centering's q times
+    p d/dp of log S0, K sum_j d_j b_j / sum_j c_{j+1} b_j, or of the
+    density's log sum, sum_j j C(K-1, j) (w_{K-j} - w_{K+1-j}) b_j / sum,
+    plus fc's q. (terms, head) as in `_weibull_terms`; `sf_head` takes none."""
     K = spec.K
-    sc, fc = _PARAMETRIC[spec.centering](mu, sigma, u, k, grad, sf_head=True)
+    sc, fc = _PARAMETRIC[spec.centering][0](mu, sigma, u, k, grad, True)
     c, d = _tbp_coefficients(w)
     lo, out, b = _scaled_terms(sc.val, K - 1)
     k0 = 0 if sf_head else k
     bf, bs = b[:, :k], b[:, k0:]  # density and survivor rows
-    part = np.tensordot(c[1:K], bs[:-1], 1)
-    fsum, ssum = np.tensordot(d, bf, 1), part + c[K] * bs[-1]
+    part = _dot(c[1:K], bs[:-1])
+    fsum, ssum = _dot(d, bf), part + c[K] * bs[-1]
     pdf = out[:k] + (fc.val + math.log(K) + np.log(fsum)) if k else None
     out[k0:] += sc.val[k0:] + np.where(lo[k0:], np.log(ssum), np.log1p(part))
     if sf_head:
@@ -338,22 +352,18 @@ def _tbp_terms(spec, mu, sigma, w, u, k, grad, sf_head=False):
     if k:
         out[:k] = pdf
     out = BaselineTerms(out)
-    if grad:
-        ramp = np.arange(K) * np.diff(w[::-1], prepend=0.0) * _comb(K - 1)
-        chain = np.concatenate([np.tensordot(ramp, bf, 1) / fsum,
-                                np.tensordot(K * d, bs, 1) / ssum])
-        col = (-1,) + (1,) * u.ndim
-        bf *= _comb(K - 1).reshape(col) / fsum
-        bs *= _comb(K)[1:].reshape(col) / ssum
-        for j in range(K - 2, -1, -1):  # the survivor's shares, summed
-            bs[j] += bs[j + 1]
-        out.d_dw = np.moveaxis(b[::-1], 0, -1)
-        out.d_du, out.d_dmu, out.d_dls = (
-            chain * sc.d_du, chain * sc.d_dmu, chain * sc.d_dls)
+    if grad:  # u has one axis here
+        wr = w[::-1]  # ramp_j = j C(K-1, j) (w_{K-j} - w_{K+1-j})
+        ramp = _comb(K - 1, True) * (wr - np.concatenate([[0.0], wr[:-1]]))
+        chain = np.concatenate([ramp @ bf / fsum, (K * d) @ bs / ssum])
+        bf *= _comb(K - 1)[:, None] / fsum
+        bs *= _comb(K)[1:, None] / ssum
+        rev = bs[::-1]  # the survivor's shares, summed over j >= K - k
+        rev.cumsum(axis=0, out=rev)
+        out.d_dw = b[::-1].T
+        out.q, out.r = chain * sc.q, sc.r
         if k:
-            out.d_du[:k] += fc.d_du
-            out.d_dmu[:k] += fc.d_dmu
-            out.d_dls[:k] += fc.d_dls
+            out.q[:k] += fc.q
     return out, None
 
 
@@ -363,15 +373,15 @@ def log_terms(spec: BaselineSpec, mu: float, sigma: float, w, u,
     `spec`: log f0(u) on the first `n_pdf` rows of u (along its first axis,
     of at least one dimension) and log S0(u) on the rest; with `sf_head`,
     the pair (log S0 on every row, log f0 on the first `n_pdf` or None).
-    u is an array or, without `grad`, an `Outer`. `w` is the tbp weight
-    array (None otherwise). With `grad` the partials d/du, d/dmu, d/dlog
-    sigma and (tbp) d/dw are filled in. One call serves density and
-    survivor rows together, sharing log u and, for tbp, the centering
-    terms. No input checks and no warning suppression: callers validate,
-    and silence the floating-point warnings that extreme values raise."""
+    u is an array or, without `grad`, an `Outer`; `w` the tbp weight array
+    (None otherwise). With `grad`, q = u d/du, r, u and (tbp) d/dw are
+    filled in (`BaselineTerms`). Callers validate the input and silence
+    the floating-point warnings of extreme values."""
     out = (_tbp_terms(spec, mu, sigma, w, u, n_pdf, grad, sf_head)
            if spec.is_tbp else
-           _PARAMETRIC[spec.family](mu, sigma, u, n_pdf, grad, sf_head))
+           _PARAMETRIC[spec.family][0](mu, sigma, u, n_pdf, grad, sf_head))
+    if grad:
+        out[0].u = u
     return out if sf_head else out[0]
 
 
@@ -395,7 +405,7 @@ def _tbp_hazard(K: int, w: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     def log_odds(q):
         b = _scaled_terms(-q, K - 1)[2]
-        ratio = np.tensordot(f, b, 1) / np.tensordot(c[1:], b, 1)
+        ratio = _dot(f, b) / _dot(c[1:], b)
         return np.log(ratio) + np.log(-np.expm1(-q)) + q
     with np.errstate(divide="ignore", over="ignore"):
         return increasing_root(log_odds, np.log1p(-p) - np.log(p),

@@ -36,28 +36,24 @@ Derivatives at piecewise breakpoints use the right-hand limit so the
 likelihood is deterministic for observations landing exactly on a knot.
 
 Each rule has one implementation, and the public functions are thin
-callers of it. V and log v: `transform`, which reads a `TimeBasis` (the
+callers of it. V and log v: `transform`, which reads a `TimeBasis` (every
 part of V that depends only on the times, exposure values and switch
 times, built once per dataset by the likelihood) and returns V, log v and
-their partials in alpha and the switch coefficient in contracted form. It
-has two branches: a piecewise effect without a switch, summed over its
-segments, and the switch form for every other kind. du/dalpha is a per-row
-factor times a basis matrix (for a piecewise effect without a switch the
-segment lengths at their slope factors, otherwise the alpha basis), and
-the partials of sum log v as column sums whose parameter-free part the
-basis holds. V^{-1}: `transform_inverse`, with the
-same (eta, x1, b1, onset) arguments, eta, x1 and onset each a scalar or
-one value per row; closed forms where one exists (constant, piecewise,
-constant switch effect), the shared root-finder `roots.increasing_root`
-for the spline and flexible switch effects, with each row's exposure
-value passed to it beside its target.
-Monotonicity: `is_monotone`, the condition 1 - x1 * g'(log t) > 0 (or
-1 - s a'(s) > 0 after a switch) for every t, checked exactly at the
+their partials in the switch coefficient and alpha, contracted (dlog u as
+a per-row factor times a parameter-free matrix). It has two branches: a
+piecewise effect without a switch, summed over its segments, and the
+switch form for every other kind. V^{-1}: `transform_inverse`, with the
+same (eta, x1, b1, onset) arguments, each a scalar or one value per row;
+closed forms where one exists (constant, piecewise, constant switch
+effect), the shared root-finder `roots.increasing_root` for the spline and
+flexible switch effects, with each row's exposure value passed beside its
+target. Monotonicity: `is_monotone`, the condition 1 - x1 * g'(log t) > 0
+(or 1 - s a'(s) > 0 after a switch) for every t, checked exactly at the
 slope's extremes, which depend only on the effect, alpha and the range of
 x1. The likelihood samples a piecewise switch effect as zeta = log(1 - D
-alpha), so that it is monotone by construction.
-`ModelSpec.predictor` turns a model's beta and covariates into those
-arguments. All functions are pure and accept scalar or ndarray times.
+alpha), so that it is monotone by construction. `ModelSpec.predictor`
+turns a model's beta and covariates into those arguments. All functions
+are pure and accept scalar or ndarray times.
 """
 
 from __future__ import annotations
@@ -216,7 +212,7 @@ def piecewise_terms(knots: np.ndarray, t):
     """Leading segment min(t, tau_1) and the J capped segment lengths
     (min(t, tau_{j+1}) - tau_j)_+ with tau_{J+1} = +inf."""
     t = np.asarray(t, dtype=float)
-    upper = np.append(knots[2:], np.inf)        # tau_{j+1} for j = 1..J
+    upper = np.concatenate([knots[2:], [np.inf]])  # tau_{j+1}, j = 1..J
     lead = np.minimum(t, knots[1])
     terms = np.maximum(np.minimum(t[..., None], upper) - knots[1:], 0.0)
     return lead, terms
@@ -226,7 +222,7 @@ def piecewise_segment(knots: np.ndarray, t):
     """0-based segment index of t, right-continuous at the knots:
     0 on [0, tau_1), j on [tau_j, tau_{j+1})."""
     t = np.asarray(t, dtype=float)
-    return np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 1)
+    return np.maximum(np.searchsorted(knots, t, side="right") - 1, 0)
 
 
 # -- switch basis on the time-since-switch axis; monotonicity slopes -------
@@ -259,7 +255,7 @@ def slope_basis(effect: EffectSpec, grid):
 
 def _lead(a, k):
     """The first k rows of a per-row array; scalars and k = None pass through."""
-    return a if k is None or np.ndim(a) == 0 else a[:k]
+    return a[:k] if k is not None and getattr(a, "ndim", 0) else a
 
 
 class TimeBasis:
@@ -269,16 +265,14 @@ class TimeBasis:
     parameters, so it is computed once and reused by `transform`.
 
     A piecewise effect without a switch keeps its capped segment lengths
-    `terms` and the distinct exposure values `levels`, so that exp(-x1
-    alpha) is taken once per value. Every other kind is the switch form:
-    `post` marks the rows past the switch (past t = 0 without one), `min_t`
-    is min(t, onset), `s` the time since the switch and `B` the alpha basis
-    at s (zero before the switch; no columns for a constant effect). After
-    a switch, x1 is 1. The parts that only log v needs (`seg`, `slopes`, and
-    `fixed_dlogv`, the parameter-free part of the gradient of sum log v)
-    cover the leading `n_slope` rows of t (None: all rows) and are built on
-    first use.
-    """
+    `terms` and each row's index into the distinct exposure values, so that
+    exp(-x1 alpha) is taken once per value. Every other kind is the switch
+    form: `post` marks the rows past the switch (past t = 0 without one),
+    `min_t` is min(t, onset), `s` the time since the switch (`s_post`: 0
+    before it) and `xB` x1 times the alpha basis at s (zero before the
+    switch; after a switch, x1 is 1). Partials, which need x1 per row, are
+    in theta: b1 and alpha with a switch (`n_b1` = 1), else alpha. What only
+    they or log v need covers the leading `n_slope` rows (None: all)."""
 
     def __init__(self, effect: EffectSpec, t, onset=None, x1=0.0,
                  n_slope: int | None = None):
@@ -286,71 +280,79 @@ class TimeBasis:
         self.effect = effect
         self.t = t
         self.tv = onset is not None
+        self.n_b1 = int(self.tv)
         self.x1 = np.asarray(1.0 if self.tv else x1, dtype=float)
+        self.x1_slope = _lead(self.x1, n_slope)
         self.n_slope = n_slope
         self.switch_form = self.tv or effect.kind != "piecewise"
         if not self.switch_form:
             self.lead, self.terms = piecewise_terms(effect.knot_array(), t)
-            if self.x1.ndim:
+            levels, self.level_index = self.x1[None], None
+            if self.x1.ndim:  # one exposure value per row
                 levels, index = np.unique(self.x1, return_inverse=True)
-                self.levels, self.level_index = levels, index.reshape(-1)
-            else:
-                self.levels, self.level_index = self.x1[None], None
+                self.level_index = index.reshape(-1)
+                self.ones, self.neg_x1 = np.ones(effect.J), -self.x1
+            self.neg_levels = -levels[:, None]
             return
         onset = 0.0 if onset is None else onset
-        J = effect.J
         self.post = t > onset
         self.min_t = np.minimum(t, onset)
         self.s = np.where(self.post, t - onset, 1.0)
-        self.B = (np.where(self.post[..., None], tv_basis(effect, self.s), 0.0)
-                  if J and self.post.any() else np.zeros(t.shape + (J,)))
+        self.s_post = self.s * self.post
+        B = (np.where(self.post[..., None], tv_basis(effect, self.s), 0.0)
+             if effect.J and self.post.any()
+             else np.zeros(t.shape + (effect.J,)))
+        self.xB = B if self.tv else self.x1[..., None] * B
 
     @cached_property
-    def seg(self):
-        return piecewise_segment(self.effect.knot_array(),
-                                 _lead(self.t, self.n_slope))
+    def seg_x1(self):
+        """x1 on the slope rows in the column of their segment past the
+        first (piecewise without a switch): log v is -eta - seg_x1 @ alpha."""
+        seg = piecewise_segment(self.effect.knot_array(),
+                                _lead(self.t, self.n_slope))
+        return ((seg[..., None] == np.arange(1, self.effect.J + 1))
+                * self.x1_slope[..., None])
+
+    def _with_b1(self, a, b1_column):
+        return np.concatenate(
+            [np.full(a.shape[:-1] + (self.n_b1,), b1_column), a], axis=-1)
+
+    @cached_property
+    def du_matrix(self):
+        """dlog u/dtheta is bump/inner times these columns (switch form)."""
+        return -self._with_b1(self.xB, 1.0)
 
     @cached_property
     def slopes(self):
+        """x1 times the slope of the monotonicity rule per theta (0 for b1)
+        on the slope rows, and its alpha columns (switch form)."""
         k = self.n_slope
-        if not self.effect.J:  # constant: as B, no columns
-            return _lead(self.B, k)
-        return np.where(_lead(self.post, k)[..., None],
-                        slope_basis(self.effect, _lead(self.s, k)), 0.0)
+        post = _lead(self.post, k)[..., None]
+        cols = (slope_basis(self.effect, _lead(self.s, k)) if self.effect.J
+                else post[..., :0])
+        slopes = self._with_b1(
+            np.where(post, cols, 0.0) * self.x1_slope[..., None], 0.0)
+        return slopes, slopes[..., self.n_b1:]
 
     @cached_property
     def fixed_dlogv(self):
-        """The partials (d/db1, d/dalpha) of the parameter-free part of
-        sum log v over the slope rows: minus the sum of x1 per segment
-        (piecewise without a switch); otherwise minus the number of rows
-        past the switch and -x1 @ B (the column sums of B after a switch)."""
-        k = self.n_slope
-        x1 = np.broadcast_to(_lead(self.x1, k), _lead(self.t, k).shape)
+        """The partials in theta of sum log v's parameter-free part: minus
+        the sums of x1 per segment, or of post (b1) and of xB."""
         if not self.switch_form:
-            return 0.0, -np.bincount(self.seg, weights=x1,
-                                     minlength=self.effect.J + 1)[1:]
-        B = _lead(self.B, k)
-        return (-float(np.count_nonzero(_lead(self.post, k))),
-                -B.sum(axis=0) if self.tv else -(x1 @ B))
+            return -self.seg_x1.sum(axis=0)
+        k = self.n_slope
+        return self._with_b1(-_lead(self.xB, k).sum(axis=0),
+                             -np.count_nonzero(_lead(self.post, k)))
 
 
 class TransformTerms:
     """u = V(t) and, when asked for, log v(t) on the slope rows, with their
-    partials in the switch coefficient b1 and in alpha, in contracted form.
+    partials in theta (see `TimeBasis`) contracted: dlog u/dtheta is the
+    per-row `dlu_factor` times that row of `du_matrix`, and `dlv` is the
+    partials of sum log v; dlog u/deta = dlog v/deta = -1 for every kind.
+    log v is -inf (v clamped at 0) where V is not increasing."""
 
-    Partials in the linear predictor eta = x'beta are not stored: du/deta
-    = -u and dlog v/deta = -1 for every kind. du/dalpha is the per-row
-    factor `du_factor` times that row of `du_matrix`, so a weighted sum over
-    rows is one product (c * du_factor) @ du_matrix; `du_db1` is per row.
-    `dlv_db1` and `dlv_dalpha` are the partials of sum log v over the slope
-    rows. log v is -inf (v clamped at 0) where V is not increasing."""
-
-    __slots__ = ("u", "du_db1", "du_factor", "du_matrix", "logv", "dlv_db1",
-                 "dlv_dalpha")
-
-    def __init__(self):
-        self.du_db1 = self.du_factor = self.du_matrix = self.logv = None
-        self.dlv_db1 = self.dlv_dalpha = None
+    dlu_factor = du_matrix = logv = dlv = None
 
 
 def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, b1=0.0,
@@ -359,55 +361,49 @@ def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, b1=0.0,
 
     `eta` is x'beta (time-invariant covariates only for time-varying
     models), a scalar or one value per row of the basis, and `b1` the
-    switch coefficient (time-varying models; ignored without a switch); the
-    exposure value that multiplies alpha belongs to the basis. A piecewise
-    effect without a switch is summed over its segments; every other kind
-    is the switch form
+    switch coefficient (ignored without a switch); the exposure value that
+    multiplies alpha belongs to the basis. A piecewise effect without a
+    switch is summed over its segments; every other kind is the switch form
 
         V(t) = exp(-eta) * [min(t, t_x) + (t - t_x)_+ exp(-b1 - x1 a)],
 
     a = B(t - t_x) @ alpha, at onset t_x = 0 and b1 = 0 without a switch.
-    Extreme parameter values raise floating-point warnings; callers
-    suppress them around the call.
-    """
+    Callers suppress the floating-point warnings of extreme values."""
     out = TransformTerms()
-    k, x1 = basis.n_slope, basis.x1
-    x1s = _lead(x1, k)
-    scale = np.exp(-eta)
+    k = basis.n_slope
+    neg_eta = -eta
+    scale = np.exp(neg_eta)
     if grad:
-        out.dlv_db1, out.dlv_dalpha = basis.fixed_dlogv
+        out.dlv = basis.fixed_dlogv
     if not basis.switch_form:  # piecewise without a switch
-        E = np.exp(-np.multiply.outer(basis.levels, alpha))  # row per level
-        E = (E[0] if basis.level_index is None
-             else np.take(E, basis.level_index, axis=0))
-        if E.ndim == 1 and not grad:  # one exposure value, as in inference
-            out.u = scale * (basis.lead + basis.terms @ E)
+        E = np.exp(basis.neg_levels * alpha)  # row per exposure value
+        if basis.level_index is None:  # one exposure value, as in inference
+            out.u = scale * (basis.lead + basis.terms @ E[0])
         else:
-            ET = E * basis.terms  # segment lengths at their slope factors
-            out.u = scale * (basis.lead + ET @ np.ones(alpha.size))
+            ET = E.take(basis.level_index, axis=0) * basis.terms  # at slopes
+            inner = basis.lead + ET @ basis.ones
+            out.u = scale * inner
             if grad:
-                out.du_factor, out.du_matrix = -(scale * x1), ET
+                out.dlu_factor, out.du_matrix = basis.neg_x1 / inner, ET
         if logv:
-            alpha_seg = np.concatenate([[0.0], alpha])[basis.seg]
-            out.logv = -_lead(eta, k) - x1s * alpha_seg
+            out.logv = _lead(neg_eta, k) - basis.seg_x1 @ alpha
         return out
 
-    if not basis.tv:
-        b1 = 0.0
-    xa = x1 * (basis.B @ alpha)  # zero before the switch
-    bump = np.where(basis.post, basis.s * np.exp(-b1 - xa), 0.0)
-    out.u = scale * (basis.min_t + bump)
+    arg = basis.xB @ -alpha  # -b1 - x1 a past the switch, 0 before it
+    if basis.tv:
+        arg -= b1 * basis.post
+    bump = basis.s_post * np.exp(arg)
+    inner = basis.min_t + bump
+    out.u = scale * inner
     if grad:
-        out.du_db1 = -scale * bump
-        out.du_factor, out.du_matrix = out.du_db1 * x1, basis.B
+        out.dlu_factor, out.du_matrix = bump / inner, basis.du_matrix
     if logv:
-        slopes = basis.slopes
-        one_minus = 1.0 - x1s * (slopes @ alpha)
-        out.logv = -_lead(eta, k) + np.where(
-            _lead(basis.post, k),
-            -b1 - _lead(xa, k) + np.log(np.maximum(one_minus, 0.0)), 0.0)
+        slopes, alpha_slopes = basis.slopes
+        one_minus = 1.0 - alpha_slopes @ alpha
+        out.logv = (_lead(neg_eta, k) + _lead(arg, k)
+                    + np.log(np.maximum(one_minus, 0.0)))
         if grad:
-            out.dlv_dalpha = out.dlv_dalpha - (x1s / one_minus) @ slopes
+            out.dlv = out.dlv - (1.0 / one_minus) @ slopes
     return out
 
 
@@ -554,10 +550,10 @@ def is_monotone(effect: EffectSpec, alpha: np.ndarray, x1=1.0,
     if not np.isfinite(alpha).all():
         return False
     if effect.kind == "spline":
-        g, c = (rows @ alpha for rows in effect.knot_rows)  # g', g'' at knots
-        turn = c[:-1] * c[1:] < 0.0
+        g, c = effect.knot_rows[0] @ alpha, effect.knot_rows[1] @ alpha
+        turn = c[:-1] * c[1:] < 0.0  # g'' changes sign between knots
         a, b, h = c[:-1][turn], c[1:][turn], np.diff(effect.knot_array())[turn]
-        g = np.append(g, g[:-1][turn] + 0.5 * h * a * (a / (a - b)))
+        g = np.concatenate([g, g[:-1][turn] + 0.5 * h * a * (a / (a - b))])
     elif effect.kind == "piecewise" and switch:
         g = effect.knot_rows[0] @ alpha
     else:

@@ -13,18 +13,19 @@ interval-lower, right, interval-upper, truncation) are stacked into one
 vector, put once through `covproc.transform` and once through
 `baseline.log_terms` (density on the leading exact rows, survivor on the
 rest). The gradient is contracted, never built as a (rows x parameters)
-matrix: with c the weight of each row term in the total (+1, -1 on
-truncation rows, and from the parameters on interval rows), the beta part
-is X'(c * d/du * -u) minus the exact rows' covariate sums, the alpha part
-is (c * d/du * du_factor) @ du_matrix plus the column sums of d log v, and
-the baseline parts are c @ d/dmu and so on. The transform's arguments come
-from the model: each row's exposure value from `ModelSpec.predictor`,
-once per dataset, and eta = X @ coef from `ModelSpec.split_beta` on every
-call, so this module holds no copy of V, the baseline or the linear
-predictor. Priors are flat
-on beta, alpha and mu, Gamma(a_sigma, b_sigma) on sigma, and for
-Bernstein-transformed baselines symmetric Dirichlet(theta) on the weights
-with a Gamma(a_theta, b_theta) hyperprior on theta.
+matrix. A row term depends on the parameters of u through log u only, so
+with c the weight of each row term in the total and the baseline's q = u
+d/du, every partial is c q contracted with a dlog u partial of the
+transform (-1 in x'beta, a factor times a matrix in the switch coefficient
+and alpha), plus log v's and the density's own terms on the exact rows; mu
+and log sigma need only q and r (`baseline.BaselineTerms`). Every
+parameter-free array is built once, in `Prepared` and its
+`covproc.TimeBasis`, and eta = X @ coef from `ModelSpec.split_beta` on
+every call, so this module holds no copy of V, the baseline or the linear
+predictor. Priors are flat on beta, alpha and mu, Gamma(a_sigma, b_sigma)
+on sigma, and for Bernstein-transformed baselines symmetric
+Dirichlet(theta) on the weights with a Gamma(a_theta, b_theta) hyperprior
+on theta.
 
 The sampler works on an unconstrained vector z laid out as
 
@@ -38,18 +39,16 @@ finite zeta gives an increasing V: alpha = D^{-1}(1 - exp(zeta)), the
 log-Jacobian is sum zeta, and the prior stays flat on alpha. One pass,
 `_constrain_pass`, maps z to the constrained parameters, the log-Jacobian
 and the stick values; `constrain`, `log_jacobian` and the posterior all
-call it. Gradients are assembled analytically by the chain rule through
-the time transform, the baseline, and the transforms; every component is
-pinned against central finite differences in the test suite.
+call it. Every gradient component is pinned against central finite
+differences in the test suite.
 
-Per-subject log-likelihood contributions are computed in log space
-throughout; a contribution that falls below -745 (where a double
-underflows) is declared -inf, which the sampler treats as a rejection.
-Spline transforms that `covproc.is_monotone` finds non-increasing
-anywhere on t > 0 (no other effect can be, at a finite z), and proposals
-whose constrained values overflow or underflow (where `constrain` raises a
-DomainError naming the coordinate), are likewise rejected by returning
--inf.
+Contributions are computed in log space throughout; one below -745 (where
+a double underflows) is declared -inf, which the sampler treats as a
+rejection. Spline transforms that `covproc.is_monotone` finds
+non-increasing anywhere on t > 0 (no other effect can be, at a finite z),
+and proposals whose constrained values overflow or underflow (where
+`constrain` raises a DomainError naming the coordinate), are likewise
+rejected by returning -inf.
 
 The stick transform (log-sigmoids from `np.logaddexp`, its inverse from
 suffix sums of w) and the Dirichlet normaliser (`math.lgamma`, inf where it
@@ -59,6 +58,7 @@ use, by the gradient in log theta only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -161,13 +161,22 @@ def _stick_forward(y: np.ndarray):
     (1 - z_k far below machine precision) keeps every later weight to full
     relative precision, the log-Jacobian is finite for every finite y, and
     weights underflow to 0 instead of raising."""
-    x = y - np.log(np.arange(y.size, 0, -1, dtype=float))  # offset log(K - k)
+    x = y - _stick_offsets(y.size)
     log_z = -np.logaddexp(0.0, -x)
     log_1mz = -np.logaddexp(0.0, x)
-    log_stick = np.append(0.0, np.cumsum(log_1mz))  # log of the stick before k
-    w = np.exp(np.append(log_z + log_stick[:-1], log_stick[-1]))
-    logjac = float(np.sum(log_z + log_1mz + log_stick[:-1]))
-    return w, np.exp(log_z), logjac
+    log_stick = np.zeros(y.size + 1)  # log of the stick before k
+    log_1mz.cumsum(out=log_stick[1:])
+    log_w = log_stick + np.concatenate([log_z, [0.0]])
+    logjac = float((log_z + log_1mz + log_stick[:-1]).sum())
+    return np.exp(log_w), np.exp(log_z), logjac
+
+
+@functools.lru_cache(maxsize=None)
+def _stick_offsets(n: int) -> np.ndarray:
+    """log(K - k), k = 1..K-1, for n = K - 1 sticks (shared)."""
+    out = np.log(np.arange(n, 0, -1, dtype=float))
+    out.flags.writeable = False
+    return out
 
 
 def _stick_inverse(w: np.ndarray) -> np.ndarray:
@@ -175,9 +184,8 @@ def _stick_inverse(w: np.ndarray) -> np.ndarray:
     offset, with the stick before k taken as the suffix sum of w, so that
     the logit is log w_k - log sum_{j>k} w_j, with no cancellation."""
     suffix = np.cumsum(w[::-1])[::-1]  # suffix[k] = sum_{j >= k} w_j
-    offsets = np.log(np.arange(w.size - 1, 0, -1, dtype=float))
     with np.errstate(divide="ignore"):
-        return np.log(w[:-1]) - np.log(suffix[1:]) + offsets
+        return np.log(w[:-1]) - np.log(suffix[1:]) + _stick_offsets(w.size - 1)
 
 
 def _zeta_rows(model: ModelSpec):
@@ -205,9 +213,12 @@ def unconstrain(model: ModelSpec, psi: ParameterVector) -> np.ndarray:
 
 def _positive(name: str, v) -> float:
     """exp(v) for a log scale v; a DomainError naming it where exp(v)
-    overflows or underflows. The caller silences the overflow warning."""
-    e = float(np.exp(v))
-    if e == 0.0 or math.isinf(e):
+    overflows or underflows."""
+    try:
+        e = math.exp(v)
+    except OverflowError:
+        e = math.inf
+    if e == 0.0 or e == math.inf:
         raise DomainError(f"{name} = {v:g} "
                           f"{'overflows' if e else 'underflows'} on the "
                           "constrained scale")
@@ -218,10 +229,9 @@ def _constrain_pass(model: ModelSpec, z: np.ndarray):
     """The constraining transform in one pass: (beta, alpha, mu, sigma, w,
     theta, log-Jacobian, stick values z_k), with beta a view of z, alpha
     too unless it is D^{-1}(1 - exp(zeta)) (see `_zeta_rows`), and w,
-    theta and z_k None for a non-tbp baseline. A constrained value that
-    cannot be represented (alpha, sigma or theta overflowing or
-    underflowing, a weight below 1e-300) raises a DomainError naming its
-    coordinate; the caller silences the overflow warnings."""
+    theta and z_k None for a non-tbp baseline. A value that cannot be
+    represented (alpha, sigma or theta overflowing or underflowing, a
+    weight below 1e-300) raises a DomainError naming its coordinate."""
     nb, J = model.n_beta, model.J
     if z.shape != (model.n_unconstrained,):
         raise DomainError(f"z has shape {z.shape}, expected "
@@ -232,14 +242,14 @@ def _constrain_pass(model: ModelSpec, z: np.ndarray):
     if rows is not None:  # |d alpha / d zeta| = prod exp(zeta), as det D = 1
         logjac += sum(alpha.tolist())
         alpha = rows[1] @ -np.expm1(alpha)
-        if not math.isfinite(alpha.sum()):
+        if not math.isfinite(sum(alpha.tolist())):
             raise DomainError(f"zeta = {z[nb:nb + J]} overflows alpha")
     w = theta = zk = None
     if model.baseline.is_tbp:
         K = model.K
         sticks = z[nb + J + 2:nb + J + 1 + K]
         w, zk, lj = _stick_forward(sticks)
-        if np.any(w < 1e-300):
+        if w.min() < 1e-300:
             raise DomainError(f"stick coordinates {sticks} put weight "
                               f"w_{int(np.argmax(w < 1e-300)) + 1} "
                               "below 1e-300")
@@ -297,12 +307,10 @@ class Prepared:
 
     so the first n rows hold one row per subject (`main`), and a single
     transform basis covers them all, with slope parts on the exact rows.
-    Everything in the gradient that does not depend on the parameters is
-    kept here: the row weights c = d ll_total / d(row term), which are +1
-    and -1 (truncation rows) unless interval rows take theirs from the
-    parameters, and the column sums of the exact rows' covariates, which
-    are minus d sum log v / d coef.
-    """
+    Everything that does not depend on the parameters is kept here: the row
+    weights c = d ll_total / d(row term) (+1, -1 on truncation rows; interval
+    rows take theirs from the parameters), the exact rows' indicator,
+    -[X' | 1], and the constants of the baseline and the transforms."""
 
     def __init__(self, model: ModelSpec, data: Dataset):
         if len(data.covariate_names) != len(model.covariates):
@@ -333,9 +341,10 @@ class Prepared:
         self.trunc_rows = self.subject_rows[idx_trunc]
         X = data.x[rows]
         self.Xt = np.ascontiguousarray(X.T)
-        self.x_exact = X[:ne].sum(axis=0)
+        self.neg_xt1 = -np.vstack([self.Xt, np.ones(len(t))])  # coef, mu
         self.c = np.ones(len(t))
         self.c[self.tr] = -1.0
+        self.exact = (np.arange(len(t)) < ne) * 1.0
         # the exposure value that scales alpha on each row (0.0 where none)
         _, self.x1, _ = model.predictor(np.zeros(model.n_beta), X)
         onset = data.onset[rows] if model.time_varying else None
@@ -346,6 +355,9 @@ class Prepared:
         self.x1_range = (1.0 if model.time_varying else
                          np.array([np.min(self.x1, initial=0.0),
                                    np.max(self.x1, initial=0.0)]))
+        self.eps = bl.log_sigma_sign(model.baseline)
+        self.zeta_rows = _zeta_rows(model)
+        self.stick_ramp = np.arange(model.K, 1, -1.0)  # K + 1 - k
 
     def eta(self, coef: np.ndarray) -> np.ndarray:
         """x'coef on every row; one data column is a scaled copy."""
@@ -360,32 +372,12 @@ def prepare(model: ModelSpec, data) -> Prepared:
 
 # -- likelihood ---------------------------------------------------------------
 
-def _log1mexp(logx: np.ndarray) -> np.ndarray:
-    """log(1 - exp(logx)) for logx <= 0, stable near both ends; the caller
-    silences the warnings at logx = 0."""
-    out = np.empty_like(logx)
-    small = logx < np.log(0.5)
-    out[small] = np.log1p(-np.exp(logx[small]))
-    out[~small] = np.log(-np.expm1(logx[~small]))
-    return out
-
-
-def _pointwise(model: ModelSpec, prep: Prepared, beta, alpha, mu, sigma, w,
-               want_grad: bool):
+def _pointwise(model, prep, beta, alpha, mu, sigma, w, want_grad):
     """Log-likelihood contributions in one pass over the stacked rows, one
     per subject in the order of the main rows (`prep.subject_rows` maps a
-    subject to its entry). Returns (ll, grad), grad being the gradient of
-    the total in the blocks (beta, alpha, mu, log sigma, w) when asked for.
-
-    Extreme parameter proposals can overflow intermediates; the resulting
-    non-finite contributions are caught by the callers (rejection), so the
-    arithmetic warnings of the whole pass are suppressed here, once."""
-    with np.errstate(all="ignore"):
-        return _pointwise_impl(model, prep, beta, alpha, mu, sigma, w,
-                               want_grad)
-
-
-def _pointwise_impl(model, prep, beta, alpha, mu, sigma, w, want_grad):
+    subject to its entry), and, when asked for, the gradient of the total
+    in the blocks (b1, coef, alpha, mu, log sigma, w). Callers suppress the
+    warnings of extreme proposals and reject non-finite contributions."""
     n, ne = prep.n, prep.n_exact
     coef, b1 = model.split_beta(beta)
     tt = transform(prep.basis, alpha, prep.eta(coef), b1, logv=True,
@@ -397,29 +389,37 @@ def _pointwise_impl(model, prep, beta, alpha, mu, sigma, w, want_grad):
     ll = val[:n]
     c = prep.c
     if prep.has_interval:
-        # log[S(y_l) - S(y_u)] = log S(y_l) + log(1 - S(y_u)/S(y_l))
+        # log[S(y_l) - S(y_u)] = log S(y_l) + log(1 - S(y_u)/S(y_l)), with
+        # log(1 - e^delta) stable near both ends
         lower = val[prep.lo]
         delta = val[prep.hi] - lower
         bad = delta >= 0
         delta = np.where(bad, -1e-300, delta)
-        ll[prep.lo] = np.where(bad, -np.inf, lower + _log1mexp(delta))
+        ratio, gap = np.exp(delta), -np.expm1(delta)
+        ll[prep.lo] = np.where(bad, -np.inf, lower + np.where(
+            delta < math.log(0.5), np.log1p(-ratio), np.log(gap)))
         if want_grad:
-            q1 = 1.0 / (-np.expm1(delta))
+            q1 = 1.0 / gap
             c = c.copy()
             c[prep.lo] = q1
-            c[prep.hi] = -np.exp(delta) * q1
+            c[prep.hi] = -ratio * q1
     ll[prep.trunc_rows] -= val[prep.tr]
     if not want_grad:
         return ll, None
 
-    # d ll_total / d(row term) is c; du/deta = -u, dlog v/deta = -1
-    cu = c * bt.d_du
-    g_beta = -(prep.Xt @ (cu * tt.u)) - prep.x_exact
-    if model.time_varying:
-        g_beta = np.concatenate([[cu @ tt.du_db1 + tt.dlv_db1], g_beta])
-    g_alpha = (cu * tt.du_factor) @ tt.du_matrix + tt.dlv_dalpha
-    g_w = c @ bt.d_dw if model.baseline.is_tbp else None
-    return ll, (g_beta, g_alpha, c @ bt.d_dmu, c @ bt.d_dls, g_w)
+    # d ll_total / d(row term) is c, and a row term's partial in a
+    # parameter of u is q dlog u/d(it), dlog u/deta being -1. The exact
+    # rows weigh one more in eta, mu and log sigma, for log v's -eta and f0's
+    # own -1 and eps (r + 1) (`baseline.BaselineTerms`)
+    cq = c * bt.q
+    ce = cq + prep.exact
+    g_coef_mu = prep.neg_xt1 @ ce
+    g_ls = prep.eps * (ce @ bt.r + ne)
+    g_theta = (cq * tt.dlu_factor) @ tt.du_matrix + tt.dlv
+    g_w = c @ bt.d_dw if bt.d_dw is not None else None
+    nb1 = prep.basis.n_b1
+    return ll, (g_theta[:nb1], g_coef_mu[:-1], g_theta[nb1:], g_coef_mu[-1],
+                g_ls, g_w)
 
 
 def pointwise_loglik_vector(model: ModelSpec, psi: ParameterVector,
@@ -428,12 +428,13 @@ def pointwise_loglik_vector(model: ModelSpec, psi: ParameterVector,
     subjects; NaN raises a numerical error naming the subject."""
     check_psi(model, psi)
     prep = data if isinstance(data, Prepared) else prepare(model, data)
-    ll, _ = _pointwise(model, prep, psi.beta, psi.alpha, psi.mu, psi.sigma,
-                       psi.w, want_grad=False)
+    with np.errstate(all="ignore"):
+        ll, _ = _pointwise(model, prep, psi.beta, psi.alpha, psi.mu,
+                           psi.sigma, psi.w, want_grad=False)
     ll = ll[prep.subject_rows]
-    ll = np.where(ll < LOG_FLOOR, -np.inf, ll)
-    if np.any(np.isnan(ll)):
-        bad = int(np.where(np.isnan(ll))[0][0])
+    ll[ll < LOG_FLOOR] = -np.inf
+    if np.isnan(ll).any():
+        bad = int(np.isnan(ll).argmax())
         raise NumericalError(
             f"non-finite log-likelihood for subject {bad}", subject=bad)
     return ll
@@ -511,11 +512,12 @@ def _posterior_impl(model, z, prep, priors, want_grad: bool):
     """(log posterior, gradient) at z; (-inf, None) rejects a proposal that
     has no finite posterior or cannot be represented (an overflowing scale,
     an underflowing weight), and (value, None) flags a non-finite gradient.
-    The parameters come from `_constrain_pass`, with no `ParameterVector`."""
+    The parameters come from `_constrain_pass`, with no `ParameterVector`;
+    the arithmetic warnings of the whole call are suppressed here, once."""
     z = np.asarray(z, dtype=float)
-    if not np.isfinite(z).all():
-        return -math.inf, None
     with np.errstate(all="ignore"):
+        if not np.isfinite(z).all():
+            return -math.inf, None
         try:
             beta, alpha, mu, sigma, w, theta, logjac, zk = _constrain_pass(
                 model, z)
@@ -525,51 +527,42 @@ def _posterior_impl(model, z, prep, priors, want_grad: bool):
         if model.effect.kind == "spline" and not is_monotone(
                 model.effect, alpha, prep.x1_range, model.time_varying):
             return -math.inf, None
-        ll, grad = _pointwise_impl(model, prep, beta, alpha, mu, sigma, w,
-                                   want_grad)
-    # a contribution below LOG_FLOOR or NaN rejects here, +inf by the total
-    if not ll.min(initial=math.inf) >= LOG_FLOOR:
-        return -math.inf, None
+        ll, grad = _pointwise(model, prep, beta, alpha, mu, sigma, w,
+                              want_grad)
+        # a contribution below LOG_FLOOR or NaN rejects here, +inf below
+        if not np.minimum.reduce(ll, initial=math.inf) >= LOG_FLOOR:
+            return -math.inf, None
 
-    total = float(ll.sum()) + _log_prior(model, sigma, w, theta, priors) + logjac
-    if not math.isfinite(total):
-        return -math.inf, None
-    if not want_grad:
-        return total, None
+        total = (float(np.add.reduce(ll))
+                 + _log_prior(model, sigma, w, theta, priors) + logjac)
+        if not math.isfinite(total):
+            return -math.inf, None
+        if not want_grad:
+            return total, None
 
-    g_beta, g_alpha, g_mu, g_ls, g_w = grad
-    gz = np.zeros_like(z)
-    nb, J = model.n_beta, model.J
-    gz[:nb] = g_beta
-    rows = _zeta_rows(model)
-    gz[nb:nb + J] = (g_alpha if rows is None
-                     else 1.0 - np.exp(z[nb:nb + J]) * (g_alpha @ rows[1]))
-    gz[nb + J] = g_mu
-    # d/dlog sigma: chain through likelihood, Gamma prior, and Jacobian
-    gz[nb + J + 1] = (g_ls + (priors.a_sigma - 1.0) - priors.b_sigma * sigma
-                      + 1.0)
-    if model.baseline.is_tbp:
-        K = model.K
-        g_w = g_w + (theta - 1.0) / w
-        # map d/dw onto the stick-breaking coordinates:
-        #   dL/dy_k = g_w[k] w_k (1 - z_k) - z_k * sum_{j>k} g_w[j] w_j
-        c = g_w * w
-        suffix = np.cumsum(c[::-1])[::-1]           # suffix[k] = sum_{j>=k} c_j
-        gy = c[:K - 1] * (1.0 - zk) - zk * suffix[1:]
-        # Jacobian gradient: d/dy_k of sum_j (log z_j + log(1-z_j) + log stick_j)
-        ks = np.arange(1, K)
-        gy += 1.0 - zk * (K + 1.0 - ks)
-        gz[nb + J + 2:nb + J + 1 + K] = gy
-        # theta coordinate
-        from scipy.special import digamma
-        dtheta = (K * digamma(K * theta) - K * digamma(theta)
-                  + float(np.sum(np.log(w))))
-        gz[nb + J + 1 + K] = (theta * dtheta
-                              + (priors.a_theta - 1.0) - priors.b_theta * theta
-                              + 1.0)
-    if not np.all(np.isfinite(gz)):
-        return total, None
-    return total, gz
+        g_b1, g_coef, g_alpha, g_mu, g_ls, g_w = grad
+        if prep.zeta_rows is not None:
+            zeta = z[model.n_beta:model.n_beta + model.J]
+            g_alpha = 1.0 - np.exp(zeta) * (g_alpha @ prep.zeta_rows[1])
+        # d/dlog sigma: chain through likelihood, Gamma prior, and Jacobian
+        parts = [g_b1, g_coef, g_alpha, (g_mu, g_ls + (priors.a_sigma - 1.0)
+                                         - priors.b_sigma * sigma + 1.0)]
+        if w is not None:
+            # map d/dw onto the stick-breaking coordinates:
+            #   dL/dy_k = g_w[k] w_k (1 - z_k) - z_k * sum_{j>k} g_w[j] w_j
+            # plus d/dy_k of the Jacobian, 1 - z_k (K + 1 - k)
+            K = model.K
+            c = (g_w + (theta - 1.0) / w) * w
+            suffix = c[::-1].cumsum()[::-1]  # suffix[k] = sum_{j>=k} c_j
+            gy = (c[:K - 1] * (1.0 - zk) - zk * (suffix[1:] + prep.stick_ramp)
+                  + 1.0)
+            from scipy.special import digamma
+            dtheta = (K * digamma(K * theta) - K * digamma(theta)
+                      + float(np.log(w).sum()))
+            parts += [gy, (theta * dtheta + (priors.a_theta - 1.0)
+                           - priors.b_theta * theta + 1.0,)]
+        gz = np.concatenate(parts)
+        return (total, gz) if np.isfinite(gz).all() else (total, None)
 
 
 def log_posterior_unconstrained(model: ModelSpec, z, data,

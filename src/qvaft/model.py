@@ -21,6 +21,7 @@ forms eta = X @ coef from `ModelSpec.split_beta` on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,15 +58,15 @@ class ModelSpec:
 
     # -- layout -------------------------------------------------------------
 
-    @property
+    @cached_property
     def n_beta(self) -> int:
         return len(self.covariates) + (1 if self.time_varying else 0)
 
-    @property
+    @cached_property
     def J(self) -> int:
         return self.effect.J
 
-    @property
+    @cached_property
     def K(self) -> int:
         return self.baseline.K if self.baseline.is_tbp else 0
 
@@ -93,7 +94,7 @@ class ModelSpec:
             names += ["theta"]
         return tuple(names)
 
-    @property
+    @cached_property
     def n_unconstrained(self) -> int:
         base = self.n_beta + self.J + 2
         if self.baseline.is_tbp:

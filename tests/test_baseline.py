@@ -19,7 +19,7 @@ from qvaft.baseline import (
     log_survivor,
     survivor,
 )
-from qvaft.baseline import Outer, _tbp_coefficients, log_terms
+from qvaft.baseline import Outer, _tbp_coefficients, log_sigma_sign, log_terms
 from qvaft.errors import DomainError
 
 WEIBULL = BaselineSpec("weibull")
@@ -258,7 +258,7 @@ class TestTBPNearOne:
             t = log_terms(self.SPEC, 1.0, 1.2, self.W,
                           np.array([u - h, u, u + h]), grad=True)
         assert np.isfinite(t.val).all()
-        for part in (t.d_du, t.d_dmu, t.d_dls, t.d_dw):
+        for part in (t.d_du, t.d_dw):
             assert np.isfinite(part).all()
         fd = (t.val[2] - t.val[0]) / (2 * h)
         assert t.d_du[1] == pytest.approx(fd, rel=1e-6)
@@ -299,3 +299,48 @@ class TestFactoredU:
             np.testing.assert_allclose(
                 log_terms(*args, Outer(self.H, self.S)).val, dense[0].val,
                 rtol=1e-13, atol=0)
+
+
+class TestLocationScaleIdentities:
+    """Every baseline is a function of u exp(-mu), and of sigma through
+    r = log u - mu, so the partials in mu and log sigma of each row term
+    follow from q = u d/du: d/dmu = -q and d/dlog sigma = eps r q, with -1
+    and eps (r + 1) more on density rows (eps +1 for a Weibull centering,
+    -1 for a log-normal one). Checked per row against central differences
+    of `log_terms`, on moderate u and in the deep tail, where the Weibull
+    centering's z = (u e^-mu)^sigma is beyond 745."""
+
+    U = np.array([0.05, 0.8, 2.5, 2000.0, 0.3, 1.7, 9.0, 2500.0])
+    N_PDF = 4  # the first half are density rows
+    MU, LOG_SIGMA, H = 1.0, math.log(1.2), 1e-5
+
+    @pytest.mark.parametrize("spec,w", [
+        (WEIBULL, None), (LOGNORMAL, None),
+        (BaselineSpec("tbp", "weibull", 5),
+         np.array([0.1, 0.15, 0.3, 0.25, 0.2])),
+        (BaselineSpec("tbp", "lognormal", 3), np.array([0.5, 0.2, 0.3]))],
+        ids=["weibull", "lognormal", "tbp-weibull", "tbp-lognormal"])
+    def test_partials_from_q(self, spec, w):
+        def val(mu, log_sigma):
+            return log_terms(spec, mu, math.exp(log_sigma), w, self.U,
+                             self.N_PDF).val
+
+        mu, ls, h = self.MU, self.LOG_SIGMA, self.H
+        with np.errstate(over="ignore", divide="ignore"):
+            t = log_terms(spec, mu, math.exp(ls), w, self.U, self.N_PDF,
+                          grad=True)
+            fd_mu = (val(mu + h, ls) - val(mu - h, ls)) / (2 * h)
+            fd_ls = (val(mu, ls + h) - val(mu, ls - h)) / (2 * h)
+        assert np.isfinite(t.val).all() and np.isfinite(t.q).all()
+        pdf = np.arange(self.U.size) < self.N_PDF
+        eps = log_sigma_sign(spec)
+        np.testing.assert_allclose(t.r, np.log(self.U) - mu, rtol=1e-15)
+        np.testing.assert_allclose(-t.q - pdf, fd_mu, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(eps * (t.r * t.q + pdf * (t.r + 1.0)),
+                                   fd_ls, rtol=1e-6, atol=1e-9)
+
+    def test_sign_follows_the_centering(self):
+        assert log_sigma_sign(WEIBULL) == 1.0
+        assert log_sigma_sign(LOGNORMAL) == -1.0
+        assert log_sigma_sign(BaselineSpec("tbp", "lognormal", 2)) == -1.0
+        assert log_sigma_sign(TBP5) == 1.0

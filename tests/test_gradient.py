@@ -1,8 +1,10 @@
 """Gradient of the unconstrained log-posterior against central finite
 differences, across every baseline family and effect kind, plus the
-hand-differentiated unit-exponential case."""
+hand-differentiated unit-exponential case and the agreement of the
+sampler's logp-and-gradient with the value-only path."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from qvaft.likelihood import (
     PriorSpec,
     grad_log_posterior,
     log_posterior_unconstrained,
+    make_posterior,
     prepare,
     unconstrain,
 )
@@ -174,3 +177,44 @@ def test_gradient_error_when_posterior_infinite():
     z[2] = 8.0
     with pytest.raises(NumericalError):
         grad_log_posterior(model, z, data, PRIORS)
+
+
+KINDS = [("constant", ()), ("piecewise", (0.0, 0.7, 2.0)),
+         ("spline", (-1.5, 0.0, 1.2))]
+SCALES = (0.3, 1.0, 3.0, 30.0, 800.0, 1e6, 1e300)
+
+
+@pytest.mark.parametrize("family,centering,K", FAMILIES)
+@pytest.mark.parametrize("kind,knots", KINDS)
+@pytest.mark.parametrize("time_varying", [False, True])
+def test_kernel_paths_agree_and_never_raise(family, centering, K, kind,
+                                            knots, time_varying, rng):
+    """The sampler's logp-and-gradient and the value-only path on random z
+    from moderate to absurd scales: no exception and no warning escapes,
+    the sampler gets (finite, finite) or (-inf, zeros), and a finite value
+    is the value-only one bit for bit (-inf stands for a finite value only
+    where the gradient is not finite)."""
+    model = make_model(family, kind, knots, centering=centering, K=K,
+                       time_varying=time_varying)
+    data = random_dataset(rng, 20, 2, time_varying=time_varying)
+    f, prep = make_posterior(model, data, PRIORS)
+    dim = model.n_unconstrained
+    finite = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in SCALES:
+            for _ in range(4):
+                z = rng.normal(scale=scale, size=dim)
+                logp, grad = f(z)
+                value = log_posterior_unconstrained(model, z, prep, PRIORS)
+                assert grad.shape == (dim,)
+                if logp == -math.inf:
+                    assert not grad.any()
+                    if value != logp:  # a finite value whose gradient is not
+                        with pytest.raises(NumericalError):
+                            grad_log_posterior(model, z, prep, PRIORS)
+                else:
+                    assert logp == value
+                    assert math.isfinite(logp) and np.isfinite(grad).all()
+                    finite += 1
+    assert finite > 0
