@@ -277,10 +277,8 @@ def _analytic_af(args) -> CurveTable:
     # exposure value
     key = "onset" if model.time_varying else "level"
     x = np.zeros(d)
-    vals = np.array([
-        quantile_time(model, psi, x, pv, **{key: con.exposed})
-        / quantile_time(model, psi, x, pv, **{key: con.reference})
-        for pv in p])
+    vals = (quantile_time(model, psi, x, p, **{key: con.exposed})
+            / quantile_time(model, psi, x, p, **{key: con.reference}))
     zeros = np.zeros(len(p), dtype=bool)
     return CurveTable(p, np.full(len(p), "af", dtype=object), vals,
                       vals.copy(), vals.copy(), vals.copy(), zeros)

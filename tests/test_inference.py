@@ -296,9 +296,11 @@ class TestStandardization:
 
     def test_nan_survivor_names_the_draw(self):
         """exp(-eta) = 0 (x2 = 1000) times an infinite profile (exp(800) on
-        the last segment at the exposed level) is NaN, so S_std is NaN
-        past t = 2: the inverse and the survivor curves fail and name the
-        draw."""
+        the last segment at x1 = 1) is NaN, so S_std at x1 = 1 is NaN past
+        t = 2: with x1 = 1 as the reference level, whose S_std is
+        inverted, the AF fails and names the draw, and so do the survivor
+        curves. As the exposed level, x1 = 1 is reached through V^{-1}
+        alone, which never forms the product: its times are finite."""
         from qvaft.errors import NumericalError
         model = make_model("weibull", "piecewise", (0.0, 1.0, 2.0))
         psis = [ParameterVector(np.array([0.5, 1.0]), np.array([0.0, a]),
@@ -306,10 +308,13 @@ class TestStandardization:
         recs = [SubjectRecord(1.0, 1.0, 1, 0.0, (0.0, z)) for z in
                 (0.0, 1000.0)]
         data = Dataset.from_records(recs, ("x1", "x2"))
+        draws = draws_from_psis(model, psis)
+        p = np.array([0.6, 0.8])
         with pytest.raises(NumericalError, match="at draw 1") as err:
-            standardized_af(model, draws_from_psis(model, psis), data,
-                            np.array([0.6, 0.8]))
+            standardized_af(model, draws, data, p, ContrastSpec(0.0, 1.0))
         assert err.value.context["draw"] == 1
+        table = standardized_af(model, draws, data, p)
+        assert np.isfinite(table.mean).all() and np.isfinite(table.hi95).all()
         with pytest.raises(NumericalError, match="NaN at draw 1") as err:
             standardized_survivor_curves(model, draws_from_psis(model, psis),
                                          data, np.array([1.0, 3.0]))
@@ -458,6 +463,174 @@ class TestSurface:
         surf = af_surface(self.MODEL, draws, data,
                           np.array([q75 * 2.0]), np.array([0.75]), thin=1)
         assert surf.mean[0] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestOneInversion:
+    """Per draw only the reference level's S_std is inverted; every other
+    level's quantile times are read off it through V^{-1}, since
+    S_std(t | L) = G(V_L(t)). Checked against an oracle that inverts each
+    level's S_std, as the tables did before."""
+
+    P = np.array([0.002, 0.05, 0.3, 0.5, 0.8, 0.99])
+    ONSETS = np.array([0.6, 1.4, 2.5])
+    # key: (model, base parameters, contrast)
+    CASES = {
+        "weibull_constant": (
+            make_model("weibull", exposure="x1"),
+            ParameterVector(np.array([0.5, -0.3]), np.array([]), 0.4, 1.2),
+            ContrastSpec(1.5, 0.5)),
+        "lognormal_piecewise": (
+            make_model("lognormal", "piecewise", (0.0, 0.8, 1.6, 2.4)),
+            ParameterVector(np.array([0.5, -0.3]), np.array([0.2, 0.4, -0.3]),
+                            0.3, 0.9),
+            ContrastSpec(1.5, 0.5)),
+        "tbp_spline": (
+            TestStandardizedInverse.CASES["tbp_spline"][0],
+            TestStandardizedInverse.CASES["tbp_spline"][1],
+            ContrastSpec(1.5, 0.5)),
+        "weibull_spline": (
+            make_model("weibull", "spline", (-1.0, 0.3, 1.5)),
+            ParameterVector(np.array([0.4, -0.3]), np.array([0.2, 0.05]), 0.5,
+                            1.3),
+            ContrastSpec(1.0, 0.0)),
+        "switch_constant": (
+            make_model("lognormal", covariates=("x1",), time_varying=True),
+            ParameterVector(np.array([-0.6, 0.2]), np.array([]), 0.5, 0.8),
+            ContrastSpec(1.2, 2.0)),
+        "switch_piecewise": (
+            make_model("weibull", "piecewise", (0.0, 1.0, 2.0, 3.0),
+                       covariates=("x1",), time_varying=True),
+            ParameterVector(np.array([-0.7, 0.2]), np.array([0.2, 0.3, 0.4]),
+                            0.5, 1.1),
+            ContrastSpec(1.5, math.inf)),
+        "switch_spline": (
+            TestStandardizedInverse.CASES["switch_spline"][0],
+            TestStandardizedInverse.CASES["switch_spline"][1],
+            ContrastSpec(0.7, 2.5)),
+    }
+
+    @staticmethod
+    def inputs(rng, case):
+        model, psi, contrast = TestOneInversion.CASES[case]
+        from conftest import random_dataset
+        data = random_dataset(rng, 30, len(model.covariates),
+                              time_varying=model.time_varying)
+        psis = [psi] + [dataclasses.replace(
+            psi, beta=psi.beta + rng.normal(scale=0.1, size=psi.beta.size),
+            mu=psi.mu + rng.normal(scale=0.1)) for _ in range(2)]
+        return model, data, draws_from_psis(model, psis), contrast
+
+    @staticmethod
+    def oracle(model, draws, data, p, exposed, reference):
+        """(mean, median, lo95, hi95, flags) per exposed level, from one
+        standardized inversion per level and draw."""
+        from qvaft.data import max_followup
+        from qvaft.inference import _draw_parameters, _standardized_sf
+        levels = (reference, *exposed)
+        tmax = np.array([max_followup(data)])
+        psis = list(_draw_parameters(model, draws))
+        times = np.array([[_invert_standardized(model, psi, data, level, p)
+                           for psi in psis] for level in levels])
+        at_tmax = np.array([[_standardized_sf(model, psi, data, level)(tmax)[0]
+                             for psi in psis] for level in levels]).mean(axis=1)
+        return [(*_summaries(times[k] / times[0]),
+                 p < min(at_tmax[k], at_tmax[0]))
+                for k in range(1, len(levels))]
+
+    @staticmethod
+    def assert_matches(table, want):
+        *stats, flags = want
+        for f, w in zip(("mean", "median", "lo95", "hi95"), stats):
+            np.testing.assert_allclose(getattr(table, f), w, rtol=1e-10,
+                                       atol=0.0, err_msg=f)
+        np.testing.assert_array_equal(table.extrapolated, flags)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_af_matches_oracle(self, rng, case):
+        model, data, draws, con = self.inputs(rng, case)
+        table = standardized_af(model, draws, data, self.P, con)
+        self.assert_matches(table, self.oracle(
+            model, draws, data, self.P, (con.exposed,), con.reference)[0])
+
+    @pytest.mark.parametrize("case", ["switch_constant", "switch_piecewise",
+                                      "switch_spline"])
+    def test_surface_matches_oracle(self, rng, case):
+        model, data, draws, _ = self.inputs(rng, case)
+        surf = af_surface(model, draws, data, self.ONSETS, self.P, thin=1)
+        wants = self.oracle(model, draws, data, self.P, tuple(self.ONSETS),
+                            math.inf)
+        for g, want in zip(self.ONSETS, wants):
+            self.assert_matches(surf.rows_for(f"tx={g:g}"), want)
+
+    @pytest.mark.parametrize("case", ["switch_piecewise", "switch_spline"])
+    def test_forty_onset_slices_equal_af(self, rng, case):
+        """All onsets go through one V^{-1} call, each row inverted as it
+        would be alone: every slice equals the AF at its onset bit for
+        bit."""
+        model, data, draws, _ = self.inputs(rng, case)
+        onsets = np.linspace(0.0, 4.0, 41)[1:]
+        surf = af_surface(model, draws, data, onsets, self.P, thin=1)
+        for g in onsets:
+            got = surf.rows_for(f"tx={g:g}")
+            want = standardized_af(model, draws, data, self.P,
+                                   ContrastSpec(float(g), math.inf))
+            for f in ("mean", "median", "lo95", "hi95", "extrapolated"):
+                np.testing.assert_array_equal(getattr(got, f),
+                                              getattr(want, f), err_msg=f)
+
+    def test_exposed_level_without_finite_time_names_draw_and_level(self):
+        """alpha_2 = 800 makes the exposed level's V flat past t = 2
+        (slope exp(-800) = 0), so V^{-1} at the reference's later quantile
+        times is +inf."""
+        from qvaft.errors import NumericalError
+        model = make_model("weibull", "piecewise", (0.0, 1.0, 2.0))
+        psis = [ParameterVector(np.array([0.5, 0.1]), np.array([0.0, a]),
+                                0.0, 1.0) for a in (0.0, 800.0)]
+        data = Dataset.from_records(
+            [SubjectRecord(1.0, 1.0, 1, 0.0, (0.0, z)) for z in (0.0, 1.0)],
+            ("x1", "x2"))
+        with pytest.raises(NumericalError,
+                           match="at draw 1, level 1: V.* not finite") as err:
+            standardized_af(model, draws_from_psis(model, psis), data,
+                            np.array([0.1, 0.6]))
+        assert err.value.context["draw"] == 1
+        assert err.value.context["level"] == 1.0
+
+    def test_exposed_level_whose_inverse_raises_names_draw_and_level(self):
+        """With alpha = (1, 0) the spline transform is t^{1 - x1} exp(-eta):
+        increasing at the reference x1 = 0.5, decreasing at x1 = 1.5, whose
+        V^{-1} cannot reach its targets. The surface names the first
+        failing onset the same way."""
+        from qvaft.errors import NumericalError
+        model = make_model("weibull", "spline", (-1.0, 0.3, 1.5))
+        psis = [ParameterVector(np.array([0.5, 0.1]), np.array([a, 0.0]),
+                                0.0, 1.0) for a in (0.0, 1.0)]
+        data = Dataset.from_records(
+            [SubjectRecord(1.0, 1.0, 1, 0.0, (0.0, z)) for z in (0.0, 1.0)],
+            ("x1", "x2"))
+        with pytest.raises(NumericalError,
+                           match="at draw 1, level 1.5: spline inverse") as err:
+            standardized_af(model, draws_from_psis(model, psis), data,
+                            np.array([0.3, 0.6]), ContrastSpec(1.5, 0.5))
+        assert err.value.context["draw"] == 1
+        assert err.value.context["level"] == 1.5
+
+    def test_reference_v_not_finite_names_draw_and_level(self, monkeypatch):
+        """A V_ref that is NaN at the reference's quantile times (forced
+        here) fails naming the draw and the reference level, not with the
+        DomainError V^{-1} would raise on a NaN target."""
+        from qvaft import inference
+        from qvaft.errors import NumericalError
+        model, psi, _ = self.CASES["weibull_constant"]
+        data = Dataset.from_records(
+            [SubjectRecord(1.0, 1.0, 1, 0.0, (0.0, 0.3))], ("x1", "x2"))
+        monkeypatch.setattr(inference, "transform_value",
+                            lambda *args: np.full(2, np.nan))
+        with pytest.raises(NumericalError,
+                           match="at draw 0, level 0.5: V at") as err:
+            standardized_af(model, draws_from_psis(model, [psi]), data,
+                            np.array([0.3, 0.6]), ContrastSpec(1.5, 0.5))
+        assert err.value.context["level"] == 0.5
 
 
 class TestCurveTable:
