@@ -218,13 +218,16 @@ def _weibull_terms(mu, sigma, u, k, grad, sf_head=False):
     sf = BaselineTerms(-z)
     if not (k or grad):
         return sf, None
-    r = _log(u) - mu
+    # without grad, r is read on the density rows alone
+    r = _log(u if grad or isinstance(u, Outer) else u[:k]) - mu
     if grad:
         sf.q, sf.r = -sigma * z, r
     if not k:
         return sf, None
     # log sigma - mu + (sigma - 1) r - z on the density rows
-    head = math.log(sigma) - mu + (sigma - 1.0) * r[:k]
+    log_sigma = (np.log(sigma) if isinstance(sigma, np.ndarray)
+                 else math.log(sigma))
+    head = log_sigma - mu + (sigma - 1.0) * r[:k]
     if sf_head:
         return sf, BaselineTerms(head - z[:k], (sigma - 1.0) - sigma * z[:k]
                                  if grad else None)
@@ -260,8 +263,10 @@ def _lognormal_terms(mu, sigma, u, k, grad, sf_head=False):
     if not k:
         return out, None
     sk = s[:k]
+    log_sigma = (np.log(sigma) if isinstance(sigma, np.ndarray)
+                 else math.log(sigma))
     pdf = BaselineTerms(-0.5 * sk * sk - 0.5 * math.log(2.0 * math.pi)
-                        - math.log(sigma) - logu[:k],
+                        - log_sigma - logu[:k],
                         -(sk / sigma + 1.0) if grad else None)
     if sf_head:
         return out, pdf
@@ -292,10 +297,12 @@ def _comb(n: int, ramp: bool = False) -> np.ndarray:
 
 def _tbp_coefficients(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """c_j = W_j C(K, j), j = 0..K (c_0 = 0), of the tbp survivor and
-    d_j = w_{K-j} C(K-1, j), j = 0..K-1, of its density's sum."""
+    d_j = w_{K-j} C(K-1, j), j = 0..K-1, of its density's sum; w may have
+    a trailing axis of draws, which the coefficients keep."""
     K, wr = len(w), w[::-1]
-    return (np.concatenate([[0.0], wr.cumsum()]) * _comb(K),
-            wr * _comb(K - 1))
+    col = (slice(None),) + (None,) * (w.ndim - 1)
+    return (np.concatenate([np.zeros((1,) + w.shape[1:]), wr.cumsum(axis=0)])
+            * _comb(K)[col], wr * _comb(K - 1)[col])
 
 
 def _scaled_terms(logp: np.ndarray, n: int):
@@ -320,7 +327,10 @@ def _scaled_terms(logp: np.ndarray, n: int):
 
 
 def _dot(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_j c_j b_j over the first axis of b, of any rank."""
+    """sum_j c_j b_j over the first axis of b, of any rank; coefficients
+    with a trailing axis of draws, (J, D), pair with b's last axis."""
+    if c.ndim == 2:
+        return np.einsum("j...d,jd->...d", b, c)
     shape = b.shape[1:]
     return (c @ b.reshape(len(b), math.prod(shape))).reshape(shape)
 
@@ -375,8 +385,10 @@ def log_terms(spec: BaselineSpec, mu: float, sigma: float, w, u,
     the pair (log S0 on every row, log f0 on the first `n_pdf` or None).
     u is an array or, without `grad`, an `Outer`; `w` the tbp weight array
     (None otherwise). With `grad`, q = u d/du, r, u and (tbp) d/dw are
-    filled in (`BaselineTerms`). Callers validate the input and silence
-    the floating-point warnings of extreme values."""
+    filled in (`BaselineTerms`). Without `grad`, a dense u may carry a
+    trailing axis of D draws, with mu and sigma of shape (D,) and w of
+    shape (K, D). Callers validate the input and silence the
+    floating-point warnings of extreme values."""
     out = (_tbp_terms(spec, mu, sigma, w, u, n_pdf, grad, sf_head)
            if spec.is_tbp else
            _PARAMETRIC[spec.family][0](mu, sigma, u, n_pdf, grad, sf_head))

@@ -33,6 +33,7 @@ from .inference import (
     CurveTable,
     af_surface,
     default_quantile_grid,
+    percentiles,
     quantile_time,
     standardized_af,
     standardized_survivor_curves,
@@ -103,14 +104,15 @@ def _threads(args) -> int:
 def _summarize(model: ModelSpec, draws: PosteriorDraws) -> dict:
     params = {}
     multi = draws.n_chains >= 2
+    median, lo95, hi95 = percentiles(draws.constrained, (50.0, 2.5, 97.5))
     for i, name in enumerate(draws.param_names):
         col = draws.constrained[:, i]
         params[name] = {
             "mean": float(col.mean()),
             "sd": float(col.std(ddof=1)) if len(col) > 1 else 0.0,
-            "median": float(np.percentile(col, 50.0)),
-            "lo95": float(np.percentile(col, 2.5)),
-            "hi95": float(np.percentile(col, 97.5)),
+            "median": float(median[i]),
+            "lo95": float(lo95[i]),
+            "hi95": float(hi95[i]),
             "rhat": float(rhat(draws, i)) if multi else None,
             "ess": float(ess(draws, i)),
         }
@@ -170,7 +172,9 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _load_fit(fit_dir: str):
+def _load_fit(fit_dir: str, data_path: str | None = None):
+    """(fit.json, model, data, draws) of a fit directory, with the data
+    read from `data_path` instead of the fit's data.csv if given."""
     meta_path = os.path.join(fit_dir, "fit.json")
     missing = [p for p in ("fit.json", "data.csv", "draws.npz")
                if not os.path.exists(os.path.join(fit_dir, p))]
@@ -181,7 +185,7 @@ def _load_fit(fit_dir: str):
     check_format_version(meta_path, meta.get("format_version"),
                          FIT_FORMAT_VERSION)
     model = cfgmod.model_from_jsonable(meta["model"])
-    data = read_csv(os.path.join(fit_dir, "data.csv"))
+    data = read_csv(data_path or os.path.join(fit_dir, "data.csv"))
     draws = draws_from_npz(os.path.join(fit_dir, "draws.npz"), model)
     return meta, model, data, draws
 
@@ -313,8 +317,7 @@ def cmd_surface(args) -> int:
 
 
 def cmd_loo(args) -> int:
-    meta, model, fit_data, draws = _load_fit(args.fit)
-    data = read_csv(args.data)
+    meta, model, data, draws = _load_fit(args.fit, args.data)
     if dataset_hash(data) != meta["data_hash"]:
         raise DataError("the supplied data file does not match the one the "
                         "model was fitted to")

@@ -368,17 +368,25 @@ def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, b1=0.0,
         V(t) = exp(-eta) * [min(t, t_x) + (t - t_x)_+ exp(-b1 - x1 a)],
 
     a = B(t - t_x) @ alpha, at onset t_x = 0 and b1 = 0 without a switch.
-    Callers suppress the floating-point warnings of extreme values."""
+
+    Without `grad`, alpha may be a block of D draws, shape (J, D), with eta
+    of shape (rows, D) and b1 of shape (D,); every output then has a
+    trailing axis of draws. Callers suppress the floating-point warnings of
+    extreme values."""
     out = TransformTerms()
     k = basis.n_slope
+    cols = (Ellipsis, None) if alpha.ndim == 2 else Ellipsis  # draws axis
     neg_eta = -eta
     scale = np.exp(neg_eta)
     if grad:
         out.dlv = basis.fixed_dlogv
     if not basis.switch_form:  # piecewise without a switch
-        E = np.exp(basis.neg_levels * alpha)  # row per exposure value
+        E = np.exp(basis.neg_levels[cols] * alpha)  # row per exposure value
         if basis.level_index is None:  # one exposure value, as in inference
-            out.u = scale * (basis.lead + basis.terms @ E[0])
+            out.u = scale * (basis.lead[cols] + basis.terms @ E[0])
+        elif alpha.ndim == 2:
+            out.u = scale * (basis.lead[:, None] + np.einsum(
+                "rj,rjd->rd", basis.terms, E.take(basis.level_index, axis=0)))
         else:
             ET = E.take(basis.level_index, axis=0) * basis.terms  # at slopes
             inner = basis.lead + ET @ basis.ones
@@ -391,9 +399,9 @@ def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, b1=0.0,
 
     arg = basis.xB @ -alpha  # -b1 - x1 a past the switch, 0 before it
     if basis.tv:
-        arg -= b1 * basis.post
-    bump = basis.s_post * np.exp(arg)
-    inner = basis.min_t + bump
+        arg -= b1 * basis.post[cols]
+    bump = basis.s_post[cols] * np.exp(arg)
+    inner = basis.min_t[cols] + bump
     out.u = scale * inner
     if grad:
         out.dlu_factor, out.du_matrix = bump / inner, basis.du_matrix

@@ -444,6 +444,24 @@ class TestPostProcessing:
         assert rows[0] == "subject,elpd_i,khat"
         assert len(rows) == 121
 
+    def test_loo_reads_only_the_supplied_data(self, fitted, tmp_path,
+                                              capsys):
+        """loo reads --data and not the fit's data.csv snapshot, which
+        must still be there."""
+        import shutil
+
+        clone = tmp_path / "fit_bad_snapshot"
+        shutil.copytree(fitted["fit"], clone)
+        (clone / "data.csv").write_text("not,a,data,file\n")
+        out = str(tmp_path / "loo_clone")
+        assert main(["loo", "--fit", str(clone), "--data", fitted["data"],
+                     "--out", out]) == 0
+        assert read_loo_report(out + "/loo.txt")["n"] == 120
+        (clone / "data.csv").unlink()
+        assert main(["loo", "--fit", str(clone), "--data", fitted["data"],
+                     "--out", out]) == 2
+        assert "data.csv" in capsys.readouterr().err
+
     def test_loo_mismatched_data_exit_2(self, fitted, tmp_path):
         cfg = write_config(tmp_path, {"simulate.seed": 123})
         other = str(tmp_path / "other.csv")

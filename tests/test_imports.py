@@ -1,8 +1,10 @@
 """What a cold start loads: `import qvaft.cli` and the post-fit commands on
-a Weibull model never import scipy, yaml or concurrent.futures, and the
-lazy scipy imports of the log-normal baseline and the TBP theta gradient
-still load when those run. Each check runs in a fresh interpreter, since
-the test process has long imported everything."""
+a Weibull model never import scipy, yaml or concurrent.futures, the
+post-fit commands and the fit's summary never import numpy.ma (which
+`np.percentile` loads), and the lazy scipy imports of the log-normal
+baseline and the TBP theta gradient still load when those run. Each check
+runs in a fresh interpreter, since the test process has long imported
+everything."""
 
 import json
 import os
@@ -91,10 +93,33 @@ def test_post_fit_commands_load_no_scipy(weibull_fit, command):
     got = fresh(LOADED + f"""
     from qvaft.cli import main
     code = main({argv!r})
-    print(json.dumps({{"code": code, "loaded": loaded()}}))
+    print(json.dumps({{"code": code, "loaded": loaded(),
+                      "ma": "numpy.ma" in sys.modules}}))
     """)
     assert got["code"] == 0
     assert got["loaded"] == []
+    assert not got["ma"]
+
+
+def test_fit_summary_loads_no_numpy_ma(weibull_fit):
+    """The summary's medians and 95% bounds come from one sort, not
+    np.percentile; the values are checked against it in test_inference."""
+    got = fresh(f"""
+    import json, sys
+    import numpy as np
+    from qvaft.cli import _summarize
+    from qvaft.sampler import draws_from_npz
+    from qvaft import config
+    meta = json.load(open({weibull_fit["fit"] + "/fit.json"!r}))
+    model = config.model_from_jsonable(meta["model"])
+    draws = draws_from_npz({weibull_fit["fit"] + "/draws.npz"!r}, model)
+    summary = _summarize(model, draws)
+    print(json.dumps({{"ma": "numpy.ma" in sys.modules,
+                      "summary": summary}}))
+    """)
+    assert not got["ma"]
+    with open(os.path.join(weibull_fit["fit"], "summary.json")) as fh:
+        assert got["summary"] == json.load(fh)["params"]
 
 
 def test_lognormal_baseline_loads_scipy_on_first_use():

@@ -16,6 +16,7 @@ from qvaft.inference import (
     acceleration_factor,
     af_surface,
     default_quantile_grid,
+    percentiles,
     quantile_time,
     standardized_af,
     standardized_survivor,
@@ -242,6 +243,24 @@ class TestStandardization:
         values = np.random.default_rng(M).uniform(0.05, 20.0, 200)
         for stat in _summaries(np.tile(values, (M, 1))):
             np.testing.assert_array_equal(stat, values)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 7, 100, 1000])
+    def test_percentiles_are_numpys(self, M):
+        """One sort and numpy's linear rule give np.percentile bit for bit,
+        on columns with ties, one with a NaN and one where -0.0 and 0.0
+        tie (there the two may differ in the sign of a zero alone)."""
+        rng = np.random.default_rng(M)
+        samples = np.column_stack([
+            rng.normal(size=(M, 3)),
+            np.round(rng.normal(size=(M, 3)) * 2.0) / 2.0,   # ties
+            np.full(M, 1.5), rng.choice([-0.0, 0.0, 1.0], size=M)])
+        samples[M // 2, 2] = np.nan
+        q = (50.0, 2.5, 97.5, 0.0, 100.0, 33.3)
+        for p, got in zip(q, percentiles(samples, q)):
+            want = np.percentile(samples, p, axis=0)
+            np.testing.assert_array_equal(got, want)
+            same = (got != 0.0) | np.isnan(got)
+            assert got[same].tobytes() == want[same].tobytes()
 
     def test_inverse_round_trip_in_both_tails(self):
         model = make_model(exposure="x1", effect_kind="spline",

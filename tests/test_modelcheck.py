@@ -1,5 +1,6 @@
-"""PSIS-LOO against a conjugate closed-form oracle, smoothing invariants,
-and the comparison table."""
+"""PSIS-LOO against a conjugate closed-form oracle and against the
+per-subject smoothing it replaced, smoothing invariants, and the
+comparison table."""
 
 import math
 import warnings
@@ -10,7 +11,8 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from conftest import make_model, random_dataset
-from qvaft.errors import ComparisonError, DomainError
+from qvaft.data import Dataset, SubjectRecord
+from qvaft.errors import ComparisonError, DomainError, NumericalError
 from qvaft.likelihood import ParameterVector, loglik_subject, loglik_total
 from qvaft.modelcheck import (
     LooResult,
@@ -22,7 +24,7 @@ from qvaft.modelcheck import (
     write_loo_pointwise,
     write_loo_report,
 )
-from qvaft.modelcheck import _logsumexp, _smooth_tail
+from qvaft.modelcheck import KHAT_WARN, _logsumexp, _smooth
 from qvaft.sampler import PosteriorDraws
 
 
@@ -66,6 +68,25 @@ class TestPointwise:
         perm = rng.permutation(10)
         permuted = pointwise_loglik(model, draws, data.subset(perm)).values
         np.testing.assert_allclose(permuted[0], base[0][perm], atol=1e-12)
+
+
+    def test_nan_names_draw_and_subject(self):
+        """Subject 1's interval lies so far out that at draw 2 (mu = 0,
+        sigma = 2) both survivors underflow and their difference is NaN;
+        at the other draws the interval has a finite likelihood."""
+        model = make_model(covariates=("x1",))
+        data = Dataset.from_records(
+            [SubjectRecord(1.0, 1.0, 1, 0.0, (0.0,)),
+             SubjectRecord(1e200, 1e201, 0, 0.0, (1.0,))], ("x1",))
+        psis = [ParameterVector(np.array([0.1]), np.array([]), mu, sigma)
+                for mu, sigma in ((500.0, 1.0), (480.0, 1.1), (0.0, 2.0),
+                                  (500.0, 1.0))]
+        draws = _draws_for(model, psis)
+        with pytest.raises(NumericalError, match="draw 2, subject 1") as err:
+            pointwise_loglik(model, draws, data)
+        assert err.value.context == {"draw": 2, "subject": 1}
+        ok = pointwise_loglik(model, _draws_for(model, psis[:2]), data)
+        assert np.isfinite(ok.values).all()
 
 
 def conjugate_setup(rng, n=20, M=4000, prior_var=25.0):
@@ -113,8 +134,10 @@ class TestPsisLoo:
 
     def test_smoothing_touches_only_the_tail(self, rng):
         lr = rng.normal(size=500)
-        notes = []
-        smoothed, khat = _smooth_tail(lr, notes, 0)
+        smoothed = lr[None].copy()
+        (khat,), (degenerate,) = _smooth(smoothed)
+        smoothed = smoothed[0]
+        assert not degenerate
         tail_len = int(math.ceil(min(0.2 * 500, 3 * math.sqrt(500))))
         changed = smoothed != lr
         assert changed.sum() <= tail_len
@@ -143,6 +166,131 @@ class TestPsisLoo:
         bad[5, 1] = -np.inf
         with pytest.raises(NumericalError):
             PointwiseLogLik(bad)
+
+
+# -- the per-subject smoothing of earlier releases, the oracle of the array
+# version: one subject at a time, a full sort of its log ratios, and the
+# generalized Pareto fit on one tail
+
+def _oracle_gpd_fit(x):
+    y = np.sort(x)
+    n = len(y)
+    m = 30 + int(math.sqrt(n))
+    b = 1.0 - np.sqrt(m / (np.arange(m, dtype=float) + 0.5))
+    b = b / (3.0 * y[(n - 2) // 4]) + 1.0 / y[-1]
+    k = np.log1p(-b[:, None] * y).mean(axis=1)
+    profile = n * (np.log(-(b / k)) - k - 1.0)
+    weights = 1.0 / np.exp(profile - profile[:, None]).sum(axis=1)
+    b_post = float(np.sum(b * weights) / weights.sum())
+    k_post = float(np.log1p(-b_post * y).mean())
+    sigma = -k_post / b_post
+    khat = (n * k_post + 10 * 0.5) / (n + 10)
+    return khat, sigma
+
+
+def _oracle_gpd_quantile(q, k, sigma):
+    if abs(k) < 1e-12:
+        return -sigma * np.log1p(-q)
+    return sigma / k * ((1.0 - q) ** (-k) - 1.0)
+
+
+def _oracle_smooth_tail(log_ratios, notes, subject):
+    M = len(log_ratios)
+    tail_len = int(math.ceil(min(0.2 * M, 3.0 * math.sqrt(M))))
+    order = np.argsort(log_ratios)
+    tail_idx = order[-tail_len:]
+    cutoff = math.exp(log_ratios[order[-tail_len - 1]])
+    raw_tail = np.exp(log_ratios[tail_idx])
+    exceed = raw_tail - cutoff
+    if np.ptp(exceed) <= 0.0 or np.all(exceed <= 0.0):
+        notes.append(f"subject {subject}: degenerate tail ratios, "
+                     "smoothing skipped")
+        return log_ratios, math.nan
+    khat, sigma = _oracle_gpd_fit(exceed)
+    ranks = np.argsort(np.argsort(raw_tail))
+    q = (ranks + 0.5) / tail_len
+    smoothed = cutoff + _oracle_gpd_quantile(q, khat, sigma)
+    smoothed = np.minimum(smoothed, raw_tail.max())
+    out = log_ratios.copy()
+    out[tail_idx] = np.log(smoothed)
+    return out, khat
+
+
+def oracle_psis_loo(values):
+    """(pointwise elpd, khat, warnings) subject by subject."""
+    M, n = values.shape
+    pointwise, khat, notes = np.empty(n), np.empty(n), []
+    for i in range(n):
+        lli = values[:, i]
+        lr = -lli
+        lr = lr - lr.max()
+        lw, khat[i] = _oracle_smooth_tail(lr, notes, i)
+        pointwise[i] = _logsumexp(lw + lli) - _logsumexp(lw)
+    high = np.where(khat > KHAT_WARN)[0]
+    if high.size:
+        notes.append(f"{high.size} subject(s) with khat > {KHAT_WARN}: "
+                     + ",".join(map(str, high.tolist())))
+    return pointwise, khat, notes
+
+
+def _ties(rng, M):
+    """Log-likelihoods on a grid of step 1/32: ties inside every column's
+    tail, though not so many that a quarter of it ties with the cutoff."""
+    return np.round(rng.normal(-2.0, 0.6, size=(M, 12)) * 32.0) / 32.0
+
+
+def _constant(rng, M):
+    return np.tile(rng.normal(-1.5, 0.5, size=7), (M, 1))
+
+
+def _mixed(rng, M):
+    """Constant columns, columns whose tail is one repeated value, and
+    ordinary columns side by side."""
+    ll = rng.normal(-2.0, 0.5, size=(M, 9))
+    ll[:, [1, 4]] = -1.25
+    ll[:, 7] = np.where(np.arange(M) % 2, -3.0, -1.0)  # two values only
+    return ll
+
+
+def _heavy(rng, M):
+    """Importance ratios with Pareto tails of shape up to 1.4, so that
+    most subjects have khat above 0.7."""
+    shape = np.linspace(0.3, 1.4, 10)
+    return -np.log(rng.pareto(1.0 / shape, size=(M, 10)) + 1.0) - 0.5
+
+
+class TestArrayPsisMatchesOracle:
+    """`psis_loo` over all subjects at once against the per-subject loop:
+    pointwise elpd within 1e-12 relative, khat within 1e-12 (NaN where the
+    tail is degenerate), and the same warnings in the same order."""
+
+    @pytest.mark.parametrize("M", [100, 1000])
+    @pytest.mark.parametrize("make", [_ties, _constant, _mixed, _heavy,
+                                      lambda rng, M: conjugate_setup(
+                                          rng, n=15, M=M)[0]])
+    def test_matches(self, rng, make, M):
+        values = make(rng, M)
+        res = psis_loo(PointwiseLogLik(values))
+        pointwise, khat, notes = oracle_psis_loo(values)
+        np.testing.assert_allclose(res.pointwise, pointwise, rtol=1e-12,
+                                   atol=0.0)
+        np.testing.assert_allclose(res.khat, khat, rtol=0.0, atol=1e-12)
+        assert res.warnings == notes
+        assert res.elpd == pytest.approx(pointwise.sum(), rel=1e-12)
+
+    def test_cases_cover_every_branch(self, rng):
+        for make, want in ((_constant, "degenerate"), (_mixed, "degenerate"),
+                           (_heavy, "khat >")):
+            notes = psis_loo(PointwiseLogLik(make(rng, 1000))).warnings
+            assert any(want in w for w in notes)
+        for M in (100, 1000):
+            T = int(math.ceil(min(0.2 * M, 3.0 * math.sqrt(M))))
+            tails = np.sort(-_ties(rng, M), axis=0)[-T - 1:]
+            assert (np.diff(tails, axis=0) == 0).any(axis=0).all()
+        res = psis_loo(PointwiseLogLik(_mixed(rng, 1000)))
+        assert np.isnan(res.khat).sum() == 3 and np.isfinite(res.khat).sum() == 6
+        assert np.sum(psis_loo(PointwiseLogLik(_heavy(rng, 1000))).khat
+                      > KHAT_WARN) >= 3
 
 
 class TestCompare:
