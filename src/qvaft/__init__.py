@@ -17,10 +17,7 @@ from .baseline import (
 from .covproc import (
     EffectSpec,
     TimeVaryingCovariate,
-    monotonicity_check,
     tv_v_inverse,
-    tv_v_value,
-    v_deriv,
     v_inverse,
     v_value,
 )
@@ -33,9 +30,7 @@ from .inference import (
     default_quantile_grid,
     quantile_time,
     standardized_af,
-    standardized_survivor,
     standardized_survivor_curves,
-    survivor_conditional,
     tv_acceleration_factor,
 )
 from .likelihood import (
@@ -44,16 +39,12 @@ from .likelihood import (
     constrain,
     grad_log_posterior,
     log_posterior_unconstrained,
-    log_prior,
-    loglik_subject,
-    loglik_total,
     unconstrain,
 )
 from .model import ModelSpec
 from .modelcheck import (
     LooResult,
     PointwiseLogLik,
-    compare,
     exact_loo,
     pointwise_loglik,
     psis_loo,
@@ -65,7 +56,6 @@ from .simulate import (
     OnsetSpec,
     SimConfig,
     TruncationSpec,
-    draw_event_time,
     simulate_dataset,
 )
 

@@ -22,7 +22,6 @@ import numpy as np
 from . import config as cfgmod
 from .data import Dataset, check_format_version, read_csv, write_csv
 from .errors import (
-    ComparisonError,
     ConfigError,
     DataError,
     DomainError,
@@ -421,7 +420,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ConfigError, DomainError, ComparisonError) as err:
+    except (DataError, ConfigError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except QvaftError as err:

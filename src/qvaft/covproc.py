@@ -71,17 +71,13 @@ __all__ = [
     "EffectSpec",
     "TimeVaryingCovariate",
     "v_value",
-    "v_deriv",
     "v_inverse",
-    "tv_v_value",
     "tv_v_inverse",
     "transform",
     "transform_value",
     "transform_inverse",
     "slope_basis",
     "is_monotone",
-    "monotonicity_check",
-    "tv_monotonicity_check",
     "spline_basis",
 ]
 
@@ -415,7 +411,7 @@ def transform(basis: TimeBasis, alpha: np.ndarray, eta=0.0, b1=0.0,
     return out
 
 
-# -- V, v, V^{-1} ----------------------------------------------------------
+# -- V and V^{-1} ----------------------------------------------------------
 
 def transform_value(effect: EffectSpec, alpha: np.ndarray, t, eta=0.0,
                     x1=0.0, b1=0.0, onset=None):
@@ -504,39 +500,18 @@ def v_value(spec: EffectSpec, beta, alpha, x, t, x1_index: int = 0):
                            *_pattern(spec, beta, x, x1_index))
 
 
-def v_deriv(spec: EffectSpec, beta, alpha, x, t, x1_index: int = 0):
-    """v(t|x) = dV/dt for t > 0; right-hand value at piecewise breakpoints.
-    Clamped at 0 where a spline transform is not increasing."""
-    alpha = _check_alpha(spec, alpha)
-    t_arr = _nonnegative(t, strict=True)
-    eta, x1 = _pattern(spec, beta, x, x1_index)
-    with np.errstate(divide="ignore", over="ignore"):
-        tt = transform(TimeBasis(spec, t_arr, x1=x1), alpha, eta, logv=True)
-    return _scalar_like(t, np.exp(tt.logv))
-
-
 def v_inverse(spec: EffectSpec, beta, alpha, x, s, x1_index: int = 0):
     """The time t with V(t|x) = s, for s >= 0 (see `transform_inverse`)."""
     return transform_inverse(spec, _check_alpha(spec, alpha), s,
                              *_pattern(spec, beta, x, x1_index))
 
 
-def tv_v_value(beta1: float, beta2_term: float, alpha, tv: TimeVaryingCovariate,
-               effect: EffectSpec | None, t):
-    """V(t) under a binary covariate switching at tv.change_time.
-
-    `beta2_term` is the linear predictor x'beta of the time-invariant
-    covariates; `effect` carries the flexible basis for the switch effect
-    (None or constant kind for a pure constant effect).
-    """
-    effect = effect or EffectSpec("constant")
-    return transform_value(effect, _check_alpha(effect, alpha), t, beta2_term,
-                           b1=beta1, onset=tv.change_time)
-
-
 def tv_v_inverse(beta1: float, beta2_term: float, alpha,
                  tv: TimeVaryingCovariate, effect: EffectSpec | None, s):
-    """Inverse of `tv_v_value` (see `transform_inverse`)."""
+    """The time t with V(t) = s under a binary covariate switching at
+    tv.change_time (see `transform_inverse`). `beta2_term` is x'beta of the
+    time-invariant covariates; `effect` carries the flexible basis of the
+    switch effect (None for a constant effect)."""
     effect = effect or EffectSpec("constant")
     return transform_inverse(effect, _check_alpha(effect, alpha), s,
                              beta2_term, b1=beta1, onset=tv.change_time)
@@ -567,19 +542,3 @@ def is_monotone(effect: EffectSpec, alpha: np.ndarray, x1=1.0,
     else:
         return True
     return bool((1.0 - np.multiply.outer(x1, g) > 0.0).all())
-
-
-def monotonicity_check(spec: EffectSpec, beta, alpha, x,
-                       x1_index: int = 0) -> bool:
-    """True iff V(t|x) is increasing in t > 0 for every row of x."""
-    x1 = [_pattern(spec, beta, row, x1_index)[1] for row in np.atleast_2d(x)]
-    return is_monotone(spec, _check_alpha(spec, alpha), np.array(x1))
-
-
-def tv_monotonicity_check(beta1: float, alpha,
-                          effect: EffectSpec | None) -> bool:
-    """True iff the post-switch transform u * exp(-b1 - a(u)) is increasing
-    in u > 0."""
-    effect = effect or EffectSpec("constant")
-    return bool(np.isfinite(beta1)) and is_monotone(
-        effect, _check_alpha(effect, alpha), switch=True)

@@ -30,6 +30,3 @@ class ConfigError(QvaftError):
 class DiagnosticsError(QvaftError):
     """A convergence diagnostic was requested on inadequate input."""
 
-
-class ComparisonError(QvaftError):
-    """Model-comparison inputs are incompatible."""

@@ -77,8 +77,6 @@ __all__ = [
     "quantile_time",
     "acceleration_factor",
     "tv_acceleration_factor",
-    "survivor_conditional",
-    "standardized_survivor",
     "standardized_af",
     "standardized_survivor_curves",
     "af_surface",
@@ -236,32 +234,7 @@ def tv_acceleration_factor(model: ModelSpec, psi: ParameterVector, p, t_x,
     return float(out) if np.ndim(p) == 0 else out
 
 
-def survivor_conditional(model: ModelSpec, psi: ParameterVector, x, t,
-                         onset: float = math.inf):
-    """S(t | x) = S0(V(t | x))."""
-    check_psi(model, psi)
-    u = transform_value(model.effect, psi.alpha, t,
-                        *model.predictor(psi.beta, x),
-                        onset=_switch(model, onset))
-    return bl.survivor(model.baseline, psi.baseline_params(),
-                       psi.tbp_weights(), u)
-
-
 # -- standardization ----------------------------------------------------------
-
-def standardized_survivor(model: ModelSpec, psi: ParameterVector, data,
-                          level: float, t):
-    """g-formula survivor: the average of S(t | level, z_i) over the n
-    observed covariate patterns z_i (exposure column overridden by `level`;
-    in time-varying models `level` is the switch time, +inf = never)."""
-    check_psi(model, psi)
-    data = as_dataset(data)
-    if data.n == 0:
-        raise DomainError("standardization needs a nonempty dataset")
-    t_arr = np.atleast_1d(bl._nonnegative(t))
-    out = _standardized_sf(model, psi, data, level)(t_arr)
-    return float(out[0]) if np.ndim(t) == 0 else out
-
 
 def _standardized_sf(model, psi, data, level):
     """t -> S_std(t | level) for a 1-D array t, with exp(-eta_i), x1 and b1

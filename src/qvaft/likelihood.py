@@ -73,11 +73,8 @@ from .model import ModelSpec
 __all__ = [
     "PriorSpec",
     "ParameterVector",
-    "loglik_subject",
-    "loglik_total",
     "pointwise_loglik_vector",
     "pointwise_loglik_matrix",
-    "log_prior",
     "log_posterior_unconstrained",
     "grad_log_posterior",
     "make_posterior",
@@ -513,37 +510,6 @@ def pointwise_loglik_matrix(model: ModelSpec, constrained, data) -> np.ndarray:
     return np.concatenate(blocks) if blocks else np.empty((0, prep.n))
 
 
-def loglik_subject(model: ModelSpec, psi: ParameterVector, rec) -> float:
-    """Log-likelihood contribution of a single record."""
-    ds = Dataset.from_records([rec], tuple(model.covariates))
-    if (not rec.event) and np.isfinite(rec.y_upper):
-        # degenerate interval: survivor mass numerically zero across it
-        s1 = _conditional_logsf(model, psi, ds, rec.y_lower)
-        s2 = _conditional_logsf(model, psi, ds, rec.y_upper)
-        if s2 >= s1:
-            raise NumericalError(
-                "degenerate interval: no survivor mass between y_l and y_u",
-                y_l=rec.y_lower, y_u=rec.y_upper)
-    return float(pointwise_loglik_vector(model, psi, ds)[0])
-
-
-def _conditional_logsf(model, psi, ds, t):
-    """log S(t | x) of the single record in `ds`."""
-    onset = ds.onset if model.time_varying else None
-    eta, x1, b1 = model.predictor(psi.beta, ds.x)
-    basis = TimeBasis(model.effect, np.array([float(t)]), onset, x1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u = transform(basis, psi.alpha, eta, b1).u
-        return float(bl.log_terms(model.baseline, psi.mu, psi.sigma, psi.w,
-                                  u).val[0])
-
-
-def loglik_total(model: ModelSpec, psi: ParameterVector, data) -> float:
-    """Sum of subject contributions; -inf if any subject has zero likelihood."""
-    ll = pointwise_loglik_vector(model, psi, data)
-    return float(ll.sum()) if np.all(np.isfinite(ll)) else -math.inf
-
-
 # -- priors -------------------------------------------------------------------
 
 def _gamma_logpdf(x, a, b):
@@ -568,15 +534,6 @@ def _log_prior(model: ModelSpec, sigma: float, w, theta, priors: PriorSpec):
                 + (theta - 1.0) * float(np.sum(np.log(w))))
         out += _gamma_logpdf(theta, priors.a_theta, priors.b_theta)
     return out
-
-
-def log_prior(model: ModelSpec, psi: ParameterVector,
-              priors: PriorSpec) -> float:
-    """Log prior density on the constrained scale (no transform Jacobian)."""
-    check_psi(model, psi)
-    if model.baseline.is_tbp and np.any(psi.w <= 0):
-        return -math.inf
-    return _log_prior(model, psi.sigma, psi.w, psi.theta, priors)
 
 
 # -- posterior ---------------------------------------------------------------

@@ -12,10 +12,11 @@ record carries its own switch time.
 
 `ModelSpec.predictor` is the one place that reads this layout off beta: it
 splits a covariate pattern into the (eta, x1, b1) arguments that
-`covproc.transform` and `covproc.transform_inverse` take. The conditional
-quantities and the g-formula call it for each evaluation; the likelihood,
-whose rows never change, calls it once for their exposure values and then
-forms eta = X @ coef from `ModelSpec.split_beta` on every call.
+`covproc.transform` and `covproc.transform_inverse` take. Quantile times,
+acceleration factors and the g-formula call it for each evaluation; the
+likelihood, whose rows never change, calls it once for their exposure
+values and then forms eta = X @ coef from `ModelSpec.split_beta` on every
+call.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import as_dataset, atomic_write_text
-from .errors import ComparisonError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .likelihood import PriorSpec, pointwise_loglik_matrix
 from .model import ModelSpec
 from .sampler import PosteriorDraws, SamplerConfig, run_chains
@@ -38,10 +38,8 @@ from .sampler import PosteriorDraws, SamplerConfig, run_chains
 __all__ = [
     "PointwiseLogLik",
     "LooResult",
-    "LooComparison",
     "pointwise_loglik",
     "psis_loo",
-    "compare",
     "exact_loo",
     "exact_loo_subject",
     "write_loo_report",
@@ -149,8 +147,9 @@ def _smooth(lr: np.ndarray):
     (T >= 20 for the M >= 100 of `psis_loo`) become the expected order
     statistics of a generalized Pareto distribution fitted to their
     exceedances over the next largest, capped at the raw maximum. Returns
-    (khat, degenerate) per row: a row whose exceedances are all equal or
-    none positive is left as it is, with khat NaN."""
+    (khat, degenerate) per row: a row whose exceedances are all equal, or
+    whose first-quartile exceedance (the scale `_gpd_fit` divides by) is
+    0, is left as it is, with khat NaN."""
     M = lr.shape[1]
     T = _tail_length(M)
     top = np.argpartition(lr, M - T - 1, axis=1)[:, M - T - 1:]
@@ -161,7 +160,9 @@ def _smooth(lr: np.ndarray):
     cutoff = np.exp(vals[:, :1])
     raw = np.exp(vals[:, 1:])                  # the tail, ascending
     exceed = raw - cutoff
-    degenerate = (np.ptp(exceed, axis=1) <= 0.0) | (exceed <= 0.0).all(axis=1)
+    # exceedances ascend, so a zero quartile covers a tail with none positive
+    degenerate = ((np.ptp(exceed, axis=1) <= 0.0)
+                  | (exceed[:, (T - 2) // 4] <= 0.0))
     khat = np.full(len(lr), np.nan)
     rows = np.flatnonzero(~degenerate)
     if rows.size:
@@ -206,38 +207,6 @@ def psis_loo(ll: PointwiseLogLik) -> LooResult:
     elpd = float(pointwise.sum())
     se = float(math.sqrt(n * np.var(pointwise, ddof=1))) if n > 1 else 0.0
     return LooResult(elpd, se, -2.0 * elpd, khat, warnings, pointwise, n, M)
-
-
-@dataclass
-class LooComparison:
-    """Models ranked by elpd (best first) with differences to the best."""
-
-    order: list
-    elpd: np.ndarray
-    elpd_diff: np.ndarray
-    se_diff: np.ndarray
-
-
-def compare(results) -> LooComparison:
-    results = list(results)
-    if not results:
-        raise ComparisonError("nothing to compare")
-    n = results[0].n
-    for r in results:
-        if r.n != n:
-            raise ComparisonError(
-                f"pointwise lengths differ ({r.n} vs {n}); results were "
-                "computed on different datasets")
-    order = sorted(range(len(results)), key=lambda i: -results[i].elpd)
-    best = results[order[0]]
-    elpd = np.array([results[i].elpd for i in order])
-    diffs = np.empty(len(results))
-    ses = np.empty(len(results))
-    for rank, i in enumerate(order):
-        d = results[i].pointwise - best.pointwise
-        diffs[rank] = float(d.sum())
-        ses[rank] = float(math.sqrt(n * np.var(d, ddof=1))) if n > 1 else 0.0
-    return LooComparison(order, elpd, diffs, ses)
 
 
 # -- exact refit oracle --------------------------------------------------------

@@ -41,7 +41,6 @@ __all__ = [
     "TruncationSpec",
     "OnsetSpec",
     "SimConfig",
-    "draw_event_time",
     "simulate_dataset",
 ]
 
@@ -207,13 +206,6 @@ def _uniform(rng: np.random.Generator) -> float:
     while u <= 0.0:
         u = rng.random()
     return u
-
-
-def draw_event_time(model: ModelSpec, psi: ParameterVector, x,
-                    rng: np.random.Generator, onset: float = math.inf) -> float:
-    """One exact event time: T = V^{-1}(S0^{-1}(U) | x), U ~ Uniform(0,1)."""
-    return float(quantile_time(model, psi, np.asarray(x, dtype=float),
-                               _uniform(rng), onset))
 
 
 def _record(cens: CensoringSpec, rng: np.random.Generator, t: float,

@@ -1,12 +1,13 @@
-"""Shared builders for model specs and synthetic datasets."""
+"""Shared builders for model specs and synthetic datasets, and the
+conditional survivor oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qvaft.baseline import BaselineSpec
-from qvaft.covproc import EffectSpec
+from qvaft.baseline import BaselineSpec, survivor
+from qvaft.covproc import EffectSpec, transform_value
 from qvaft.data import Dataset, SubjectRecord
 from qvaft.model import ModelSpec
 
@@ -19,6 +20,17 @@ def make_model(family="weibull", effect_kind="constant", knots=(),
     return ModelSpec(BaselineSpec(family, centering, K),
                      EffectSpec(effect_kind, knots),
                      tuple(covariates), exposure, time_varying)
+
+
+def survivor_conditional(model, psi, x, t, onset=math.inf):
+    """S(t | x) = S0(V(t | x)) of one covariate pattern x (or of rows x),
+    with V from `transform_value` per pattern and S0 from
+    `baseline.survivor`: not the factored u of the standardized path."""
+    u = transform_value(model.effect, psi.alpha, t,
+                        *model.predictor(psi.beta, x),
+                        onset=onset if model.time_varying else None)
+    return survivor(model.baseline, psi.baseline_params(), psi.tbp_weights(),
+                    u)
 
 
 def random_dataset(rng, n, d, time_varying=False, censored=True,

@@ -8,17 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from qvaft.covproc import (
     EffectSpec,
+    TimeBasis,
     TimeVaryingCovariate,
     is_monotone,
-    monotonicity_check,
     slope_basis,
+    transform,
     transform_inverse,
     transform_value,
     spline_basis,
-    tv_monotonicity_check,
     tv_v_inverse,
-    tv_v_value,
-    v_deriv,
     v_inverse,
     v_value,
 )
@@ -27,6 +25,14 @@ from qvaft.errors import DomainError
 CONST = EffectSpec("constant")
 PW_EXAMPLE = EffectSpec("piecewise", (0.0, 2.0))
 LN2 = np.log(2.0)
+NO_ALPHA = np.array([])
+
+
+def slope(spec, eta, alpha, t, x1=1.0):
+    """v(t) = dV/dt at one t > 0, from the log v of `transform`."""
+    basis = TimeBasis(spec, np.array([t]), x1=x1)
+    return np.exp(transform(basis, np.asarray(alpha, dtype=float), eta,
+                            logv=True).logv[0])
 
 
 def bisect_inverse(spec, beta, alpha, x, s, lo=0.0, hi=1.0):
@@ -49,7 +55,7 @@ class TestConstant:
 
     def test_deriv(self):
         for t in (0.1, 1.0, 7.3):
-            assert v_deriv(CONST, [0.5], [], [1.0], t) == pytest.approx(
+            assert slope(CONST, 0.5, [], t) == pytest.approx(
                 np.exp(-0.5), abs=1e-15)
 
     def test_inverse_is_linear(self):
@@ -64,7 +70,7 @@ class TestPiecewise:
         assert v_value(PW_EXAMPLE, [0.0], [-LN2], [1.0], 3.0) == 4.0
 
     def test_hand_example_slope(self):
-        assert v_deriv(PW_EXAMPLE, [0.0], [-LN2], [1.0], 3.0) == 2.0
+        assert slope(PW_EXAMPLE, 0.0, [-LN2], 3.0) == 2.0
 
     def test_hand_example_inverse(self):
         assert v_inverse(PW_EXAMPLE, [0.0], [-LN2], [1.0], 4.0) == 3.0
@@ -72,9 +78,9 @@ class TestPiecewise:
     def test_right_continuous_slope_at_knot(self):
         spec = EffectSpec("piecewise", (0.0, 1.0, 3.0))
         a = np.array([0.7, -0.4])
-        assert v_deriv(spec, [0.0], a, [1.0], 1.0) == pytest.approx(
+        assert slope(spec, 0.0, a, 1.0) == pytest.approx(
             np.exp(-0.7), abs=1e-15)
-        assert v_deriv(spec, [0.0], a, [1.0], 3.0) == pytest.approx(
+        assert slope(spec, 0.0, a, 3.0) == pytest.approx(
             np.exp(0.4), abs=1e-15)
 
     def test_closed_form_inverse_matches_bisection(self):
@@ -135,7 +141,7 @@ class TestSpline:
             h = 1e-6 * t
             fd = (v_value(self.SPEC, beta, alpha, x, t + h)
                   - v_value(self.SPEC, beta, alpha, x, t - h)) / (2 * h)
-            an = v_deriv(self.SPEC, beta, alpha, x, t)
+            an = slope(self.SPEC, float(x @ beta), alpha, t, x[0])
             assert abs(fd - an) / an < 1e-5
 
     def test_inverse_round_trip(self):
@@ -150,10 +156,10 @@ class TestSpline:
     def test_monotonicity_check_flags_bad_alpha(self):
         good = np.array([0.2, 0.1, -0.1])
         bad = np.array([5.0, 0.0, 0.0])  # slope of g exceeds 1 in log-time
-        assert monotonicity_check(self.SPEC, [0.0], good, [[1.0]])
-        assert not monotonicity_check(self.SPEC, [0.0], bad, [[1.0]])
+        assert is_monotone(self.SPEC, good, np.array([1.0]))
+        assert not is_monotone(self.SPEC, bad, np.array([1.0]))
         # the unexposed pattern is unaffected
-        assert monotonicity_check(self.SPEC, [0.0], bad, [[0.0]])
+        assert is_monotone(self.SPEC, bad, np.array([0.0]))
 
 
 class TestReduction:
@@ -179,26 +185,27 @@ class TestTimeVarying:
 
     def test_hand_example(self):
         # b1 = -ln2, switch at 4: V(10) = 4 + 6 * 2 = 16
-        assert tv_v_value(-LN2, 0.0, [], self.TV4, None, 10.0) == 16.0
+        assert transform_value(CONST, NO_ALPHA, 10.0, 0.0, b1=-LN2,
+                               onset=4.0) == 16.0
         assert tv_v_inverse(-LN2, 0.0, [], self.TV4, None, 16.0) == 10.0
 
     def test_before_switch_is_constant_transform(self):
-        assert tv_v_value(9.9, 0.3, [], self.TV4, None, 3.0) == pytest.approx(
-            3.0 * np.exp(-0.3), abs=1e-15)
+        assert transform_value(CONST, NO_ALPHA, 3.0, 0.3, b1=9.9, onset=4.0) \
+            == pytest.approx(3.0 * np.exp(-0.3), abs=1e-15)
         assert tv_v_inverse(9.9, 0.3, [], self.TV4, None, 1.0) == \
             pytest.approx(np.exp(0.3), rel=1e-15)
 
     def test_never_switching(self):
-        never = TimeVaryingCovariate(np.inf)
         for t in (0.5, 3.0, 40.0):
-            assert tv_v_value(0.7, 0.3, [], never, None, t) == pytest.approx(
+            assert transform_value(CONST, NO_ALPHA, t, 0.3, b1=0.7,
+                                   onset=np.inf) == pytest.approx(
                 t * np.exp(-0.3), abs=1e-14)
 
     def test_continuity_at_switch(self):
         eff = EffectSpec("piecewise", (0.0, 1.0, 3.0))
         al = np.array([0.4, -0.3])
-        lo = tv_v_value(0.5, 0.2, al, self.TV4, eff, np.nextafter(4.0, 0.0))
-        hi = tv_v_value(0.5, 0.2, al, self.TV4, eff, np.nextafter(4.0, 8.0))
+        lo, hi = transform_value(eff, al, np.nextafter(4.0, [0.0, 8.0]), 0.2,
+                                 b1=0.5, onset=4.0)
         assert abs(hi - lo) < 1e-12
 
     def test_flexible_round_trip(self):
@@ -210,19 +217,20 @@ class TestTimeVarying:
                 b1 = rng.normal(scale=0.5)
                 b2 = rng.normal(scale=0.3)
                 al = rng.normal(scale=0.25, size=2)
-                if not tv_monotonicity_check(b1, al, eff):
+                if not is_monotone(eff, al, switch=True):
                     continue
                 t = rng.uniform(0.2, 20.0)
-                s = tv_v_value(b1, b2, al, self.TV4, eff, t)
+                s = transform_value(eff, al, t, b2, b1=b1, onset=4.0)
                 assert tv_v_inverse(b1, b2, al, self.TV4, eff, s) == \
                     pytest.approx(t, rel=1e-9)
 
     def test_flexible_with_zero_alpha_matches_constant(self):
         eff = EffectSpec("piecewise", (0.0, 2.0))
         for t in (1.0, 4.0, 9.0):
-            assert tv_v_value(0.6, 0.1, [0.0], self.TV4, eff, t) == \
-                pytest.approx(tv_v_value(0.6, 0.1, [], self.TV4, None, t),
-                              rel=1e-14)
+            assert transform_value(eff, np.array([0.0]), t, 0.1, b1=0.6,
+                                   onset=4.0) == pytest.approx(
+                transform_value(CONST, NO_ALPHA, t, 0.1, b1=0.6, onset=4.0),
+                rel=1e-14)
 
 
 class TestRootSearchExtremes:
@@ -243,7 +251,8 @@ class TestRootSearchExtremes:
         eff, alpha = EffectSpec(kind, knots), np.array([0.2, -0.1])
         tv = TimeVaryingCovariate(1e-12)
         t = tv_v_inverse(0.4, 0.2, alpha, tv, eff, s)
-        assert tv_v_value(0.4, 0.2, alpha, tv, eff, t) == pytest.approx(
+        assert transform_value(eff, alpha, t, 0.2, b1=0.4,
+                               onset=tv.change_time) == pytest.approx(
             s, rel=1e-9, abs=0.0)
 
 
@@ -251,8 +260,6 @@ class TestValidation:
     def test_negative_time(self):
         with pytest.raises(DomainError):
             v_value(CONST, [0.0], [], [1.0], -1.0)
-        with pytest.raises(DomainError):
-            v_deriv(CONST, [0.0], [], [1.0], 0.0)
 
     def test_piecewise_knots_start_at_zero(self):
         with pytest.raises(DomainError):
@@ -266,18 +273,24 @@ class TestValidation:
         with pytest.raises(DomainError):
             v_value(PW_EXAMPLE, [0.0], [0.1, 0.2], [1.0], 1.0)
 
+    def test_tv_alpha_length_checked(self):
+        # two alphas for a constant (effect None) switch effect
+        with pytest.raises(DomainError, match="alpha has length 2"):
+            tv_v_inverse(0.3, 0.0, [1.0, 2.0], TimeVaryingCovariate(4.0),
+                         None, 1.0)
+
     def test_bad_change_time(self):
         with pytest.raises(DomainError):
             TimeVaryingCovariate(0.0)
 
-    def test_monotonicity_checks_validate_and_return_bool(self):
-        # two alphas for a constant effect; beta of length 3 for one column
-        with pytest.raises(DomainError, match="alpha has length 2"):
-            tv_monotonicity_check(0.3, [1.0, 2.0], None)
+    def test_beta_shape_checked(self):
+        # beta of length 3 for one column
         with pytest.raises(DomainError, match="beta shape"):
-            monotonicity_check(PW_EXAMPLE, [0.1, 0.2, 0.3], [0.1], [[1.0]])
-        assert tv_monotonicity_check(0.3, [], None) is True
-        assert monotonicity_check(PW_EXAMPLE, [0.1], [0.1], [[1.0]]) is True
+            v_value(PW_EXAMPLE, [0.1, 0.2, 0.3], [0.1], [1.0], 1.0)
+
+    def test_monotonicity_rule_returns_bool(self):
+        assert is_monotone(CONST, NO_ALPHA, switch=True) is True
+        assert is_monotone(PW_EXAMPLE, np.array([0.1]), np.array([1.0])) is True
 
 
 class TestPerRowArguments:
@@ -348,7 +361,7 @@ class TestExactMonotonicityRule:
                                             20000), knots, vertex])
             slope = spline_basis(knots, u, 1) @ alpha
             dense = bool(np.all(1.0 - np.multiply.outer(x[:, 0], slope) > 0))
-            disagree += monotonicity_check(spec, [0.0], alpha, x) != dense
+            disagree += is_monotone(spec, alpha, x[:, 0]) != dense
         assert disagree == 0
 
     def test_piecewise_switch_against_dense_grid(self):
@@ -362,7 +375,7 @@ class TestExactMonotonicityRule:
             s = np.concatenate([np.geomspace(1e-3, 2 * knots[-1], 20000),
                                 knots[1:]])
             dense = bool(np.all(1.0 - slope_basis(spec, s) @ alpha > 0))
-            disagree += tv_monotonicity_check(0.0, alpha, spec) != dense
+            disagree += is_monotone(spec, alpha, switch=True) != dense
         assert disagree == 0
 
     def test_vertices_only_where_the_curvature_changes_sign(self):

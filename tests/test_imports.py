@@ -4,13 +4,15 @@ post-fit commands and the fit's summary never import numpy.ma (which
 `np.percentile` loads), and the lazy scipy imports of the log-normal
 baseline and the TBP theta gradient still load when those run. Each check
 runs in a fresh interpreter, since the test process has long imported
-everything."""
+everything. The package's public names are pinned, so that a new export is
+made on purpose."""
 
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import types
 
 import numpy as np
 import pytest
@@ -171,3 +173,31 @@ def test_tbp_gradient_loads_scipy_on_first_use():
     assert got["logp"] == scope["logp"]
     assert got["grad"] == scope["grad"].tolist()
     assert np.all(np.isfinite(got["grad"]))
+
+
+PUBLIC = [
+    "BaselineParams", "BaselineSpec", "CensoringSpec", "ContrastSpec",
+    "CovariateSpec", "CurveTable", "Dataset", "EffectSpec", "LooResult",
+    "ModelSpec", "OnsetSpec", "ParameterVector", "PointwiseLogLik",
+    "PosteriorDraws", "PriorSpec", "SamplerConfig", "SimConfig",
+    "SubjectRecord", "TBPWeights", "TimeVaryingCovariate", "TruncationSpec",
+    "acceleration_factor", "af_surface", "constrain", "default_quantile_grid",
+    "density", "ess", "exact_loo", "grad_log_posterior", "inverse_survivor",
+    "log_density", "log_posterior_unconstrained", "log_survivor",
+    "pointwise_loglik", "psis_loo", "quantile_time", "read_csv", "rhat",
+    "run_chains", "simulate_dataset", "standardized_af",
+    "standardized_survivor_curves", "survivor", "tv_acceleration_factor",
+    "tv_v_inverse", "unconstrain", "v_inverse", "v_value", "write_csv",
+]
+
+
+def test_public_surface_is_pinned():
+    """`qvaft` exports exactly these names (its submodules aside), and each
+    is in the `__all__` of the module that defines it."""
+    names = sorted(name for name, value in vars(qvaft).items()
+                   if not name.startswith("_")
+                   and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC
+    for name in names:
+        module = sys.modules[getattr(qvaft, name).__module__]
+        assert name in module.__all__, (name, module.__name__)

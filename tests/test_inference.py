@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_model
+from conftest import make_model, survivor_conditional
 from qvaft.data import Dataset, SubjectRecord
 from qvaft.errors import DomainError
 from qvaft.inference import (
@@ -19,12 +19,10 @@ from qvaft.inference import (
     percentiles,
     quantile_time,
     standardized_af,
-    standardized_survivor,
     standardized_survivor_curves,
-    survivor_conditional,
     tv_acceleration_factor,
 )
-from qvaft.inference import _invert_standardized, _summaries
+from qvaft.inference import _invert_standardized, _standardized_sf, _summaries
 from qvaft.likelihood import ParameterVector, constrained_array
 from qvaft.sampler import PosteriorDraws
 
@@ -180,7 +178,7 @@ class TestStandardization:
         want = np.mean([
             survivor_conditional(model, psi, np.array([1.0, z]), t)
             for z in data.x[:, 1]])
-        got = standardized_survivor(model, psi, data, 1.0, t)
+        got = _standardized_sf(model, psi, data, 1.0)(np.array([t]))[0]
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_homogeneous_z_equals_conditional(self):
@@ -188,7 +186,7 @@ class TestStandardization:
         psi = ParameterVector(np.array([0.5, -0.3]), np.array([]), 0.3, 1.1)
         recs = [SubjectRecord(1.0, 1.0, 1, 0.0, (1.0, 0.7))] * 3
         data = Dataset.from_records(recs, ("x1", "x2"))
-        got = standardized_survivor(model, psi, data, 0.0, 2.0)
+        got = _standardized_sf(model, psi, data, 0.0)(np.array([2.0]))[0]
         want = survivor_conditional(model, psi, np.array([0.0, 0.7]), 2.0)
         assert got == pytest.approx(want, rel=1e-14)
 
@@ -200,7 +198,7 @@ class TestStandardization:
         t = 1.0
         s1 = survivor_conditional(model, psi, np.array([0.0, 0.3]), t)
         s2 = survivor_conditional(model, psi, np.array([0.0, 1.4]), t)
-        got = standardized_survivor(model, psi, data, 0.0, t)
+        got = _standardized_sf(model, psi, data, 0.0)(np.array([t]))[0]
         assert got == pytest.approx(0.5 * (s1 + s2), rel=1e-14)
 
     def test_monotone_and_bounded(self):
@@ -209,7 +207,7 @@ class TestStandardization:
         psi = ParameterVector(np.array([0.4, -0.2]), np.array([0.2]), 0.4, 1.2)
         data = self.z_data()
         t = np.linspace(0.01, 12.0, 80)
-        s = standardized_survivor(model, psi, data, 1.0, t)
+        s = _standardized_sf(model, psi, data, 1.0)(t)
         assert np.all(np.diff(s) <= 0)
         assert np.all((0 <= s) & (s <= 1))
 
@@ -269,7 +267,7 @@ class TestStandardization:
         data = self.z_data()
         p = np.array([1e-9, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-9])
         t = _invert_standardized(model, psi, data, 1.0, p)
-        s = standardized_survivor(model, psi, data, 1.0, t)
+        s = _standardized_sf(model, psi, data, 1.0)(t)
         np.testing.assert_allclose(np.minimum(s, 1 - s),
                                    np.minimum(p, 1 - p), rtol=1e-6)
 
@@ -307,11 +305,12 @@ class TestStandardization:
                            knots=(-1.0, 0.5))
         psi = ParameterVector(np.array([0.4, -0.2]), np.array([0.2]), 0.4, 1.2)
         data = self.z_data()
+        draws = draws_from_psis(model, [psi])
         with pytest.raises(DomainError, match="time"):
-            standardized_survivor(model, psi, data, 1.0, t)
+            standardized_survivor_curves(model, draws, data, np.array([t]))
         with pytest.raises(DomainError, match="time"):
-            standardized_survivor_curves(model, draws_from_psis(model, [psi]),
-                                         data, np.array([1.0, t]))
+            standardized_survivor_curves(model, draws, data,
+                                         np.array([1.0, t]))
 
     def test_nan_survivor_names_the_draw(self):
         """exp(-eta) = 0 (x2 = 1000) times an infinite profile (exp(800) on

@@ -11,7 +11,7 @@ from scipy import integrate
 from conftest import make_model, random_dataset
 from test_gradient import EFFECTS, FAMILIES
 from qvaft import likelihood
-from qvaft.covproc import monotonicity_check, tv_monotonicity_check
+from qvaft.covproc import TimeBasis, is_monotone, transform
 from qvaft.data import Dataset, SubjectRecord, max_followup
 from qvaft.errors import DomainError, NumericalError
 from qvaft.likelihood import (
@@ -22,9 +22,6 @@ from qvaft.likelihood import (
     grad_log_posterior,
     log_jacobian,
     log_posterior_unconstrained,
-    log_prior,
-    loglik_subject,
-    loglik_total,
     make_posterior,
     pointwise_loglik_vector,
     psi_from_constrained,
@@ -41,38 +38,50 @@ def rec(y_l, y_u, event, trunc=0.0, x=(0.0,)):
     return SubjectRecord(y_l, y_u, event, trunc, x)
 
 
+def log_prior(model, psi):
+    """The log prior density on the constrained scale: the posterior on no
+    data less the log-Jacobian of the constraining transform."""
+    z = unconstrain(model, psi)
+    empty = Dataset.from_records([], tuple(model.covariates))
+    return (log_posterior_unconstrained(model, z, empty, PRIORS)
+            - log_jacobian(model, z))
+
+
 class TestHandWorkedContributions:
     def test_exact_event_unit_exponential(self):
         # log f0(1) + log v(1) = -1 + 0
-        assert loglik_subject(UNIT_EXP, PSI_EXP, rec(1.0, 1.0, 1)) == \
-            pytest.approx(-1.0, abs=1e-12)
+        assert pointwise_loglik_vector(UNIT_EXP, PSI_EXP, [rec(1.0, 1.0, 1)])[0] \
+            == pytest.approx(-1.0, abs=1e-12)
 
     def test_right_censored(self):
-        assert loglik_subject(UNIT_EXP, PSI_EXP, rec(2.0, math.inf, 0)) == \
-            pytest.approx(-2.0, abs=1e-12)
+        got = pointwise_loglik_vector(UNIT_EXP, PSI_EXP, [rec(2.0, math.inf, 0)])
+        assert got[0] == pytest.approx(-2.0, abs=1e-12)
 
     def test_left_truncated_right_censored(self):
         # exponential memorylessness: log S(2) - log S(1) = -1
-        got = loglik_subject(UNIT_EXP, PSI_EXP, rec(2.0, math.inf, 0, trunc=1.0))
-        assert got == pytest.approx(-1.0, abs=1e-12)
+        got = pointwise_loglik_vector(UNIT_EXP, PSI_EXP,
+                                      [rec(2.0, math.inf, 0, trunc=1.0)])
+        assert got[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_interval_censored(self):
-        got = loglik_subject(UNIT_EXP, PSI_EXP, rec(1.0, 2.0, 0))
-        assert got == pytest.approx(np.log(np.exp(-1) - np.exp(-2)), abs=1e-12)
+        got = pointwise_loglik_vector(UNIT_EXP, PSI_EXP, [rec(1.0, 2.0, 0)])
+        assert got[0] == pytest.approx(np.log(np.exp(-1) - np.exp(-2)),
+                                       abs=1e-12)
 
     def test_total_additivity_and_empty(self):
         r = rec(2.0, math.inf, 0)
-        assert loglik_total(UNIT_EXP, PSI_EXP, [r, r]) == pytest.approx(-4.0)
-        assert loglik_total(UNIT_EXP, PSI_EXP, []) == 0.0
+        assert pointwise_loglik_vector(UNIT_EXP, PSI_EXP, [r, r]).sum() == \
+            pytest.approx(-4.0)
+        assert pointwise_loglik_vector(UNIT_EXP, PSI_EXP, []).sum() == 0.0
 
     def test_permutation_invariance(self, rng):
         data = random_dataset(rng, 30, 2)
         model = make_model()
         psi = ParameterVector(np.array([0.3, -0.2]), np.array([]), 0.2, 1.1)
-        base = loglik_total(model, psi, data)
+        base = pointwise_loglik_vector(model, psi, data).sum()
         perm = rng.permutation(30)
-        assert loglik_total(model, psi, data.subset(perm)) == pytest.approx(
-            base, abs=1e-10)
+        assert pointwise_loglik_vector(model, psi, data.subset(perm)).sum() \
+            == pytest.approx(base, abs=1e-10)
 
 
 class TestStructure:
@@ -80,7 +89,7 @@ class TestStructure:
         """With y_u = inf and no truncation the contribution must equal
         delta*log f + (1-delta)*log S."""
         from qvaft.baseline import log_density, log_survivor
-        from qvaft.covproc import v_deriv, v_value
+        from qvaft.covproc import v_value
         model = make_model(effect_kind="piecewise", knots=(0.0, 1.0, 2.0))
         psi = ParameterVector(np.array([0.4, -0.1]), np.array([0.5, -0.3]),
                               0.3, 1.4)
@@ -91,12 +100,15 @@ class TestStructure:
             r = SubjectRecord(t, t if event else math.inf, event, 0.0, x)
             u = v_value(model.effect, psi.beta, psi.alpha, np.array(x), t)
             if event:
+                eta, x1, _ = model.predictor(psi.beta, np.array(x))
+                logv = transform(TimeBasis(model.effect, np.array([t]), x1=x1),
+                                 psi.alpha, eta, logv=True).logv[0]
                 want = (log_density(model.baseline, psi.baseline_params(), None, u)
-                        + np.log(v_deriv(model.effect, psi.beta, psi.alpha,
-                                         np.array(x), t)))
+                        + logv)
             else:
                 want = log_survivor(model.baseline, psi.baseline_params(), None, u)
-            assert loglik_subject(model, psi, r) == pytest.approx(want, abs=1e-12)
+            assert pointwise_loglik_vector(model, psi, [r])[0] == \
+                pytest.approx(want, abs=1e-12)
 
     def test_truncation_memorylessness(self, rng):
         """Exponential baseline, constant transform: conditioning on T > l
@@ -109,8 +121,8 @@ class TestStructure:
             dt = float(rng.uniform(0.1, 3.0))
             trunc_rec = SubjectRecord(l + dt, math.inf, 0, l, x)
             shifted = SubjectRecord(dt, math.inf, 0, 0.0, x)
-            assert loglik_subject(model, psi, trunc_rec) == pytest.approx(
-                loglik_subject(model, psi, shifted), abs=1e-10)
+            got = pointwise_loglik_vector(model, psi, [trunc_rec, shifted])
+            assert got[0] == pytest.approx(got[1], abs=1e-10)
 
     def test_interval_limit_approaches_density(self):
         """log[S(y) - S(y+h)] - log h -> log f(y) + log v(y) as h -> 0."""
@@ -119,10 +131,12 @@ class TestStructure:
         psi = ParameterVector(np.array([0.3]), np.array([0.2]), 0.1, 1.2)
         y = 1.3
         x = (1.0,)
-        exact = loglik_subject(model, psi, SubjectRecord(y, y, 1, 0.0, x))
+        exact = pointwise_loglik_vector(
+            model, psi, [SubjectRecord(y, y, 1, 0.0, x)])[0]
         errs = []
         for h in (1e-4, 1e-5, 1e-6, 1e-7):
-            got = loglik_subject(model, psi, SubjectRecord(y, y + h, 0, 0.0, x))
+            got = pointwise_loglik_vector(
+                model, psi, [SubjectRecord(y, y + h, 0, 0.0, x)])[0]
             errs.append(abs(got - math.log(h) - exact))
         assert errs[-1] < 1e-3 * abs(exact)
         assert errs == sorted(errs, reverse=True)
@@ -130,22 +144,22 @@ class TestStructure:
     def test_zero_likelihood_is_minus_inf(self):
         model = make_model(covariates=("x1",))
         psi = ParameterVector(np.array([0.0]), np.array([]), -5.0, 8.0)
-        out = loglik_total(model, psi, [rec(50.0, 50.0, 1)])
+        out = pointwise_loglik_vector(model, psi, [rec(50.0, 50.0, 1)]).sum()
         assert out == -math.inf
 
     def test_underflowing_contribution_is_minus_inf(self):
         # both endpoints far past the -745 floor
-        assert loglik_subject(UNIT_EXP, PSI_EXP, rec(800.0, 800.5, 0)) == \
-            -math.inf
+        assert pointwise_loglik_vector(UNIT_EXP, PSI_EXP,
+                                       [rec(800.0, 800.5, 0)])[0] == -math.inf
 
-    def test_degenerate_interval_error(self):
+    def test_degenerate_interval_is_minus_inf(self):
         # a slope that underflows to zero makes V (hence S) flat across the
         # interval: no survivor mass between the endpoints
         model = make_model(effect_kind="piecewise", knots=(0.0, 1.0),
                            covariates=("x1",))
         psi = ParameterVector(np.array([0.0]), np.array([800.0]), 0.0, 1.0)
-        with pytest.raises(NumericalError, match="degenerate"):
-            loglik_subject(model, psi, rec(2.0, 3.0, 0, x=(1.0,)))
+        ll = pointwise_loglik_vector(model, psi, [rec(2.0, 3.0, 0, x=(1.0,))])
+        np.testing.assert_array_equal(ll, [-math.inf])
 
 
 class TestPriors:
@@ -153,20 +167,20 @@ class TestPriors:
         model = make_model()
         psi = ParameterVector(np.zeros(2), np.array([]), 0.0, 1.0)
         # Gamma(1,1) at sigma=1 is exp(-1)
-        assert log_prior(model, psi, PRIORS) == pytest.approx(-1.0, abs=1e-12)
+        assert log_prior(model, psi) == pytest.approx(-1.0, abs=1e-12)
 
     def test_flat_in_beta(self):
         model = make_model()
         a = ParameterVector(np.array([0.0, 0.0]), np.array([]), 0.2, 1.3)
         b = ParameterVector(np.array([5.0, -9.0]), np.array([]), 0.2, 1.3)
-        assert log_prior(model, a, PRIORS) == log_prior(model, b, PRIORS)
+        assert log_prior(model, a) == log_prior(model, b)
 
     def test_dirichlet_uniform_weights(self):
         K = 6
         model = make_model(family="tbp", K=K)
         psi = ParameterVector(np.zeros(2), np.array([]), 0.0, 1.0,
                               np.full(K, 1.0 / K), 1.0)
-        got = log_prior(model, psi, PRIORS)
+        got = log_prior(model, psi)
         # sigma Gamma(1,1) at 1 (-1) + theta Gamma(1,1) at 1 (-1) + log Gamma(K)
         assert got == pytest.approx(-2.0 + math.lgamma(K), abs=1e-12)
 
@@ -233,8 +247,8 @@ class TestTransforms:
              SubjectRecord(2.0, math.inf, 0, 0.0, ())], ())
         z = np.array([0.3, -0.4])  # (mu, log sigma)
         psi = constrain(model, z)
-        want = (loglik_total(model, psi, data) + log_prior(model, psi, PRIORS)
-                + z[1])
+        # Gamma(1, 1) at sigma: log prior -sigma
+        want = pointwise_loglik_vector(model, psi, data).sum() - psi.sigma + z[1]
         got = log_posterior_unconstrained(model, z, data, PRIORS)
         assert got == pytest.approx(want, abs=1e-12)
         assert log_jacobian(model, z) == pytest.approx(z[1])
@@ -252,8 +266,8 @@ class TestValidation:
     def test_psi_shape_checked(self):
         model = make_model()
         with pytest.raises(DomainError):
-            log_prior(model, ParameterVector(np.zeros(3), np.array([]), 0, 1),
-                      PRIORS)
+            pointwise_loglik_vector(
+                model, ParameterVector(np.zeros(3), np.array([]), 0, 1), [])
 
     def test_one_simplex_rule(self):
         # within 1e-10 of the simplex but not within the 1e-12 of TBPWeights
@@ -268,8 +282,8 @@ class TestValidation:
     def test_tbp_needs_weights(self):
         model = make_model(family="tbp", K=3)
         with pytest.raises(DomainError):
-            log_prior(model, ParameterVector(np.zeros(2), np.array([]), 0, 1),
-                      PRIORS)
+            pointwise_loglik_vector(
+                model, ParameterVector(np.zeros(2), np.array([]), 0, 1), [])
 
 
 class TestWrittenOutOracle:
@@ -394,8 +408,8 @@ def test_constrain_raises_where_posterior_rejects(coord, value, rng):
 
 
 class TestGridRejectionMatchesChecks:
-    """The posterior rejects a spline alpha exactly where
-    `monotonicity_check` / `tv_monotonicity_check` fail, and every zeta of
+    """The posterior rejects a spline alpha exactly where `is_monotone`
+    fails at the data's exposure values (or after a switch), and every zeta of
     a piecewise switch effect gives an alpha the check accepts. All
     records are right-censored, so no exact-event slope rejects on its
     own, and mu and sigma are large enough that no contribution
@@ -418,10 +432,10 @@ class TestGridRejectionMatchesChecks:
             z[nb + J:] = 3.0, -1.0  # mu, log sigma
             alpha = constrain(model, z).alpha
             if model.time_varying:
-                ok = tv_monotonicity_check(0.0, alpha, model.effect)
+                ok = is_monotone(model.effect, alpha, switch=True)
             else:
-                ok = monotonicity_check(model.effect, z[:nb], alpha, data.x,
-                                        model.exposure_index)
+                ok = is_monotone(model.effect, alpha,
+                                 data.x[:, model.exposure_index])
             logp = log_posterior_unconstrained(model, z, data, PRIORS)
             assert (logp == -math.inf) == (not ok), alpha
             seen.add(ok)
@@ -442,8 +456,8 @@ class TestGridRejectionMatchesChecks:
         # zeta from near the wall (1 - D alpha = 1e-13) to far from it
         for zeta in rng.uniform(-30.0, 8.0, size=(200, model.J)):
             z[model.n_beta:model.n_beta + model.J] = zeta
-            assert tv_monotonicity_check(0.0, constrain(model, z).alpha,
-                                         model.effect)
+            assert is_monotone(model.effect, constrain(model, z).alpha,
+                               switch=True)
 
     def test_knots_beyond_followup_and_exposure_of_both_signs(self, rng):
         # the top knot e^3.1 lies beyond 1.5 times the follow-up of 3
@@ -473,8 +487,9 @@ class TestExactRowSlopeRejection:
         ("x1", "x2"))
 
     def test_exact_rule_fails(self):
-        assert not tv_monotonicity_check(0.0, self.ALPHA, self.MODEL.effect)
-        assert tv_monotonicity_check(0.0, [0.999, 0.0], self.MODEL.effect)
+        effect = self.MODEL.effect
+        assert not is_monotone(effect, self.ALPHA, switch=True)
+        assert is_monotone(effect, np.array([0.999, 0.0]), switch=True)
 
     def test_posterior_and_pointwise_reject(self):
         psi = ParameterVector(np.zeros(3), self.ALPHA, 0.0, 1.0)
@@ -534,7 +549,7 @@ class TestDirichletNormaliserOverflow:
         model = make_model(family="tbp", K=5)
         psi = ParameterVector(np.zeros(2), np.array([]), 0.0, 1.0,
                               np.full(5, 0.2), math.exp(703.0))
-        assert not math.isfinite(log_prior(model, psi, PRIORS))
+        assert not math.isfinite(log_prior(model, psi))
 
 
 class TestBlockedPointwise:

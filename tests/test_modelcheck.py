@@ -1,6 +1,5 @@
 """PSIS-LOO against a conjugate closed-form oracle and against the
-per-subject smoothing it replaced, smoothing invariants, and the
-comparison table."""
+per-subject smoothing it replaced, and smoothing invariants."""
 
 import math
 import warnings
@@ -12,12 +11,10 @@ from scipy.stats import norm
 
 from conftest import make_model, random_dataset
 from qvaft.data import Dataset, SubjectRecord
-from qvaft.errors import ComparisonError, DomainError, NumericalError
-from qvaft.likelihood import ParameterVector, loglik_subject, loglik_total
+from qvaft.errors import DomainError, NumericalError
+from qvaft.likelihood import ParameterVector, pointwise_loglik_vector
 from qvaft.modelcheck import (
-    LooResult,
     PointwiseLogLik,
-    compare,
     pointwise_loglik,
     psis_loo,
     read_loo_report,
@@ -47,7 +44,7 @@ class TestPointwise:
         assert ll.values.shape == (1, 2)
         for i, r in enumerate(data.to_records()):
             assert ll.values[0, i] == pytest.approx(
-                loglik_subject(model, psi, r), abs=1e-12)
+                pointwise_loglik_vector(model, psi, [r])[0], abs=1e-12)
 
     def test_row_sums_equal_total(self, rng):
         model = make_model()
@@ -57,7 +54,7 @@ class TestPointwise:
         ll = pointwise_loglik(model, _draws_for(model, psis), data)
         for m, psi in enumerate(psis):
             assert ll.values[m].sum() == pytest.approx(
-                loglik_total(model, psi, data), abs=1e-10)
+                pointwise_loglik_vector(model, psi, data).sum(), abs=1e-10)
 
     def test_permuting_subjects_permutes_columns(self, rng):
         model = make_model()
@@ -202,7 +199,8 @@ def _oracle_smooth_tail(log_ratios, notes, subject):
     cutoff = math.exp(log_ratios[order[-tail_len - 1]])
     raw_tail = np.exp(log_ratios[tail_idx])
     exceed = raw_tail - cutoff
-    if np.ptp(exceed) <= 0.0 or np.all(exceed <= 0.0):
+    if (np.ptp(exceed) <= 0.0 or np.all(exceed <= 0.0)
+            or np.sort(exceed)[(tail_len - 2) // 4] <= 0.0):
         notes.append(f"subject {subject}: degenerate tail ratios, "
                      "smoothing skipped")
         return log_ratios, math.nan
@@ -292,42 +290,24 @@ class TestArrayPsisMatchesOracle:
         assert np.sum(psis_loo(PointwiseLogLik(_heavy(rng, 1000))).khat
                       > KHAT_WARN) >= 3
 
-
-class TestCompare:
-    def _fake(self, pointwise):
-        pointwise = np.asarray(pointwise, dtype=float)
-        elpd = float(pointwise.sum())
-        se = float(math.sqrt(len(pointwise) * np.var(pointwise, ddof=1)))
-        return LooResult(elpd, se, -2 * elpd, np.zeros(len(pointwise)), [],
-                         pointwise, len(pointwise), 100)
-
-    def test_self_comparison(self, rng):
-        a = self._fake(rng.normal(-2, 1, size=30))
-        cmp = compare([a, a])
-        assert cmp.elpd_diff[1] == 0.0
-        assert cmp.se_diff[1] == 0.0
-
-    def test_injected_shift(self, rng):
-        pw = rng.normal(-2, 1, size=30)
-        a = self._fake(pw)
-        b = self._fake(pw - 1.0)
-        cmp = compare([b, a])
-        assert cmp.order == [1, 0]           # a wins
-        assert cmp.elpd_diff[1] == pytest.approx(-30.0, abs=1e-10)
-        assert cmp.se_diff[1] == pytest.approx(0.0, abs=1e-10)
-
-    def test_ordering_matches_elpd_sign(self, rng):
-        results = [self._fake(rng.normal(-2, 1, size=30)) for _ in range(4)]
-        cmp = compare(results)
-        ranked = [results[i].elpd for i in cmp.order]
-        assert ranked == sorted(ranked, reverse=True)
-        assert np.all(cmp.elpd_diff[1:] <= 0)
-
-    def test_mismatched_n(self, rng):
-        a = self._fake(rng.normal(size=30))
-        b = self._fake(rng.normal(size=29))
-        with pytest.raises(ComparisonError):
-            compare([a, b])
+    def test_zero_quartile_exceedance_is_degenerate(self):
+        """On a grid of step 1/8 a quarter or more of most tails ties with
+        the cutoff, so the first-quartile exceedance that the GPD fit
+        divides by is 0: those subjects keep their raw ratios, with khat
+        NaN and a warning naming each, and elpd is finite."""
+        values = np.round(np.random.default_rng(0).normal(size=(1000, 12))
+                          * 2.0) / 8.0
+        res = psis_loo(PointwiseLogLik(values))
+        assert math.isfinite(res.elpd)
+        nan = [1, 2, 3, 4, 6, 8, 9, 10, 11]
+        np.testing.assert_array_equal(np.flatnonzero(np.isnan(res.khat)), nan)
+        assert res.warnings == [f"subject {i}: degenerate tail ratios, "
+                                "smoothing skipped" for i in nan]
+        pointwise, khat, notes = oracle_psis_loo(values)
+        np.testing.assert_allclose(res.pointwise, pointwise, rtol=1e-12,
+                                   atol=0.0)
+        np.testing.assert_allclose(res.khat, khat, rtol=0.0, atol=1e-12)
+        assert res.warnings == notes
 
 
 class TestLogSumExp:

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import make_model
+from conftest import make_model, survivor_conditional
 from qvaft.data import write_csv, read_csv
 from qvaft.errors import ConfigError, DomainError
-from qvaft.inference import quantile_time, survivor_conditional
+from qvaft.inference import quantile_time
 from qvaft.likelihood import ParameterVector
 from qvaft.simulate import (
     CensoringSpec,
@@ -19,7 +19,6 @@ from qvaft.simulate import (
     OnsetSpec,
     SimConfig,
     TruncationSpec,
-    draw_event_time,
     simulate_dataset,
 )
 
@@ -34,12 +33,7 @@ class TestDrawEventTime:
         model = make_model(covariates=("x1",))
         psi = ParameterVector(np.array([0.5]), np.array([]),
                               math.log(1 / 0.3), 1.0)
-
-        class FixedU:
-            def random(self):
-                return 0.5
-
-        t = draw_event_time(model, psi, np.array([1.0]), FixedU())
+        t = quantile_time(model, psi, np.array([1.0]), 0.5)
         assert t == pytest.approx(math.log(2.0) / 0.3 * math.exp(0.5),
                                   rel=1e-12)
 
