@@ -4,14 +4,14 @@ Subcommands: simulate, fit, standardize, af, surface, loo. A fit writes a
 self-contained directory (draws.npz, summary.json, fit.json, data.csv
 snapshot) that the post-processing commands consume, plus a draws.csv
 export. Exit codes:
-0 success, 2 input/schema problems, 3 numerical failures.
+0 success, 2 input/schema problems, 3 numerical failures. A command imports
+the modules only it calls in its body, so a fresh process loads no others.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -19,47 +19,17 @@ import sys
 
 import numpy as np
 
-from . import config as cfgmod
 from .data import Dataset, check_format_version, read_csv, write_csv
-from .errors import (
-    ConfigError,
-    DataError,
-    DomainError,
-    QvaftError,
-)
-from .inference import (
-    ContrastSpec,
-    CurveTable,
-    af_surface,
-    default_quantile_grid,
-    percentiles,
-    quantile_time,
-    standardized_af,
-    standardized_survivor_curves,
-)
-from .model import ModelSpec
-from .modelcheck import (
-    exact_loo_subject,
-    pointwise_loglik,
-    psis_loo,
-    write_loo_pointwise,
-    write_loo_report,
-)
-from .sampler import (
-    PosteriorDraws,
-    SamplerConfig,
-    draws_from_npz,
-    draws_to_csv,
-    draws_to_npz,
-    ess,
-    rhat,
-    run_chains,
-)
+from .draws import PosteriorDraws, draws_from_npz, draws_to_csv, draws_to_npz
+from .errors import ConfigError, DataError, DomainError, QvaftError
+from .model import ModelSpec, model_from_jsonable, model_to_jsonable
 
 FIT_FORMAT_VERSION = 1
 
 
 def dataset_hash(data: Dataset) -> str:
+    import hashlib  # here, not at the top: only fit and loo hash the data
+
     h = hashlib.sha256()
     for arr in (data.y_lower, data.y_upper, data.event.astype(float),
                 data.trunc, data.x, data.onset):
@@ -80,7 +50,9 @@ def _parse_grid(text: str | None, name: str) -> np.ndarray | None:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"{name}: expected lo:hi:count, got {text!r}")
-    if count < 1 or hi < lo:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{name}: grid bounds must be finite, got {text!r}")
+    if count < 1 or hi < lo or (count == 1 and hi != lo):
         raise ConfigError(f"{name}: bad grid bounds {text!r}")
     return np.linspace(lo, hi, count)
 
@@ -101,6 +73,9 @@ def _threads(args) -> int:
 # -- fit ------------------------------------------------------------------------
 
 def _summarize(model: ModelSpec, draws: PosteriorDraws) -> dict:
+    from .inference import percentiles
+    from .sampler import ess, rhat
+
     params = {}
     multi = draws.n_chains >= 2
     median, lo95, hi95 = percentiles(draws.constrained, (50.0, 2.5, 97.5))
@@ -119,6 +94,9 @@ def _summarize(model: ModelSpec, draws: PosteriorDraws) -> dict:
 
 
 def cmd_fit(args) -> int:
+    from . import config as cfgmod
+    from .sampler import run_chains
+
     data = read_csv(args.data)
     raw = cfgmod.load_config(args.config)
     model = cfgmod.resolve_model(raw, data)
@@ -158,7 +136,7 @@ def cmd_fit(args) -> int:
     cfgmod.write_json(os.path.join(args.out, "summary.json"), summary)
     cfgmod.write_json(os.path.join(args.out, "fit.json"), {
         "format_version": FIT_FORMAT_VERSION,
-        "model": cfgmod.model_to_jsonable(model),
+        "model": model_to_jsonable(model),
         "priors": {"a_sigma": priors.a_sigma, "b_sigma": priors.b_sigma,
                    "a_theta": priors.a_theta, "b_theta": priors.b_theta},
         "sampler": summary["sampler"],
@@ -183,7 +161,7 @@ def _load_fit(fit_dir: str, data_path: str | None = None):
         meta = json.load(fh)
     check_format_version(meta_path, meta.get("format_version"),
                          FIT_FORMAT_VERSION)
-    model = cfgmod.model_from_jsonable(meta["model"])
+    model = model_from_jsonable(meta["model"])
     data = read_csv(data_path or os.path.join(fit_dir, "data.csv"))
     draws = draws_from_npz(os.path.join(fit_dir, "draws.npz"), model)
     return meta, model, data, draws
@@ -192,6 +170,7 @@ def _load_fit(fit_dir: str, data_path: str | None = None):
 # -- simulate ---------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    from . import config as cfgmod
     from .simulate import simulate_dataset
 
     raw = cfgmod.load_config(args.config)
@@ -201,7 +180,7 @@ def cmd_simulate(args) -> int:
     data = simulate_dataset(sim)
     write_csv(data, args.out, include_onset=model.time_varying)
     truth = {
-        "model": cfgmod.model_to_jsonable(model),
+        "model": model_to_jsonable(model),
         "beta": {n: float(v) for n, v in zip(model.beta_names, psi.beta)},
         "alpha": [float(a) for a in psi.alpha],
         "mu": psi.mu,
@@ -219,6 +198,8 @@ def cmd_simulate(args) -> int:
 # -- post-processing ----------------------------------------------------------------
 
 def _contrast(args, model: ModelSpec) -> ContrastSpec:
+    from .inference import ContrastSpec
+
     if model.time_varying:
         if args.exposed is None:
             raise ConfigError("--exposed: time-varying contrasts need a "
@@ -253,6 +234,8 @@ def _with_exposure(model: ModelSpec, args) -> ModelSpec:
 
 
 def cmd_standardize(args) -> int:
+    from .inference import standardized_survivor_curves
+
     _, model, data, draws = _load_fit(args.fit)
     model = _with_exposure(model, args)
     draws = draws.thin_by(args.thin)
@@ -265,6 +248,9 @@ def cmd_standardize(args) -> int:
 
 
 def _analytic_af(args) -> CurveTable:
+    from . import config as cfgmod
+    from .inference import CurveTable, default_quantile_grid, quantile_time
+
     raw = cfgmod.load_config(args.config)
     model = cfgmod.resolve_model(raw, None)
     psi = cfgmod.resolve_truth(raw, model)
@@ -295,6 +281,8 @@ def cmd_af(args) -> int:
     else:
         if not args.fit:
             raise ConfigError("--fit: required unless --analytic is given")
+        from .inference import standardized_af
+
         _, model, data, draws = _load_fit(args.fit)
         model = _with_exposure(model, args)
         table = standardized_af(model, draws.thin_by(args.thin), data,
@@ -306,6 +294,8 @@ def cmd_af(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    from .inference import af_surface
+
     _, model, data, draws = _load_fit(args.fit)
     table = af_surface(model, draws, data,
                        _parse_grid(args.onset_grid, "--onset-grid"),
@@ -316,6 +306,9 @@ def cmd_surface(args) -> int:
 
 
 def cmd_loo(args) -> int:
+    from .modelcheck import (exact_loo_subject, pointwise_loglik, psis_loo,
+                             write_loo_pointwise, write_loo_report)
+
     meta, model, data, draws = _load_fit(args.fit, args.data)
     if dataset_hash(data) != meta["data_hash"]:
         raise DataError("the supplied data file does not match the one the "
@@ -324,6 +317,8 @@ def cmd_loo(args) -> int:
     res = psis_loo(ll)
     if args.refit_khat:
         from .likelihood import PriorSpec
+        from .sampler import SamplerConfig
+
         pri = PriorSpec(**meta["priors"])
         scfg = meta["sampler"]
         cfg = SamplerConfig(chains=2, warmup_iters=min(500, scfg["warmup"]),

@@ -22,15 +22,6 @@ from .data import Dataset, atomic_write_text, max_followup, observed_event_times
 from .errors import ConfigError, QvaftError
 from .likelihood import ParameterVector, PriorSpec
 from .model import ModelSpec
-from .sampler import SamplerConfig
-from .simulate import (
-    DISTRIBUTIONS,
-    CensoringSpec,
-    CovariateSpec,
-    OnsetSpec,
-    SimConfig,
-    TruncationSpec,
-)
 
 __all__ = [
     "load_config",
@@ -39,8 +30,6 @@ __all__ = [
     "resolve_sampler",
     "resolve_truth",
     "resolve_sim",
-    "model_to_jsonable",
-    "model_from_jsonable",
 ]
 
 
@@ -291,6 +280,8 @@ def resolve_priors(raw: dict) -> PriorSpec:
 
 
 def resolve_sampler(raw: dict, seed_override=None, threads=1) -> SamplerConfig:
+    from .sampler import SamplerConfig
+
     sec = _section(raw, "sampler")
     _unknown_keys(sec, "sampler", ("chains", "warmup", "iters", "seed",
                                    "target_accept", "thin", "max_tree_depth"))
@@ -348,6 +339,8 @@ def _dist(sec: dict, path: str, spec_cls, *rest, default=None, extra=()):
     keys of its `dist` read from `simulate.DISTRIBUTIONS`; a key its
     `dist` does not take, or a value the spec rejects, is an error naming
     the key. `rest` holds the spec's arguments after `params`."""
+    from .simulate import DISTRIBUTIONS
+
     dist = _str(sec, path, "dist", default=default, required=default is None,
                 choices=spec_cls.DISTS)
     keys = DISTRIBUTIONS[dist].keys
@@ -362,6 +355,9 @@ def _dist(sec: dict, path: str, spec_cls, *rest, default=None, extra=()):
 
 def resolve_sim(raw: dict, model: ModelSpec, psi: ParameterVector,
                 seed_override=None) -> SimConfig:
+    from .simulate import (CensoringSpec, CovariateSpec, OnsetSpec, SimConfig,
+                           TruncationSpec)
+
     sec = _section(raw, "simulate", required=True)
     _unknown_keys(sec, "simulate", ("n", "covariates", "censoring",
                                     "truncation", "onset", "seed"))
@@ -406,30 +402,6 @@ def resolve_sim(raw: dict, model: ModelSpec, psi: ParameterVector,
 
 
 # -- fit-directory persistence ---------------------------------------------------
-
-def model_to_jsonable(model: ModelSpec) -> dict:
-    return {
-        "baseline": {"family": model.baseline.family,
-                     "centering": model.baseline.centering,
-                     "K": model.baseline.K},
-        "effect": {"kind": model.effect.kind,
-                   "knots": list(model.effect.knots)},
-        "covariates": list(model.covariates),
-        "exposure": model.exposure,
-        "time_varying": model.time_varying,
-    }
-
-
-def model_from_jsonable(obj: dict) -> ModelSpec:
-    return ModelSpec(
-        BaselineSpec(obj["baseline"]["family"], obj["baseline"]["centering"],
-                     obj["baseline"]["K"]),
-        EffectSpec(obj["effect"]["kind"], tuple(obj["effect"]["knots"])),
-        tuple(obj["covariates"]),
-        obj.get("exposure"),
-        bool(obj.get("time_varying", False)),
-    )
-
 
 def write_json(path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -64,11 +64,11 @@ from .covproc import (
     transform_value,
 )
 from .data import as_dataset, atomic_write_text, max_followup
+from .draws import PosteriorDraws
 from .errors import DomainError, NumericalError
 from .likelihood import ParameterVector, check_psi, psi_from_constrained
 from .model import ModelSpec
 from .roots import MAX_WIDEN, increasing_root
-from .sampler import PosteriorDraws
 
 __all__ = [
     "ContrastSpec",

@@ -30,7 +30,7 @@ from .baseline import BaselineSpec
 from .covproc import EffectSpec
 from .errors import DomainError
 
-__all__ = ["ModelSpec"]
+__all__ = ["ModelSpec", "model_to_jsonable", "model_from_jsonable"]
 
 
 @dataclass(frozen=True)
@@ -131,3 +131,22 @@ class ModelSpec:
         if self.time_varying or self.effect.kind == "constant":
             return eta, 0.0, b1
         return eta, (X[..., j] if level is None else level), b1
+
+
+# -- the model of fit.json ----------------------------------------------------
+
+def model_to_jsonable(model: ModelSpec) -> dict:
+    b, e = model.baseline, model.effect
+    return {"baseline": {"family": b.family, "centering": b.centering,
+                         "K": b.K},
+            "effect": {"kind": e.kind, "knots": list(e.knots)},
+            "covariates": list(model.covariates), "exposure": model.exposure,
+            "time_varying": model.time_varying}
+
+
+def model_from_jsonable(obj: dict) -> ModelSpec:
+    b, e = obj["baseline"], obj["effect"]
+    return ModelSpec(BaselineSpec(b["family"], b["centering"], b["K"]),
+                     EffectSpec(e["kind"], tuple(e["knots"])),
+                     tuple(obj["covariates"]), obj.get("exposure"),
+                     bool(obj.get("time_varying", False)))

@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import as_dataset, atomic_write_text
+from .draws import PosteriorDraws
 from .errors import DomainError, NumericalError
 from .likelihood import PriorSpec, pointwise_loglik_matrix
 from .model import ModelSpec
-from .sampler import PosteriorDraws, SamplerConfig, run_chains
 
 __all__ = [
     "PointwiseLogLik",
@@ -215,6 +215,8 @@ def exact_loo_subject(model: ModelSpec, data, priors: PriorSpec,
                       cfg: SamplerConfig, i: int) -> float:
     """Brute-force elpd_i: refit without subject i, then average the
     predictive density of subject i over the refit draws."""
+    from .sampler import run_chains
+
     data = as_dataset(data)
     keep = np.ones(data.n, dtype=bool)
     keep[i] = False

@@ -278,6 +278,21 @@ class TestPostProcessing:
                      "--thin", thin]) == 2
         assert "thinning factor must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, grid", [
+        ("af", "--p-grid", "0.1:inf:3"),
+        ("standardize", "--t-grid", "0:inf:5"),
+        ("standardize", "--t-grid", "1:nan:3"),
+        ("af", "--p-grid", "0.1:0.9:1"),
+    ])
+    def test_bad_grid_names_the_flag(self, fitted, tmp_path, capsys, command,
+                                     flag, grid):
+        """Non-finite bounds, and one value between distinct bounds, exit 2
+        with an error naming the flag, before any arithmetic warns."""
+        out = str(tmp_path / "out.csv")
+        assert main([command, "--fit", fitted["fit"], "--out", out,
+                     flag, grid]) == 2
+        assert f"{flag}: " in capsys.readouterr().err
+
     def test_af_analytic_constant(self, fitted, tmp_path):
         out = str(tmp_path / "af_an.csv")
         assert main(["af", "--analytic", "--config", fitted["cfg"],
@@ -480,7 +495,7 @@ class TestLooRefit:
                                                  monkeypatch):
         """`loo --refit-khat` refits with the fit's target_accept and
         max_tree_depth; a fit.json without max_tree_depth means 10."""
-        import qvaft.cli as cli
+        import qvaft.modelcheck as modelcheck
 
         cfg = write_config(tmp_path, {
             "simulate.n": 50, "sampler.warmup": 60, "sampler.iters": 60,
@@ -493,7 +508,7 @@ class TestLooRefit:
         meta = _json(fit_dir + "/fit.json")
         assert meta["sampler"]["max_tree_depth"] == 3
 
-        loo = cli.psis_loo
+        loo = modelcheck.psis_loo
 
         def one_high_khat(ll):
             res = loo(ll)
@@ -506,8 +521,8 @@ class TestLooRefit:
             configs.append((i, cfg))
             return -1.0
 
-        monkeypatch.setattr(cli, "psis_loo", one_high_khat)
-        monkeypatch.setattr(cli, "exact_loo_subject", stub)
+        monkeypatch.setattr(modelcheck, "psis_loo", one_high_khat)
+        monkeypatch.setattr(modelcheck, "exact_loo_subject", stub)
         args = ["loo", "--fit", fit_dir, "--data", data, "--refit-khat"]
         assert main(args) == 0
         assert 7 in [i for i, _ in configs]

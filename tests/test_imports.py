@@ -1,11 +1,12 @@
-"""What a cold start loads: `import qvaft.cli` and the post-fit commands on
-a Weibull model never import scipy, yaml or concurrent.futures, the
-post-fit commands and the fit's summary never import numpy.ma (which
-`np.percentile` loads), and the lazy scipy imports of the log-normal
-baseline and the TBP theta gradient still load when those run. Each check
-runs in a fresh interpreter, since the test process has long imported
-everything. The package's public names are pinned, so that a new export is
-made on purpose."""
+"""What a cold start loads: `import qvaft` loads no submodule, each post-fit
+command loads exactly the qvaft modules it calls, `import qvaft.cli` and
+the post-fit commands on a Weibull model never import scipy, yaml or
+concurrent.futures, the post-fit commands and the fit's summary never
+import numpy.ma (which `np.percentile` loads), and the lazy scipy imports
+of the log-normal baseline and the TBP theta gradient still load when
+those run. Each check runs in a fresh interpreter, since the test process
+has long imported everything. The package's public names are pinned, so
+that a new export is made on purpose."""
 
 import json
 import os
@@ -103,6 +104,47 @@ def test_post_fit_commands_load_no_scipy(weibull_fit, command):
     assert not got["ma"]
 
 
+def test_import_qvaft_loads_no_submodule():
+    got = fresh("""
+    import json, sys
+    import qvaft
+    print(json.dumps({"loaded": [m for m in sys.modules
+                                 if m.startswith("qvaft.")]}))
+    """)
+    assert got["loaded"] == []
+
+
+# what every post-fit command loads: reading the fit and the kernel
+POST_FIT = {"cli", "data", "errors", "model", "baseline", "roots", "covproc",
+            "likelihood", "draws"}
+
+
+@pytest.mark.parametrize("command, own, hashes", [
+    ("af", "inference", False),
+    ("standardize", "inference", False),
+    ("loo", "modelcheck", True),
+])
+def test_post_fit_commands_load_only_what_they_call(weibull_fit, command,
+                                                    own, hashes):
+    """Exactly these qvaft modules, so that a new eager import fails here;
+    only loo hashes the data, so only loo loads hashlib."""
+    out = str(weibull_fit["tmp"] / ("mods_" + command))
+    argv = [command, "--fit", weibull_fit["fit"]] + (
+        ["--data", weibull_fit["data"], "--out", out] if command == "loo"
+        else ["--out", out + ".csv", "--thin", "5"])
+    got = fresh(f"""
+    import json, sys
+    from qvaft.cli import main
+    code = main({argv!r})
+    print(json.dumps({{"code": code, "hashlib": "hashlib" in sys.modules,
+                      "loaded": [m[len("qvaft."):] for m in sys.modules
+                                 if m.startswith("qvaft.")]}}))
+    """)
+    assert got["code"] == 0
+    assert set(got["loaded"]) == POST_FIT | {own}
+    assert got["hashlib"] is hashes
+
+
 def test_fit_summary_loads_no_numpy_ma(weibull_fit):
     """The summary's medians and 95% bounds come from one sort, not
     np.percentile; the values are checked against it in test_inference."""
@@ -111,9 +153,9 @@ def test_fit_summary_loads_no_numpy_ma(weibull_fit):
     import numpy as np
     from qvaft.cli import _summarize
     from qvaft.sampler import draws_from_npz
-    from qvaft import config
+    from qvaft.model import model_from_jsonable
     meta = json.load(open({weibull_fit["fit"] + "/fit.json"!r}))
-    model = config.model_from_jsonable(meta["model"])
+    model = model_from_jsonable(meta["model"])
     draws = draws_from_npz({weibull_fit["fit"] + "/draws.npz"!r}, model)
     summary = _summarize(model, draws)
     print(json.dumps({{"ma": "numpy.ma" in sys.modules,
@@ -194,10 +236,11 @@ PUBLIC = [
 def test_public_surface_is_pinned():
     """`qvaft` exports exactly these names (its submodules aside), and each
     is in the `__all__` of the module that defines it."""
-    names = sorted(name for name, value in vars(qvaft).items()
+    names = sorted(name for name in dir(qvaft)
                    if not name.startswith("_")
-                   and not isinstance(value, types.ModuleType))
+                   and not isinstance(getattr(qvaft, name), types.ModuleType))
     assert names == PUBLIC
+    assert sorted(qvaft.__all__) == PUBLIC
     for name in names:
         module = sys.modules[getattr(qvaft, name).__module__]
         assert name in module.__all__, (name, module.__name__)

@@ -28,15 +28,6 @@ GENS2 = (CovariateSpec("bernoulli", (0.5,)),
 
 
 class TestDrawEventTime:
-    def test_deterministic_inversion_at_median(self):
-        # u = 0.5, exposure effect 0.5, exponential rate 0.3
-        model = make_model(covariates=("x1",))
-        psi = ParameterVector(np.array([0.5]), np.array([]),
-                              math.log(1 / 0.3), 1.0)
-        t = quantile_time(model, psi, np.array([1.0]), 0.5)
-        assert t == pytest.approx(math.log(2.0) / 0.3 * math.exp(0.5),
-                                  rel=1e-12)
-
     def test_monte_carlo_survivor_value(self, rng):
         model = make_model(covariates=("x1",))
         psi = ParameterVector(np.array([0.0]), np.array([]), 0.0, 1.0)
