@@ -12,7 +12,7 @@ _EXPORTS = {name: module for module, names in {
                 "inverse_survivor log_density log_survivor survivor",
     "covproc": "EffectSpec TimeVaryingCovariate tv_v_inverse v_inverse "
                "v_value",
-    "data": "Dataset SubjectRecord read_csv write_csv",
+    "data": "Dataset read_csv write_csv",
     "draws": "PosteriorDraws",
     "inference": "ContrastSpec CurveTable acceleration_factor af_surface "
                  "default_quantile_grid quantile_time standardized_af "

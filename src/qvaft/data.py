@@ -1,10 +1,11 @@
-"""Observed-data records and the CSV schema the command line ingests.
+"""The subject table and the CSV schema the command line ingests.
 
-One record holds the censoring interval (y_lower, y_upper], the event
-indicator, a left-truncation (delayed-entry) time, the baseline covariate
-vector, and, for time-varying models, the switch time of the binary
-covariate. Right censoring is y_upper = +inf; an exact event has
-y_upper == y_lower and event = 1.
+A `Dataset` holds, per subject, the censoring interval (y_lower, y_upper],
+the event indicator, a left-truncation (delayed-entry) time, the baseline
+covariate vector, and, for time-varying models, the switch time of the
+binary covariate, each as one column. Right censoring is y_upper = +inf;
+an exact event has y_upper == y_lower and event = 1. Building a `Dataset`
+checks every row, so a table built in code obeys the rules a file does.
 
 The file format is a header CSV with required columns ``y_l, y_u, delta,
 trunc``, one column per named covariate, and an optional ``tx_time``
@@ -24,49 +25,17 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["SubjectRecord", "Dataset", "read_csv", "write_csv"]
+__all__ = ["Dataset", "read_csv", "write_csv"]
 
 REQUIRED_COLUMNS = ("y_l", "y_u", "delta", "trunc")
 
 
 @dataclass(frozen=True)
-class SubjectRecord:
-    y_lower: float
-    y_upper: float
-    event: int
-    trunc: float = 0.0
-    x: tuple = ()
-    onset: float = math.inf
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        _validate_record(self, where="record")
-
-
-def _validate_record(rec: SubjectRecord, where: str) -> None:
-    if not (rec.y_lower > 0 and not math.isnan(rec.y_lower)):
-        raise DataError(f"{where}: y_l must be > 0, got {rec.y_lower}")
-    if math.isnan(rec.y_upper) or rec.y_upper < rec.y_lower:
-        raise DataError(f"{where}: y_u ({rec.y_upper}) < y_l ({rec.y_lower})")
-    if rec.event not in (0, 1):
-        raise DataError(f"{where}: delta must be 0 or 1, got {rec.event}")
-    if rec.event == 1 and rec.y_upper != rec.y_lower:
-        raise DataError(f"{where}: delta = 1 requires y_u == y_l")
-    if rec.event == 0 and rec.y_upper == rec.y_lower:
-        raise DataError(f"{where}: delta = 0 requires y_u > y_l "
-                        "(degenerate interval)")
-    if math.isnan(rec.trunc) or not 0 <= rec.trunc <= rec.y_lower:
-        raise DataError(f"{where}: trunc must lie in [0, y_l], got {rec.trunc}")
-    if math.isnan(rec.onset) or rec.onset <= 0:
-        raise DataError(f"{where}: tx_time must be > 0 (or inf), got {rec.onset}")
-    if any(not math.isfinite(v) for v in rec.x):
-        raise DataError(f"{where}: covariates must be finite, got {rec.x}")
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Column-oriented view of a list of records; construction assumes the
-    per-record invariants already hold."""
+    """The subject table, one entry per subject in each column. Construction
+    coerces the columns (x to a C-ordered (n, d) float array, event to bool)
+    and checks every row; the first bad row raises a `DataError` naming it
+    (1-based) and its rule."""
 
     y_lower: np.ndarray
     y_upper: np.ndarray
@@ -76,40 +45,44 @@ class Dataset:
     onset: np.ndarray
     covariate_names: tuple = field(default=())
 
+    def __post_init__(self):
+        y_l, y_u, ev, trunc, onset = cols = [
+            np.asarray(getattr(self, name), dtype=float)
+            for name in ("y_lower", "y_upper", "event", "trunc", "onset")]
+        x = np.ascontiguousarray(self.x, dtype=float)
+        n = y_l.size
+        if any(c.shape != (n,) for c in cols) or x.ndim != 2 or len(x) != n:
+            raise DataError("each column needs one entry per subject, got "
+                            f"shapes {[c.shape for c in cols]} and x {x.shape}")
+        names = (tuple(self.covariate_names)
+                 or tuple(f"x{i + 1}" for i in range(x.shape[1])))
+        if len(names) != x.shape[1]:
+            raise DataError(f"{len(names)} covariate names for "
+                            f"{x.shape[1]} columns")
+        bad = np.array([  # one row per rule of _RULES; NaN fails each test
+            ~((y_l > 0) & (y_l < math.inf)),
+            ~(y_u >= y_l),
+            (ev != 0) & (ev != 1),
+            (ev == 1) & (y_u != y_l),
+            (ev == 0) & (y_u == y_l),
+            ~((trunc >= 0) & (trunc <= y_l)),
+            ~(onset > 0),
+            ~np.isfinite(x).all(axis=1),
+        ])
+        if bad.any():
+            i = int(bad.any(axis=0).argmax())
+            rule = _RULES[int(bad[:, i].argmax())]
+            raise DataError(f"row {i + 1}: " + rule.format(
+                y_l=y_l[i], y_u=y_u[i], delta=ev[i], trunc=trunc[i],
+                onset=onset[i], x=x[i].tolist()))
+        for name, value in (("y_lower", y_l), ("y_upper", y_u),
+                            ("event", ev == 1), ("trunc", trunc), ("x", x),
+                            ("onset", onset), ("covariate_names", names)):
+            object.__setattr__(self, name, value)
+
     @property
     def n(self) -> int:
         return len(self.y_lower)
-
-    @staticmethod
-    def from_records(records, covariate_names=()) -> "Dataset":
-        records = list(records)
-        if records:
-            d = len(records[0].x)
-            for i, rec in enumerate(records):
-                if len(rec.x) != d:
-                    raise DataError(f"row {i + 1}: covariate vector has length "
-                                    f"{len(rec.x)}, expected {d}")
-        else:
-            d = len(covariate_names)
-        names = tuple(covariate_names) or tuple(f"x{i + 1}" for i in range(d))
-        if len(names) != d:
-            raise DataError(f"{len(names)} covariate names for {d} columns")
-        return Dataset(
-            y_lower=np.array([r.y_lower for r in records], dtype=float),
-            y_upper=np.array([r.y_upper for r in records], dtype=float),
-            event=np.array([r.event for r in records], dtype=bool),
-            trunc=np.array([r.trunc for r in records], dtype=float),
-            x=np.array([r.x for r in records], dtype=float).reshape(len(records), d),
-            onset=np.array([r.onset for r in records], dtype=float),
-            covariate_names=names,
-        )
-
-    def to_records(self) -> list:
-        return [
-            SubjectRecord(self.y_lower[i], self.y_upper[i], int(self.event[i]),
-                          self.trunc[i], tuple(self.x[i]), self.onset[i])
-            for i in range(self.n)
-        ]
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
@@ -118,10 +91,17 @@ class Dataset:
                        self.covariate_names)
 
 
-def as_dataset(data, covariate_names=()) -> Dataset:
-    if isinstance(data, Dataset):
-        return data
-    return Dataset.from_records(data, covariate_names)
+# the row rules of `Dataset`, in the order of its checks
+_RULES = (
+    "y_l must be finite and > 0, got {y_l}",
+    "y_u ({y_u}) < y_l ({y_l})",
+    "delta must be 0 or 1, got {delta}",
+    "delta = 1 requires y_u == y_l",
+    "delta = 0 requires y_u > y_l (degenerate interval)",
+    "trunc must lie in [0, y_l], got {trunc}",
+    "tx_time must be > 0 (or inf), got {onset}",
+    "covariates must be finite, got {x}",
+)
 
 
 def observed_event_times(data: Dataset) -> np.ndarray:
@@ -145,59 +125,48 @@ def max_followup(data: Dataset) -> float:
 
 # -- CSV schema -------------------------------------------------------------
 
-def _parse_cell(raw: str, column: str, row: int) -> float:
-    s = raw.strip()
-    if s == "" or s.lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    try:
-        return float(s)
-    except ValueError:
-        raise DataError(f"row {row}: column {column!r}: not a number: {raw!r}")
+def _parse_column(cells, column: str) -> np.ndarray:
+    """One column's cells as floats; an empty or "inf" cell is +inf."""
+    out = np.empty(len(cells))
+    for i, raw in enumerate(cells):
+        try:
+            out[i] = float(raw)
+        except ValueError:
+            if raw.strip():
+                raise DataError(f"row {i + 1}: column {column!r}: not a "
+                                f"number: {raw!r}") from None
+            out[i] = math.inf
+    return out
 
 
 def read_csv(path) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing required columns {missing}")
-        has_onset = "tx_time" in header
-        cov_names = [h for h in header
-                     if h not in REQUIRED_COLUMNS and h != "tx_time"]
-        col = {name: header.index(name) for name in header}
-
-        records = []
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DataError(f"row {i}: has {len(row)} cells, "
-                                f"expected {len(header)}")
-
-            def cell(name):
-                return _parse_cell(row[col[name]], name, i)
-
-            delta_raw = cell("delta")
-            if delta_raw not in (0.0, 1.0):
-                raise DataError(f"row {i}: delta must be 0 or 1, got {delta_raw}")
-            trunc = cell("trunc")
-            if math.isinf(trunc):
-                raise DataError(f"row {i}: trunc must be finite")
-            try:
-                records.append(SubjectRecord(
-                    y_lower=cell("y_l"),
-                    y_upper=cell("y_u"),
-                    event=int(delta_raw),
-                    trunc=trunc,
-                    x=tuple(cell(name) for name in cov_names),
-                    onset=cell("tx_time") if has_onset else math.inf,
-                ))
-            except DataError as err:
-                raise DataError(f"row {i}: {err}") from None
-    return Dataset.from_records(records, tuple(cov_names))
+    """The `Dataset` of a data file, parsed column by column; errors name
+    the 1-based data row."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as err:  # a NUL byte, not UTF-8
+        raise DataError(f"{path}: {err}") from None
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header, rows = [h.strip() for h in rows[0]], rows[1:]
+    repeated = [h for i, h in enumerate(header) if h in header[:i]]
+    if repeated:
+        raise DataError(f"{path}: column {repeated[0]!r} appears more than once")
+    missing = [c for c in REQUIRED_COLUMNS if c not in header]
+    if missing:
+        raise DataError(f"{path}: missing required columns {missing}")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise DataError(f"row {i}: has {len(row)} cells, "
+                            f"expected {len(header)}")
+    col = {name: _parse_column(cells, name) for name, cells
+           in zip(header, list(zip(*rows)) or [()] * len(header))}
+    cov_names = [h for h in header if h not in (*REQUIRED_COLUMNS, "tx_time")]
+    x = np.reshape([col[h] for h in cov_names], (len(cov_names), len(rows)))
+    return Dataset(col["y_l"], col["y_u"], col["delta"], col["trunc"], x.T,
+                   col.get("tx_time", np.full(len(rows), math.inf)),
+                   tuple(cov_names))
 
 
 def _format_cell(v: float) -> str:

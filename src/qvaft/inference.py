@@ -63,7 +63,7 @@ from .covproc import (
     transform_inverse,
     transform_value,
 )
-from .data import as_dataset, atomic_write_text, max_followup
+from .data import Dataset, atomic_write_text, max_followup
 from .draws import PosteriorDraws
 from .errors import DomainError, NumericalError
 from .likelihood import ParameterVector, check_psi, psi_from_constrained
@@ -432,7 +432,7 @@ def _af_tables(model, draws, data, p, exposed, reference,
             for label, t, s in zip(labels, times[1:], exposed_tmax)]
 
 
-def standardized_af(model: ModelSpec, draws: PosteriorDraws, data,
+def standardized_af(model: ModelSpec, draws: PosteriorDraws, data: Dataset,
                     p_grid=None, contrast: ContrastSpec | None = None
                     ) -> CurveTable:
     """Posterior-summarized standardized acceleration factor curve.
@@ -443,7 +443,6 @@ def standardized_af(model: ModelSpec, draws: PosteriorDraws, data,
     times is formed; the table rows carry the across-draw mean, median and
     95% interval at each p.
     """
-    data = as_dataset(data)
     if contrast is None:
         contrast = ContrastSpec.default(model)
     p = bl._check_p(p_grid if p_grid is not None else default_quantile_grid())
@@ -452,11 +451,10 @@ def standardized_af(model: ModelSpec, draws: PosteriorDraws, data,
 
 
 def standardized_survivor_curves(model: ModelSpec, draws: PosteriorDraws,
-                                 data, t_grid=None,
+                                 data: Dataset, t_grid=None,
                                  contrast: ContrastSpec | None = None) -> CurveTable:
     """Posterior-summarized standardized survivor curves, one group per
     contrast level (labels "exposed" / "unexposed")."""
-    data = as_dataset(data)
     if contrast is None:
         contrast = ContrastSpec.default(model)
     if t_grid is None:
@@ -480,7 +478,7 @@ def standardized_survivor_curves(model: ModelSpec, draws: PosteriorDraws,
     return CurveTable.concat(tables)
 
 
-def af_surface(model: ModelSpec, draws: PosteriorDraws, data,
+def af_surface(model: ModelSpec, draws: PosteriorDraws, data: Dataset,
                onset_grid=None, p_grid=None, thin: int = 10) -> CurveTable:
     """Acceleration-factor surface for a time-varying model: standardized AF
     curves (switch at g versus never), one group "tx=<g>" per onset g. Draws
@@ -492,7 +490,6 @@ def af_surface(model: ModelSpec, draws: PosteriorDraws, data,
     only at the largest follow-up, for the extrapolation flags."""
     if not model.time_varying:
         raise DomainError("af_surface needs a time-varying model")
-    data = as_dataset(data)
     if onset_grid is None:
         onset_grid = np.linspace(0.0, max_followup(data), 41)[1:]
     onset_grid = np.asarray(onset_grid, dtype=float)

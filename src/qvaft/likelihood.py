@@ -66,14 +66,13 @@ import numpy as np
 
 from . import baseline as bl
 from .covproc import TimeBasis, is_monotone, transform
-from .data import Dataset, as_dataset
+from .data import Dataset
 from .errors import DomainError, NumericalError
 from .model import ModelSpec
 
 __all__ = [
     "PriorSpec",
     "ParameterVector",
-    "pointwise_loglik_vector",
     "pointwise_loglik_matrix",
     "log_posterior_unconstrained",
     "grad_log_posterior",
@@ -367,8 +366,8 @@ class Prepared:
         return coef @ self.Xt
 
 
-def prepare(model: ModelSpec, data) -> Prepared:
-    return Prepared(model, as_dataset(data, tuple(model.covariates)))
+def prepare(model: ModelSpec, data: Dataset) -> Prepared:
+    return Prepared(model, data)
 
 
 # -- likelihood ---------------------------------------------------------------
@@ -426,34 +425,18 @@ def _pointwise(model, prep, beta, alpha, mu, sigma, w, want_grad):
                 g_ls, g_w)
 
 
-def _by_subject(prep: Prepared, ll: np.ndarray, first_draw=None):
-    """`_pointwise` contributions in subject order, draws first, with -inf
-    below LOG_FLOOR; NaN raises a numerical error naming the subject and,
-    for a block whose first draw is `first_draw`, the draw."""
+def _by_subject(prep: Prepared, ll: np.ndarray, first_draw: int):
+    """`_pointwise` contributions of a block of draws in subject order,
+    draws first, with -inf below LOG_FLOOR; NaN raises a numerical error
+    naming the draw (the block's first is `first_draw`) and the subject."""
     ll = ll[prep.subject_rows].T
     ll[ll < LOG_FLOOR] = -np.inf
     bad = np.isnan(ll)
     if not bad.any():
         return ll
-    if ll.ndim == 1:
-        i = int(bad.argmax())
-        raise NumericalError(f"non-finite log-likelihood for subject {i}",
-                             subject=i)
     m, i = map(int, np.argwhere(bad)[0])
     raise NumericalError(f"non-finite log-likelihood at draw {first_draw + m}"
                          f", subject {i}", draw=first_draw + m, subject=i)
-
-
-def pointwise_loglik_vector(model: ModelSpec, psi: ParameterVector,
-                            data) -> np.ndarray:
-    """Per-subject log-likelihood contributions, with -inf for zero-likelihood
-    subjects; NaN raises a numerical error naming the subject."""
-    check_psi(model, psi)
-    prep = data if isinstance(data, Prepared) else prepare(model, data)
-    with np.errstate(all="ignore"):
-        ll, _ = _pointwise(model, prep, psi.beta, psi.alpha, psi.mu,
-                           psi.sigma, psi.w, want_grad=False)
-    return _by_subject(prep, ll)
 
 
 BLOCK = 32768  # entries of u per block of draws

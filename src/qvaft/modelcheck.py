@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import as_dataset, atomic_write_text
+from .data import Dataset, atomic_write_text
 from .draws import PosteriorDraws
 from .errors import DomainError, NumericalError
 from .likelihood import PriorSpec, pointwise_loglik_matrix
@@ -89,7 +89,7 @@ class LooResult:
 
 
 def pointwise_loglik(model: ModelSpec, draws: PosteriorDraws,
-                     data) -> PointwiseLogLik:
+                     data: Dataset) -> PointwiseLogLik:
     """The log-likelihood of every subject at every draw, evaluated in
     blocks of draws (`likelihood.pointwise_loglik_matrix`)."""
     return PointwiseLogLik(pointwise_loglik_matrix(model, draws.constrained,
@@ -211,13 +211,12 @@ def psis_loo(ll: PointwiseLogLik) -> LooResult:
 
 # -- exact refit oracle --------------------------------------------------------
 
-def exact_loo_subject(model: ModelSpec, data, priors: PriorSpec,
+def exact_loo_subject(model: ModelSpec, data: Dataset, priors: PriorSpec,
                       cfg: SamplerConfig, i: int) -> float:
     """Brute-force elpd_i: refit without subject i, then average the
     predictive density of subject i over the refit draws."""
     from .sampler import run_chains
 
-    data = as_dataset(data)
     keep = np.ones(data.n, dtype=bool)
     keep[i] = False
     refit = run_chains(model, data.subset(keep), priors, cfg)
@@ -226,10 +225,9 @@ def exact_loo_subject(model: ModelSpec, data, priors: PriorSpec,
     return _logsumexp(vals) - math.log(len(vals))
 
 
-def exact_loo(model: ModelSpec, data, priors: PriorSpec,
+def exact_loo(model: ModelSpec, data: Dataset, priors: PriorSpec,
               cfg: SamplerConfig) -> np.ndarray:
     """elpd_i for every subject by n refits (small n only)."""
-    data = as_dataset(data)
     return np.array([exact_loo_subject(model, data, priors, cfg, i)
                      for i in range(data.n)])
 

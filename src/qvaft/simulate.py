@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .covproc import is_monotone
-from .data import Dataset, SubjectRecord
+from .data import Dataset
 from .errors import ConfigError, DomainError
 from .inference import quantile_time
 from .likelihood import ParameterVector, check_psi
@@ -209,8 +209,8 @@ def _uniform(rng: np.random.Generator) -> float:
 
 
 def _record(cens: CensoringSpec, rng: np.random.Generator, t: float,
-            entry: float, x: tuple, onset: float) -> SubjectRecord:
-    """The observed record of an accepted event time t."""
+            entry: float) -> tuple:
+    """(y_l, y_u, event, trunc) observed of an accepted event time t."""
     censor = math.inf
     if cens.admin_time is not None:
         censor = cens.admin_time
@@ -219,19 +219,18 @@ def _record(cens: CensoringSpec, rng: np.random.Generator, t: float,
 
     if cens.visit_gap is None:
         if t <= censor:
-            return SubjectRecord(t, t, 1, entry, x, onset)
-        return SubjectRecord(max(censor, TINY_TIME), math.inf, 0, entry, x, onset)
+            return t, t, 1, entry
+        return max(censor, TINY_TIME), math.inf, 0, entry
 
     gap = cens.visit_gap
     k = math.floor((t - entry) / gap)
     left = entry + k * gap
     right = entry + (k + 1) * gap
     if t <= censor and right <= censor:
-        return SubjectRecord(max(left, TINY_TIME), right, 0,
-                             min(entry, max(left, TINY_TIME)), x, onset)
+        return max(left, TINY_TIME), right, 0, min(entry, max(left, TINY_TIME))
     last_clean = entry + gap * math.floor((min(censor, t) - entry) / gap)
-    return SubjectRecord(max(last_clean, TINY_TIME), math.inf, 0,
-                         min(entry, max(last_clean, TINY_TIME)), x, onset)
+    return (max(last_clean, TINY_TIME), math.inf, 0,
+            min(entry, max(last_clean, TINY_TIME)))
 
 
 def _hopeless(subject: int) -> ConfigError:
@@ -242,7 +241,7 @@ def _hopeless(subject: int) -> ConfigError:
 
 
 def simulate_dataset(cfg: SimConfig) -> Dataset:
-    """Generate n records satisfying the `SubjectRecord` invariants.
+    """Generate a `Dataset` of n subjects (which checks every row).
 
     Works in rounds: each round draws an attempt for every pending subject
     from its own stream and inverts all their event times in one
@@ -288,6 +287,6 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
         pending = pending[~(t[pending] > entry[pending])]
         if pending.size == n and sum(attempts) >= MAX_REJECTION_ATTEMPTS:
             raise _hopeless(0)  # no subject accepted yet
-    records = [_record(cfg.censoring, rngs[i], float(t[i]), float(entry[i]),
-                       tuple(x[i]), float(onset[i])) for i in range(n)]
-    return Dataset.from_records(records, tuple(cfg.model.covariates))
+    rows = [_record(cfg.censoring, rngs[i], float(t[i]), float(entry[i]))
+            for i in range(n)]
+    return Dataset(*zip(*rows), x, onset, tuple(cfg.model.covariates))

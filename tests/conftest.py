@@ -1,5 +1,5 @@
-"""Shared builders for model specs and synthetic datasets, and the
-conditional survivor oracle."""
+"""Shared builders for model specs and datasets, the conditional survivor
+oracle, and one parameter vector's pointwise log-likelihood."""
 
 import math
 
@@ -8,7 +8,8 @@ import pytest
 
 from qvaft.baseline import BaselineSpec, survivor
 from qvaft.covproc import EffectSpec, transform_value
-from qvaft.data import Dataset, SubjectRecord
+from qvaft.data import Dataset
+from qvaft.likelihood import constrained_array, pointwise_loglik_matrix
 from qvaft.model import ModelSpec
 
 
@@ -20,6 +21,22 @@ def make_model(family="weibull", effect_kind="constant", knots=(),
     return ModelSpec(BaselineSpec(family, centering, K),
                      EffectSpec(effect_kind, knots),
                      tuple(covariates), exposure, time_varying)
+
+
+def make_dataset(rows, names=()):
+    """The `Dataset` of literal rows (y_l, y_u, delta[, trunc[, x[,
+    tx_time]]]), x a tuple, the missing tail 0, (), inf; with no rows
+    `names` gives the number of covariates."""
+    rows = [tuple(r) + (0.0, (), math.inf)[len(r) - 3:] for r in rows]
+    cols = list(zip(*rows)) or [()] * 6
+    x = np.array(cols[4], dtype=float) if rows else np.empty((0, len(names)))
+    return Dataset(*cols[:4], x, cols[5], tuple(names))
+
+
+def loglik_at(model, psi, data):
+    """Per-subject log-likelihood contributions at one parameter vector."""
+    return pointwise_loglik_matrix(model, constrained_array(model, psi),
+                                   data)[0]
 
 
 def survivor_conditional(model, psi, x, t, onset=math.inf):
@@ -36,7 +53,7 @@ def survivor_conditional(model, psi, x, t, onset=math.inf):
 def random_dataset(rng, n, d, time_varying=False, censored=True,
                    truncated=True, interval=True):
     """A mixed-censoring dataset exercising every likelihood branch."""
-    recs = []
+    rows = []
     for _ in range(n):
         x = (float(rng.integers(0, 2)),) + tuple(rng.normal(size=d - 1))
         t = float(rng.gamma(2.0, 1.0)) + 0.05
@@ -45,14 +62,13 @@ def random_dataset(rng, n, d, time_varying=False, censored=True,
                  else math.inf)
         u = rng.random()
         if not censored or u < 0.5:
-            recs.append(SubjectRecord(t, t, 1, trunc, x, onset))
+            rows.append((t, t, 1, trunc, x, onset))
         elif interval and u < 0.75:
-            recs.append(SubjectRecord(t, t + float(rng.uniform(0.1, 1.0)), 0,
-                                      trunc, x, onset))
+            rows.append((t, t + float(rng.uniform(0.1, 1.0)), 0, trunc, x,
+                         onset))
         else:
-            recs.append(SubjectRecord(t, math.inf, 0, trunc, x, onset))
-    names = tuple(f"x{i+1}" for i in range(d))
-    return Dataset.from_records(recs, names)
+            rows.append((t, math.inf, 0, trunc, x, onset))
+    return make_dataset(rows, tuple(f"x{i+1}" for i in range(d)))
 
 
 @pytest.fixture

@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import make_model, random_dataset
+from conftest import make_dataset, make_model, random_dataset
 from qvaft.baseline import BaselineParams, BaselineSpec, TBPWeights, survivor
 from qvaft.cli import main as cli_main
 from qvaft.covproc import EffectSpec, v_inverse, v_value
-from qvaft.data import Dataset, SubjectRecord
 from qvaft.inference import (
     ContrastSpec,
     CurveTable,
@@ -383,9 +382,9 @@ def test_criterion_8_psis_loo():
 def test_criterion_9_standardization_reduction():
     model = make_model(covariates=("x1",), exposure="x1")
     psi = ParameterVector(np.array([0.45]), np.array([]), 0.6, 1.2)
-    recs = [SubjectRecord(0.5 + 0.3 * i, 0.5 + 0.3 * i, 1, 0.0, (i % 2,))
+    recs = [(0.5 + 0.3 * i, 0.5 + 0.3 * i, 1, 0.0, (i % 2,))
             for i in range(8)]
-    data = Dataset.from_records(recs, ("x1",))
+    data = make_dataset(recs, ("x1",))
     p = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
 
     table = standardized_af(model, synthetic_draws(model, [psi]), data, p)
@@ -409,9 +408,9 @@ def test_criterion_10_surface_consistency():
             ParameterVector(np.array([-0.7, 0.1]), np.array([]), 0.5, 1.0),
             ParameterVector(np.array([-0.3, 0.3]), np.array([]), 0.3, 1.2)]
     draws = synthetic_draws(model, psis)
-    recs = [SubjectRecord(2.0, 2.0, 1, 0.0, (z,), math.inf)
+    recs = [(2.0, 2.0, 1, 0.0, (z,), math.inf)
             for z in (0.0, 1.0, -0.5)]
-    data = Dataset.from_records(recs, ("x2",))
+    data = make_dataset(recs, ("x2",))
     p = np.array([0.2, 0.5, 0.8])
     onsets = np.array([0.7, 1.9, 3.0])
 

@@ -9,8 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_model, random_dataset
-from qvaft.data import Dataset, SubjectRecord
+from conftest import make_dataset, make_model, random_dataset
 from qvaft.errors import NumericalError
 from qvaft.likelihood import (
     ParameterVector,
@@ -152,7 +151,7 @@ def test_gradient_with_an_empty_block(block, kind, knots, time_varying, rng):
 def test_flat_prior_has_zero_beta_gradient():
     """With no data, the posterior gradient along beta must vanish."""
     model = make_model()
-    data = Dataset.from_records([], ("x1", "x2"))
+    data = make_dataset([], ("x1", "x2"))
     z = np.array([0.7, -1.2, 0.3, 0.1])
     g = grad_log_posterior(model, z, data, PRIORS)
     assert g[0] == 0.0 and g[1] == 0.0
@@ -162,7 +161,7 @@ def test_hand_derivative_unit_exponential():
     """Exact event at y=1 under the unit exponential: d/dmu of the
     contribution is sigma*((y e^-mu)^sigma - 1) = 0 at mu=0, sigma=1."""
     model = make_model(covariates=())
-    data = Dataset.from_records([SubjectRecord(1.0, 1.0, 1, 0.0, ())], ())
+    data = make_dataset([(1.0, 1.0, 1)])
     psi = ParameterVector(np.array([]), np.array([]), 0.0, 1.0)
     z = unconstrain(model, psi)
     g = grad_log_posterior(model, z, data, PRIORS)
@@ -171,8 +170,7 @@ def test_hand_derivative_unit_exponential():
 
 def test_gradient_error_when_posterior_infinite():
     model = make_model(effect_kind="spline", knots=(-1.0, 0.0, 1.0))
-    data = Dataset.from_records(
-        [SubjectRecord(1.0, 1.0, 1, 0.0, (1.0, 0.0))], ("x1", "x2"))
+    data = make_dataset([(1.0, 1.0, 1, 0.0, (1.0, 0.0))])
     z = np.zeros(model.n_unconstrained)
     z[2] = 8.0
     with pytest.raises(NumericalError):

@@ -193,15 +193,15 @@ def test_tbp_gradient_loads_scipy_on_first_use():
     import numpy as np
     from qvaft.baseline import BaselineSpec
     from qvaft.covproc import EffectSpec
-    from qvaft.data import Dataset, SubjectRecord
+    from qvaft.data import Dataset
     from qvaft.likelihood import PriorSpec, make_posterior
     from qvaft.model import ModelSpec
 
     model = ModelSpec(BaselineSpec("tbp", "weibull", 3),
                       EffectSpec("constant", ()), ("x1",), None, False)
-    recs = [SubjectRecord(t, t, 1, 0.0, (x,), np.inf)
-            for t, x in ((0.4, 0.0), (1.1, 1.0), (2.5, 0.0), (0.9, 1.0))]
-    data = Dataset.from_records(recs, ("x1",))
+    t = np.array([0.4, 1.1, 2.5, 0.9])
+    data = Dataset(t, t, np.ones(4), np.zeros(4), [[0.0], [1.0], [0.0], [1.0]],
+                   np.full(4, np.inf), ("x1",))
     z = np.array([0.3, 0.1, -0.2, 0.4, -0.3, 0.5])
     logp, grad = make_posterior(model, data, PriorSpec(1.0, 1.0, 1.0, 1.0))[0](z)
     """
@@ -222,7 +222,7 @@ PUBLIC = [
     "CovariateSpec", "CurveTable", "Dataset", "EffectSpec", "LooResult",
     "ModelSpec", "OnsetSpec", "ParameterVector", "PointwiseLogLik",
     "PosteriorDraws", "PriorSpec", "SamplerConfig", "SimConfig",
-    "SubjectRecord", "TBPWeights", "TimeVaryingCovariate", "TruncationSpec",
+    "TBPWeights", "TimeVaryingCovariate", "TruncationSpec",
     "acceleration_factor", "af_surface", "constrain", "default_quantile_grid",
     "density", "ess", "exact_loo", "grad_log_posterior", "inverse_survivor",
     "log_density", "log_posterior_unconstrained", "log_survivor",

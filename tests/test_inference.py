@@ -7,8 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_model, survivor_conditional
-from qvaft.data import Dataset, SubjectRecord
+from conftest import make_dataset, make_model, survivor_conditional
 from qvaft.errors import DomainError
 from qvaft.inference import (
     ContrastSpec,
@@ -166,9 +165,9 @@ class TestTimeVaryingAF:
 
 class TestStandardization:
     def z_data(self):
-        recs = [SubjectRecord(1.0, 1.0, 1, 0.0, (0.0, z)) for z in
+        recs = [(1.0, 1.0, 1, 0.0, (0.0, z)) for z in
                 (-1.0, 0.0, 0.5, 2.0)]
-        return Dataset.from_records(recs, ("x1", "x2"))
+        return make_dataset(recs, ("x1", "x2"))
 
     def test_mean_of_conditional_survivors(self):
         model = make_model(exposure="x1")
@@ -184,8 +183,8 @@ class TestStandardization:
     def test_homogeneous_z_equals_conditional(self):
         model = make_model(exposure="x1")
         psi = ParameterVector(np.array([0.5, -0.3]), np.array([]), 0.3, 1.1)
-        recs = [SubjectRecord(1.0, 1.0, 1, 0.0, (1.0, 0.7))] * 3
-        data = Dataset.from_records(recs, ("x1", "x2"))
+        recs = [(1.0, 1.0, 1, 0.0, (1.0, 0.7))] * 3
+        data = make_dataset(recs, ("x1", "x2"))
         got = _standardized_sf(model, psi, data, 0.0)(np.array([2.0]))[0]
         want = survivor_conditional(model, psi, np.array([0.0, 0.7]), 2.0)
         assert got == pytest.approx(want, rel=1e-14)
@@ -193,8 +192,8 @@ class TestStandardization:
     def test_two_subject_average(self):
         model = make_model(exposure="x1")
         psi = ParameterVector(np.array([0.0, 1.0]), np.array([]), 0.0, 1.0)
-        recs = [SubjectRecord(1.0, 1.0, 1, 0.0, (0.0, z)) for z in (0.3, 1.4)]
-        data = Dataset.from_records(recs, ("x1", "x2"))
+        recs = [(1.0, 1.0, 1, 0.0, (0.0, z)) for z in (0.3, 1.4)]
+        data = make_dataset(recs, ("x1", "x2"))
         t = 1.0
         s1 = survivor_conditional(model, psi, np.array([0.0, 0.3]), t)
         s2 = survivor_conditional(model, psi, np.array([0.0, 1.4]), t)
@@ -216,9 +215,9 @@ class TestStandardization:
         closed-form conditional AF."""
         model = make_model(covariates=("x1",), exposure="x1")
         psi = ParameterVector(np.array([0.45]), np.array([]), 0.6, 1.2)
-        recs = [SubjectRecord(1.0 + i * 0.5, 1.0 + i * 0.5, 1, 0.0, (i % 2,))
+        recs = [(1.0 + i * 0.5, 1.0 + i * 0.5, 1, 0.0, (i % 2,))
                 for i in range(6)]
-        data = Dataset.from_records(recs, ("x1",))
+        data = make_dataset(recs, ("x1",))
         draws = draws_from_psis(model, [psi])
         p = np.array([0.2, 0.5, 0.8])
         table = standardized_af(model, draws, data, p)
@@ -229,8 +228,8 @@ class TestStandardization:
     def test_identical_draws_zero_width(self):
         model = make_model(covariates=("x1",), exposure="x1")
         psi = ParameterVector(np.array([0.45]), np.array([]), 0.6, 1.2)
-        data = Dataset.from_records(
-            [SubjectRecord(1.0, 1.0, 1, 0.0, (1.0,))], ("x1",))
+        data = make_dataset(
+            [(1.0, 1.0, 1, 0.0, (1.0,))], ("x1",))
         draws = draws_from_psis(model, [psi] * 8)
         table = standardized_af(model, draws, data, np.array([0.3, 0.7]))
         assert np.all(table.hi95 - table.lo95 == 0.0)
@@ -290,8 +289,8 @@ class TestStandardization:
         flagged."""
         model = make_model(covariates=("x1",), exposure="x1")
         psi = ParameterVector(np.array([0.0]), np.array([]), 0.0, 1.0)
-        data = Dataset.from_records(
-            [SubjectRecord(1.0, 1.0, 1, 0.0, (1.0,))], ("x1",))
+        data = make_dataset(
+            [(1.0, 1.0, 1, 0.0, (1.0,))], ("x1",))
         draws = draws_from_psis(model, [psi])
         p = np.array([0.1, 0.3, 0.5, 0.9])
         table = standardized_af(model, draws, data, p)
@@ -323,9 +322,9 @@ class TestStandardization:
         model = make_model("weibull", "piecewise", (0.0, 1.0, 2.0))
         psis = [ParameterVector(np.array([0.5, 1.0]), np.array([0.0, a]),
                                 0.0, 1.0) for a in (0.0, -800.0)]
-        recs = [SubjectRecord(1.0, 1.0, 1, 0.0, (0.0, z)) for z in
+        recs = [(1.0, 1.0, 1, 0.0, (0.0, z)) for z in
                 (0.0, 1000.0)]
-        data = Dataset.from_records(recs, ("x1", "x2"))
+        data = make_dataset(recs, ("x1", "x2"))
         draws = draws_from_psis(model, psis)
         p = np.array([0.6, 0.8])
         with pytest.raises(NumericalError, match="at draw 1") as err:
@@ -443,9 +442,9 @@ class TestSurface:
         return draws_from_psis(self.MODEL, psis)
 
     def data(self):
-        recs = [SubjectRecord(2.0, 2.0, 1, 0.0, (z,), math.inf)
+        recs = [(2.0, 2.0, 1, 0.0, (z,), math.inf)
                 for z in (0.0, 1.0)]
-        return Dataset.from_records(recs, ("x2",))
+        return make_dataset(recs, ("x2",))
 
     def test_slices_match_standardized_af(self):
         draws = self.make_draws()
@@ -472,8 +471,8 @@ class TestSurface:
     def test_pre_switch_quantiles_are_one(self):
         psi = ParameterVector(np.array([-0.8, 0.0]), np.array([]), 0.4, 1.1)
         draws = draws_from_psis(self.MODEL, [psi])
-        data = Dataset.from_records(
-            [SubjectRecord(2.0, 2.0, 1, 0.0, (0.0,), math.inf)], ("x2",))
+        data = make_dataset(
+            [(2.0, 2.0, 1, 0.0, (0.0,), math.inf)], ("x2",))
         # with onset far beyond the p = 0.75 quantile time, AF = 1 there
         from qvaft.baseline import inverse_survivor
         q75 = inverse_survivor(self.MODEL.baseline, psi.baseline_params(),
@@ -604,8 +603,8 @@ class TestOneInversion:
         model = make_model("weibull", "piecewise", (0.0, 1.0, 2.0))
         psis = [ParameterVector(np.array([0.5, 0.1]), np.array([0.0, a]),
                                 0.0, 1.0) for a in (0.0, 800.0)]
-        data = Dataset.from_records(
-            [SubjectRecord(1.0, 1.0, 1, 0.0, (0.0, z)) for z in (0.0, 1.0)],
+        data = make_dataset(
+            [(1.0, 1.0, 1, 0.0, (0.0, z)) for z in (0.0, 1.0)],
             ("x1", "x2"))
         with pytest.raises(NumericalError,
                            match="at draw 1, level 1: V.* not finite") as err:
@@ -623,8 +622,8 @@ class TestOneInversion:
         model = make_model("weibull", "spline", (-1.0, 0.3, 1.5))
         psis = [ParameterVector(np.array([0.5, 0.1]), np.array([a, 0.0]),
                                 0.0, 1.0) for a in (0.0, 1.0)]
-        data = Dataset.from_records(
-            [SubjectRecord(1.0, 1.0, 1, 0.0, (0.0, z)) for z in (0.0, 1.0)],
+        data = make_dataset(
+            [(1.0, 1.0, 1, 0.0, (0.0, z)) for z in (0.0, 1.0)],
             ("x1", "x2"))
         with pytest.raises(NumericalError,
                            match="at draw 1, level 1.5: spline inverse") as err:
@@ -640,8 +639,8 @@ class TestOneInversion:
         from qvaft import inference
         from qvaft.errors import NumericalError
         model, psi, _ = self.CASES["weibull_constant"]
-        data = Dataset.from_records(
-            [SubjectRecord(1.0, 1.0, 1, 0.0, (0.0, 0.3))], ("x1", "x2"))
+        data = make_dataset(
+            [(1.0, 1.0, 1, 0.0, (0.0, 0.3))], ("x1", "x2"))
         monkeypatch.setattr(inference, "transform_value",
                             lambda *args: np.full(2, np.nan))
         with pytest.raises(NumericalError,

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import make_model, random_dataset
+from conftest import loglik_at, make_dataset, make_model, random_dataset
 from test_gradient import EFFECTS, FAMILIES
 from qvaft import likelihood
 from qvaft.covproc import TimeBasis, is_monotone, transform
-from qvaft.data import Dataset, SubjectRecord, max_followup
+from qvaft.data import max_followup
 from qvaft.errors import DomainError, NumericalError
 from qvaft.likelihood import (
     ParameterVector,
@@ -23,7 +23,6 @@ from qvaft.likelihood import (
     log_jacobian,
     log_posterior_unconstrained,
     make_posterior,
-    pointwise_loglik_vector,
     psi_from_constrained,
     unconstrain,
 )
@@ -35,14 +34,14 @@ PRIORS = PriorSpec(1.0, 1.0, 1.0, 1.0)
 
 
 def rec(y_l, y_u, event, trunc=0.0, x=(0.0,)):
-    return SubjectRecord(y_l, y_u, event, trunc, x)
+    return make_dataset([(y_l, y_u, event, trunc, x)], ("x1",))
 
 
 def log_prior(model, psi):
     """The log prior density on the constrained scale: the posterior on no
     data less the log-Jacobian of the constraining transform."""
     z = unconstrain(model, psi)
-    empty = Dataset.from_records([], tuple(model.covariates))
+    empty = make_dataset([], model.covariates)
     return (log_posterior_unconstrained(model, z, empty, PRIORS)
             - log_jacobian(model, z))
 
@@ -50,37 +49,37 @@ def log_prior(model, psi):
 class TestHandWorkedContributions:
     def test_exact_event_unit_exponential(self):
         # log f0(1) + log v(1) = -1 + 0
-        assert pointwise_loglik_vector(UNIT_EXP, PSI_EXP, [rec(1.0, 1.0, 1)])[0] \
+        assert loglik_at(UNIT_EXP, PSI_EXP, rec(1.0, 1.0, 1))[0] \
             == pytest.approx(-1.0, abs=1e-12)
 
     def test_right_censored(self):
-        got = pointwise_loglik_vector(UNIT_EXP, PSI_EXP, [rec(2.0, math.inf, 0)])
+        got = loglik_at(UNIT_EXP, PSI_EXP, rec(2.0, math.inf, 0))
         assert got[0] == pytest.approx(-2.0, abs=1e-12)
 
     def test_left_truncated_right_censored(self):
         # exponential memorylessness: log S(2) - log S(1) = -1
-        got = pointwise_loglik_vector(UNIT_EXP, PSI_EXP,
-                                      [rec(2.0, math.inf, 0, trunc=1.0)])
+        got = loglik_at(UNIT_EXP, PSI_EXP, rec(2.0, math.inf, 0, trunc=1.0))
         assert got[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_interval_censored(self):
-        got = pointwise_loglik_vector(UNIT_EXP, PSI_EXP, [rec(1.0, 2.0, 0)])
+        got = loglik_at(UNIT_EXP, PSI_EXP, rec(1.0, 2.0, 0))
         assert got[0] == pytest.approx(np.log(np.exp(-1) - np.exp(-2)),
                                        abs=1e-12)
 
     def test_total_additivity_and_empty(self):
-        r = rec(2.0, math.inf, 0)
-        assert pointwise_loglik_vector(UNIT_EXP, PSI_EXP, [r, r]).sum() == \
+        r = (2.0, math.inf, 0, 0.0, (0.0,))
+        assert loglik_at(UNIT_EXP, PSI_EXP, make_dataset([r, r])).sum() == \
             pytest.approx(-4.0)
-        assert pointwise_loglik_vector(UNIT_EXP, PSI_EXP, []).sum() == 0.0
+        assert loglik_at(UNIT_EXP, PSI_EXP,
+                         make_dataset([], ("x1",))).sum() == 0.0
 
     def test_permutation_invariance(self, rng):
         data = random_dataset(rng, 30, 2)
         model = make_model()
         psi = ParameterVector(np.array([0.3, -0.2]), np.array([]), 0.2, 1.1)
-        base = pointwise_loglik_vector(model, psi, data).sum()
+        base = loglik_at(model, psi, data).sum()
         perm = rng.permutation(30)
-        assert pointwise_loglik_vector(model, psi, data.subset(perm)).sum() \
+        assert loglik_at(model, psi, data.subset(perm)).sum() \
             == pytest.approx(base, abs=1e-10)
 
 
@@ -97,7 +96,7 @@ class TestStructure:
             x = (float(rng.integers(0, 2)), float(rng.normal()))
             t = float(rng.uniform(0.1, 6.0))
             event = int(rng.random() < 0.5)
-            r = SubjectRecord(t, t if event else math.inf, event, 0.0, x)
+            r = make_dataset([(t, t if event else math.inf, event, 0.0, x)])
             u = v_value(model.effect, psi.beta, psi.alpha, np.array(x), t)
             if event:
                 eta, x1, _ = model.predictor(psi.beta, np.array(x))
@@ -107,7 +106,7 @@ class TestStructure:
                         + logv)
             else:
                 want = log_survivor(model.baseline, psi.baseline_params(), None, u)
-            assert pointwise_loglik_vector(model, psi, [r])[0] == \
+            assert loglik_at(model, psi, r)[0] == \
                 pytest.approx(want, abs=1e-12)
 
     def test_truncation_memorylessness(self, rng):
@@ -119,9 +118,9 @@ class TestStructure:
             x = (float(rng.normal()),)
             l = float(rng.uniform(0.1, 2.0))
             dt = float(rng.uniform(0.1, 3.0))
-            trunc_rec = SubjectRecord(l + dt, math.inf, 0, l, x)
-            shifted = SubjectRecord(dt, math.inf, 0, 0.0, x)
-            got = pointwise_loglik_vector(model, psi, [trunc_rec, shifted])
+            trunc_rec = (l + dt, math.inf, 0, l, x)
+            shifted = (dt, math.inf, 0, 0.0, x)
+            got = loglik_at(model, psi, make_dataset([trunc_rec, shifted]))
             assert got[0] == pytest.approx(got[1], abs=1e-10)
 
     def test_interval_limit_approaches_density(self):
@@ -131,12 +130,11 @@ class TestStructure:
         psi = ParameterVector(np.array([0.3]), np.array([0.2]), 0.1, 1.2)
         y = 1.3
         x = (1.0,)
-        exact = pointwise_loglik_vector(
-            model, psi, [SubjectRecord(y, y, 1, 0.0, x)])[0]
+        exact = loglik_at(model, psi, make_dataset([(y, y, 1, 0.0, x)]))[0]
         errs = []
         for h in (1e-4, 1e-5, 1e-6, 1e-7):
-            got = pointwise_loglik_vector(
-                model, psi, [SubjectRecord(y, y + h, 0, 0.0, x)])[0]
+            got = loglik_at(
+                model, psi, make_dataset([(y, y + h, 0, 0.0, x)]))[0]
             errs.append(abs(got - math.log(h) - exact))
         assert errs[-1] < 1e-3 * abs(exact)
         assert errs == sorted(errs, reverse=True)
@@ -144,13 +142,13 @@ class TestStructure:
     def test_zero_likelihood_is_minus_inf(self):
         model = make_model(covariates=("x1",))
         psi = ParameterVector(np.array([0.0]), np.array([]), -5.0, 8.0)
-        out = pointwise_loglik_vector(model, psi, [rec(50.0, 50.0, 1)]).sum()
+        out = loglik_at(model, psi, rec(50.0, 50.0, 1)).sum()
         assert out == -math.inf
 
     def test_underflowing_contribution_is_minus_inf(self):
         # both endpoints far past the -745 floor
-        assert pointwise_loglik_vector(UNIT_EXP, PSI_EXP,
-                                       [rec(800.0, 800.5, 0)])[0] == -math.inf
+        assert loglik_at(UNIT_EXP, PSI_EXP,
+                         rec(800.0, 800.5, 0))[0] == -math.inf
 
     def test_degenerate_interval_is_minus_inf(self):
         # a slope that underflows to zero makes V (hence S) flat across the
@@ -158,7 +156,7 @@ class TestStructure:
         model = make_model(effect_kind="piecewise", knots=(0.0, 1.0),
                            covariates=("x1",))
         psi = ParameterVector(np.array([0.0]), np.array([800.0]), 0.0, 1.0)
-        ll = pointwise_loglik_vector(model, psi, [rec(2.0, 3.0, 0, x=(1.0,))])
+        ll = loglik_at(model, psi, rec(2.0, 3.0, 0, x=(1.0,)))
         np.testing.assert_array_equal(ll, [-math.inf])
 
 
@@ -242,21 +240,18 @@ class TestTransforms:
         """d = 0, J = 0: posterior(z) = loglik + Gamma prior at sigma plus
         the analytic log-Jacobian log(sigma) of sigma = exp(z)."""
         model = make_model(covariates=())
-        data = Dataset.from_records(
-            [SubjectRecord(1.0, 1.0, 1, 0.0, ()),
-             SubjectRecord(2.0, math.inf, 0, 0.0, ())], ())
+        data = make_dataset([(1.0, 1.0, 1), (2.0, math.inf, 0)])
         z = np.array([0.3, -0.4])  # (mu, log sigma)
         psi = constrain(model, z)
         # Gamma(1, 1) at sigma: log prior -sigma
-        want = pointwise_loglik_vector(model, psi, data).sum() - psi.sigma + z[1]
+        want = loglik_at(model, psi, data).sum() - psi.sigma + z[1]
         got = log_posterior_unconstrained(model, z, data, PRIORS)
         assert got == pytest.approx(want, abs=1e-12)
         assert log_jacobian(model, z) == pytest.approx(z[1])
 
     def test_monotonicity_rejection(self):
         model = make_model(effect_kind="spline", knots=(-1.0, 0.0, 1.0))
-        data = Dataset.from_records(
-            [SubjectRecord(1.0, 1.0, 1, 0.0, (1.0, 0.0))], ("x1", "x2"))
+        data = make_dataset([(1.0, 1.0, 1, 0.0, (1.0, 0.0))])
         z = np.zeros(model.n_unconstrained)
         z[2] = 8.0  # alpha_1 large enough to break monotonicity
         assert log_posterior_unconstrained(model, z, data, PRIORS) == -math.inf
@@ -266,24 +261,23 @@ class TestValidation:
     def test_psi_shape_checked(self):
         model = make_model()
         with pytest.raises(DomainError):
-            pointwise_loglik_vector(
-                model, ParameterVector(np.zeros(3), np.array([]), 0, 1), [])
+            loglik_at(model, ParameterVector(np.zeros(3), np.array([]), 0, 1),
+                      make_dataset([], model.covariates))
 
     def test_one_simplex_rule(self):
         # within 1e-10 of the simplex but not within the 1e-12 of TBPWeights
         model = make_model(family="tbp", K=3)
         psi = ParameterVector(np.zeros(2), np.array([]), 0.0, 1.0,
                               np.array([0.3, 0.3, 0.4 + 5e-11]), 1.0)
-        data = Dataset.from_records([rec(1.0, 1.0, 1, x=(0.0, 0.0))],
-                                    ("x1", "x2"))
+        data = make_dataset([(1.0, 1.0, 1, 0.0, (0.0, 0.0))])
         with pytest.raises(DomainError, match="sum to 1"):
-            pointwise_loglik_vector(model, psi, data)
+            loglik_at(model, psi, data)
 
     def test_tbp_needs_weights(self):
         model = make_model(family="tbp", K=3)
         with pytest.raises(DomainError):
-            pointwise_loglik_vector(
-                model, ParameterVector(np.zeros(2), np.array([]), 0, 1), [])
+            loglik_at(model, ParameterVector(np.zeros(2), np.array([]), 0, 1),
+                      make_dataset([], model.covariates))
 
 
 class TestWrittenOutOracle:
@@ -318,15 +312,15 @@ class TestWrittenOutOracle:
         return self.SIGMA / math.exp(self.MU) * z ** (self.SIGMA - 1.0) * self.S0(u)
 
     def oracle(self, rec):
-        x = rec.x
-        if rec.event:
-            num = self.f0(self.V(rec.y_lower, x)) * self.v(rec.y_lower, x)
-        elif math.isinf(rec.y_upper):
-            num = self.S0(self.V(rec.y_lower, x))
+        y_lower, y_upper, event, trunc, x = rec
+        if event:
+            num = self.f0(self.V(y_lower, x)) * self.v(y_lower, x)
+        elif math.isinf(y_upper):
+            num = self.S0(self.V(y_lower, x))
         else:
-            num = (self.S0(self.V(rec.y_lower, x))
-                   - self.S0(self.V(rec.y_upper, x)))
-        return math.log(num) - math.log(self.S0(self.V(rec.trunc, x)))
+            num = (self.S0(self.V(y_lower, x))
+                   - self.S0(self.V(y_upper, x)))
+        return math.log(num) - math.log(self.S0(self.V(trunc, x)))
 
     def test_every_record_kind(self, rng):
         model = make_model(effect_kind="piecewise", knots=self.KNOTS)
@@ -339,13 +333,13 @@ class TestWrittenOutOracle:
             trunc = float(rng.uniform(0.0, t)) if rng.random() < 0.5 else 0.0
             kind = rng.integers(0, 3)
             if kind == 0:
-                recs.append(SubjectRecord(t, t, 1, trunc, x))
+                recs.append((t, t, 1, trunc, x))
             elif kind == 1:
-                recs.append(SubjectRecord(t, math.inf, 0, trunc, x))
+                recs.append((t, math.inf, 0, trunc, x))
             else:
-                recs.append(SubjectRecord(t, t + float(rng.uniform(0.05, 2.0)),
-                                          0, trunc, x))
-        got = pointwise_loglik_vector(model, psi, recs)
+                recs.append((t, t + float(rng.uniform(0.05, 2.0)), 0, trunc,
+                             x))
+        got = loglik_at(model, psi, make_dataset(recs))
         want = np.array([self.oracle(r) for r in recs])
         assert np.abs(got - want).max() < 1e-10
 
@@ -417,11 +411,10 @@ class TestGridRejectionMatchesChecks:
 
     @staticmethod
     def _data(rng, tv, x1):
-        recs = [SubjectRecord(float(t), math.inf, 0, 0.0,
-                              (x1(), float(rng.normal())),
-                              float(rng.uniform(0.2, 3.0)) if tv else math.inf)
+        recs = [(float(t), math.inf, 0, 0.0, (x1(), float(rng.normal())),
+                 float(rng.uniform(0.2, 3.0)) if tv else math.inf)
                 for t in rng.uniform(0.5, 3.0, size=30)]
-        return Dataset.from_records(recs, ("x1", "x2"))
+        return make_dataset(recs)
 
     def _agree(self, model, data, rng):
         nb, J = model.n_beta, model.J
@@ -480,11 +473,10 @@ class TestExactRowSlopeRejection:
     MODEL = make_model(effect_kind="piecewise", knots=(0.0, 1.0, 2.0),
                        time_varying=True)
     ALPHA = np.array([1.02887, 0.0])
-    DATA = Dataset.from_records(
-        [SubjectRecord(1.5 + 1e-9, 1.5 + 1e-9, 1, 0.0, (1.0, 0.0), 0.5),
-         SubjectRecord(2.0, math.inf, 0, 0.0, (0.0, 1.0), 0.5),
-         SubjectRecord(4.0, math.inf, 0, 0.0, (1.0, -1.0), math.inf)],
-        ("x1", "x2"))
+    DATA = make_dataset(
+        [(1.5 + 1e-9, 1.5 + 1e-9, 1, 0.0, (1.0, 0.0), 0.5),
+         (2.0, math.inf, 0, 0.0, (0.0, 1.0), 0.5),
+         (4.0, math.inf, 0, 0.0, (1.0, -1.0), math.inf)])
 
     def test_exact_rule_fails(self):
         effect = self.MODEL.effect
@@ -495,7 +487,7 @@ class TestExactRowSlopeRejection:
         psi = ParameterVector(np.zeros(3), self.ALPHA, 0.0, 1.0)
         with pytest.raises(DomainError, match="alpha"):
             unconstrain(self.MODEL, psi)
-        ll = pointwise_loglik_vector(self.MODEL, psi, self.DATA)
+        ll = loglik_at(self.MODEL, psi, self.DATA)
         assert ll[0] == -math.inf and np.all(np.isfinite(ll[1:]))
 
 
@@ -554,7 +546,7 @@ class TestDirichletNormaliserOverflow:
 
 class TestBlockedPointwise:
     """`pointwise_loglik_matrix`, which evaluates draws in blocks, against
-    `pointwise_loglik_vector` one draw at a time: every family and effect
+    itself one draw at a time: every family and effect
     kind of the gradient tests, with and without a switch, on data with
     exact, interval, right-censored and truncated rows, with more draws
     than one block holds."""
@@ -575,7 +567,7 @@ class TestBlockedPointwise:
         constrained = np.array([constrained_array(model, constrain(model, v))
                                 for v in z])
         got = likelihood.pointwise_loglik_matrix(model, constrained, prep)
-        want = np.array([pointwise_loglik_vector(
+        want = np.array([loglik_at(
             model, psi_from_constrained(model, row), prep)
             for row in constrained])
         assert got.shape == (M, data.n)

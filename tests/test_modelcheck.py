@@ -9,10 +9,9 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from conftest import make_model, random_dataset
-from qvaft.data import Dataset, SubjectRecord
+from conftest import loglik_at, make_dataset, make_model, random_dataset
 from qvaft.errors import DomainError, NumericalError
-from qvaft.likelihood import ParameterVector, pointwise_loglik_vector
+from qvaft.likelihood import ParameterVector
 from qvaft.modelcheck import (
     PointwiseLogLik,
     pointwise_loglik,
@@ -42,9 +41,9 @@ class TestPointwise:
         psi = ParameterVector(np.array([0.2, -0.1]), np.array([]), 0.1, 1.2)
         ll = pointwise_loglik(model, _draws_for(model, [psi]), data)
         assert ll.values.shape == (1, 2)
-        for i, r in enumerate(data.to_records()):
+        for i in range(data.n):
             assert ll.values[0, i] == pytest.approx(
-                pointwise_loglik_vector(model, psi, [r])[0], abs=1e-12)
+                loglik_at(model, psi, data.subset([i]))[0], abs=1e-12)
 
     def test_row_sums_equal_total(self, rng):
         model = make_model()
@@ -54,7 +53,7 @@ class TestPointwise:
         ll = pointwise_loglik(model, _draws_for(model, psis), data)
         for m, psi in enumerate(psis):
             assert ll.values[m].sum() == pytest.approx(
-                pointwise_loglik_vector(model, psi, data).sum(), abs=1e-10)
+                loglik_at(model, psi, data).sum(), abs=1e-10)
 
     def test_permuting_subjects_permutes_columns(self, rng):
         model = make_model()
@@ -72,9 +71,8 @@ class TestPointwise:
         sigma = 2) both survivors underflow and their difference is NaN;
         at the other draws the interval has a finite likelihood."""
         model = make_model(covariates=("x1",))
-        data = Dataset.from_records(
-            [SubjectRecord(1.0, 1.0, 1, 0.0, (0.0,)),
-             SubjectRecord(1e200, 1e201, 0, 0.0, (1.0,))], ("x1",))
+        data = make_dataset([(1.0, 1.0, 1, 0.0, (0.0,)),
+                             (1e200, 1e201, 0, 0.0, (1.0,))])
         psis = [ParameterVector(np.array([0.1]), np.array([]), mu, sigma)
                 for mu, sigma in ((500.0, 1.0), (480.0, 1.1), (0.0, 2.0),
                                   (500.0, 1.0))]

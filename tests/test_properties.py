@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_model, random_dataset
-from qvaft.data import Dataset, SubjectRecord
+from conftest import loglik_at, make_dataset, make_model, random_dataset
+from qvaft.data import Dataset
 from qvaft.likelihood import (
     PriorSpec,
     constrain,
     grad_log_posterior,
     log_posterior_unconstrained,
-    pointwise_loglik_vector,
 )
 from test_gradient import fd_gradient
 
@@ -105,8 +104,8 @@ def test_equal_weight_tbp_equals_centering(seed, centering, effect, K):
     _, g_p = posterior(plain, z_plain, data)
     _, g_t = posterior(tbp, z_tbp, data)
     assert_close(
-        pointwise_loglik_vector(tbp, constrain(tbp, z_tbp), data).sum(),
-        pointwise_loglik_vector(plain, constrain(plain, z_plain), data).sum())
+        loglik_at(tbp, constrain(tbp, z_tbp), data).sum(),
+        loglik_at(plain, constrain(plain, z_plain), data).sum())
     assert_close(g_t[:plain.n_unconstrained], g_p, rtol=1e-8)
 
 
@@ -121,13 +120,13 @@ def on_knot_dataset(time_varying: bool) -> Dataset:
     recs = []
     for x in ((1.0, 0.3), (0.0, -0.4), (1.0, -1.1)):
         recs += [
-            SubjectRecord(k1, k1, 1, 0.0, x, onset),
-            SubjectRecord(k2, k2, 1, k1, x, onset),
-            SubjectRecord(k1, k2, 0, 0.0, x, onset),
-            SubjectRecord(k2, math.inf, 0, k1, x, onset),
-            SubjectRecord(k2 + 0.7, k2 + 0.7, 1, k2, x, onset),
+            (k1, k1, 1, 0.0, x, onset),
+            (k2, k2, 1, k1, x, onset),
+            (k1, k2, 0, 0.0, x, onset),
+            (k2, math.inf, 0, k1, x, onset),
+            (k2 + 0.7, k2 + 0.7, 1, k2, x, onset),
         ]
-    return Dataset.from_records(recs, ("x1", "x2"))
+    return make_dataset(recs)
 
 
 @pytest.mark.parametrize("family,K", [("weibull", 0), ("tbp", 3)])
