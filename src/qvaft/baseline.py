@@ -72,11 +72,11 @@ class BaselineParams:
 
 @dataclass(frozen=True)
 class TBPWeights:
-    """Simplex weights of the Bernstein-transformed baseline plus the
-    Dirichlet concentration used in its prior."""
+    """Simplex weights of the Bernstein-transformed baseline. The Dirichlet
+    concentration theta of their prior is a parameter of the posterior
+    alone (`likelihood.ParameterVector`), which no baseline function reads."""
 
     w: tuple
-    theta: float = 1.0
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -87,8 +87,6 @@ class TBPWeights:
             raise DomainError("tbp weights must be finite and non-negative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise DomainError(f"tbp weights must sum to 1, got {w.sum():.15g}")
-        if not (np.isfinite(self.theta) and self.theta > 0):
-            raise DomainError(f"tbp theta must be > 0, got {self.theta}")
 
     @property
     def K(self) -> int:

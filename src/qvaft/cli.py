@@ -212,25 +212,28 @@ def _contrast(args, model: ModelSpec) -> ContrastSpec:
 
 def _with_exposure(model: ModelSpec, args) -> ModelSpec:
     """Resolve which covariate the contrast flips; constant-effect models
-    carry no flexible covariate, so it may arrive via --covariate. A
-    flexible model's contrast flips its flexible covariate."""
+    carry no flexible covariate, so it may arrive via --covariate, and is
+    otherwise the model's only covariate. A flexible model's contrast
+    flips its flexible covariate."""
     name = getattr(args, "covariate", None)
     if model.time_varying:
         if name:
             raise ConfigError("--covariate: the contrast of a time-varying "
                               "model is the switch itself")
         return model
-    if name:
-        if name not in model.covariates:
-            raise ConfigError(f"--covariate: {name!r} not a model covariate")
-        if model.effect.kind != "constant" and name != model.exposure:
-            raise ConfigError(f"--covariate: the flexible effect acts on "
-                              f"{model.exposure!r}; the contrast flips it")
-        return dataclasses.replace(model, exposure=name)
-    if model.exposure is None:
-        raise ConfigError("the model names no exposure covariate; "
-                          "pass --covariate")
-    return model
+    if not name:
+        if model.exposure is not None:
+            return model
+        if len(model.covariates) != 1:
+            raise ConfigError("the model names no exposure covariate; "
+                              "pass --covariate")
+        name = model.covariates[0]
+    if name not in model.covariates:
+        raise ConfigError(f"--covariate: {name!r} not a model covariate")
+    if model.effect.kind != "constant" and name != model.exposure:
+        raise ConfigError(f"--covariate: the flexible effect acts on "
+                          f"{model.exposure!r}; the contrast flips it")
+    return dataclasses.replace(model, exposure=name)
 
 
 def cmd_standardize(args) -> int:
@@ -256,16 +259,12 @@ def _analytic_af(args) -> CurveTable:
     psi = cfgmod.resolve_truth(raw, model)
     p = _parse_grid(args.p_grid, "--p-grid")
     p = default_quantile_grid() if p is None else p
-    d = len(model.covariates)
-    if (not model.time_varying and not args.covariate
-            and model.exposure is None and d == 1):
-        model = dataclasses.replace(model, exposure=model.covariates[0])
     model = _with_exposure(model, args)
     con = _contrast(args, model)
     # the contrast sets the switch time of a time-varying model, else the
     # exposure value
     key = "onset" if model.time_varying else "level"
-    x = np.zeros(d)
+    x = np.zeros(len(model.covariates))
     vals = (quantile_time(model, psi, x, p, **{key: con.exposed})
             / quantile_time(model, psi, x, p, **{key: con.reference}))
     zeros = np.zeros(len(p), dtype=bool)

@@ -135,14 +135,7 @@ def place_spline_knots(data: Dataset, n_internal: int,
     """Boundary knots at min/max observed event time plus `n_internal`
     evenly spaced log-scale quantiles, all on the log axis. Time-varying
     effects use the time-since-switch of observed events instead."""
-    times = observed_event_times(data)
-    if time_varying:
-        ev = data.event | np.isfinite(data.y_upper)
-        ref = np.where(data.event, data.y_lower,
-                       0.5 * (data.y_lower + np.where(np.isfinite(data.y_upper),
-                                                      data.y_upper, data.y_lower)))
-        s = ref - data.onset
-        times = np.sort(s[ev & (s > 0)])
+    times = observed_event_times(data, data.onset if time_varying else 0.0)
     if len(times) < 2:
         raise ConfigError("effect.knot_rule: too few observed events to "
                           "place knots")
@@ -157,12 +150,9 @@ def place_spline_knots(data: Dataset, n_internal: int,
 
 def place_even_breakpoints(data: Dataset, count: int,
                            time_varying: bool = False) -> tuple:
-    span = max_followup(data)
-    if time_varying:
-        fin = np.isfinite(data.onset)
-        if np.any(fin):
-            ref = np.where(np.isfinite(data.y_upper), data.y_upper, data.y_lower)
-            span = float(np.max(np.maximum(ref[fin] - data.onset[fin], 0.0)))
+    """0 and `count` breakpoints evenly spaced across the observed
+    follow-up; time-varying effects span the follow-up since the switch."""
+    span = max_followup(data, data.onset if time_varying else 0.0)
     if span <= 0:
         raise ConfigError("effect.knot_rule: no observed follow-up to span")
     step = span / (count + 1)

@@ -33,9 +33,10 @@ REQUIRED_COLUMNS = ("y_l", "y_u", "delta", "trunc")
 @dataclass(frozen=True)
 class Dataset:
     """The subject table, one entry per subject in each column. Construction
-    coerces the columns (x to a C-ordered (n, d) float array, event to bool)
-    and checks every row; the first bad row raises a `DataError` naming it
-    (1-based) and its rule."""
+    copies the columns (x to a C-ordered (n, d) float array, event to bool),
+    marks the copies read-only and checks every row; the first bad row
+    raises a `DataError` naming it (1-based) and its rule. A model reads
+    the covariate columns by name (`ModelSpec.design`)."""
 
     y_lower: np.ndarray
     y_upper: np.ndarray
@@ -47,9 +48,9 @@ class Dataset:
 
     def __post_init__(self):
         y_l, y_u, ev, trunc, onset = cols = [
-            np.asarray(getattr(self, name), dtype=float)
+            np.array(getattr(self, name), dtype=float)
             for name in ("y_lower", "y_upper", "event", "trunc", "onset")]
-        x = np.ascontiguousarray(self.x, dtype=float)
+        x = np.array(self.x, dtype=float, order="C")
         n = y_l.size
         if any(c.shape != (n,) for c in cols) or x.ndim != 2 or len(x) != n:
             raise DataError("each column needs one entry per subject, got "
@@ -77,8 +78,10 @@ class Dataset:
                 onset=onset[i], x=x[i].tolist()))
         for name, value in (("y_lower", y_l), ("y_upper", y_u),
                             ("event", ev == 1), ("trunc", trunc), ("x", x),
-                            ("onset", onset), ("covariate_names", names)):
+                            ("onset", onset)):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "covariate_names", names)
 
     @property
     def n(self) -> int:
@@ -104,23 +107,27 @@ _RULES = (
 )
 
 
-def observed_event_times(data: Dataset) -> np.ndarray:
-    """Event times usable for knot placement: exact times for events,
-    interval midpoints for interval-censored rows."""
-    interval = (~data.event) & np.isfinite(data.y_upper)
-    times = np.concatenate([
-        data.y_lower[data.event],
-        0.5 * (data.y_lower[interval] + data.y_upper[interval]),
-    ])
-    return np.sort(times)
+def observed_event_times(data: Dataset, origin=0.0) -> np.ndarray:
+    """Event times usable for knot placement, sorted: exact times for
+    events, interval midpoints for interval-censored rows, measured from
+    `origin` (0, or each subject's switch time `data.onset`) and kept
+    where they fall after it."""
+    end = np.where(np.isfinite(data.y_upper), data.y_upper, data.y_lower)
+    mid = np.where(data.event, data.y_lower, 0.5 * (data.y_lower + end))
+    since = (mid - origin)[np.isfinite(data.y_upper)]
+    return np.sort(since[since > 0])
 
 
-def max_followup(data: Dataset) -> float:
-    finite_u = data.y_upper[np.isfinite(data.y_upper)]
-    cands = [data.y_lower.max(initial=0.0)]
-    if finite_u.size:
-        cands.append(finite_u.max())
-    return float(max(cands))
+def max_followup(data: Dataset, origin=0.0) -> float:
+    """The longest follow-up (to y_u, or to y_l where y_u is inf) from
+    `origin` (0, or each subject's switch time `data.onset`), over the
+    subjects with a finite origin, one seen only before it counting 0; with
+    no finite origin (no subject switches), the calendar follow-up."""
+    end = np.where(np.isfinite(data.y_upper), data.y_upper, data.y_lower)
+    since = end - origin
+    if not np.isfinite(since).any():
+        since = end
+    return float(np.maximum(since[np.isfinite(since)], 0.0).max(initial=0.0))
 
 
 # -- CSV schema -------------------------------------------------------------

@@ -246,7 +246,7 @@ def _standardized_sf(model, psi, data, level):
     and read the baseline from `log_terms` on u = outer(h, exp(-eta)) as
     its factors, by blocks of one or more time rows, at most BLOCK entries
     where n allows: a partition set by len(t) and n alone."""
-    eta, x1, b1 = model.predictor(psi.beta, data.x, level)
+    eta, x1, b1 = model.predictor(psi.beta, model.design(data), level)
     scale = np.exp(-eta)                                       # (n,)
     onset = level if model.time_varying else None
     step = max(1, BLOCK // scale.size)

@@ -130,7 +130,7 @@ class ParameterVector:
     def tbp_weights(self) -> bl.TBPWeights | None:
         if self.w is None:
             return None
-        return bl.TBPWeights(tuple(self.w), self.theta if self.theta else 1.0)
+        return bl.TBPWeights(tuple(self.w))
 
 
 def check_psi(model: ModelSpec, psi: ParameterVector) -> None:
@@ -310,12 +310,6 @@ class Prepared:
     -[X' | 1], and the constants of the baseline and the transforms."""
 
     def __init__(self, model: ModelSpec, data: Dataset):
-        if len(data.covariate_names) != len(model.covariates):
-            raise DomainError(
-                f"data has {len(data.covariate_names)} covariates, model "
-                f"expects {len(model.covariates)}")
-        self.model = model
-        self.data = data
         self.n = n = data.n
         ev = data.event
         fin_u = np.isfinite(data.y_upper)
@@ -336,7 +330,7 @@ class Prepared:
         self.subject_rows = np.empty(n, dtype=int)
         self.subject_rows[main] = np.arange(n)
         self.trunc_rows = self.subject_rows[idx_trunc]
-        X = data.x[rows]
+        X = model.design(data)[rows]
         self.Xt = np.ascontiguousarray(X.T)
         self.neg_xt1 = -np.vstack([self.Xt, np.ones(len(t))])  # coef, mu
         self.c = np.ones(len(t))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .baseline import BaselineSpec
 from .covproc import EffectSpec
-from .errors import DomainError
+from .errors import DataError, DomainError
 
 __all__ = ["ModelSpec", "model_to_jsonable", "model_from_jsonable"]
 
@@ -103,6 +103,16 @@ class ModelSpec:
         return base
 
     # -- linear predictor ---------------------------------------------------
+
+    def design(self, data) -> np.ndarray:
+        """The data's covariate columns in model order, (n, d), each read by
+        its name; a `DataError` names the first covariate the data lack."""
+        have = data.covariate_names
+        missing = [c for c in self.covariates if c not in have]
+        if missing:
+            raise DataError(f"covariate {missing[0]!r} is not a column of the "
+                            f"data (columns: {list(have)})")
+        return data.x.take([have.index(c) for c in self.covariates], axis=1)
 
     def split_beta(self, beta: np.ndarray):
         """(coef, b1): the coefficients of the data columns and the switch

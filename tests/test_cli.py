@@ -681,6 +681,104 @@ class TestTimeVaryingPipeline:
         assert "thinning factor must be >= 1" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def x1_effect(tmp_path_factory):
+    """Data whose whole effect is on x1 (beta 0.8, against 0 on x2), n = 300,
+    and a config for one short chain with the covariates given by name."""
+    tmp = tmp_path_factory.mktemp("by_name")
+    cfg = write_config(tmp, {"truth.beta": {"x1": 0.8, "x2": 0.0},
+                             "simulate.n": 300, "simulate.seed": 1})
+    data = str(tmp / "data.csv")
+    assert main(["simulate", "--config", cfg, "--out", data]) == 0
+    return {"tmp": tmp, "data": data}
+
+
+def _fit_by_name(x1_effect, covariates, name):
+    cfg = write_config(x1_effect["tmp"], {
+        "model.covariates": covariates, "model.effect": {"kind": "constant"},
+        "sampler.chains": 1, "sampler.warmup": 150, "sampler.iters": 150,
+        "sampler.seed": 1}, name=f"{name}.yaml")
+    fit_dir = str(x1_effect["tmp"] / name)
+    rc = main(["fit", "--data", x1_effect["data"], "--config", cfg,
+               "--out", fit_dir])
+    return rc, fit_dir
+
+
+@pytest.fixture(scope="module")
+def subset_fit(x1_effect):
+    """A one-covariate constant-effect fit of the two-covariate file."""
+    rc, fit_dir = _fit_by_name(x1_effect, ["x1"], "subset")
+    assert rc == 0
+    return fit_dir
+
+
+class TestCovariatesByName:
+    """A config may list any of the file's covariates in any order; each
+    coefficient is fitted to the column of its own name."""
+
+    def test_reversed_order_keeps_each_effect_on_its_name(self, x1_effect):
+        rc, fit_dir = _fit_by_name(x1_effect, ["x2", "x1"], "reversed")
+        assert rc == 0
+        params = _json(fit_dir + "/summary.json")["params"]
+        assert params["beta_x1"]["median"] > 0.5
+        assert abs(params["beta_x2"]["median"]) < 0.3
+
+    def test_subset_fits_and_contrasts_its_only_covariate(self, subset_fit,
+                                                          tmp_path):
+        """The subset fit's standardize and af default to its only
+        covariate, as af --analytic does, and give what --covariate x1
+        gives."""
+        assert list(_json(subset_fit + "/summary.json")["params"]) == [
+            "beta_x1", "mu", "sigma"]
+        for command in ("standardize", "af"):
+            outs = [str(tmp_path / f"{command}{k}.csv") for k in "ab"]
+            assert main([command, "--fit", subset_fit, "--out", outs[0],
+                         "--thin", "30"]) == 0
+            assert main([command, "--fit", subset_fit, "--out", outs[1],
+                         "--thin", "30", "--covariate", "x1"]) == 0
+            assert _read(outs[0]) == _read(outs[1])
+
+    def test_column_the_file_lacks_exit_2(self, x1_effect, capsys):
+        rc, _ = _fit_by_name(x1_effect, ["x1", "age"], "missing")
+        assert rc == 2
+        assert "'age' not found in the data file" in capsys.readouterr().err
+
+    def test_fit_data_without_the_column_exit_2(self, subset_fit, tmp_path,
+                                                capsys):
+        """A post-fit command whose data lack a model covariate names it."""
+        import shutil
+
+        from qvaft.data import Dataset, write_csv
+
+        clone = tmp_path / "fit_no_x1"
+        shutil.copytree(subset_fit, clone)
+        d = read_csv(clone / "data.csv")
+        write_csv(Dataset(d.y_lower, d.y_upper, d.event, d.trunc, d.x[:, 1:],
+                          d.onset, ("x2",)), clone / "data.csv")
+        assert main(["af", "--fit", str(clone), "--out",
+                     str(tmp_path / "af.csv")]) == 2
+        assert "covariate 'x1' is not a column" in capsys.readouterr().err
+
+
+class TestReadmeExample:
+    def test_configuration_block_runs(self, tmp_path):
+        """The README's configuration example, at a small n and sampler
+        size: simulate, fit and af run on it as written."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration", 1)[1]
+        cfg = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```")[0])
+        cfg["simulate"]["n"] = 80
+        cfg["sampler"].update(chains=1, warmup=100, iters=100)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        data, fit_dir = str(tmp_path / "data.csv"), str(tmp_path / "fit")
+        assert main(["simulate", "--config", str(path), "--out", data]) == 0
+        assert main(["fit", "--data", data, "--config", str(path),
+                     "--out", fit_dir]) == 0
+        assert main(["af", "--fit", fit_dir, "--out",
+                     str(tmp_path / "af.csv"), "--thin", "20"]) == 0
+
+
 class TestRoundTripBudget:
     def test_pipeline_under_ci_budget(self, tmp_path):
         """simulate -> fit -> summarize at n=200, 2 x (500 + 500)."""

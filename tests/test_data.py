@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_dataset
-from qvaft.data import Dataset, read_csv, write_csv
-from qvaft.errors import DataError
+from qvaft.data import (Dataset, max_followup, observed_event_times,
+                        read_csv, write_csv)
+from qvaft.errors import ConfigError, DataError
 
 
 class TestRecordInvariants:
@@ -44,6 +45,57 @@ class TestRecordInvariants:
     def test_positive_switch_time(self):
         with pytest.raises(DataError):
             make_dataset([(1.0, 2.0, 0, 0.0, (), -1.0)])
+
+
+# exact events at 2, 1, 6 and 0.8 (the last before its switch at 1.5),
+# intervals (3, 4] and (4.5, 7], and a right-censored row at 5; one subject
+# never switches
+TIME_AXES_ROWS = [
+    (2.0, 2.0, 1, 0.0, (0.0,), 0.5), (3.0, 4.0, 0, 0.0, (1.0,), 1.0),
+    (5.0, math.inf, 0, 0.0, (0.0,), 2.0), (1.0, 1.0, 1, 0.0, (1.0,), math.inf),
+    (6.0, 6.0, 1, 0.0, (0.0,), 4.0), (0.8, 0.8, 1, 0.0, (1.0,), 1.5),
+    (4.5, 7.0, 0, 1.0, (0.0,), 3.0)]
+
+
+class TestTimeAxes:
+    """One rule each for the observed event times and the follow-up, on
+    calendar time (origin 0) and on time since each subject's switch; the
+    knot rules read them. The knots are the values the rules gave before
+    they shared these functions."""
+
+    def test_event_times_and_follow_up(self):
+        data = make_dataset(TIME_AXES_ROWS, ("x1",))
+        assert observed_event_times(data).tolist() == [
+            0.8, 1.0, 2.0, 3.5, 5.75, 6.0]
+        assert max_followup(data) == 7.0
+        assert observed_event_times(data, data.onset).tolist() == [
+            1.5, 2.0, 2.5, 2.75]
+        assert max_followup(data, data.onset) == 4.0
+
+    def test_knots_on_both_axes(self):
+        from qvaft.config import place_even_breakpoints, place_spline_knots
+
+        data = make_dataset(TIME_AXES_ROWS, ("x1",))
+        # log 0.8, log sqrt(2 * 3.5), log 6 and log 1.5, log sqrt(2 * 2.5),
+        # log 2.75
+        assert place_spline_knots(data, 1) == (
+            -0.2231435513142097, 0.9729550745276567, 1.791759469228055)
+        assert place_spline_knots(data, 1, time_varying=True) == (
+            0.4054651081081644, 0.8047189562170503, 1.0116009116784799)
+        assert place_even_breakpoints(data, 3) == (0.0, 1.75, 3.5, 5.25)
+        assert place_even_breakpoints(data, 3, time_varying=True) == (
+            0.0, 1.0, 2.0, 3.0)
+
+    def test_no_switch_falls_back_to_calendar_follow_up(self):
+        from qvaft.config import place_even_breakpoints, place_spline_knots
+
+        data = make_dataset([r[:5] for r in TIME_AXES_ROWS], ("x1",))
+        assert max_followup(data, data.onset) == 7.0
+        assert place_even_breakpoints(data, 3, time_varying=True) == (
+            0.0, 1.75, 3.5, 5.25)
+        assert observed_event_times(data, data.onset).size == 0
+        with pytest.raises(ConfigError, match="too few observed events"):
+            place_spline_knots(data, 1, time_varying=True)
 
 
 def _columns(**bad_row_2):
@@ -96,6 +148,21 @@ class TestDatasetChecksItsRows:
         cols["trunc"] = [0.0, 0.0]
         with pytest.raises(DataError, match="one entry per subject"):
             Dataset(**cols)
+
+    def test_columns_are_read_only_copies(self):
+        """Rows are checked once, when the table is built: the table holds
+        its own read-only copies, so neither the caller's arrays nor a
+        write through an attribute can change a checked row."""
+        cols = {k: np.array(v, dtype=float) for k, v in _columns().items()}
+        data = Dataset(**cols)
+        for name in ("y_lower", "y_upper", "event", "trunc", "x", "onset"):
+            col = getattr(data, name)
+            assert col is not cols[name] and not col.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = -1.0
+        cols["y_lower"][0] = -1.0
+        cols["x"][0, 0] = math.nan
+        assert data.y_lower[0] == 1.0 and data.x[0, 0] == 1.0
 
 
 class TestCsv:
