@@ -179,8 +179,9 @@ class BaselineTerms:
 
 
 class Outer(NamedTuple):
-    """u = outer(h, s) as its factors, h along the rows (times) and s along
-    the columns (subjects), which `log_terms` takes for u without `grad`."""
+    """u = outer(h, s) as its factors, h along the rows (values of V) and s
+    along the columns (subjects), which `log_terms` takes for u without
+    `grad`."""
     h: np.ndarray
     s: np.ndarray
 

@@ -57,19 +57,6 @@ def _parse_grid(text: str | None, name: str) -> np.ndarray | None:
     return np.linspace(lo, hi, count)
 
 
-def _threads(args) -> int:
-    source, value = "--threads", args.threads
-    if value is None:
-        source, value = "QAFT_THREADS", os.environ.get("QAFT_THREADS") or 1
-    try:
-        n = int(value)
-    except ValueError:
-        raise ConfigError(f"{source}: not an integer: {value!r}") from None
-    if n < 1:
-        raise ConfigError(f"{source}: threads must be >= 1, got {n}")
-    return n
-
-
 # -- fit ------------------------------------------------------------------------
 
 def _summarize(model: ModelSpec, draws: PosteriorDraws) -> dict:
@@ -101,8 +88,11 @@ def cmd_fit(args) -> int:
     raw = cfgmod.load_config(args.config)
     model = cfgmod.resolve_model(raw, data)
     priors = cfgmod.resolve_priors(raw)
+    if args.threads < 1:  # named by the flag, not the config's sampler section
+        raise ConfigError(f"--threads: threads must be >= 1, got "
+                          f"{args.threads}")
     cfg = cfgmod.resolve_sampler(raw, seed_override=args.seed,
-                                 threads=_threads(args))
+                                 threads=args.threads)
     draws = run_chains(model, data, priors, cfg)
 
     os.makedirs(args.out, exist_ok=True)
@@ -328,9 +318,6 @@ def cmd_loo(args) -> int:
         for i in np.where(res.khat > 0.7)[0]:
             res.pointwise[i] = exact_loo_subject(model, data, pri, cfg, int(i))
             res.khat[i] = math.nan
-        res.elpd = float(res.pointwise.sum())
-        res.elpd_se = float(math.sqrt(res.n * np.var(res.pointwise, ddof=1)))
-        res.minus2elpd = -2.0 * res.elpd
         res.warnings.append("refit applied to high-khat subjects")
     out_dir = args.out or args.fit
     os.makedirs(out_dir, exist_ok=True)
@@ -355,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--config", required=True)
     fit.add_argument("--out", required=True)
     fit.add_argument("--seed", type=int, default=None)
-    fit.add_argument("--threads", type=int, default=None)
+    fit.add_argument("--threads", type=int, default=1)
     fit.set_defaults(func=cmd_fit)
 
     sim = sub.add_parser("simulate", help="generate synthetic data")

@@ -130,12 +130,19 @@ def _parse_rule(rule: str, path: str):
     raise ConfigError(f"{path}: unknown knot rule {rule!r}")
 
 
+def _knot_origin(data: Dataset, time_varying: bool):
+    """Both knot rules' time origin: each subject's switch time for a
+    time-varying effect where any subject switches, else calendar time."""
+    switched = time_varying and np.isfinite(data.onset).any()
+    return data.onset if switched else 0.0
+
+
 def place_spline_knots(data: Dataset, n_internal: int,
                        time_varying: bool = False) -> tuple:
     """Boundary knots at min/max observed event time plus `n_internal`
-    evenly spaced log-scale quantiles, all on the log axis. Time-varying
-    effects use the time-since-switch of observed events instead."""
-    times = observed_event_times(data, data.onset if time_varying else 0.0)
+    evenly spaced log-scale quantiles, all on the log axis, from the
+    origin `_knot_origin` gives."""
+    times = observed_event_times(data, _knot_origin(data, time_varying))
     if len(times) < 2:
         raise ConfigError("effect.knot_rule: too few observed events to "
                           "place knots")
@@ -151,8 +158,8 @@ def place_spline_knots(data: Dataset, n_internal: int,
 def place_even_breakpoints(data: Dataset, count: int,
                            time_varying: bool = False) -> tuple:
     """0 and `count` breakpoints evenly spaced across the observed
-    follow-up; time-varying effects span the follow-up since the switch."""
-    span = max_followup(data, data.onset if time_varying else 0.0)
+    follow-up from the origin `_knot_origin` gives."""
+    span = max_followup(data, _knot_origin(data, time_varying))
     if span <= 0:
         raise ConfigError("effect.knot_rule: no observed follow-up to span")
     step = span / (count + 1)

@@ -121,12 +121,9 @@ def observed_event_times(data: Dataset, origin=0.0) -> np.ndarray:
 def max_followup(data: Dataset, origin=0.0) -> float:
     """The longest follow-up (to y_u, or to y_l where y_u is inf) from
     `origin` (0, or each subject's switch time `data.onset`), over the
-    subjects with a finite origin, one seen only before it counting 0; with
-    no finite origin (no subject switches), the calendar follow-up."""
+    subjects with a finite origin, one seen only before it counting 0."""
     end = np.where(np.isfinite(data.y_upper), data.y_upper, data.y_lower)
     since = end - origin
-    if not np.isfinite(since).any():
-        since = end
     return float(np.maximum(since[np.isfinite(since)], 0.0).max(initial=0.0))
 
 

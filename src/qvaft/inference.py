@@ -12,36 +12,30 @@ when the comparison quantile time exceeds t_x, and 1 before it; the general
 two-subject ratio is also available and any flexible case falls back to the
 numeric inverse. Every quantity here reads its linear predictor from
 `ModelSpec.predictor` and evaluates V and V^{-1} through
-`covproc.transform`, `covproc.transform_value` and
-`covproc.transform_inverse`; nothing indexes beta itself.
+`covproc.transform_value` and `covproc.transform_inverse`; nothing indexes
+beta itself.
 
 Marginal (standardized) quantities average the covariate-conditional
 survivor over the empirical distribution of the other covariates of all n
-subjects: S_std(t | level) = n^{-1} sum_i S(t | level, z_i), where
-V(t | level, z_i) = exp(-eta_i) h(t) splits into a per-subject factor and
-a per-level time profile h. Standardized quantile times come from the
-shared root-finder `roots.increasing_root`, converged to ~1e-13 relative
-(well inside the documented 1e-9 requirement, so degenerate cases reduce
-exactly to their conditional counterparts). Per draw and level, one
-evaluator holds exp(-eta_i), x1 and b1 and reads the baseline from
-`baseline.log_terms`, and every use of S_std in one pass over the draws
-reads it: its value at the largest follow-up (for the extrapolation
-threshold), its values on a fixed geometric time grid, between two of
-which every p is bracketed, and, for the root-finder's safeguarded Newton
-polish, its slope dS_std/dt = -mean_i f0(u_i) exp(-eta_i) h'(t).
-
-A contrast changes one column of every subject (with a switch, only the
+subjects: S_std(t | L) = n^{-1} sum_i S(t | L, z_i) for a contrast level
+L. A contrast changes one column of every subject (with a switch, only the
 onset), so eta_{L,i} - eta_{ref,i} is the same for all i and
 
     S_std(t | L) = G(V_L(t)),   G(v) = n^{-1} sum_i S0(v exp(-eta_{ref,i})),
 
 with one G for every level and V_L the transform at eta = eta_L - eta_ref
-with the level's exposure value or onset. The quantile times of level L
-are then t_L(p) = V_L^{-1}(V_ref(t_ref(p))). Per draw, an AF table or
-surface inverts S_std once, at the reference level (n-subject sums at
-about 3.3 Newton evaluations per p), and reads every exposed level off it
-with one V^{-1} call over all levels (no subject sums); each level's S_std
-is still read once at the largest follow-up for the extrapolation flags.
+with the level's exposure value or onset. Per draw, one evaluator holds
+exp(-eta_{ref,i}) and reads the baseline from `baseline.log_terms`; it has
+no time transform, and its slope is dG/dv = -mean_i f0(v exp(-eta_i))
+exp(-eta_i). An AF table or surface inverts G once per draw on the V axis,
+to v(p) with the shared root-finder `roots.increasing_root` (a fixed
+geometric grid around V_ref at the largest follow-up brackets every p,
+and a safeguarded Newton polish converges to ~1e-13 relative, well inside
+the documented 1e-9 requirement, at about 3.3 evaluations of n-subject
+sums per p). Every level's quantile times, the reference's included, are
+then t_L(p) = V_L^{-1}(v(p)), from one V^{-1} call over the levels (no
+subject sums), and the extrapolation flags read G(V_L(tmax)) of every
+level in one call. Survivor curves are G(V_L(t)) on the time grid.
 Posterior summaries are the mean, median, and equal-tailed 95% interval
 across draws. A quantile is flagged as extrapolated when it lies below the
 smallest posterior-mean standardized survivor value reached by the largest
@@ -56,13 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baseline as bl
-from .covproc import (
-    TimeBasis,
-    TimeVaryingCovariate,
-    transform,
-    transform_inverse,
-    transform_value,
-)
+from .covproc import TimeVaryingCovariate, transform_inverse, transform_value
 from .data import Dataset, atomic_write_text, max_followup
 from .draws import PosteriorDraws
 from .errors import DomainError, NumericalError
@@ -84,8 +72,8 @@ __all__ = [
 
 BISECT_RTOL = 1e-13
 BLOCK = 8192  # entries of u per block: 64 KiB, below glibc's mmap threshold
-# the standardized inverse brackets every p on this many grid times, spaced
-# geometrically from 2^-20 to 4 times the largest follow-up
+# the standardized inverse brackets every p on this many values of V, spaced
+# geometrically from 2^-20 to 4 times V_ref at the largest follow-up
 AF_GRID = 64
 
 
@@ -236,28 +224,25 @@ def tv_acceleration_factor(model: ModelSpec, psi: ParameterVector, p, t_x,
 
 # -- standardization ----------------------------------------------------------
 
-def _standardized_sf(model, psi, data, level):
-    """t -> S_std(t | level) for a 1-D array t, with exp(-eta_i), x1 and b1
-    built once for the draw and level; the profile h(t) is the transform at
-    eta = 0 with the exposure (or, time-varying, the switch time) at
-    `level`. Its attribute `newton` is t -> (-S_std, -dS_std/dt), the
-    increasing function and slope that the inverse solves, with
-    dS_std/dt = -mean_i f0(u_i) exp(-eta_i) h'(t). Both transform t once
-    and read the baseline from `log_terms` on u = outer(h, exp(-eta)) as
-    its factors, by blocks of one or more time rows, at most BLOCK entries
-    where n allows: a partition set by len(t) and n alone."""
-    eta, x1, b1 = model.predictor(psi.beta, model.design(data), level)
+def _standardized_g(model, psi, data, reference):
+    """v -> G(v) = mean_i S0(v exp(-eta_i)) for a 1-D array v, with eta_i
+    subject i's linear predictor at the contrast's `reference` level, built
+    once per draw: every level's S_std(t | L) is G(V_L(t)) (see
+    `_level_transform`). With `slope` it gives (-G, -dG/dv), the increasing
+    function and slope that the inverse solves, with
+    dG/dv = -mean_i f0(v exp(-eta_i)) exp(-eta_i). Both read the baseline
+    from `log_terms` on u = outer(v, exp(-eta)) as its factors, by blocks
+    of one or more values of v, at most BLOCK entries where n allows: a
+    partition set by len(v) and n alone."""
+    eta = model.predictor(psi.beta, model.design(data), reference)[0]
     scale = np.exp(-eta)                                       # (n,)
-    onset = level if model.time_varying else None
     step = max(1, BLOCK // scale.size)
 
-    def sf(t: np.ndarray, slope: bool = False):
+    def G(v: np.ndarray, slope: bool = False):
+        s, f = np.empty(v.size), np.empty(v.size)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            h = transform(TimeBasis(model.effect, t, onset, x1), psi.alpha,
-                          b1=b1, logv=slope)
-            s, f = np.empty(t.size), np.empty(t.size)
-            for i in range(0, t.size, step):
-                u = bl.Outer(h.u[i:i + step], scale)
+            for i in range(0, v.size, step):
+                u = bl.Outer(v[i:i + step], scale)
                 st, pdf = bl.log_terms(model.baseline, psi.mu, psi.sigma,
                                        psi.w, u, u.h.size if slope else 0,
                                        sf_head=True)
@@ -266,53 +251,74 @@ def _standardized_sf(model, psi, data, level):
                     f[i:i + step] = (np.exp(pdf.val) * scale).sum(axis=1)
         if not slope:
             return s / scale.size
-        return -s / scale.size, f / scale.size * np.exp(h.logv)
+        return -s / scale.size, f / scale.size
 
-    sf.newton = lambda t: sf(t, slope=True)
-    return sf
+    return G
 
 
-def _invert_standardized(model, psi, data, level, p: np.ndarray,
-                         sf=None) -> np.ndarray:
-    """Solve S_std(t | level) = p elementwise, to a relative BISECT_RTOL;
-    `sf` is the draw's `_standardized_sf` at `level`, built here if not
-    given.
+def _level_transform(model, psi, levels):
+    """V_L of each contrast level L in `levels` against the first, the
+    reference: the transform at eta = eta_L - eta_ref, a shift that is the
+    same for every subject, so that S_std(t | L) = G(V_L(t)) with the
+    reference's G (`_standardized_g`; see the module docstring). Each
+    level's shift, x1 and onset come from `ModelSpec.predictor` on a row of
+    zeros. Returns V(a, k=all, inverse=False): V_L(a), or V_L^{-1}(a), of a
+    1-D array a at the level of the index k, or at each level of the index
+    array k, one row per level, from one call in which each entry is
+    computed as it would be alone."""
+    levels = np.asarray(levels, dtype=float)
+    eta, x1, b1 = model.predictor(
+        psi.beta, np.zeros((levels.size, len(model.covariates))), levels)
+    shift, x1 = eta - eta[0], np.broadcast_to(x1, levels.shape)
+    onset = _switch(model, levels)
 
-    S_std is evaluated once on a geometric grid of AF_GRID times around the
-    largest follow-up, extended x4 at a time past its top only while some
-    target lies beyond it; each p is bracketed between neighbouring grid
-    times (or 0 and the first) and polished by the root-finder's
-    safeguarded Newton on `sf.newton`."""
+    def V(a, k=np.arange(levels.size), inverse=False):
+        shape = np.shape(k) + a.shape
+        if np.ndim(k):  # the levels' rows, flattened
+            k, a = np.repeat(k, a.size), np.resize(a, np.size(k) * a.size)
+        return (transform_inverse if inverse else transform_value)(
+            model.effect, psi.alpha, a, shift[k], x1[k], b1,
+            None if onset is None else onset[k]).reshape(shape)
+
+    return V
+
+
+def _invert_standardized(G, p: np.ndarray, top: float, level) -> np.ndarray:
+    """Solve G(v) = p elementwise, to a relative BISECT_RTOL, for the draw's
+    G (`_standardized_g`) at the reference `level`, whose V at the largest
+    follow-up is `top`.
+
+    G is evaluated once on a geometric grid of AF_GRID values around `top`,
+    extended x4 at a time past its top only while some target lies beyond
+    it; each p is bracketed between neighbouring grid values (or 0 and the
+    first) and polished by the root-finder's safeguarded Newton on G with
+    its slope."""
     what = f"standardized inverse at level {level:g}"
-    if sf is None:
-        sf = _standardized_sf(model, psi, data, level)
-    grid = max(max_followup(data), 1.0) * np.geomspace(2.0 ** -20, 4.0,
-                                                        AF_GRID)
+    grid = max(top, 1.0) * np.geomspace(2.0 ** -20, 4.0, AF_GRID)
     y = -p
-    g = -sf(grid)
+    g = -G(grid)
     for _ in range(MAX_WIDEN):
         if g[-1] >= y.max():  # NaN counts as not reached
             break
         grid = np.append(grid, 4.0 * grid[-1])
-        g = np.append(g, -sf(grid[-1:]))
+        g = np.append(g, -G(grid[-1:]))
     if not g[-1] >= y.max():
         short = y[~(y <= g[-1])]
         raise NumericalError(f"{what}: target not reached after {MAX_WIDEN} "
                              f"widenings", targets=short.tolist(),
                              hi=[float(grid[-1])] * short.size)
-    k = np.searchsorted(g, y)  # first grid time with -S_std >= -p
+    k = np.searchsorted(g, y)  # first grid value with -G >= -p
     lo, hi = np.where(k > 0, grid[k - 1], 0.0), grid[k]
-    # Newton starts where log(-log S_std) is linear in log t between the
-    # bracket ends (exact for one subject, a constant effect and a Weibull
-    # baseline)
+    # Newton starts where log(-log G) is linear in log v between the
+    # bracket ends (exact for one subject and a Weibull baseline)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.log(-np.log(-g))
         c_y = np.log(-np.log(p))
         km = np.maximum(k - 1, 0)
         w = (c_y - c[km]) / (c[k] - c[km])
         start = lo * (hi / lo) ** w
-    return increasing_root(sf.newton, y, hi, BISECT_RTOL, what, lo=lo,
-                           slope=True, start=start)
+    return increasing_root(lambda v: G(v, slope=True), y, hi, BISECT_RTOL,
+                           what, lo=lo, slope=True, start=start)
 
 
 def _draw_parameters(model: ModelSpec, draws: PosteriorDraws):
@@ -346,50 +352,33 @@ def _summaries(samples: np.ndarray):
     return (mean, *percentiles(samples, (50.0, 2.5, 97.5)))
 
 
-def _exposed_times(model, psi, m, levels, t_ref) -> np.ndarray:
-    """The quantile times at draw m of each level in levels[1:], one row
-    per level, read off those of the reference levels[0], `t_ref`, as
-    t_L = V_L^{-1}(V_ref(t_ref)) (see `_af_tables`). Each level's eta
-    shift, x1 and onset come from `ModelSpec.predictor` on a row of zeros.
-    Every level is inverted in one call, each row as it would be alone; a
-    level whose V^{-1} raises or gives a time that is not finite and
-    positive fails with a NumericalError naming the draw and the level."""
-    levels = np.array(levels)
-    eta, x1, b1 = model.predictor(
-        psi.beta, np.zeros((levels.size, len(model.covariates))), levels)
-    x1 = np.broadcast_to(x1, levels.shape)
-    onset = _switch(model, levels)
 
-    def inverse(k):
-        """V^{-1} at v of the levels that `k` indexes."""
-        return transform_inverse(model.effect, psi.alpha, v, eta[k] - eta[0],
-                                 x1[k], b1, None if onset is None else onset[k])
-
+def _level_times(V, v, m, levels) -> np.ndarray:
+    """The quantile times at draw m of every level, one row per level:
+    t_L = V_L^{-1}(v) at the draw's v = G^{-1}(p) (see `_af_tables`), all
+    levels in one call, each row as it would be alone. A level whose
+    V^{-1} raises or gives a time that is not finite and positive fails
+    with a NumericalError naming the draw and the level."""
     def fail(k, detail, **context):
         return NumericalError(f"standardized AF failed at draw {m}, level "
                               f"{levels[k]:g}: {detail}", draw=m,
                               level=float(levels[k]), **context)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        v = transform_value(model.effect, psi.alpha, t_ref, 0.0, x1[0], b1,
-                            None if onset is None else onset[0])
-        if not np.all(np.isfinite(v) & (v > 0.0)):
-            raise fail(0, "V at its quantile times is not finite and "
-                       "positive", v=v.tolist())
         try:
-            t = inverse(np.s_[1:, None])
+            t = V(v, inverse=True)
         except NumericalError:
-            for k in range(1, levels.size):  # the first level failing alone
+            for k in range(len(levels)):  # the first level failing alone
                 try:
-                    inverse(k)
+                    V(v, k, inverse=True)
                 except NumericalError as err:
                     raise fail(k, str(err), **err.context) from None
             raise
     bad = ~(np.isfinite(t) & (t > 0.0))
     if bad.any():
         k = np.flatnonzero(bad.any(axis=1))[0]
-        raise fail(k + 1, "V^{-1} gave a time that is not finite and "
-                   "positive", times=t[k][bad[k]].tolist())
+        raise fail(k, "V^{-1} gave a time that is not finite and positive",
+                   times=t[k][bad[k]].tolist())
     return t
 
 
@@ -398,16 +387,12 @@ def _af_tables(model, draws, data, p, exposed, reference,
     """Standardized AF curves of each level in `exposed` against the one
     `reference` level, on the same draws: one table per exposed level.
 
-    Under the AFT a level L gives u_i(t) = exp(-eta_{L,i}) h_L(t), and a
-    contrast changes one column (with a switch, only the onset), so eta_L -
-    eta_ref is the same for every subject and S_std(t | L) = G(V_L(t)),
-    with one G(v) = mean_i S0(v exp(-eta_{ref,i})) for every level and V_L
-    the transform at eta = eta_L - eta_ref. Per draw, only the reference's
-    S_std is inverted (`_invert_standardized`, n subjects per evaluation);
-    every exposed level's quantile times come from one V^{-1} call over
-    the levels (`_exposed_times`), which costs no subject sums. Each
-    level's S_std is still read at the largest follow-up: a p is flagged
-    as extrapolated below the smaller of the two groups' posterior-mean
+    Per draw, one G (`_standardized_g`, n subjects per evaluation) is
+    inverted once, to v = G^{-1}(p), and every level's quantile times, the
+    reference's included, come from one V^{-1} call over the levels
+    (`_level_times`), which costs no subject sums. The extrapolation
+    flags read S_std(tmax | L) = G(V_L(tmax)) of every level in one call:
+    a p is flagged below the smaller of the two groups' posterior-mean
     S_std there."""
     if draws.M == 0:
         raise DomainError("no posterior draws supplied")
@@ -416,16 +401,17 @@ def _af_tables(model, draws, data, p, exposed, reference,
     times = np.empty((len(levels), draws.M, len(p)))
     at_tmax = np.empty((len(levels), draws.M))
     for m, psi in enumerate(_draw_parameters(model, draws)):
-        sfs = [_standardized_sf(model, psi, data, level) for level in levels]
-        at_tmax[:, m] = [sf(tmax)[0] for sf in sfs]
+        G = _standardized_g(model, psi, data, reference)
+        V = _level_transform(model, psi, levels)
+        v_tmax = V(tmax)[:, 0]
+        at_tmax[:, m] = G(v_tmax)
         try:
-            times[0, m] = _invert_standardized(model, psi, data, reference,
-                                               p, sfs[0])
+            v = _invert_standardized(G, p, v_tmax[0], reference)
         except NumericalError as err:
             raise NumericalError(f"standardized inverse failed at draw {m}: "
                                  f"{err}", draw=m, level=reference,
                                  p=p.tolist(), **err.context) from None
-        times[1:, m] = _exposed_times(model, psi, m, levels, times[0, m])
+        times[:, m] = _level_times(V, v, m, levels)
     ref_tmax, *exposed_tmax = at_tmax.mean(axis=1)
     return [CurveTable(p.copy(), np.full(len(p), label, dtype=object),
                        *_summaries(t / times[0]), p < min(s, ref_tmax))
@@ -435,14 +421,10 @@ def _af_tables(model, draws, data, p, exposed, reference,
 def standardized_af(model: ModelSpec, draws: PosteriorDraws, data: Dataset,
                     p_grid=None, contrast: ContrastSpec | None = None
                     ) -> CurveTable:
-    """Posterior-summarized standardized acceleration factor curve.
-
-    Per draw, the reference group's standardized survivor is inverted at
-    every p, the exposed group's quantile times follow from S_std(t | L) =
-    G(V_L(t)) through V^{-1} (see `_af_tables`), and the ratio of quantile
-    times is formed; the table rows carry the across-draw mean, median and
-    95% interval at each p.
-    """
+    """Posterior-summarized standardized acceleration factor curve: per
+    draw, the ratio of the two groups' quantile times at every p, from one
+    inversion of G (see `_af_tables`); the rows carry the across-draw mean,
+    median and 95% interval at each p."""
     if contrast is None:
         contrast = ContrastSpec.default(model)
     p = bl._check_p(p_grid if p_grid is not None else default_quantile_grid())
@@ -454,27 +436,28 @@ def standardized_survivor_curves(model: ModelSpec, draws: PosteriorDraws,
                                  data: Dataset, t_grid=None,
                                  contrast: ContrastSpec | None = None) -> CurveTable:
     """Posterior-summarized standardized survivor curves, one group per
-    contrast level (labels "exposed" / "unexposed")."""
+    contrast level (labels "exposed" / "unexposed"), each read per draw as
+    G(V_L(t)) from the draw's one G."""
     if contrast is None:
         contrast = ContrastSpec.default(model)
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.2 * max_followup(data), 101)[1:]
     t_grid = bl._nonnegative(t_grid)
-
+    levels = (contrast.reference, contrast.exposed)
+    vals = np.empty((2, draws.M, t_grid.size))
+    for m, psi in enumerate(_draw_parameters(model, draws)):
+        G = _standardized_g(model, psi, data, contrast.reference)
+        V = _level_transform(model, psi, levels)
+        vals[:, m] = [G(V(t_grid, k)) for k in (0, 1)]
     tables = []
-    for label, level in (("exposed", contrast.exposed),
-                         ("unexposed", contrast.reference)):
-        vals = np.array([
-            _standardized_sf(model, psi, data, level)(t_grid)
-            for psi in _draw_parameters(model, draws)
-        ])
-        bad = np.flatnonzero(np.isnan(vals).any(axis=1))
-        if bad.size:  # 0 * inf: exp(-eta_i) = 0 against an infinite profile
+    for label, k in (("exposed", 1), ("unexposed", 0)):
+        bad = np.flatnonzero(np.isnan(vals[k]).any(axis=1))
+        if bad.size:  # 0 * inf: exp(-eta_i) = 0 against an infinite V_L
             raise NumericalError(f"standardized survivor ({label}) is NaN at "
                                  f"draw {bad[0]}", draw=int(bad[0]))
         tables.append(CurveTable(
             t_grid.copy(), np.full(len(t_grid), label, dtype=object),
-            *_summaries(vals), np.zeros(len(t_grid), dtype=bool)))
+            *_summaries(vals[k]), np.zeros(len(t_grid), dtype=bool)))
     return CurveTable.concat(tables)
 
 
@@ -484,17 +467,15 @@ def af_surface(model: ModelSpec, draws: PosteriorDraws, data: Dataset,
     curves (switch at g versus never), one group "tx=<g>" per onset g. Draws
     are thinned by `thin` to keep the surface affordable; each horizontal
     slice is exactly `standardized_af` on the same thinned draws. Per draw,
-    S_std is inverted once, at "never", and every onset's quantile times
-    come from one V^{-1} call over all onsets, since S_std(t | g) =
-    G(V_g(t)) with one G (see `_af_tables`); each onset's S_std is read
-    only at the largest follow-up, for the extrapolation flags."""
+    one G is inverted once and every onset's quantile times come from one
+    V^{-1} call over all onsets, since S_std(t | g) = G(V_g(t)) (see
+    `_af_tables`)."""
     if not model.time_varying:
         raise DomainError("af_surface needs a time-varying model")
     if onset_grid is None:
         onset_grid = np.linspace(0.0, max_followup(data), 41)[1:]
     onset_grid = np.asarray(onset_grid, dtype=float)
     p = bl._check_p(p_grid if p_grid is not None else surface_quantile_grid())
-    sub = draws.thin_by(thin)
     return CurveTable.concat(_af_tables(
-        model, sub, data, p, [float(g) for g in onset_grid], math.inf,
+        model, draws.thin_by(thin), data, p, [float(g) for g in onset_grid], math.inf,
         [f"tx={g:g}" for g in onset_grid]))

@@ -78,14 +78,23 @@ class PointwiseLogLik:
 
 @dataclass
 class LooResult:
-    elpd: float
-    elpd_se: float
-    minus2elpd: float
+    """PSIS-LOO per subject, elpd_i and khat. The summary is read off
+    `pointwise`, so it holds after an exact refit replaces an elpd_i."""
     khat: np.ndarray
     warnings: list
     pointwise: np.ndarray = field(repr=False)
-    n: int = 0
     M: int = 0
+
+    n = property(lambda self: self.pointwise.size)
+    elpd = property(lambda self: float(self.pointwise.sum()))
+    minus2elpd = property(lambda self: -2.0 * self.elpd)
+
+    @property
+    def elpd_se(self) -> float:
+        """sqrt(n var(elpd_i)); 0 for one subject."""
+        if self.n < 2:
+            return 0.0
+        return float(math.sqrt(self.n * np.var(self.pointwise, ddof=1)))
 
 
 def pointwise_loglik(model: ModelSpec, draws: PosteriorDraws,
@@ -204,9 +213,7 @@ def psis_loo(ll: PointwiseLogLik) -> LooResult:
         warnings.append(
             f"{high.size} subject(s) with khat > {KHAT_WARN}: "
             + ",".join(map(str, high.tolist())))
-    elpd = float(pointwise.sum())
-    se = float(math.sqrt(n * np.var(pointwise, ddof=1))) if n > 1 else 0.0
-    return LooResult(elpd, se, -2.0 * elpd, khat, warnings, pointwise, n, M)
+    return LooResult(khat, warnings, pointwise, M)
 
 
 # -- exact refit oracle --------------------------------------------------------

@@ -4,7 +4,7 @@ Each such inverse solves f(t) = y for t > 0, elementwise over a vector of
 targets, with f increasing in t and f(0+) <= y: the TBP quantile
 (f = -S0, y = -p), the spline V^{-1} (f = log V plus a constant), the
 time-varying V^{-1} (f = the part of V after the switch) and the
-standardized quantile (f = -S_std, y = -p).
+standardized quantile on the V axis (f = -G, y = -p).
 
 Each target gets a bracket [lo, hi]: from lo = 0 by widening hi, or from
 the caller. One loop then shrinks every bracket around its iterate. With

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import make_dataset
 from qvaft.data import (Dataset, max_followup, observed_event_times,
                         read_csv, write_csv)
-from qvaft.errors import ConfigError, DataError
+from qvaft.errors import DataError
 
 
 class TestRecordInvariants:
@@ -87,15 +87,18 @@ class TestTimeAxes:
             0.0, 1.0, 2.0, 3.0)
 
     def test_no_switch_falls_back_to_calendar_follow_up(self):
+        """Where no subject switches, both time-varying knot rules take
+        calendar time as their origin, as the time-invariant rules do; the
+        follow-up and event times since a switch are then empty."""
         from qvaft.config import place_even_breakpoints, place_spline_knots
 
         data = make_dataset([r[:5] for r in TIME_AXES_ROWS], ("x1",))
-        assert max_followup(data, data.onset) == 7.0
+        assert max_followup(data, data.onset) == 0.0
+        assert observed_event_times(data, data.onset).size == 0
         assert place_even_breakpoints(data, 3, time_varying=True) == (
             0.0, 1.75, 3.5, 5.25)
-        assert observed_event_times(data, data.onset).size == 0
-        with pytest.raises(ConfigError, match="too few observed events"):
-            place_spline_knots(data, 1, time_varying=True)
+        assert place_spline_knots(data, 1, time_varying=True) == (
+            -0.2231435513142097, 0.9729550745276567, 1.791759469228055)
 
 
 def _columns(**bad_row_2):

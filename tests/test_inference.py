@@ -21,7 +21,7 @@ from qvaft.inference import (
     standardized_survivor_curves,
     tv_acceleration_factor,
 )
-from qvaft.inference import _invert_standardized, _standardized_sf, _summaries
+from qvaft.inference import _invert_standardized, _standardized_g, _summaries
 from qvaft.likelihood import ParameterVector, constrained_array
 from qvaft.sampler import PosteriorDraws
 
@@ -36,6 +36,15 @@ def draws_from_psis(model, psis):
     return PosteriorDraws(z, con, model.param_names, np.zeros(M, dtype=int),
                           np.arange(M), np.zeros(M, dtype=bool), np.zeros(M),
                           np.full(M, 0.1), 1, model)
+
+
+def std_survivor(model, psi, data, level, t):
+    """S_std(t | level) at one parameter vector, read off the survivor
+    curves with `level` as the contrast's reference."""
+    curves = standardized_survivor_curves(
+        model, draws_from_psis(model, [psi]), data, np.atleast_1d(t),
+        ContrastSpec(0.0, level))
+    return curves.rows_for("unexposed").mean
 
 
 class TestQuantileTime:
@@ -177,7 +186,7 @@ class TestStandardization:
         want = np.mean([
             survivor_conditional(model, psi, np.array([1.0, z]), t)
             for z in data.x[:, 1]])
-        got = _standardized_sf(model, psi, data, 1.0)(np.array([t]))[0]
+        got = std_survivor(model, psi, data, 1.0, t)[0]
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_homogeneous_z_equals_conditional(self):
@@ -185,7 +194,7 @@ class TestStandardization:
         psi = ParameterVector(np.array([0.5, -0.3]), np.array([]), 0.3, 1.1)
         recs = [(1.0, 1.0, 1, 0.0, (1.0, 0.7))] * 3
         data = make_dataset(recs, ("x1", "x2"))
-        got = _standardized_sf(model, psi, data, 0.0)(np.array([2.0]))[0]
+        got = std_survivor(model, psi, data, 0.0, 2.0)[0]
         want = survivor_conditional(model, psi, np.array([0.0, 0.7]), 2.0)
         assert got == pytest.approx(want, rel=1e-14)
 
@@ -197,7 +206,7 @@ class TestStandardization:
         t = 1.0
         s1 = survivor_conditional(model, psi, np.array([0.0, 0.3]), t)
         s2 = survivor_conditional(model, psi, np.array([0.0, 1.4]), t)
-        got = _standardized_sf(model, psi, data, 0.0)(np.array([t]))[0]
+        got = std_survivor(model, psi, data, 0.0, t)[0]
         assert got == pytest.approx(0.5 * (s1 + s2), rel=1e-14)
 
     def test_monotone_and_bounded(self):
@@ -206,7 +215,7 @@ class TestStandardization:
         psi = ParameterVector(np.array([0.4, -0.2]), np.array([0.2]), 0.4, 1.2)
         data = self.z_data()
         t = np.linspace(0.01, 12.0, 80)
-        s = _standardized_sf(model, psi, data, 1.0)(t)
+        s = std_survivor(model, psi, data, 1.0, t)
         assert np.all(np.diff(s) <= 0)
         assert np.all((0 <= s) & (s <= 1))
 
@@ -265,8 +274,8 @@ class TestStandardization:
         psi = ParameterVector(np.array([0.4, -0.2]), np.array([0.2]), 0.4, 1.2)
         data = self.z_data()
         p = np.array([1e-9, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-9])
-        t = _invert_standardized(model, psi, data, 1.0, p)
-        s = _standardized_sf(model, psi, data, 1.0)(t)
+        G = _standardized_g(model, psi, data, 1.0)
+        s = G(_invert_standardized(G, p, 1.0, 1.0))
         np.testing.assert_allclose(np.minimum(s, 1 - s),
                                    np.minimum(p, 1 - p), rtol=1e-6)
 
@@ -339,8 +348,9 @@ class TestStandardization:
 
 
 class TestStandardizedInverse:
-    """The grid-bracketed Newton inverse against plain bisection of the same
-    S_std (the slope-free root-finder from lo = 0)."""
+    """The grid-bracketed Newton inverse of G, on the V axis, against plain
+    bisection of the same G (the slope-free root-finder from lo = 0), with
+    G built at each level as the reference."""
 
     P = np.array([1e-9, 0.01, 0.5, 0.99, 1 - 1e-9])
     CASES = {
@@ -366,26 +376,26 @@ class TestStandardizedInverse:
     def test_matches_bisection(self, rng, case):
         from conftest import random_dataset
         from qvaft.data import max_followup
-        from qvaft.inference import BISECT_RTOL, _standardized_sf
+        from qvaft.inference import BISECT_RTOL
         from qvaft.roots import increasing_root
 
         model, psi, levels = self.CASES[case]
         data = random_dataset(rng, 40, len(model.covariates),
                               time_varying=model.time_varying)
+        top = max_followup(data)
         for level in levels:
-            got = _invert_standardized(model, psi, data, level, self.P)
-            sf = _standardized_sf(model, psi, data, level)
-            want = increasing_root(lambda t: -sf(t), -self.P,
-                                   max(max_followup(data), 1.0), BISECT_RTOL,
-                                   "bisection")
+            G = _standardized_g(model, psi, data, level)
+            got = _invert_standardized(G, self.P, top, level)
+            want = increasing_root(lambda v: -G(v), -self.P, max(top, 1.0),
+                                   BISECT_RTOL, "bisection")
             if model.baseline.is_tbp:
-                # 1 - S_std = 1e-9 is below the resolution of the Bernstein
-                # survivor (log of a sum near 1): the computed S_std is
+                # 1 - G = 1e-9 is below the resolution of the Bernstein
+                # survivor (log of a sum near 1): the computed G is
                 # within a few ulp of p, and not monotone, over a stretch
                 # of about 1e-7 relative, so the two searches may stop at
                 # different points of it; both must be roots to rounding
-                for t in (got[-1], want[-1]):
-                    assert abs(sf(np.array([t]))[0] - self.P[-1]) <= \
+                for v in (got[-1], want[-1]):
+                    assert abs(G(np.array([v]))[0] - self.P[-1]) <= \
                         4 * np.spacing(1.0)
                 np.testing.assert_allclose(got[-1], want[-1], rtol=1e-6)
                 got, want = got[:-1], want[:-1]
@@ -483,10 +493,10 @@ class TestSurface:
 
 
 class TestOneInversion:
-    """Per draw only the reference level's S_std is inverted; every other
-    level's quantile times are read off it through V^{-1}, since
-    S_std(t | L) = G(V_L(t)). Checked against an oracle that inverts each
-    level's S_std, as the tables did before."""
+    """Per draw one G is inverted, on the V axis, and every level's
+    quantile times are read off it through V^{-1}, since S_std(t | L) =
+    G(V_L(t)). Checked against an oracle that inverts each level's S_std
+    on the t axis on its own."""
 
     P = np.array([0.002, 0.05, 0.3, 0.5, 0.8, 0.99])
     ONSETS = np.array([0.6, 1.4, 2.5])
@@ -539,16 +549,28 @@ class TestOneInversion:
 
     @staticmethod
     def oracle(model, draws, data, p, exposed, reference):
-        """(mean, median, lo95, hi95, flags) per exposed level, from one
-        standardized inversion per level and draw."""
+        """(mean, median, lo95, hi95, flags) per exposed level, from each
+        level's S_std(t), the mean of the subjects' conditional survivors,
+        inverted on the t axis by plain bisection, per level and draw."""
         from qvaft.data import max_followup
-        from qvaft.inference import _draw_parameters, _standardized_sf
+        from qvaft.inference import BISECT_RTOL, _draw_parameters
+        from qvaft.roots import increasing_root
+
+        def sf(psi, level, t):
+            """S_std(t | level) for a 1-D t, one subject per column."""
+            x, onset = model.design(data), level
+            if not model.time_varying:
+                x[:, model.exposure_index], onset = level, math.inf
+            return survivor_conditional(model, psi, x, t[:, None],
+                                        onset).mean(axis=1)
+
         levels = (reference, *exposed)
-        tmax = np.array([max_followup(data)])
+        tmax = max_followup(data)
         psis = list(_draw_parameters(model, draws))
-        times = np.array([[_invert_standardized(model, psi, data, level, p)
-                           for psi in psis] for level in levels])
-        at_tmax = np.array([[_standardized_sf(model, psi, data, level)(tmax)[0]
+        times = np.array([[increasing_root(
+            lambda t: -sf(psi, level, t), -p, max(tmax, 1.0), BISECT_RTOL,
+            "bisection") for psi in psis] for level in levels])
+        at_tmax = np.array([[sf(psi, level, np.array([tmax]))[0]
                              for psi in psis] for level in levels]).mean(axis=1)
         return [(*_summaries(times[k] / times[0]),
                  p < min(at_tmax[k], at_tmax[0]))
@@ -632,22 +654,48 @@ class TestOneInversion:
         assert err.value.context["draw"] == 1
         assert err.value.context["level"] == 1.5
 
-    def test_reference_v_not_finite_names_draw_and_level(self, monkeypatch):
-        """A V_ref that is NaN at the reference's quantile times (forced
-        here) fails naming the draw and the reference level, not with the
-        DomainError V^{-1} would raise on a NaN target."""
-        from qvaft import inference
+    def test_reference_level_without_finite_time_names_draw_and_level(self):
+        """The reference's quantile times come from V^{-1} too: with
+        alpha_2 = 800 at the reference x1 = 1, V_ref is flat past t = 2,
+        so V_ref^{-1} at the later values of G^{-1}(p) is +inf."""
         from qvaft.errors import NumericalError
-        model, psi, _ = self.CASES["weibull_constant"]
+        model = make_model("weibull", "piecewise", (0.0, 1.0, 2.0))
+        psis = [ParameterVector(np.array([0.5, 0.1]), np.array([0.0, a]),
+                                0.0, 1.0) for a in (0.0, 800.0)]
         data = make_dataset(
-            [(1.0, 1.0, 1, 0.0, (0.0, 0.3))], ("x1", "x2"))
-        monkeypatch.setattr(inference, "transform_value",
-                            lambda *args: np.full(2, np.nan))
+            [(1.0, 1.0, 1, 0.0, (0.0, z)) for z in (0.0, 1.0)],
+            ("x1", "x2"))
         with pytest.raises(NumericalError,
-                           match="at draw 0, level 0.5: V at") as err:
-            standardized_af(model, draws_from_psis(model, [psi]), data,
-                            np.array([0.3, 0.6]), ContrastSpec(1.5, 0.5))
-        assert err.value.context["level"] == 0.5
+                           match="at draw 1, level 1: V.* not finite") as err:
+            standardized_af(model, draws_from_psis(model, psis), data,
+                            np.array([0.1, 0.6]), ContrastSpec(0.0, 1.0))
+        assert err.value.context["draw"] == 1
+        assert err.value.context["level"] == 1.0
+
+
+class TestOneEvaluatorPerDraw:
+    """Each draw builds one standardized evaluator G, whatever the number
+    of contrast levels it serves."""
+
+    @pytest.mark.parametrize("case", ["weibull_constant", "switch_piecewise"])
+    def test_one_build_per_draw(self, rng, monkeypatch, case):
+        from qvaft import inference
+
+        builds = []
+        build = inference._standardized_g
+        monkeypatch.setattr(inference, "_standardized_g",
+                            lambda *args: builds.append(args) or build(*args))
+        model, data, draws, con = TestOneInversion.inputs(rng, case)
+        standardized_af(model, draws, data, TestOneInversion.P, con)
+        assert len(builds) == draws.M
+        builds.clear()
+        standardized_survivor_curves(model, draws, data, None, con)
+        assert len(builds) == draws.M
+        if model.time_varying:
+            builds.clear()
+            af_surface(model, draws, data, np.linspace(0.0, 4.0, 41)[1:],
+                       TestOneInversion.P, thin=1)
+            assert len(builds) == draws.M
 
 
 class TestCurveTable:

@@ -121,6 +121,18 @@ class TestPsisLoo:
         with pytest.raises(DomainError):
             psis_loo(PointwiseLogLik(np.zeros((50, 3))))
 
+    def test_summary_is_read_off_the_pointwise_values(self, rng):
+        """elpd, its se and -2 elpd have one rule, which an elpd_i replaced
+        by an exact refit also goes through; one subject has se 0."""
+        res = psis_loo(PointwiseLogLik(rng.normal(-1.0, 0.3, size=(200, 1))))
+        assert res.n == 1 and res.elpd_se == 0.0
+        res.pointwise[0] = -3.5
+        assert (res.elpd, res.elpd_se, res.minus2elpd) == (-3.5, 0.0, 7.0)
+        res = psis_loo(PointwiseLogLik(rng.normal(-1.0, 0.3, size=(200, 4))))
+        res.pointwise[2] = -9.0
+        assert res.elpd == float(res.pointwise.sum())
+        assert res.elpd_se == math.sqrt(4 * np.var(res.pointwise, ddof=1))
+
     def test_elpd_below_in_sample_lpd(self, rng):
         ll = rng.normal(-2.0, 1.0, size=(400, 15))
         res = psis_loo(PointwiseLogLik(ll))
