@@ -117,11 +117,11 @@ def cmd_fit(args) -> int:
         },
         "n_subjects": data.n,
         # wall times vary run to run, so they stay out of fit.json
-        "chains": [{"warmup_divergences": int(d), "warmup_s": float(tw),
-                    "sampling_s": float(ts)}
-                   for d, tw, ts in zip(draws.warmup_divergences,
-                                        draws.warmup_seconds,
-                                        draws.sampling_seconds)],
+        "chains": [{"warmup_divergences": int(d), "ebfmi": float(e),
+                    "warmup_s": float(tw), "sampling_s": float(ts)}
+                   for d, e, tw, ts in zip(draws.warmup_divergences,
+                                           draws.ebfmi, draws.warmup_seconds,
+                                           draws.sampling_seconds)],
     }
     cfgmod.write_json(os.path.join(args.out, "summary.json"), summary)
     cfgmod.write_json(os.path.join(args.out, "fit.json"), {

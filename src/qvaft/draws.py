@@ -35,8 +35,8 @@ class PosteriorDraws:
 
     PER_DRAW = ("z", "constrained", "chain_id", "iteration", "divergent",
                 "energy", "step_size")
-    PER_CHAIN = ("grad_calls", "warmup_divergences", "warmup_seconds",
-                 "sampling_seconds")
+    PER_CHAIN = ("grad_calls", "warmup_divergences", "ebfmi",
+                 "warmup_seconds", "sampling_seconds")
 
     z: np.ndarray               # (M, dim) unconstrained
     constrained: np.ndarray     # (M, P) reported view
@@ -49,8 +49,10 @@ class PosteriorDraws:
     n_chains: int
     model: ModelSpec | None = field(default=None, repr=False)
     grad_calls: np.ndarray | None = None    # (n_chains,) gradient evaluations
-    # per chain: warmup divergences, warmup and sampling wall seconds
+    # per chain: warmup divergences, E-BFMI of the sampling energies before
+    # thinning, warmup and sampling wall seconds
     warmup_divergences: np.ndarray | None = None
+    ebfmi: np.ndarray | None = None
     warmup_seconds: np.ndarray | None = None
     sampling_seconds: np.ndarray | None = None
 

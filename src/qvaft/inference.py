@@ -54,7 +54,8 @@ from .covproc import TimeVaryingCovariate, transform_inverse, transform_value
 from .data import Dataset, atomic_write_text, max_followup
 from .draws import PosteriorDraws
 from .errors import DomainError, NumericalError
-from .likelihood import ParameterVector, check_psi, psi_from_constrained
+from .likelihood import (ParameterVector, check_psi, heap_policy,
+                         psi_from_constrained)
 from .model import ModelSpec
 from .roots import MAX_WIDEN, increasing_root
 
@@ -71,7 +72,7 @@ __all__ = [
 ]
 
 BISECT_RTOL = 1e-13
-BLOCK = 8192  # entries of u per block: 64 KiB, below glibc's mmap threshold
+BLOCK = 65536  # entries of u per block of values of v, sized by time
 # the standardized inverse brackets every p on this many values of V, spaced
 # geometrically from 2^-20 to 4 times V_ref at the largest follow-up
 AF_GRID = 64
@@ -294,6 +295,8 @@ def _invert_standardized(G, p: np.ndarray, top: float, level) -> np.ndarray:
     first) and polished by the root-finder's safeguarded Newton on G with
     its slope."""
     what = f"standardized inverse at level {level:g}"
+    if not math.isfinite(top):  # the grid is built around it
+        raise NumericalError(f"{what}: V at the largest follow-up is {top:g}")
     grid = max(top, 1.0) * np.geomspace(2.0 ** -20, 4.0, AF_GRID)
     y = -p
     g = -G(grid)
@@ -425,6 +428,7 @@ def standardized_af(model: ModelSpec, draws: PosteriorDraws, data: Dataset,
     draw, the ratio of the two groups' quantile times at every p, from one
     inversion of G (see `_af_tables`); the rows carry the across-draw mean,
     median and 95% interval at each p."""
+    heap_policy()
     if contrast is None:
         contrast = ContrastSpec.default(model)
     p = bl._check_p(p_grid if p_grid is not None else default_quantile_grid())
@@ -438,6 +442,7 @@ def standardized_survivor_curves(model: ModelSpec, draws: PosteriorDraws,
     """Posterior-summarized standardized survivor curves, one group per
     contrast level (labels "exposed" / "unexposed"), each read per draw as
     G(V_L(t)) from the draw's one G."""
+    heap_policy()
     if contrast is None:
         contrast = ContrastSpec.default(model)
     if t_grid is None:
@@ -470,6 +475,7 @@ def af_surface(model: ModelSpec, draws: PosteriorDraws, data: Dataset,
     one G is inverted once and every onset's quantile times come from one
     V^{-1} call over all onsets, since S_std(t | g) = G(V_g(t)) (see
     `_af_tables`)."""
+    heap_policy()
     if not model.time_varying:
         raise DomainError("af_surface needs a time-varying model")
     if onset_grid is None:

@@ -433,7 +433,24 @@ def _by_subject(prep: Prepared, ll: np.ndarray, first_draw: int):
                          f", subject {i}", draw=first_draw + m, subject=i)
 
 
-BLOCK = 32768  # entries of u per block of draws
+BLOCK = 32768  # entries of u per block of draws, sized by time
+
+
+@functools.cache
+def heap_policy() -> None:
+    """Raise glibc's mmap and trim thresholds to 256 MiB, once per process,
+    so that a block's arrays come from the heap and keep their pages for
+    the next block, rather than being mapped and faulted in afresh. Only
+    the public post-processing functions call it; it changes no
+    arithmetic, and without glibc's mallopt it does nothing."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+    for param in (-1, -3):  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+        mallopt(param, 256 << 20)
 
 
 def _draw_block(model: ModelSpec, rows: np.ndarray, first: int):
@@ -470,21 +487,19 @@ def pointwise_loglik_matrix(model: ModelSpec, constrained, data) -> np.ndarray:
     and the subject. The draws go through `_pointwise` in blocks of about
     BLOCK entries of u, a partition set by the number of rows and draws
     alone."""
+    heap_policy()
     constrained = np.atleast_2d(np.asarray(constrained, dtype=float))
     prep = data if isinstance(data, Prepared) else prepare(model, data)
     M = len(constrained)
     n_blocks = -(-M * len(prep.basis.t) // BLOCK) or 1
     step = -(-M // n_blocks) or 1
-    # blocks are joined at the end, not copied into one matrix made first:
-    # glibc then hands fewer of a block's pages back to be faulted in again
-    # (5.3k against 8.8k minor faults at 1000 draws and 500 subjects)
-    blocks = []
+    out = np.empty((M, prep.n))
     for first in range(0, M, step):
         params = _draw_block(model, constrained[first:first + step], first)
         with np.errstate(all="ignore"):
             ll, _ = _pointwise(model, prep, *params, want_grad=False)
-        blocks.append(_by_subject(prep, ll, first))
-    return np.concatenate(blocks) if blocks else np.empty((0, prep.n))
+        out[first:first + step] = _by_subject(prep, ll, first)
+    return out
 
 
 # -- priors -------------------------------------------------------------------

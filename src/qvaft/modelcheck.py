@@ -32,7 +32,7 @@ import numpy as np
 from .data import Dataset, atomic_write_text
 from .draws import PosteriorDraws
 from .errors import DomainError, NumericalError
-from .likelihood import PriorSpec, pointwise_loglik_matrix
+from .likelihood import PriorSpec, heap_policy, pointwise_loglik_matrix
 from .model import ModelSpec
 
 __all__ = [
@@ -121,10 +121,8 @@ def _logsumexp(a):
 
 # -- Pareto smoothing, subjects in blocks ------------------------------------
 
-# entries of one block's (subjects, m, T) grid of GPD fits; at twice this,
-# glibc returned a block's pages between blocks (6k more minor faults at
-# 1000 draws and 500 subjects)
-BLOCK = 32768
+# entries of one block's (subjects, m, T) grid of GPD fits, sized by time
+BLOCK = 131072
 
 
 def _tail_length(M: int) -> int:
@@ -192,6 +190,7 @@ def psis_loo(ll: PointwiseLogLik) -> LooResult:
     """Estimate the expected log pointwise predictive density from a single
     fit's pointwise log-likelihood matrix, in blocks of subjects whose
     grid of GPD fits holds about BLOCK entries."""
+    heap_policy()
     if ll.M < 100:
         raise DomainError(f"psis_loo needs at least 100 draws, got {ll.M}")
     M, n = ll.M, ll.n

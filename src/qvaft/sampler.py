@@ -320,13 +320,23 @@ def _default_init(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.uniform(-2.0, 2.0, size=dim)
 
 
+def ebfmi(energy: np.ndarray) -> float:
+    """E-BFMI of one chain's energies in iteration order (Betancourt 2016,
+    arXiv:1604.00695): sum (E_n - E_{n-1})^2 / sum (E_n - mean E)^2; NaN
+    where the energies are constant, as one energy is."""
+    dev, step = energy - energy.mean(), np.diff(energy)
+    denom = dev @ dev
+    return float(step @ step / denom) if denom else math.nan
+
+
 def _run_chain(target: GradientTarget, cfg: SamplerConfig,
                chain: int) -> PosteriorDraws:
     """One chain's record: its draws, thinned by `thin_by`, with their
     reported view, and its counters: gradient calls, warmup divergences,
-    and the wall seconds of warmup (from the first initialisation attempt)
-    and of sampling. The clock draws no random numbers, so it cannot move
-    the draws."""
+    the E-BFMI of its sampling energies before thinning (`ebfmi`), and the
+    wall seconds of warmup (from the first initialisation attempt) and of
+    sampling. The clock draws no random numbers, so it cannot move the
+    draws."""
     start = perf_counter()
     dim = target.dim
     grad_calls = 0
@@ -400,6 +410,7 @@ def _run_chain(target: GradientTarget, cfg: SamplerConfig,
                            np.arange(1, n + 1), divs, energies, np.full(n, eps),
                            1, grad_calls=np.array([grad_calls]),
                            warmup_divergences=np.array([warmup_divergences]),
+                           ebfmi=np.array([ebfmi(energies)]),
                            warmup_seconds=np.array([warmed - start]),
                            sampling_seconds=np.array([sampling_seconds])
                            ).thin_by(cfg.thin)

@@ -605,8 +605,10 @@ class TestFitSummary:
         chains = summary["chains"]
         assert len(chains) == summary["sampler"]["chains"]
         for c in chains:
-            assert set(c) == {"warmup_divergences", "warmup_s", "sampling_s"}
+            assert set(c) == {"warmup_divergences", "ebfmi", "warmup_s",
+                              "sampling_s"}
             assert 0 <= c["warmup_divergences"] <= summary["sampler"]["warmup"]
+            assert 0 < c["ebfmi"] < 4
             assert c["warmup_s"] > 0 and c["sampling_s"] > 0
         assert "chains" not in fit
         assert fit["sampler"] == summary["sampler"]

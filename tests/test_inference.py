@@ -698,6 +698,93 @@ class TestOneEvaluatorPerDraw:
             assert len(builds) == draws.M
 
 
+class TestBlockPartition:
+    """G sums over subjects in blocks of values of v, and a value's sum
+    does not depend on which values share its block (where no block falls
+    back to the dense u, as none does here): the tables are byte-equal at
+    `inference.BLOCK`, at the 8192 entries it was before the allocator
+    policy, and at one value of v per block."""
+
+    FIELDS = ("abscissa", "group", "mean", "median", "lo95", "hi95",
+              "extrapolated")
+
+    @pytest.mark.parametrize("case", ["weibull_constant",
+                                      "lognormal_piecewise", "tbp_spline",
+                                      "switch_piecewise"])
+    def test_tables_do_not_depend_on_the_partition(self, rng, monkeypatch,
+                                                   case):
+        from conftest import random_dataset
+        from qvaft import inference
+
+        model, psi, con = TestOneInversion.CASES[case]
+        data = random_dataset(rng, 300, len(model.covariates),
+                              time_varying=model.time_varying)
+        draws = draws_from_psis(model, [psi] + [dataclasses.replace(
+            psi, beta=psi.beta + rng.normal(scale=0.1, size=psi.beta.size),
+            mu=psi.mu + rng.normal(scale=0.1)) for _ in range(2)])
+
+        def tables():
+            out = [standardized_af(model, draws, data, None, con),
+                   standardized_survivor_curves(model, draws, data, None,
+                                                con)]
+            if model.time_varying:
+                out.append(af_surface(model, draws, data,
+                                      np.array([0.5, 1.5, 3.0]), None,
+                                      thin=1))
+            return out
+
+        assert inference.BLOCK // data.n > 99  # a whole p grid per block
+        want = tables()
+        for block in (8192, 1):
+            monkeypatch.setattr(inference, "BLOCK", block)
+            for got, ref in zip(tables(), want):
+                for f in self.FIELDS:
+                    np.testing.assert_array_equal(getattr(got, f),
+                                                  getattr(ref, f))
+
+
+class TestNaNReference:
+    @pytest.mark.parametrize("tmax, value", [(1.5, "nan"), (3.0, "inf")])
+    def test_fails_at_once_naming_draw_and_level(self, monkeypatch, tmax,
+                                                 value):
+        """A segment not yet reached (term 0) times an infinite slope
+        (exp(800) at x1 = 1) makes V at x1 = 1 NaN before t = 2, and past
+        it V overflows, so the reference level 1's V at the largest
+        follow-up is not finite: the AF fails naming the draw and the
+        level with one evaluation of G (the flags'), where it used to widen
+        a NaN grid 200 times. As the exposed level, x1 = 1 only flags no p
+        (`test_nan_survivor_names_the_draw`)."""
+        from qvaft import inference
+        from qvaft.errors import NumericalError
+
+        calls = []
+        build = inference._standardized_g
+
+        def counted(*args):
+            G = build(*args)
+            return lambda *a, **k: calls.append(a) or G(*a, **k)
+
+        monkeypatch.setattr(inference, "_standardized_g", counted)
+        model = make_model("weibull", "piecewise", (0.0, 1.0, 2.0))
+        psis = [ParameterVector(np.array([0.5, 1.0]), np.array([0.0, a]),
+                                0.0, 1.0) for a in (0.0, -800.0)]
+        data = make_dataset([(1.0, 1.0, 1, 0.0, (0.0, 0.0)),
+                             (tmax, tmax, 1, 0.0, (1.0, 0.5))], ("x1", "x2"))
+        with pytest.raises(NumericalError, match=(
+                f"at draw 1: standardized inverse at level 1: V at the "
+                f"largest follow-up is {value}")) as err:
+            standardized_af(model, draws_from_psis(model, psis), data,
+                            np.array([0.5]), ContrastSpec(0.0, 1.0))
+        assert (err.value.context["draw"], err.value.context["level"]) == (
+            1, 1.0)
+        calls.clear()
+        with pytest.raises(NumericalError, match="at draw 0: standardized "
+                           "inverse at level 1: V at the largest follow-up"):
+            standardized_af(model, draws_from_psis(model, psis[1:]), data,
+                            np.array([0.5]), ContrastSpec(0.0, 1.0))
+        assert len(calls) <= 1
+
+
 class TestCurveTable:
     def test_csv_round_trip(self, tmp_path):
         t = CurveTable(np.array([0.1, 0.2]), np.array(["a", "b"], dtype=object),

@@ -319,6 +319,24 @@ class TestArrayPsisMatchesOracle:
         np.testing.assert_allclose(res.khat, khat, rtol=0.0, atol=1e-12)
         assert res.warnings == notes
 
+    def test_blocks_of_subjects_do_not_move_the_result(self, rng,
+                                                       monkeypatch):
+        """Each subject is smoothed alone, so elpd_i, khat and the
+        warnings are byte-equal at `modelcheck.BLOCK`, at the 32768 it
+        was before the allocator policy (8 of these 31 subjects per
+        block), at one subject per block and at all in one."""
+        from qvaft import modelcheck
+
+        values = np.hstack([make(rng, 1000) for make in (_mixed, _heavy,
+                                                         _ties)])
+        want = psis_loo(PointwiseLogLik(values))
+        for block in (32768, 1, 10 ** 9):
+            monkeypatch.setattr(modelcheck, "BLOCK", block)
+            got = psis_loo(PointwiseLogLik(values))
+            assert got.pointwise.tobytes() == want.pointwise.tobytes()
+            np.testing.assert_array_equal(got.khat, want.khat)
+            assert got.warnings == want.warnings
+
 
 class TestLogSumExp:
     """The max-shifted log-sum-exp against scipy's."""

@@ -2,6 +2,7 @@
 Kolmogorov-Smirnov, energy conservation of the integrator, seed
 determinism, divergence semantics, and the split-Rhat / ESS estimators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -391,6 +392,41 @@ class TestChainCounters:
         assert d.warmup_divergences.tolist() == ref.warmup_divergences.tolist()
 
 
+class TestEBFMI:
+    """Per-chain E-BFMI (Betancourt 2016), sum (E_n - E_{n-1})^2 over
+    sum (E_n - mean E)^2, of each chain's sampling energies before
+    thinning."""
+
+    def test_formula_on_a_synthetic_series(self):
+        from qvaft.sampler import ebfmi
+
+        e = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
+        diffs = sum((e[i] - e[i - 1]) ** 2 for i in range(1, e.size))
+        devs = sum((x - e.mean()) ** 2 for x in e)
+        assert ebfmi(e) == pytest.approx(diffs / devs, rel=1e-15)
+        # a random walk has E-BFMI near 0, independent energies near 2
+        rng = np.random.default_rng(4)
+        assert ebfmi(np.cumsum(rng.normal(size=4000))) < 0.01
+        assert ebfmi(rng.normal(size=4000)) == pytest.approx(2.0, abs=0.1)
+        for short in (np.array([1.5]), np.full(5, 2.0)):
+            assert math.isnan(ebfmi(short))
+
+    def test_matches_the_energies_of_a_thin_one_fit(self):
+        from qvaft.sampler import ebfmi
+
+        cfg = SamplerConfig(chains=2, warmup_iters=100, sampling_iters=80,
+                            seed=6)
+        d = sample(std_normal_target(3), cfg)
+        assert d.ebfmi.shape == (2,)
+        for c in range(2):
+            assert d.ebfmi[c] == ebfmi(d.energy[d.chain_id == c])
+        assert np.all((d.ebfmi > 0.3) & (d.ebfmi < 3.0))
+        thinned = sample(std_normal_target(3),
+                         dataclasses.replace(cfg, thin=4))
+        assert np.array_equal(thinned.ebfmi, d.ebfmi)
+        assert np.array_equal(thinned.energy, d.energy[d.iteration % 4 == 1])
+
+
 def std_normal_lg(z):
     """A module-level target, so that worker processes can unpickle it."""
     return -0.5 * float(z @ z), -z
@@ -444,8 +480,6 @@ class TestDrawsRecord:
     def test_fit_thinning_is_thin_by(self, draws, k):
         """A fit at thin = k keeps the draws that thin_by(k) keeps of the
         same fit at thin = 1: iterations 1, k + 1, ... of each chain."""
-        import dataclasses
-
         thinned = sample(GradientTarget(2, std_normal_lg),
                          dataclasses.replace(self.CFG, thin=k))
         want = draws.thin_by(k)
@@ -461,12 +495,10 @@ class TestDrawsRecord:
             draws.thin_by(k)
 
     def test_worker_merge_equals_in_process_merge(self, draws):
-        import dataclasses
-
         pooled = sample(GradientTarget(2, std_normal_lg),
                         dataclasses.replace(self.CFG, threads=2))
         for f in PosteriorDraws.PER_DRAW + ("grad_calls",
-                                            "warmup_divergences"):
+                                            "warmup_divergences", "ebfmi"):
             np.testing.assert_array_equal(getattr(pooled, f),
                                           getattr(draws, f))
         assert pooled.param_names == draws.param_names
