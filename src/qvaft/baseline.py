@@ -194,14 +194,18 @@ def _log(u):
 
 
 def _power(u, c, sigma):
-    """(u c)^sigma; of an `Outer`, (h c)^sigma times s^sigma if all are
-    normal numbers, else from the dense u (1e300 * 1e-300: inf times 0)."""
+    """(u c)^sigma; of an `Outer`, (h c)^sigma times s^sigma, but from the
+    dense u in each row and column whose factor is 0, subnormal, inf or NaN
+    (1e300 * 1e-300: inf times 0), so that no entry depends on its block."""
     if isinstance(u, Outer):
         a, b = (u.h * c) ** sigma, u.s ** sigma
-        if (np.finfo(float).tiny <= min(a.min(), b.min())
-                and max(a.max(), b.max()) < np.inf):  # NaN fails both
-            return np.multiply.outer(a, b)
-        u = np.multiply.outer(u.h, u.s)
+        out, tiny = np.multiply.outer(a, b), np.finfo(float).tiny
+        rows, cols = (~((tiny <= f) & (f < np.inf)) for f in (a, b))
+        if rows.any():  # an empty masked write costs more than the test
+            out[rows] = (np.multiply.outer(u.h[rows], u.s) * c) ** sigma
+        if cols.any():
+            out[:, cols] = (np.multiply.outer(u.h, u.s[cols]) * c) ** sigma
+        return out
     return (u * c) ** sigma
 
 

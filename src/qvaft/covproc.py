@@ -522,14 +522,14 @@ def tv_v_inverse(beta1: float, beta2_term: float, alpha,
 def is_monotone(effect: EffectSpec, alpha: np.ndarray, x1=1.0,
                 switch: bool = False) -> bool:
     """The one monotonicity rule: V(t) is increasing on t > 0 iff alpha is
-    finite and 1 - x1 g'(log t) > 0 (1 - s a'(s) > 0 after a `switch`,
-    where x1 = 1) at the extremes of the slope, for each exposure value in
-    x1. A spline's g' is constant beyond the boundary knots and quadratic
-    between them, so its extremes are its values at the knots and at the
-    vertex of each piece where g'' changes sign. After a switch, s a'(s) on
-    segment k is (alpha_k tau_k - sum_{j<k} alpha_j L_j) / s, largest at
-    the left knot: D alpha < 1 with D from `EffectSpec.knot_rows`. Other
-    kinds are increasing for every finite alpha."""
+    finite and 1 - x1 g'(log t) > 0 (1 - s a'(s) > 0 after a `switch`, which
+    sets x1 = 1) at the extremes of the slope, for each exposure value in x1.
+    A spline's g' is constant beyond the boundary knots and quadratic between
+    them, so its extremes are its values at the knots and at the vertex of
+    each piece where g'' changes sign. After a switch, s a'(s) on segment k
+    is (alpha_k tau_k - sum_{j<k} alpha_j L_j) / s, largest at the left
+    knot: D alpha < 1 with D from `EffectSpec.knot_rows`. Other kinds are
+    increasing for every finite alpha."""
     if not np.isfinite(alpha).all():
         return False
     if effect.kind == "spline":
@@ -541,4 +541,5 @@ def is_monotone(effect: EffectSpec, alpha: np.ndarray, x1=1.0,
         g = effect.knot_rows[0] @ alpha
     else:
         return True
+    x1 = 1.0 if switch else x1
     return bool((1.0 - np.multiply.outer(x1, g) > 0.0).all())

@@ -342,10 +342,9 @@ class Prepared:
         self.basis = TimeBasis(model.effect, t, onset, self.x1, n_slope=ne)
 
         # the extreme exposure values of the monotonicity rule, which is
-        # linear in x1 (a switch acts as 1)
-        self.x1_range = (1.0 if model.time_varying else
-                         np.array([np.min(self.x1, initial=0.0),
-                                   np.max(self.x1, initial=0.0)]))
+        # linear in x1 (after a switch `is_monotone` takes x1 = 1)
+        self.x1_range = np.array([np.min(self.x1, initial=0.0),
+                                  np.max(self.x1, initial=0.0)])
         self.eps = bl.log_sigma_sign(model.baseline)
         self.zeta_rows = _zeta_rows(model)
         self.stick_ramp = np.arange(model.K, 1, -1.0)  # K + 1 - k

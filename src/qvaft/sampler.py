@@ -12,14 +12,17 @@ error exceeds 1000 is flagged divergent and stops the doubling; states
 with log-posterior -inf get zero selection weight, so they are never
 accepted.
 
+A chain runs in three phases. Initialisation draws a start with a finite
+log-posterior (at most 100 attempts) and a step size for the identity metric.
 Warmup interleaves dual-averaging step-size adaptation (toward
 `target_accept`) with windowed estimation of a dense inverse metric
 (inverse mass matrix) M^-1: a 75-iteration step-size-only buffer,
 expanding covariance windows starting at 25 iterations, and a 50-iteration
 terminal buffer, scaled proportionally when the warmup budget is small.
 Each window's M^-1 is Stan's regularised covariance estimate of its draws.
-Positions move along M^-1 p, and momenta are drawn as p = L^-T xi for
-M^-1 = L L^T, so that p ~ N(0, M).
+A chain whose every warmup iteration diverged fails as warmup ends. Sampling
+keeps its states at the adapted step size and metric: positions move along
+M^-1 p, and momenta are drawn as p = L^-T xi for M^-1 = L L^T, so p ~ N(0, M).
 
 Every iteration draws its randomness from a counter-based Philox stream
 keyed by (seed, chain, iteration), so runs are bit-reproducible and chains
@@ -316,10 +319,6 @@ class _Welford:
 
 # -- chain driver -------------------------------------------------------------
 
-def _default_init(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.uniform(-2.0, 2.0, size=dim)
-
-
 def ebfmi(energy: np.ndarray) -> float:
     """E-BFMI of one chain's energies in iteration order (Betancourt 2016,
     arXiv:1604.00695): sum (E_n - E_{n-1})^2 / sum (E_n - mean E)^2; NaN
@@ -346,11 +345,11 @@ def _run_chain(target: GradientTarget, cfg: SamplerConfig,
         grad_calls += 1
         return target.logp_and_grad(z)
 
-    rng0 = _iteration_rng(cfg.seed, chain, 0)
-    init = target.initial_point or (lambda r: _default_init(r, dim))
-    z = logp = grad = None
+    # initialisation: a finite start, the first step size, the identity metric
+    rng = _iteration_rng(cfg.seed, chain, 0)
+    init = target.initial_point or (lambda r: r.uniform(-2.0, 2.0, size=dim))
     for _ in range(100):
-        z = np.asarray(init(rng0), dtype=float)
+        z = np.asarray(init(rng), dtype=float)
         logp, grad = lg(z)
         if math.isfinite(logp):
             break
@@ -358,52 +357,46 @@ def _run_chain(target: GradientTarget, cfg: SamplerConfig,
         raise NumericalError(
             f"chain {chain}: no finite log-posterior found in 100 "
             "initialization attempts")
-
     inv_mass = momentum = np.eye(dim)
-    eps = _find_epsilon(rng0, lg, z, logp, grad, inv_mass, momentum)
+    eps = _find_epsilon(rng, lg, z, logp, grad, inv_mass, momentum)
+
+    # warmup: dual averaging, and a dense metric refreshed after each window
     da = _DualAveraging(eps, cfg.target_accept)
     mass_points = set(_mass_update_points(cfg.warmup_iters))
     welford = _Welford(dim)
-
-    zs = np.empty((cfg.sampling_iters, dim))
-    divs = np.zeros(cfg.sampling_iters, dtype=bool)
-    energies = np.empty(cfg.sampling_iters)
     warmup_divergences = 0
-
-    total = cfg.warmup_iters + cfg.sampling_iters
-    for it in range(1, total + 1):
+    for it in range(1, cfg.warmup_iters + 1):
         rng = _iteration_rng(cfg.seed, chain, it)
-        warming = it <= cfg.warmup_iters
-        if it == cfg.warmup_iters + 1:  # sampling_iters >= 1
-            warmed = perf_counter()
-        z, logp, grad, energy, divergent, astat = _nuts_transition(
+        z, logp, grad, _, divergent, astat = _nuts_transition(
             rng, lg, z, logp, grad, eps, inv_mass, momentum,
             cfg.max_tree_depth)
-        if warming:
-            warmup_divergences += divergent
-            eps = da.update(astat)
-            welford.push(z)
-            if it in mass_points:
-                inv_mass = welford.covariance()
-                momentum = _momentum_factor(inv_mass, chain, it)
-                welford = _Welford(dim)
-                eps = _find_epsilon(rng, lg, z, logp, grad, inv_mass,
-                                    momentum)
-                da.restart(eps)
-            if it == cfg.warmup_iters:
-                eps = da.adapted
-        else:
-            s = it - cfg.warmup_iters - 1
-            zs[s], divs[s], energies[s] = z, divergent, energy
+        warmup_divergences += divergent
+        eps = da.update(astat)
+        welford.push(z)
+        if it in mass_points:
+            inv_mass = welford.covariance()
+            momentum = _momentum_factor(inv_mass, chain, it)
+            welford = _Welford(dim)
+            eps = _find_epsilon(rng, lg, z, logp, grad, inv_mass, momentum)
+            da.restart(eps)
+    if cfg.warmup_iters:
+        if warmup_divergences == cfg.warmup_iters:
+            raise NumericalError(
+                f"chain {chain}: every warmup iteration diverged; "
+                "the posterior may be improper or the initialization invalid")
+        eps = da.adapted
+    warmed = perf_counter()
 
-    if cfg.warmup_iters and warmup_divergences == cfg.warmup_iters:
-        raise NumericalError(
-            f"chain {chain}: every warmup iteration diverged; "
-            "the posterior may be improper or the initialization invalid")
-    sampling_seconds = perf_counter() - warmed
-    names = tuple(target.param_names) or tuple(
-        f"z_{i}" for i in range(target.dim))
+    # sampling: iteration warmup_iters + 1 + s keeps state s
     n = cfg.sampling_iters
+    zs, divs, energies = np.empty((n, dim)), np.zeros(n, dtype=bool), np.empty(n)
+    for s in range(n):
+        z, logp, grad, energies[s], divs[s], _ = _nuts_transition(
+            _iteration_rng(cfg.seed, chain, cfg.warmup_iters + 1 + s), lg,
+            z, logp, grad, eps, inv_mass, momentum, cfg.max_tree_depth)
+        zs[s] = z
+    sampling_seconds = perf_counter() - warmed
+    names = tuple(target.param_names) or tuple(f"z_{i}" for i in range(dim))
     # z stands in as the (identity) reported view; thin_by's row selection
     # copies the two apart, and only the kept rows are constrained
     draws = PosteriorDraws(zs, zs, names, np.full(n, chain),

@@ -274,12 +274,12 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
                 return _uniform(rng)
         raise _hopeless(i)
 
-    model, alpha, tv = cfg.model, cfg.psi.alpha, cfg.model.time_varying
+    model, alpha = cfg.model, cfg.psi.alpha
     pending = np.arange(n)
     while pending.size:
         u = np.array([attempt(i) for i in pending])
-        x1 = 1.0 if tv else model.predictor(cfg.psi.beta, x[pending])[1]
-        if not is_monotone(model.effect, alpha, x1, tv):
+        x1 = model.predictor(cfg.psi.beta, x[pending])[1]
+        if not is_monotone(model.effect, alpha, x1, model.time_varying):
             raise DomainError(f"truth alpha {alpha.tolist()} makes V(t|x) "
                               "decrease at a simulated exposure value")
         t[pending] = quantile_time(cfg.model, cfg.psi, x[pending], u,

@@ -420,7 +420,9 @@ class TestBlocks:
         from qvaft import inference
 
         model, psi, (exposed, reference) = self.CASES[case]
-        n = inference.BLOCK + 1 if n == "over" else n
+        if n == "over":  # n = BLOCK + 1 at a few hundred subjects
+            n = 300
+            monkeypatch.setattr(inference, "BLOCK", n - 1)
         data = random_dataset(rng, n, len(model.covariates))
         psis = [psi, dataclasses.replace(psi, mu=psi.mu + 0.2)]
         draws = draws_from_psis(model, psis)
@@ -700,19 +702,23 @@ class TestOneEvaluatorPerDraw:
 
 class TestBlockPartition:
     """G sums over subjects in blocks of values of v, and a value's sum
-    does not depend on which values share its block (where no block falls
-    back to the dense u, as none does here): the tables are byte-equal at
-    `inference.BLOCK`, at the 8192 entries it was before the allocator
-    policy, and at one value of v per block."""
+    does not depend on which values share its block: the tables are
+    byte-equal at `inference.BLOCK`, at the 8192 entries it was before the
+    allocator policy, and at one value of v per block. At t = 1e-300,
+    (h c)^sigma underflows (sigma = 1.2), so that row of the Weibull power
+    takes the dense u, and the other rows of its block must not."""
 
     FIELDS = ("abscissa", "group", "mean", "median", "lo95", "hi95",
               "extrapolated")
 
-    @pytest.mark.parametrize("case", ["weibull_constant",
-                                      "lognormal_piecewise", "tbp_spline",
-                                      "switch_piecewise"])
+    @pytest.mark.parametrize("case, t", [
+        ("weibull_constant", None), ("lognormal_piecewise", None),
+        ("tbp_spline", None), ("switch_piecewise", None),
+        ("weibull_constant", np.array([1e-300, 0.3, 0.9, 2.5, 8.0]))],
+        ids=["weibull_constant", "lognormal_piecewise", "tbp_spline",
+             "switch_piecewise", "weibull_constant_at_1e-300"])
     def test_tables_do_not_depend_on_the_partition(self, rng, monkeypatch,
-                                                   case):
+                                                   case, t):
         from conftest import random_dataset
         from qvaft import inference
 
@@ -725,8 +731,7 @@ class TestBlockPartition:
 
         def tables():
             out = [standardized_af(model, draws, data, None, con),
-                   standardized_survivor_curves(model, draws, data, None,
-                                                con)]
+                   standardized_survivor_curves(model, draws, data, t, con)]
             if model.time_varying:
                 out.append(af_surface(model, draws, data,
                                       np.array([0.5, 1.5, 3.0]), None,

@@ -391,6 +391,26 @@ class TestChainCounters:
         assert d.sampling_seconds.tolist() == [4.0 - 1.0, 25.0 - 16.0]
         assert d.warmup_divergences.tolist() == ref.warmup_divergences.tolist()
 
+    def test_divergent_warmup_fails_before_sampling(self):
+        """Finite only at the start point: every transition diverges at its
+        first leapfrog step (one gradient call), and the chain fails as
+        warmup ends, before any of its 1000 sampling iterations."""
+        from qvaft.errors import NumericalError
+
+        def lg(z):
+            return (0.0 if z[0] == 0.0 else -math.inf), np.zeros(1)
+
+        target, calls = counting_target(
+            GradientTarget(1, lg, initial_point=lambda r: np.zeros(1)))
+        cfg = SamplerConfig(chains=1, warmup_iters=10, sampling_iters=1000,
+                            seed=0)
+        with pytest.raises(NumericalError,
+                           match="every warmup iteration diverged"):
+            sample(target, cfg)
+        # one start, at most 60 step sizes between 1e-10 and 1e7 by factors
+        # of 2, and one call per warmup iteration
+        assert len(calls) <= 1 + 60 + cfg.warmup_iters
+
 
 class TestEBFMI:
     """Per-chain E-BFMI (Betancourt 2016), sum (E_n - E_{n-1})^2 over
