@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -226,6 +227,14 @@ def _with_exposure(model: ModelSpec, args) -> ModelSpec:
     return dataclasses.replace(model, exposure=name)
 
 
+def _report(args, table, draws) -> int:
+    """A post-fit command's line: rows, draws used and wall seconds."""
+    used = "" if draws is None else f", {draws.M} draws"
+    print(f"{args.command}: {table.n_rows} rows{used}, "
+          f"{time.perf_counter() - args.started:.2f} s -> {args.out}")
+    return 0
+
+
 def cmd_standardize(args) -> int:
     from .inference import standardized_survivor_curves
 
@@ -236,8 +245,7 @@ def cmd_standardize(args) -> int:
         model, draws, data, _parse_grid(args.t_grid, "--t-grid"),
         _contrast(args, model))
     table.to_csv(args.out)
-    print(f"standardize: {table.n_rows} rows -> {args.out}")
-    return 0
+    return _report(args, table, draws)
 
 
 def _analytic_af(args) -> CurveTable:
@@ -263,6 +271,7 @@ def _analytic_af(args) -> CurveTable:
 
 
 def cmd_af(args) -> int:
+    draws = None
     if args.analytic:
         if not args.config:
             raise ConfigError("--config: required with --analytic")
@@ -274,24 +283,24 @@ def cmd_af(args) -> int:
 
         _, model, data, draws = _load_fit(args.fit)
         model = _with_exposure(model, args)
-        table = standardized_af(model, draws.thin_by(args.thin), data,
+        draws = draws.thin_by(args.thin)
+        table = standardized_af(model, draws, data,
                                 _parse_grid(args.p_grid, "--p-grid"),
                                 _contrast(args, model))
     table.to_csv(args.out)
-    print(f"af: {table.n_rows} rows -> {args.out}")
-    return 0
+    return _report(args, table, draws)
 
 
 def cmd_surface(args) -> int:
     from .inference import af_surface
 
     _, model, data, draws = _load_fit(args.fit)
+    draws = draws.thin_by(args.thin)
     table = af_surface(model, draws, data,
                        _parse_grid(args.onset_grid, "--onset-grid"),
-                       _parse_grid(args.p_grid, "--p-grid"), thin=args.thin)
+                       _parse_grid(args.p_grid, "--p-grid"), thin=1)
     table.to_csv(args.out)
-    print(f"surface: {table.n_rows} rows -> {args.out}")
-    return 0
+    return _report(args, table, draws)
 
 
 def cmd_loo(args) -> int:
@@ -354,13 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     std = sub.add_parser("standardize",
                          help="standardized survivor curves from a fit")
     std.add_argument("--fit", required=True)
-    std.add_argument("--out", required=True)
-    std.add_argument("--covariate", default=None,
-                     help="contrast covariate when the fit names none")
-    std.add_argument("--exposed", type=float, default=None)
-    std.add_argument("--reference", type=float, default=None)
     std.add_argument("--t-grid", dest="t_grid", default=None)
-    std.add_argument("--thin", type=int, default=1)
     std.set_defaults(func=cmd_standardize)
 
     af = sub.add_parser("af", help="standardized acceleration factor curve")
@@ -369,14 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="compute the exact curve from truth values in "
                          "--config instead of a fit")
     af.add_argument("--config")
-    af.add_argument("--covariate", default=None,
-                    help="contrast covariate when the model names none")
-    af.add_argument("--out", required=True)
-    af.add_argument("--exposed", type=float, default=None)
-    af.add_argument("--reference", type=float, default=None)
     af.add_argument("--p-grid", dest="p_grid", default=None)
-    af.add_argument("--thin", type=int, default=1)
     af.set_defaults(func=cmd_af)
+    for cmd in (std, af):  # a contrast of two exposure values or onsets
+        cmd.add_argument("--covariate", default=None,
+                         help="contrast covariate when the model names none")
+        cmd.add_argument("--out", required=True)
+        cmd.add_argument("--exposed", type=float, default=None)
+        cmd.add_argument("--reference", type=float, default=None)
+        cmd.add_argument("--thin", type=int, default=1)
 
     surf = sub.add_parser("surface",
                           help="acceleration factor surface over switch times")
@@ -399,14 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
-    except (DataError, ConfigError, DomainError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except QvaftError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(err, (DataError, ConfigError, DomainError)) else 3
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ transform t * exp(-x'beta) when the flexible coefficients alpha are zero:
 * spline:     V(t|x) = t * exp(-x'beta - x1 * sum_j alpha_j B_j(log t))
   with a natural cubic spline basis B on the log-time axis (linear term
   plus one restricted cubic per internal knot; linear beyond the boundary
-  knots). Its inverse solves log V(t) = log s by a root search.
+  knots). Its inverse is a root search (below).
 
 A binary time-varying covariate switching 0 -> 1 at time t_x induces
 
@@ -43,12 +43,12 @@ their partials in the switch coefficient and alpha, contracted (dlog u as
 a per-row factor times a parameter-free matrix). It has two branches: a
 piecewise effect without a switch, summed over its segments, and the
 switch form for every other kind. V^{-1}: `transform_inverse`, with the
-same (eta, x1, b1, onset) arguments, each a scalar or one value per row;
-closed forms where one exists (constant, piecewise, constant switch
-effect), the shared root-finder `roots.increasing_root` for the spline and
-flexible switch effects, with each row's exposure value passed beside its
-target. Monotonicity: `is_monotone`, the condition 1 - x1 * g'(log t) > 0
-(or 1 - s a'(s) > 0 after a switch) for every t, checked exactly at the
+same (eta, x1, b1, onset) arguments, each a scalar or one value per row,
+has the same two branches; the switch form's root has a closed form
+before the switch and for a constant effect, else it is one Newton search
+of `roots.increasing_root` whose slope reuses the monotonicity basis.
+Monotonicity: `is_monotone`, the condition 1 - x1 g'(log t) > 0 (or
+1 - s a'(s) > 0 after a switch) for every t, checked exactly at the
 slope's extremes, which depend only on the effect, alpha and the range of
 x1. The likelihood samples a piecewise switch effect as zeta = log(1 - D
 alpha), so that it is monotone by construction. `ModelSpec.predictor`
@@ -430,21 +430,16 @@ def transform_inverse(effect: EffectSpec, alpha: np.ndarray, s,
     x1 and onset may each be one value per row, broadcast against s, and
     each row is inverted as it would be alone.
 
-    Closed form for constant and piecewise kinds and for a constant switch
-    effect; a root search for the spline kind (on the log-time axis) and
-    for a flexible switch effect (on the time-since-switch axis). V must be
+    Closed form for the piecewise kind, a constant effect and every root
+    before the switch (or at t = 0); one Newton search for the rest of a
+    spline or flexible switch effect (`_switch_inverse`). V must be
     increasing, which is the caller's to ensure via `is_monotone`.
     """
     s_arr = _nonnegative(s, "target value")
-    kind = effect.kind
-    if onset is not None:
-        out = _switch_inverse(effect, kind, alpha, s_arr, eta, b1, onset)
-    elif kind == "constant":
-        out = s_arr * np.exp(eta)
-    elif kind == "piecewise":
+    if onset is None and effect.kind == "piecewise":
         out = _piecewise_inverse(effect.knot_array(), eta, x1, alpha, s_arr)
     else:
-        out = _spline_inverse(effect.knot_array(), eta, x1, alpha, s_arr)
+        out = _switch_inverse(effect, alpha, s_arr, eta, x1, b1, onset)
     return _scalar_like(s, out)
 
 
@@ -462,36 +457,50 @@ def _piecewise_inverse(knots, eta, x1, alpha, s):
     return knots[seg] + (s - tau) / slope
 
 
-def _spline_inverse(knots, eta, x1, alpha, s):
-    # Solve r - x1*g(r) = log(s) + eta for r = log(t); s = 0 maps to t = 0
-    # directly and is excluded from the root search.
-    s, eta, x1 = np.broadcast_arrays(s, eta, x1)
-    pos = s > 0
-    target = np.log(s[pos]) + eta[pos]
-
-    def phi(t, x1):
-        r = np.log(t)
-        return r - x1 * (spline_basis(knots, r) @ alpha)
-
-    out = np.zeros(s.shape)
-    out[pos] = increasing_root(phi, target, np.exp(target + 1.0), 1e-12,
-                               "spline inverse", args=(x1[pos],))
-    return out
-
-
-def _switch_inverse(effect, kind, alpha, s, eta, b1, t_x):
-    scale = np.exp(eta)
+def _switch_inverse(effect, alpha, s, eta, x1, b1, t_x):
+    # The switch form (t_x = 0, b1 = 0 without a switch; x1 = 1 after one):
+    # s e^eta before the switch, else t_x + u with f(u) = u e^{-x1 a(u)} =
+    # (s e^eta - t_x) e^b1 = y, a = B . alpha (B = `tv_basis`) and slope
+    # e^{-x1 a} (1 - x1 S . alpha) (S = `slope_basis`). Products with alpha
+    # are row sums: a matrix product's rounding depends on the number of
+    # rows, and Newton would carry it into the root.
+    what = "spline inverse" if t_x is None else "time-varying inverse"
+    x1, b1, t_x = (x1, 0.0, 0.0) if t_x is None else (1.0, b1, t_x)
+    s, eta, x1, t_x = np.broadcast_arrays(s, eta, x1, t_x)
+    out = np.array(s * np.exp(eta))
     with np.errstate(invalid="ignore"):
-        target = s * scale - t_x  # > 0 iff the root lies past the switch
-        pre = ~(target > 0)  # s <= V(t_x); NaN (inf - inf) counts as before
-        post_t = t_x + target * np.exp(b1)
-    if kind != "constant":
-        # solve u * exp(-b1 - a(u)) = target for u = t - t_x > 0
-        target = np.where(pre, 1.0, target)
-        post_t = t_x + increasing_root(
-            lambda u: u * np.exp(-b1 - tv_basis(effect, u) @ alpha),
-            target, target * np.exp(b1), 1e-13, "time-varying inverse")
-    return np.where(pre, s * scale, post_t)
+        post = out - t_x > 0  # NaN (inf - inf) counts as before the switch
+    if not post.any():
+        return out
+    y, x1, t_x = (out[post] - t_x[post]) * np.exp(b1), x1[post], t_x[post]
+
+    def f(u, x1):
+        e = np.exp(-x1 * (tv_basis(effect, u) * alpha).sum(axis=-1))
+        g = (slope_basis(effect, u) * alpha).sum(axis=-1)
+        return u * e, e * (1.0 - x1 * g)
+
+    if effect.kind == "constant":  # a = 0
+        u = y
+    elif effect.kind == "spline":  # from y, the root where a = 0
+        u = increasing_root(f, y, 4.0 * y, 1e-13, what, slope=True, start=y,
+                            args=(x1,))
+    else:
+        # f is smooth between the knots: each root is bracketed by its
+        # segment, widened to hold a root on a knot, and by y e^{max a} (a
+        # is a weighted mean of 0 and alpha); Newton starts on the chord
+        # over the segment (past the last knot, the tangent at it)
+        knots = effect.knot_array()
+        at, tangent = f(knots[1:], 1.0)
+        at = np.append(0.0, at)
+        chord = np.append(np.diff(at) / np.diff(knots), tangent[-1])
+        k = np.searchsorted(at[1:], y, side="right")
+        hi = np.minimum(np.append(knots[1:], np.inf)[k] * (1.0 + 1e-9),
+                        2.0 * y * np.exp(max(alpha.max(), 0.0)))
+        start = knots[k] + (y - at[k]) / chord[k]
+        u = increasing_root(f, y, hi, 1e-13, what, lo=knots[k] * (1 - 1e-9),
+                            slope=True, start=start, args=(x1,))
+    out[post] = t_x + u
+    return out
 
 
 def v_value(spec: EffectSpec, beta, alpha, x, t, x1_index: int = 0):

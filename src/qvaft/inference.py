@@ -83,11 +83,6 @@ def default_quantile_grid() -> np.ndarray:
     return np.arange(1, 100) / 100.0
 
 
-def surface_quantile_grid() -> np.ndarray:
-    """Coarser grid 0.01, 0.03, ..., 0.99 used for acceleration surfaces."""
-    return np.arange(1, 100, 2) / 100.0
-
-
 @dataclass(frozen=True)
 class ContrastSpec:
     """Exposure contrast for marginal summaries: for ordinary models the two
@@ -355,7 +350,6 @@ def _summaries(samples: np.ndarray):
     return (mean, *percentiles(samples, (50.0, 2.5, 97.5)))
 
 
-
 def _level_times(V, v, m, levels) -> np.ndarray:
     """The quantile times at draw m of every level, one row per level:
     t_L = V_L^{-1}(v) at the draw's v = G^{-1}(p) (see `_af_tables`), all
@@ -474,14 +468,14 @@ def af_surface(model: ModelSpec, draws: PosteriorDraws, data: Dataset,
     slice is exactly `standardized_af` on the same thinned draws. Per draw,
     one G is inverted once and every onset's quantile times come from one
     V^{-1} call over all onsets, since S_std(t | g) = G(V_g(t)) (see
-    `_af_tables`)."""
+    `_af_tables`). The default p grid is 0.01, 0.03, ..., 0.99."""
     heap_policy()
     if not model.time_varying:
         raise DomainError("af_surface needs a time-varying model")
     if onset_grid is None:
         onset_grid = np.linspace(0.0, max_followup(data), 41)[1:]
     onset_grid = np.asarray(onset_grid, dtype=float)
-    p = bl._check_p(p_grid if p_grid is not None else surface_quantile_grid())
+    p = bl._check_p(np.arange(1, 100, 2) / 100.0 if p_grid is None else p_grid)
     return CurveTable.concat(_af_tables(
         model, draws.thin_by(thin), data, p, [float(g) for g in onset_grid], math.inf,
         [f"tx={g:g}" for g in onset_grid]))

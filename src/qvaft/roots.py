@@ -2,19 +2,15 @@
 
 Each such inverse solves f(t) = y for t > 0, elementwise over a vector of
 targets, with f increasing in t and f(0+) <= y: the TBP quantile
-(f = -S0, y = -p), the spline V^{-1} (f = log V plus a constant), the
-time-varying V^{-1} (f = the part of V after the switch) and the
-standardized quantile on the V axis (f = -G, y = -p).
+(f = -S0, y = -p), the flexible V^{-1} of a spline or switch effect (f =
+the part of V after the switch, a spline without one switching at 0) and
+the standardized quantile on the V axis (f = -G, y = -p).
 
-Each target gets a bracket [lo, hi]: from lo = 0 by widening hi, or from
-the caller. One loop then shrinks every bracket around its iterate. With
-a slope (f then returns f(t) and f'(t) from one call) the next iterate is
-a safeguarded Newton step, and a bisection step wherever Newton leaves the
-bracket, has no finite positive slope or stops halving its step; without
-one every step is a bisection step, so the loop is plain bisection. Only
-the standardized quantile passes a slope. Arguments that differ between
-targets (the spline inverse's exposure values) go to f beside the times,
-compacted with the targets still being solved.
+Each target's bracket is widened from 0 or given by the caller, then
+shrunk by bisection or, where f also returns its slope, safeguarded
+Newton (see `increasing_root`). Only the TBP quantile runs without a
+slope. Arguments that differ between targets (a spline's exposure values)
+go to f beside the times, compacted with the targets still being solved.
 """
 
 from __future__ import annotations
@@ -35,28 +31,26 @@ def increasing_root(f, y, hi, rtol: float, what: str, lo=None,
     """The t > 0 with f(t) = y, elementwise; shaped like `y`.
 
     `f` maps a 1-D array of times to values elementwise and is increasing,
-    with f(0+) <= y. Each of `args` (one value per target, or a scalar)
-    is passed to f after the times, holding the entries of the targets f
-    is evaluated for: f(t, *args). Without `lo` every bracket starts at
-    lo = 0 and `hi` (a scalar or one value per target, > 0) is multiplied
-    by 4 until f(hi) >= y, with lo moved up to the old hi each time. A
-    given `lo` (a scalar or one value per target) must already bracket
-    each target with `hi`, f(lo) <= y <= f(hi), and nothing is widened.
+    with f(0+) <= y; each of `args` (a scalar or one value per target) is
+    passed after the times, holding the entries of the targets evaluated:
+    f(t, *args). Without `lo` every bracket starts at lo = 0 and `hi` (a
+    scalar or one value per target, > 0) is multiplied by 4 until
+    f(hi) >= y, lo moving up to the old hi. A given `lo` (a scalar or one
+    value per target) must bracket each target with `hi`, f(lo) <= y <=
+    f(hi), and nothing is widened.
 
-    Each element then starts from its bracket's midpoint and the bracket
+    Each element starts from its bracket's midpoint, and the bracket
     shrinks to the side of the root at every evaluation. Without `slope`
-    the next iterate is always the midpoint, and the midpoint of the
-    bracket is returned once hi - lo <= rtol * hi. With `slope`, f returns
-    the pair (f(t), f'(t)) and the iterate is polished by safeguarded
-    Newton from `start` (one value per target; used where it lies inside
-    the bracket). A step that leaves the bracket, comes from a slope that
-    is not finite and positive, or is longer than half the step before
-    becomes a bisection step; the iterate is returned once its step is at
-    most rtol * t or its bracket is narrower than rtol * hi. Either way an
-    element is left alone once it has converged, so its root does not
-    depend on the other targets. Raises `NumericalError` naming `what`,
-    with the targets that could not be bracketed or resolved in its
-    context.
+    the iterate is always the midpoint, returned once hi - lo <= rtol * hi.
+    With `slope`, f returns (f(t), f'(t)) and safeguarded Newton starts
+    from `start` where it lies strictly inside the bracket. A step that
+    leaves the bracket, has no finite positive slope, or is longer than
+    half the step before (the bracket's width, for the first) becomes a
+    bisection step; the iterate is returned once its step is at most
+    rtol * t or its bracket is narrower than rtol * hi. A converged
+    element is left alone, so its root does not depend on the other
+    targets. Raises `NumericalError` naming `what`, with the targets that
+    could not be bracketed or resolved in its context.
     """
     y = np.asarray(y, dtype=float)
     yf = y.ravel()

@@ -339,6 +339,136 @@ class TestPerRowArguments:
                            for si in s])
 
 
+class TestNewtonInverse:
+    """The flexible inverses are one safeguarded Newton search on the part
+    of V after the switch (a spline without a switch: at onset 0): a few
+    evaluations per call, and a row's root does not depend on the rows
+    solved beside it. Rows whose root lies before the switch never enter
+    the search."""
+
+    PW = EffectSpec("piecewise", (0.0, 1.0, 2.0, 3.0))
+    PW_ALPHA = np.array([0.2, 0.3, 0.4])
+    SPLINE = EffectSpec("spline", (-0.5, 0.5, 1.5))
+    SPLINE_ALPHA = np.array([0.2, 0.05])
+
+    @pytest.mark.parametrize("b1", [710.0, -800.0])
+    def test_never_switching_rows_take_the_closed_form(self, b1):
+        s = np.array([0.5, 2.0])
+        t = transform_inverse(self.PW, self.PW_ALPHA, s, 0.0, 0.0, b1=b1,
+                              onset=np.inf)
+        np.testing.assert_array_equal(t, s)
+        t = transform_inverse(self.PW, self.PW_ALPHA, s, 0.3, b1=b1,
+                              onset=np.array([np.inf, np.inf]))
+        np.testing.assert_array_equal(t, s * np.exp(0.3))
+
+    @staticmethod
+    def _evaluations(monkeypatch):
+        """The number of evaluations of f in each root search."""
+        import qvaft.covproc as covproc
+        calls, search = [], covproc.increasing_root
+
+        def counted(f, *args, **kwargs):
+            calls.append(0)
+
+            def g(*a):
+                calls[-1] += 1
+                return f(*a)
+            return search(g, *args, **kwargs)
+
+        monkeypatch.setattr(covproc, "increasing_root", counted)
+        return calls
+
+    def test_piecewise_switch_in_few_evaluations(self, monkeypatch):
+        # targets on every segment (the first, where a = 0, included) and
+        # exactly at V(onset + tau_j); f is evaluated once more, at the
+        # knots, outside the search
+        calls = self._evaluations(monkeypatch)
+        rng = np.random.default_rng(7)
+        for alpha in (self.PW_ALPHA, -self.PW_ALPHA, np.array([0.4, -0.3,
+                                                                0.2])):
+            u = np.concatenate([rng.uniform(0.0, 4.0, 200),
+                                rng.uniform(0.0, 1.0, 50), self.PW.knots[1:],
+                                np.geomspace(1e-9, 1e6, 30)])
+            onset = rng.uniform(0.5, 3.0, u.size)
+            s = transform_value(self.PW, alpha, onset + u, 0.2, b1=-0.7,
+                                onset=onset)
+            t = transform_inverse(self.PW, alpha, s, 0.2, b1=-0.7,
+                                  onset=onset)
+            np.testing.assert_allclose(t, onset + u, rtol=1e-13)
+        assert len(calls) == 3 and max(calls) <= 10, calls
+
+    def test_spline_in_few_evaluations(self, monkeypatch):
+        calls = self._evaluations(monkeypatch)
+        rng = np.random.default_rng(8)
+        t = np.concatenate([rng.gamma(2.0, 2.0, 300),
+                            np.geomspace(1e-6, 1e4, 30)])
+        x1 = rng.uniform(0.0, 1.5, t.size)
+        s = transform_value(self.SPLINE, self.SPLINE_ALPHA, t, 0.3, x1)
+        back = transform_inverse(self.SPLINE, self.SPLINE_ALPHA, s, 0.3, x1)
+        np.testing.assert_allclose(back, t, rtol=1e-13)
+        assert len(calls) == 1 and calls[0] <= 10, calls
+
+    CASES = pytest.mark.parametrize("kind,knots,alpha,switch", [
+        ("spline", (-0.5, 0.5, 1.5), (0.2, 0.05), False),
+        ("spline", (-1.0, 0.0, 1.0), (0.15, -0.05), True),
+        ("piecewise", (0.0, 1.0, 2.0, 3.0), (0.2, -0.3, 0.4), True)],
+        ids=["spline", "spline-switch", "piecewise-switch"])
+
+    @CASES
+    def test_matches_bisection(self, kind, knots, alpha, switch):
+        """Against plain interval halving on `transform_value`, with
+        targets past the switch."""
+        effect, alpha = EffectSpec(kind, knots), np.array(alpha)
+        rng = np.random.default_rng(34)
+        for _ in range(40):
+            eta, x1 = rng.normal(), rng.uniform(0.0, 1.5)
+            onset = rng.uniform(0.2, 3.0) if switch else None
+            args = (eta, x1, -0.4, onset)
+            s = transform_value(effect, alpha, rng.gamma(2.0, 2.0)
+                                + (onset or 0.0), *args)
+            lo, hi = 0.0, 1.0
+            while transform_value(effect, alpha, hi, *args) < s:
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if transform_value(effect, alpha, mid, *args) < s:
+                    lo = mid
+                else:
+                    hi = mid
+            assert transform_inverse(effect, alpha, s, *args) == \
+                pytest.approx(0.5 * (lo + hi), rel=1e-13)
+
+    @CASES
+    def test_roots_do_not_depend_on_the_batch(self, kind, knots, alpha,
+                                              switch):
+        rng = np.random.default_rng(33)
+        n = 300
+        effect, alpha = EffectSpec(kind, knots), np.array(alpha)
+        t = rng.gamma(2.0, 1.5, n)
+        eta = rng.normal(size=n)
+        x1 = 0.0 if switch else rng.uniform(0.0, 1.5, n)
+        # never, before the switch and past it
+        onset = (np.choose(rng.integers(0, 3, n),
+                           [np.full(n, np.inf), t + rng.uniform(0.1, 2.0, n),
+                            t * rng.uniform(0.05, 0.95, n)])
+                 if switch else None)
+        s = transform_value(effect, alpha, t, eta, x1, -0.4, onset)
+
+        def inverse(rows):
+            return transform_inverse(
+                effect, alpha, s[rows], eta[rows],
+                x1 if switch else x1[rows], -0.4,
+                None if onset is None else onset[rows])
+
+        alone = np.array([inverse(slice(i, i + 1))[0] for i in range(n)])
+        np.testing.assert_allclose(alone, t, rtol=1e-13)
+        for size in (2, 3, 17, 300):
+            for lo in range(0, n, size):
+                rows = slice(lo, min(lo + size, n))
+                np.testing.assert_array_equal(inverse(rows), alone[rows],
+                                              err_msg=f"batch of {size}")
+
+
 class TestExactMonotonicityRule:
     """`is_monotone` agrees with the slope on a dense grid that holds the
     knots and, for a spline, the vertex of each piece where g'' changes
